@@ -41,11 +41,10 @@ from .harness import (
 from .metrics import (
     MetricReport,
     chi,
+    footprint,
     mean_offset,
-    n_eff,
     normalized_variance,
     objective_function,
-    taper_histogram,
 )
 from .models import (
     ForwardModel,
@@ -74,6 +73,7 @@ from .smoother import (
     ObservationSet,
     RunSeed,
     TaperField,
+    gain_operator,
     kalman_gain_block,
     localized_update_step,
     perturb_observations,

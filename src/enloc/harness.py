@@ -26,7 +26,7 @@ import math
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -358,7 +358,7 @@ def _run_one(
             prior.values, axis=1, ddof=1
         )
         return RunResult(setting.name, run_index, "ok", report, result, nv_rows)
-    except EnlocError as exc:
+    except (EnlocError, ValueError) as exc:  # ValueError covers LinAlgError
         return RunResult(setting.name, run_index, f"failed: {exc}", None, None)
 
 
@@ -560,7 +560,7 @@ def sweep_ensemble_size(
     for size in sizes:
         if size < 3:
             raise ConfigError(f"ensemble size {size} too small")
-        sub = _replace_cfg(cfg, ensemble_size=int(size))
+        sub = replace(cfg, ensemble_size=int(size))
         reports[size] = run_experiment(sub, out / f"ne_{size}")
         for taper, metric, mean, _half, _n in reports[size].aggregates():
             if metric in ("obj_mean", "nv"):
@@ -581,7 +581,7 @@ def sweep_layers(
     rows = []
     for layers in layer_counts:
         model_cfg = dict(cfg.model, n_layers=int(layers))
-        sub = _replace_cfg(cfg, model=model_cfg)
+        sub = replace(cfg, model=model_cfg)
         reports[layers] = run_experiment(sub, out / f"layers_{layers}")
         agg = {
             (taper, metric): mean
@@ -599,12 +599,6 @@ def sweep_layers(
             )
     _write_csv(out / "neff_table.csv", ["taper", "layers", "n_eff", "chi"], rows)
     return reports
-
-
-def _replace_cfg(cfg: ExperimentConfig, **updates) -> ExperimentConfig:
-    from dataclasses import replace
-
-    return replace(cfg, **updates)
 
 
 def t0_table_rows(

@@ -1,9 +1,10 @@
 """Evaluation metrics: data mismatch, variance retention, update footprint.
 
-The taper-dependent aggregates (effective updated-parameter count, taper
-histogram) consume a block provider, a callable RowBlock -> (width x Nd)
-taper array, so they stream over parameter rows without ever holding the
-full taper matrix.
+The taper-dependent aggregates (effective updated-parameter count and
+taper histogram) come from one pass of footprint() over a block provider,
+a callable RowBlock -> (width x Nd) taper array, so each taper block is
+read once and the full taper matrix is never held. Without localization
+(no provider) the taper is one everywhere and no block is read.
 """
 
 from __future__ import annotations
@@ -15,16 +16,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ensemble import Ensemble, PredictedEnsemble, RowBlock, iter_blocks
+from .ensemble import DEFAULT_BLOCK_WIDTH, Ensemble, PredictedEnsemble, RowBlock, iter_blocks
 
 __all__ = [
     "MetricReport",
     "objective_function",
     "normalized_variance",
     "mean_offset",
-    "n_eff",
+    "footprint",
     "chi",
-    "taper_histogram",
     "HISTOGRAM_BINS",
 ]
 
@@ -100,20 +100,39 @@ def mean_offset(prior: Ensemble, posterior: Ensemble) -> float:
     return float(np.mean(shift / std_prior[ok]))
 
 
-def n_eff(
-    taper_provider: TaperProvider,
+def footprint(
+    taper_provider: TaperProvider | None,
     n_params: int,
     n_data: int,
-    block_width: int = 1024,
-) -> float:
-    """Effective number of parameters updated per observation.
+    block_width: int = DEFAULT_BLOCK_WIDTH,
+) -> tuple[float, np.ndarray]:
+    """Effective updated-parameter count and taper histogram, in one pass.
 
-    (1/Nd) sum_j sum_i r_ij, streamed blockwise; block partial sums are
-    combined with compensated summation so the result does not depend on
-    the block schedule.
+    n_eff = (1/Nd) sum_j sum_i r_ij is the effective number of parameters
+    updated per observation; block partial sums are combined with
+    compensated summation so it does not depend on the block schedule.
+    The histogram counts taper values over HISTOGRAM_BINS equal-width bins
+    on [0, 1], right-open except the last, which includes 1.0; counts sum
+    to n_params * n_data. taper_provider=None means no localization: the
+    taper is one everywhere, so n_eff = n_params exactly, every pair falls
+    in the last bin, and no block is read.
     """
-    partials = [float(np.sum(taper_provider(blk))) for blk in iter_blocks(n_params, block_width)]
-    return math.fsum(partials) / n_data
+    counts = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
+    if taper_provider is None:
+        counts[-1] = n_params * n_data
+        return float(n_params), counts
+    edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
+    partials = []
+    for blk in iter_blocks(n_params, block_width):
+        r = taper_provider(blk)
+        partials.append(float(np.sum(r)))
+        counts += np.histogram(r, bins=edges)[0]
+    total = int(counts.sum())
+    if total != n_params * n_data:
+        raise ValueError(
+            f"taper values outside [0, 1]: binned {total} of {n_params * n_data}"
+        )
+    return math.fsum(partials) / n_data, counts
 
 
 def chi(n_eff_value: float, n_params: int) -> float:
@@ -121,27 +140,3 @@ def chi(n_eff_value: float, n_params: int) -> float:
     if n_params <= 0:
         raise ValueError("n_params must be positive")
     return n_eff_value / n_params
-
-
-def taper_histogram(
-    taper_provider: TaperProvider,
-    n_params: int,
-    n_data: int,
-    bins: int = HISTOGRAM_BINS,
-    block_width: int = 1024,
-) -> np.ndarray:
-    """Counts of taper values over equal-width bins on [0, 1].
-
-    Bins are right-open except the last, which includes 1.0; counts sum to
-    n_params * n_data.
-    """
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    counts = np.zeros(bins, dtype=np.int64)
-    for blk in iter_blocks(n_params, block_width):
-        counts += np.histogram(taper_provider(blk), bins=edges)[0]
-    total = int(counts.sum())
-    if total != n_params * n_data:
-        raise ValueError(
-            f"taper values outside [0, 1]: binned {total} of {n_params * n_data}"
-        )
-    return counts

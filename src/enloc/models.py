@@ -57,15 +57,15 @@ class ForwardModel(ABC):
     def n_data(self) -> int: ...
 
     @abstractmethod
-    def evaluate(self, m: np.ndarray) -> np.ndarray:
-        """Evaluate one parameter vector; pure and repeatable."""
-
     def evaluate_ensemble(self, values: np.ndarray) -> np.ndarray:
-        """Evaluate all columns of an (Nm x Ne) matrix into (Nd x Ne)."""
-        out = np.empty((self.n_data, values.shape[1]))
-        for k in range(values.shape[1]):
-            out[:, k] = self.evaluate(values[:, k])
-        return out
+        """Map each column of an (Nm x Ne) matrix to (Nd x Ne); pure and repeatable."""
+
+    def evaluate(self, m: np.ndarray) -> np.ndarray:
+        """Evaluate one parameter vector."""
+        m = np.asarray(m, dtype=float)
+        if m.shape != (self.n_params,):
+            raise ValueError(f"expected {self.n_params} parameters, got {m.shape}")
+        return self.evaluate_ensemble(m[:, None])[:, 0]
 
 
 def evaluate_members(model: ForwardModel, values: np.ndarray) -> np.ndarray:
@@ -100,12 +100,6 @@ class LinearModel(ForwardModel):
     @property
     def n_data(self) -> int:
         return self.G.shape[0]
-
-    def evaluate(self, m: np.ndarray) -> np.ndarray:
-        m = np.asarray(m, dtype=float)
-        if m.shape != (self.n_params,):
-            raise ValueError(f"expected {self.n_params} parameters, got {m.shape}")
-        return self.G @ m
 
     def evaluate_ensemble(self, values: np.ndarray) -> np.ndarray:
         return self.G @ values
@@ -172,12 +166,6 @@ class ScalarToyModel(ForwardModel):
         return [f"act_{i + 1}" for i in range(self.n_active)] + [
             f"dummy_{i + 1}" for i in range(self.n_dummy)
         ]
-
-    def evaluate(self, m: np.ndarray) -> np.ndarray:
-        m = np.asarray(m, dtype=float)
-        if m.shape != (self.n_params,):
-            raise ValueError(f"expected {self.n_params} parameters, got {m.shape}")
-        return self._V @ np.tanh(self._W @ m[: self.n_active] + self._b)
 
     def evaluate_ensemble(self, values: np.ndarray) -> np.ndarray:
         return self._V @ np.tanh(self._W @ values[: self.n_active, :] + self._b[:, None])
@@ -365,12 +353,6 @@ class GridFlowProxy(ForwardModel):
         if meta.kind == "wct":
             return self._prod_masks[int(meta.source[1:]) - 1]
         return self._inj_masks[int(meta.source[1:]) - 1]
-
-    def evaluate(self, m: np.ndarray) -> np.ndarray:
-        m = np.asarray(m, dtype=float)
-        if m.shape != (self.n_params,):
-            raise ValueError(f"expected {self.n_params} parameters, got {m.shape}")
-        return self.evaluate_ensemble(m[:, None])[:, 0]
 
     def evaluate_ensemble(self, values: np.ndarray) -> np.ndarray:
         poro = values[: self._field_size, :]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.special import betainc
+from scipy.special import stdtr, stdtrit
 
 from .errors import DegenerateStatisticError, InvalidEnsembleSizeError
 
@@ -34,48 +34,21 @@ __all__ = [
     "format_t0_strategy",
 ]
 
-_PROB_TOL = 1e-12  # bisection tolerance in probability
-
 
 def student_t_cdf(x: float, nu: float) -> float:
-    """CDF of the Student-t distribution via the regularized incomplete beta."""
+    """CDF of the Student-t distribution with nu degrees of freedom."""
     if nu <= 0:
         raise ValueError(f"degrees of freedom must be positive, got {nu}")
-    ib = float(betainc(nu / 2.0, 0.5, nu / (nu + x * x)))
-    return 1.0 - 0.5 * ib if x >= 0.0 else 0.5 * ib
+    return float(stdtr(nu, x))
 
 
 def student_t_quantile(nu: float, p: float) -> float:
-    """Inverse CDF of the Student-t distribution with nu degrees of freedom.
-
-    Computed by bisection on the incomplete-beta CDF until the probability
-    residual is below 1e-12, which bounds the quantile error well inside
-    the 1e-6 contract.
-    """
+    """Inverse CDF of the Student-t distribution with nu degrees of freedom."""
     if nu < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {nu}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"probability must be in (0, 1), got {p}")
-    if p == 0.5:
-        return 0.0
-    if p < 0.5:
-        return -student_t_quantile(nu, 1.0 - p)
-
-    lo, hi = 0.0, 1.0
-    while student_t_cdf(hi, nu) < p:
-        hi *= 2.0
-        if hi > 1e300:
-            raise ArithmeticError("quantile bracket expansion failed")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f = student_t_cdf(mid, nu)
-        if abs(f - p) < _PROB_TOL and (hi - lo) < 1e-9 * max(1.0, mid):
-            return mid
-        if f < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(stdtrit(nu, p))
 
 
 def critical_t0(n_e: int, phi: float) -> float:

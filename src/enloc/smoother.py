@@ -6,10 +6,17 @@ Each assimilation step applies
     K = C_md (C_dd + alpha C_e)^-1,
 
 where R holds per-pair taper coefficients in [0, 1] and o is the
-elementwise product. The Nd x Nd solve is factored once per step; gain and
-taper entries are produced in parameter-row blocks so neither K nor R is
-ever materialized in full. Taper coefficients are computed from the prior
-ensemble and kept frozen across steps by default, which is the supported
+elementwise product. In ensemble-subspace form K = dM W, with dM the
+parameter anomalies and the Ne x Nd operator
+
+    W = dD^T (C_dd + alpha C_e)^-1 / (Ne - 1),
+
+factored and solved once per step. A gain block is then the product of
+its centered parameter rows with W; gain and taper entries are produced in
+parameter-row blocks so neither K nor R is ever materialized in full.
+Without localization there is no taper and the same loop skips the
+product with R. Taper coefficients are computed from the prior ensemble
+and kept frozen across steps by default, which is the supported
 production mode; per-step recomputation exists for experiments.
 """
 
@@ -44,8 +51,6 @@ from .tapers import (
     sampling_std,
     standardize,
     taper_distance,
-    taper_logistic,
-    taper_power,
 )
 
 __all__ = [
@@ -54,11 +59,9 @@ __all__ = [
     "LocalizationPolicy",
     "RunSeed",
     "TaperField",
-    "OnesTaper",
     "make_taper_field",
     "perturb_observations",
-    "DdFactorization",
-    "dd_factorization",
+    "gain_operator",
     "kalman_gain_block",
     "localized_update_step",
     "StepDiagnostics",
@@ -127,7 +130,7 @@ class ObservationSet:
 class LocalizationPolicy:
     """Which taper to apply and how its threshold is chosen.
 
-    spec=None disables localization (taper identically one). freeze=True
+    spec=None disables localization (no taper is applied). freeze=True
     (the supported production mode) computes tapers from the prior
     ensemble only and reuses them at every step.
     """
@@ -149,16 +152,6 @@ class RunSeed:
 
     def generator(self, *key: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=key))
-
-
-class OnesTaper:
-    """Taper identically one (no localization)."""
-
-    def __init__(self, n_data: int):
-        self.n_data = n_data
-
-    def block(self, blk: RowBlock) -> np.ndarray:
-        return np.ones((blk.width, self.n_data))
 
 
 class TaperField:
@@ -252,17 +245,8 @@ class TaperField:
             )
         corr = correlation_block(self._ens, self._pred, blk, self._pred_anoms)
         undefined = np.isnan(corr)
-        rho = np.where(undefined, 0.0, corr)
-        sigma = sampling_std(rho, self._n_e)
-        t = standardize(rho, sigma)
-        if isinstance(self.spec, PowerLaw):
-            r = taper_power(t, self.spec.beta, self._t0)
-        elif isinstance(self.spec, Logistic):
-            r = taper_logistic(t, self.spec.gamma, self._t0, self.spec.epsilon)
-        else:
-            stats = CorrelationStats(rho_hat=rho, sigma=sigma, t=t, n_e=self._n_e)
-            r = evaluate_taper(self.spec, stats)
-        r = np.asarray(r, dtype=float)
+        stats = CorrelationStats.from_rho(np.where(undefined, 0.0, corr), self._n_e)
+        r = np.asarray(evaluate_taper(self.spec, stats, self._t0), dtype=float)
         r[undefined] = 0.0
         return r
 
@@ -272,10 +256,10 @@ def make_taper_field(
     ens: Ensemble,
     pred: PredictedEnsemble,
     block_width: int = DEFAULT_BLOCK_WIDTH,
-):
-    """Build the taper provider for one ensemble snapshot (ones when disabled)."""
+) -> TaperField | None:
+    """Build the taper field for one ensemble snapshot (None when disabled)."""
     if policy.spec is None:
-        return OnesTaper(pred.n_data)
+        return None
     return TaperField(policy.spec, ens, pred, policy.t0_strategy, block_width)
 
 
@@ -301,50 +285,38 @@ def perturb_observations(
     return out
 
 
-@dataclass
-class DdFactorization:
-    """Cholesky factorization of (C_dd + alpha C_e) with the data anomalies."""
-
-    cho: tuple
-    delta_d: np.ndarray
-    n_members: int
-
-
-def dd_factorization(
+def gain_operator(
     pred: PredictedEnsemble, obs: ObservationSet, alpha: float
-) -> DdFactorization:
-    """Factor the Nd x Nd solve once per assimilation step."""
+) -> np.ndarray:
+    """Ne x Nd operator W = dD^T (C_dd + alpha C_e)^-1 / (Ne - 1) of one step.
+
+    The Kalman gain is K = dM W for the parameter anomalies dM, so a gain
+    block costs one product; the Nd x Nd system is factored once per step.
+    """
     if not np.all(np.isfinite(pred.values)):
         raise ValueError("predicted data must be finite")
-    delta_d = pred.values - pred.values.mean(axis=1, keepdims=True)
+    # Fortran order lets the solve overwrite dD in place: W is Ne x Nd, the
+    # largest array of a step when Ne >> Nm
+    delta_d = np.array(pred.values, order="F")
+    delta_d -= delta_d.mean(axis=1, keepdims=True)
     c_dd = (delta_d @ delta_d.T) / (pred.n_members - 1)
     a = c_dd + np.diag(alpha * obs.sigma_e**2)
-    return DdFactorization(
-        cho=cho_factor(a, lower=True), delta_d=delta_d, n_members=pred.n_members
-    )
+    w_t = cho_solve(cho_factor(a, lower=True), delta_d, overwrite_b=True)
+    w_t /= pred.n_members - 1
+    return w_t.T
 
 
 def kalman_gain_block(
-    ens: Ensemble,
-    pred: PredictedEnsemble,
-    obs: ObservationSet,
-    alpha: float,
-    block: RowBlock,
-    factorization: DdFactorization | None = None,
+    ens: Ensemble, block: RowBlock, operator: np.ndarray
 ) -> np.ndarray:
-    """One block of rows of the Kalman gain C_md (C_dd + alpha C_e)^-1.
+    """One block of rows of the Kalman gain: centered block rows times W.
 
-    Pass the factorization from dd_factorization() to share the Nd x Nd
-    factor across blocks within a step.
+    operator is the step's W from gain_operator().
     """
-    if factorization is None:
-        factorization = dd_factorization(pred, obs, alpha)
     rows = ens.values[block.slice()]
     if not np.all(np.isfinite(rows)):
         raise ValueError("ensemble rows must be finite")
-    dm = rows - rows.mean(axis=1, keepdims=True)
-    c_md = (dm @ factorization.delta_d.T) / (factorization.n_members - 1)
-    return cho_solve(factorization.cho, c_md.T).T
+    return (rows - rows.mean(axis=1, keepdims=True)) @ operator
 
 
 def localized_update_step(
@@ -352,29 +324,32 @@ def localized_update_step(
     pred: PredictedEnsemble,
     obs: ObservationSet,
     alpha: float,
-    taper_rows: Callable[[RowBlock], np.ndarray],
+    taper_rows: Callable[[RowBlock], np.ndarray] | None,
     perturbed: np.ndarray,
     block_width: int = DEFAULT_BLOCK_WIDTH,
 ) -> Ensemble:
-    """One localized update pass over all parameter rows.
+    """One update pass over all parameter rows; taper_rows=None is unlocalized.
 
-    The tapered gain (R o K) is formed entrywise per block and applied to
-    the innovation columns; the caller supplies the perturbed-data matrix
-    from perturb_observations().
+    The gain (tapered entrywise when taper_rows is given) is formed per
+    block and applied to the innovation columns as (K_blk o R_blk) resid;
+    the caller supplies the perturbed-data matrix from
+    perturb_observations(). The input ensemble is not modified.
     """
     if perturbed.shape != (obs.n_data, ens.n_members):
         raise ValueError("perturbed-data matrix has wrong shape")
     resid = perturbed - pred.values
-    fact = dd_factorization(pred, obs, alpha)
+    operator = gain_operator(pred, obs, alpha)
     new_values = ens.values.copy()
     for blk in iter_blocks(ens.n_params, block_width):
-        gain = kalman_gain_block(ens, pred, obs, alpha, blk, fact)
-        r = taper_rows(blk)
-        if r.shape != gain.shape:
-            raise ValueError("taper block shape does not match gain block")
-        if np.any(r < 0.0) or np.any(r > 1.0):
-            raise ValueError("taper values must lie in [0, 1]")
-        new_values[blk.slice()] += (r * gain) @ resid
+        gain = kalman_gain_block(ens, blk, operator)
+        if taper_rows is not None:
+            r = taper_rows(blk)
+            if r.shape != gain.shape:
+                raise ValueError("taper block shape does not match gain block")
+            if np.any(r < 0.0) or np.any(r > 1.0):
+                raise ValueError("taper values must lie in [0, 1]")
+            gain *= r
+        new_values[blk.slice()] += gain @ resid
     return Ensemble(
         values=new_values,
         names=None if ens.names is None else list(ens.names),
@@ -415,7 +390,28 @@ class StepDiagnostics:
 class EsmdaResult:
     posterior: Ensemble
     diagnostics: list[StepDiagnostics] = field(default_factory=list)
-    taper_field: TaperField | OnesTaper | None = None
+    taper_field: TaperField | None = None
+
+
+def _diagnostics(
+    step: int,
+    alpha: float | None,
+    pred: PredictedEnsemble,
+    obs: ObservationSet,
+    prior: Ensemble,
+    ens: Ensemble,
+    footprint: tuple[float, np.ndarray],
+) -> StepDiagnostics:
+    n_eff, hist = footprint
+    return StepDiagnostics(
+        step=step,
+        alpha=alpha,
+        objective=metrics.objective_function(pred, obs),
+        nv=metrics.normalized_variance(prior, ens),
+        n_eff=n_eff,
+        chi=metrics.chi(n_eff, ens.n_params),
+        taper_histogram=hist.copy(),
+    )
 
 
 def run_esmda(
@@ -429,67 +425,38 @@ def run_esmda(
 ) -> EsmdaResult:
     """Run the full multi-step assimilation.
 
-    Per step: forward-evaluate all members, (re)build the taper field
-    (first step only when frozen), record diagnostics, perturb the
-    observations, update blockwise. A final forward evaluation after the
-    last update provides the posterior diagnostics entry.
+    Per step: forward-evaluate all members, (re)build the taper field and
+    its footprint (first step only when frozen), record diagnostics,
+    perturb the observations, update blockwise. A final forward evaluation
+    after the last update provides the posterior diagnostics entry.
     """
     if obs.n_data != model.n_data:
         raise ValueError("observation set size does not match the model")
     ens = prior.copy()
     taper_field = None
+    footprint = None
     diagnostics: list[StepDiagnostics] = []
-    frozen_footprint: tuple[float, float, np.ndarray] | None = None
-
-    def footprint(provider) -> tuple[float, float, np.ndarray]:
-        ne = metrics.n_eff(provider.block, ens.n_params, obs.n_data, block_width)
-        return (
-            ne,
-            metrics.chi(ne, ens.n_params),
-            metrics.taper_histogram(
-                provider.block, ens.n_params, obs.n_data, block_width=block_width
-            ),
-        )
 
     for step, alpha in enumerate(schedule.alphas, start=1):
         pred = PredictedEnsemble(
             values=evaluate_members(model, ens.values), meta=model.datum_meta
         )
-        if taper_field is None or not policy.freeze:
-            taper_field = make_taper_field(policy, ens.copy(), pred, block_width)
-            frozen_footprint = None
-        if frozen_footprint is None:
-            frozen_footprint = footprint(taper_field)
-        ne_val, chi_val, hist = frozen_footprint
-        diagnostics.append(
-            StepDiagnostics(
-                step=step,
-                alpha=alpha,
-                objective=metrics.objective_function(pred, obs),
-                nv=metrics.normalized_variance(prior, ens),
-                n_eff=ne_val,
-                chi=chi_val,
-                taper_histogram=hist.copy(),
+        if footprint is None or not policy.freeze:
+            taper_field = make_taper_field(policy, ens, pred, block_width)
+            taper_rows = None if taper_field is None else taper_field.block
+            footprint = metrics.footprint(
+                taper_rows, ens.n_params, obs.n_data, block_width
             )
-        )
+        diagnostics.append(_diagnostics(step, alpha, pred, obs, prior, ens, footprint))
         perturbed = perturb_observations(obs, alpha, seed, step, ens.n_members)
         ens = localized_update_step(
-            ens, pred, obs, alpha, taper_field.block, perturbed, block_width
+            ens, pred, obs, alpha, taper_rows, perturbed, block_width
         )
 
     pred = PredictedEnsemble(
         values=evaluate_members(model, ens.values), meta=model.datum_meta
     )
-    ne_val, chi_val, hist = frozen_footprint
     diagnostics.append(
-        StepDiagnostics(
-            step=schedule.n_steps + 1,
-            alpha=None,
-            objective=metrics.objective_function(pred, obs),
-            nv=metrics.normalized_variance(prior, ens),
-            n_eff=ne_val,
-            chi=chi_val,
-            taper_histogram=hist.copy(),
-        )
+        _diagnostics(schedule.n_steps + 1, None, pred, obs, prior, ens, footprint)
     )
     return EsmdaResult(posterior=ens, diagnostics=diagnostics, taper_field=taper_field)

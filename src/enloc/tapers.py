@@ -363,23 +363,24 @@ class DistanceGC:
 TaperSpec = Union[Mse, PowerLaw, Logistic, Discrepancy, Cgc, Po, Mpo, DistanceGC]
 
 
-def evaluate_taper(spec: TaperSpec, stats: CorrelationStats):
+def evaluate_taper(spec: TaperSpec, stats: CorrelationStats, t0=None):
     """Evaluate a correlation-based taper for the given correlation stats.
 
     Single dispatch point over the taper families; accepts array-valued
-    stats for blockwise evaluation. DistanceGC is rejected because it needs
-    geometry rather than correlation statistics.
+    stats for blockwise evaluation. t0, a resolved scalar or per-datum
+    threshold broadcastable against stats.t, overrides the spec's own t0
+    for the power-law and logistic families. DistanceGC is rejected because
+    it needs geometry rather than correlation statistics.
     """
     if isinstance(spec, Mse):
         return taper_mse(stats.t)
-    if isinstance(spec, PowerLaw):
-        if spec.t0 is None:
-            raise ValueError("power-law t0 unresolved; apply a threshold strategy first")
-        return taper_power(stats.t, spec.beta, spec.t0)
-    if isinstance(spec, Logistic):
-        if spec.t0 is None:
-            raise ValueError("logistic t0 unresolved; apply a threshold strategy first")
-        return taper_logistic(stats.t, spec.gamma, spec.t0, spec.epsilon)
+    if isinstance(spec, (PowerLaw, Logistic)):
+        t0 = spec.t0 if t0 is None else t0
+        if t0 is None:
+            raise ValueError("t0 unresolved; apply a threshold strategy first")
+        if isinstance(spec, PowerLaw):
+            return taper_power(stats.t, spec.beta, t0)
+        return taper_logistic(stats.t, spec.gamma, t0, spec.epsilon)
     if isinstance(spec, Discrepancy):
         return taper_discrepancy(stats.t, spec.eta)
     if isinstance(spec, Cgc):

@@ -341,13 +341,13 @@ def test_criterion_09_blockwise_equals_dense():
 
         from enloc.ensemble import correlation_block
 
-        fact = sm.dd_factorization(pred, obs, alpha)
+        w = sm.gain_operator(pred, obs, alpha)
         for width in (1, 33, 128, 200):
             corr_blocks = []
             gain_blocks = []
             for blk in iter_blocks(nm, width):
                 corr_blocks.append(correlation_block(ens, pred, blk))
-                gain_blocks.append(sm.kalman_gain_block(ens, pred, obs, alpha, blk, fact))
+                gain_blocks.append(sm.kalman_gain_block(ens, blk, w))
             assert np.max(np.abs(np.vstack(corr_blocks) - corr_dense)) < 1e-10
             assert np.max(np.abs(np.vstack(gain_blocks) - gain_dense)) < 1e-10
 
@@ -357,9 +357,8 @@ def test_criterion_09_blockwise_equals_dense():
         neff_dense = dense_taper.sum() / nd
         hist_dense = np.histogram(dense_taper, bins=np.linspace(0.0, 1.0, 21))[0]
         for width in (1, 33, 128, 200):
-            neff = mt.n_eff(field.block, nm, nd, block_width=width)
+            neff, hist = mt.footprint(field.block, nm, nd, block_width=width)
             assert abs(neff - neff_dense) < 1e-10
-            hist = mt.taper_histogram(field.block, nm, nd, block_width=width)
             assert np.array_equal(hist, hist_dense)
 
 

@@ -211,6 +211,15 @@ def test_run_failure_recorded(tmp_path):
     assert res.status.startswith("failed:")
     assert res.report is None
 
+    # finite outputs whose C_dd overflows fail in the solve; the run is recorded
+    overflow = LinearModel(np.full((3, 4), 1e200))
+    overflow_obs = ObservationSet(d_obs=np.zeros(3), sigma_e=np.ones(3))
+    overflow_sampler = hn.build_prior_sampler(cfg, overflow)
+    for setting in cfg.localization:
+        res = hn._run_one(cfg, overflow, overflow_sampler, overflow_obs, setting, 0, 10, 1)
+        assert res.status.startswith("failed:")
+        assert res.report is None
+
 
 def test_sweep_ensemble_size(tmp_path):
     raw = tiny_config(tmp_path / "sweep", **{"reference": None})

@@ -88,9 +88,10 @@ def _const_provider(value, nd):
 
 def test_n_eff_and_chi():
     nm, nd = 120, 7
-    assert mt.n_eff(_const_provider(1.0, nd), nm, nd) == nm
-    assert mt.n_eff(_const_provider(0.0, nd), nm, nd) == 0.0
-    assert mt.n_eff(_const_provider(0.5, nd), nm, nd) == pytest.approx(nm / 2, rel=1e-14)
+    assert mt.footprint(_const_provider(1.0, nd), nm, nd)[0] == nm
+    assert mt.footprint(None, nm, nd)[0] == nm
+    assert mt.footprint(_const_provider(0.0, nd), nm, nd)[0] == 0.0
+    assert mt.footprint(_const_provider(0.5, nd), nm, nd)[0] == pytest.approx(nm / 2, rel=1e-14)
     assert mt.chi(nm, nm) == 1.0
     assert mt.chi(0.0, nm) == 0.0
     assert mt.chi(nm / 4, nm) == 0.25
@@ -103,26 +104,27 @@ def test_n_eff_blockwise_equals_dense():
     provider = lambda blk: field[blk.slice()]
     dense = field.sum() / nd
     for width in (1, 17, 64, 200):
-        got = mt.n_eff(provider, nm, nd, block_width=width)
+        got = mt.footprint(provider, nm, nd, block_width=width)[0]
         assert got == pytest.approx(dense, abs=1e-10)
 
 
 def test_taper_histogram():
     nm, nd = 60, 5
-    zeros = mt.taper_histogram(_const_provider(0.0, nd), nm, nd)
+    zeros = mt.footprint(_const_provider(0.0, nd), nm, nd)[1]
     assert zeros[0] == nm * nd and zeros[1:].sum() == 0
-    ones = mt.taper_histogram(_const_provider(1.0, nd), nm, nd)
-    assert ones[-1] == nm * nd and ones[:-1].sum() == 0
+    for ones_provider in (_const_provider(1.0, nd), None):
+        ones = mt.footprint(ones_provider, nm, nd)[1]
+        assert ones[-1] == nm * nd and ones[:-1].sum() == 0
 
     # uniform grid of taper values bins evenly (brute-force binning oracle)
     values = np.linspace(0.0, 1.0, nm * nd, endpoint=False) + 0.5 / (nm * nd)
     field = values.reshape(nm, nd)
-    counts = mt.taper_histogram(lambda blk: field[blk.slice()], nm, nd)
+    counts = mt.footprint(lambda blk: field[blk.slice()], nm, nd)[1]
     assert counts.sum() == nm * nd
     assert counts.max() - counts.min() <= 1
 
     with pytest.raises(ValueError):
-        mt.taper_histogram(_const_provider(1.5, nd), nm, nd)
+        mt.footprint(_const_provider(1.5, nd), nm, nd)
 
 
 def test_histogram_blockwise_equals_dense():
@@ -132,7 +134,7 @@ def test_histogram_blockwise_equals_dense():
     provider = lambda blk: field[blk.slice()]
     dense = np.histogram(field, bins=np.linspace(0.0, 1.0, 21))[0]
     for width in (1, 13, 150):
-        got = mt.taper_histogram(provider, nm, nd, block_width=width)
+        got = mt.footprint(provider, nm, nd, block_width=width)[1]
         assert np.array_equal(got, dense)
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from oracles import T0_RHO0_TABLE as GOLDEN
 
 from enloc import significance as sig
@@ -38,6 +39,9 @@ def test_quantile_roundtrips_cdf():
 
 def test_quantile_gaussian_limit():
     assert abs(sig.student_t_quantile(10**6, 0.975) - 1.959964) < 1e-3
+    # just above the median the quantile is tiny; relative accuracy still holds
+    p = 0.5 + 1e-7
+    assert sig.student_t_quantile(10**6, p) == pytest.approx(ndtri(p), rel=1e-5)
 
 
 def test_quantile_domain_errors():

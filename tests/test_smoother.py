@@ -1,5 +1,7 @@
 """Smoother tests: perturbation moments, gain oracles, update semantics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,7 +63,7 @@ def test_scalar_gain_oracle():
     obs = _obs(std=1.5)
     for alpha in (1.0, 4.0):
         v = np.var(m, ddof=1)
-        gain = sm.kalman_gain_block(ens, pred, obs, alpha, RowBlock(0, 1))
+        gain = sm.kalman_gain_block(ens, RowBlock(0, 1), sm.gain_operator(pred, obs, alpha))
         assert gain[0, 0] == pytest.approx(v / (v + alpha * 1.5**2), rel=1e-12)
 
 
@@ -71,7 +73,7 @@ def test_zero_cross_covariance_rows_zero_gain():
     m[1] = 2.0  # constant row has zero cross-covariance with everything
     ens = Ensemble(values=m)
     pred = PredictedEnsemble(values=rng.standard_normal((5, 400)))
-    gain = sm.kalman_gain_block(ens, pred, _obs(5), 4.0, RowBlock(0, 3))
+    gain = sm.kalman_gain_block(ens, RowBlock(0, 3), sm.gain_operator(pred, _obs(5), 4.0))
     assert np.array_equal(gain[1], np.zeros(5))
 
 
@@ -80,15 +82,10 @@ def test_blockwise_gain_equals_dense():
     ens = Ensemble(values=rng.standard_normal((50, 30)))
     pred = PredictedEnsemble(values=rng.standard_normal((20, 30)))
     obs = _obs(20)
-    fact = sm.dd_factorization(pred, obs, 4.0)
-    dense = sm.kalman_gain_block(ens, pred, obs, 4.0, RowBlock(0, 50), fact)
+    w = sm.gain_operator(pred, obs, 4.0)
+    dense = sm.kalman_gain_block(ens, RowBlock(0, 50), w)
     for width in (1, 7, 50):
-        got = np.vstack(
-            [
-                sm.kalman_gain_block(ens, pred, obs, 4.0, blk, fact)
-                for blk in iter_blocks(50, width)
-            ]
-        )
+        got = np.vstack([sm.kalman_gain_block(ens, blk, w) for blk in iter_blocks(50, width)])
         assert np.max(np.abs(got - dense)) < 1e-10
 
 
@@ -97,11 +94,14 @@ def test_gain_scaling_invariance():
     rng = np.random.default_rng(3)
     ens = Ensemble(values=rng.standard_normal((10, 60)))
     pred = PredictedEnsemble(values=rng.standard_normal((4, 60)))
-    base = sm.kalman_gain_block(ens, pred, _obs(4, std=1.0), 4.0, RowBlock(0, 10))
+    rows = RowBlock(0, 10)
+    base = sm.kalman_gain_block(ens, rows, sm.gain_operator(pred, _obs(4, std=1.0), 4.0))
     # s = 2 is exact in binary floating point
-    scaled = sm.kalman_gain_block(ens, pred, _obs(4, std=2.0), 1.0, RowBlock(0, 10))
+    scaled = sm.kalman_gain_block(ens, rows, sm.gain_operator(pred, _obs(4, std=2.0), 1.0))
     assert np.array_equal(base, scaled)
-    scaled3 = sm.kalman_gain_block(ens, pred, _obs(4, std=3.0), 4.0 / 9.0, RowBlock(0, 10))
+    scaled3 = sm.kalman_gain_block(
+        ens, rows, sm.gain_operator(pred, _obs(4, std=3.0), 4.0 / 9.0)
+    )
     assert np.allclose(base, scaled3, rtol=1e-12)
 
 
@@ -119,10 +119,11 @@ def test_update_with_zero_and_unit_taper():
 
     ones = lambda blk: np.ones((blk.width, 3))
     full = sm.localized_update_step(ens, pred, obs, 4.0, ones, pert)
-    fact = sm.dd_factorization(pred, obs, 4.0)
-    gain = sm.kalman_gain_block(ens, pred, obs, 4.0, RowBlock(0, 6), fact)
+    gain = sm.kalman_gain_block(ens, RowBlock(0, 6), sm.gain_operator(pred, obs, 4.0))
     expected = ens.values + gain @ (pert - pred.values)
     assert np.allclose(full.values, expected, atol=1e-12)
+    unlocalized = sm.localized_update_step(ens, pred, obs, 4.0, None, pert)
+    assert np.allclose(unlocalized.values, expected, atol=1e-12)
 
     with pytest.raises(ValueError):
         bad = lambda blk: np.full((blk.width, 3), 1.5)
@@ -143,6 +144,25 @@ def test_update_block_schedule_independence():
     ]
     for other in results[1:]:
         assert np.allclose(results[0].values, other.values, atol=1e-12)
+
+
+def test_update_memory_stays_blockwise():
+    """Neither path holds an Nm x Nd array (64 MB at these shapes)."""
+    rng = np.random.default_rng(10)
+    nm, nd, ne = 20_000, 400, 20
+    ens = Ensemble(values=rng.standard_normal((nm, ne)))
+    pred = PredictedEnsemble(values=rng.standard_normal((nd, ne)))
+    obs = _obs(nd)
+    pert = sm.perturb_observations(obs, 4.0, sm.RunSeed(3), 1, ne)
+    field = sm.TaperField(tp.Mse(), ens, pred)
+    for taper_rows in (None, field.block):
+        tracemalloc.start()
+        try:
+            sm.localized_update_step(ens, pred, obs, 4.0, taper_rows, pert, block_width=256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
 
 
 def test_localization_monotonicity_single_datum():
