@@ -96,12 +96,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "t0-table":
-            if args.ne and args.phi:
-                emit_t0_table(args.ne, args.phi, args.out)
-                print(f"wrote {args.out}")
-            else:
-                emit_t0_table([], [], args.out)  # empty table, still exit 0
-                print(f"wrote empty {args.out}")
+            emit_t0_table(args.ne, args.phi, args.out)
+            print(f"wrote {args.out}")
             return EXIT_OK
 
         cfg = _load(args)

@@ -53,7 +53,7 @@ from .smoother import (
     RunSeed,
     run_esmda,
 )
-from .tapers import TaperSpec, format_taper, parse_taper
+from .tapers import Logistic, PowerLaw, TaperSpec, format_taper, parse_taper
 
 __all__ = [
     "ExperimentConfig",
@@ -228,6 +228,8 @@ def _parse_localization(entry: Any) -> LocalizationSetting:
     strategy = None
     if "t0" in entry and entry["t0"] is not None:
         strategy = significance.parse_t0_strategy(str(entry["t0"]))
+        if not isinstance(spec, (PowerLaw, Logistic)) or spec.t0 is not None:
+            raise ConfigError("a t0 strategy needs a power or logistic taper with no t0 of its own")
     name = entry.get("name")
     if not name:
         name = "none" if spec is None else format_taper(spec).split(":")[0]

@@ -13,15 +13,18 @@ Three model families cover the experiment designs:
   of every datum is known exactly by construction.
 
 Priors are standard Gaussian for scalar parameters and anisotropic
-Gaussian random fields (dense Cholesky factorization of the correlation
-matrix) for grid properties.
+Gaussian random fields for grid properties. A field's correlation matrix is
+built from its lag table, since a stationary field's correlation depends
+only on the offset between cells, and its dense Cholesky factor is cached
+per geometry, at most two geometries at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -418,49 +421,44 @@ class GrfPrior:
             )
 
 
-_chol_cache: dict[tuple, np.ndarray] = {}
-
-
 def grf_correlation(prior: GrfPrior) -> np.ndarray:
-    """Cell-to-cell prior correlation matrix (row-major cell order)."""
-    x = np.tile(np.arange(prior.nx, dtype=float), prior.ny)  # i inner
-    y = np.repeat(np.arange(prior.ny, dtype=float), prior.nx)  # j outer
-    dx = x[:, None] - x[None, :]
-    dy = y[:, None] - y[None, :]
+    """Cell-to-cell prior correlation matrix (row-major cell order).
+
+    The field is stationary, so the kernel is evaluated once per lag on the
+    (2 ny - 1) x (2 nx - 1) lag table; the n x n matrix is one copy out of
+    it, corr[(j, i), (j', i')] = lag[j - j', i - i'].
+    """
+    nx, ny = prior.nx, prior.ny
+    dx = np.arange(1 - nx, nx, dtype=float)[None, :]
+    dy = np.arange(1 - ny, ny, dtype=float)[:, None]
     a = math.radians(prior.angle_deg)
     xr = dx * math.cos(a) + dy * math.sin(a)
     yr = -dx * math.sin(a) + dy * math.cos(a)
     h = np.sqrt((xr / prior.range_major) ** 2 + (yr / prior.range_minor) ** 2)
-    return np.exp(-3.0 * h) if prior.kind == "exponential" else np.exp(-3.0 * h * h)
+    lag = np.exp(-3.0 * h) if prior.kind == "exponential" else np.exp(-3.0 * h * h)
+    windows = np.lib.stride_tricks.sliding_window_view(lag, (ny, nx))
+    return windows[:, :, ::-1, ::-1].reshape(nx * ny, nx * ny)
 
 
-def _correlation_factor(prior: GrfPrior) -> np.ndarray:
-    """Cholesky factor of the cell-correlation matrix, cached per geometry."""
-    key = (
-        prior.nx,
-        prior.ny,
-        prior.kind,
-        prior.range_major,
-        prior.range_minor,
-        prior.angle_deg,
-    )
-    factor = _chol_cache.get(key)
-    if factor is not None:
-        return factor
-
-    corr = grf_correlation(prior)
-    n = corr.shape[0]
+# Keyed on geometry only, so the porosity and log-permeability fields of one
+# grid share a factor; two entries keep both fields' factors when their
+# geometries differ.
+@functools.lru_cache(maxsize=2)
+def _correlation_factor(geometry: GrfPrior) -> np.ndarray:
+    """Read-only Cholesky factor of the cell-correlation matrix."""
+    corr = grf_correlation(geometry)
     for jitter in (1e-10, 1e-8, 1e-6):
+        np.fill_diagonal(corr, 1.0 + jitter)
         try:
-            factor = np.linalg.cholesky(corr + jitter * np.eye(n))
+            factor = np.linalg.cholesky(corr)
             break
         except np.linalg.LinAlgError:
-            factor = None
-    if factor is None:
+            pass
+    else:
         raise FieldGenerationError(
             "correlation matrix not positive definite after jitter"
         )
-    _chol_cache[key] = factor
+    factor.setflags(write=False)
     return factor
 
 
@@ -468,11 +466,13 @@ def sample_grf(prior: GrfPrior, count: int, seed: int) -> Ensemble:
     """Draw `count` independent field realizations as an Ensemble.
 
     Rows are cells in row-major order (j outer, i inner); coords carry the
-    (i, j, 0) gridblock indices.
+    (i, j, 0) gridblock indices. The correlation factor depends on the
+    geometry only (grid, variogram, ranges, angle), not on mean or std; it
+    comes from the two-entry cache, built from the lag table on a miss.
     """
     if count < 2:
         raise ValueError("need at least 2 realizations")
-    factor = _correlation_factor(prior)
+    factor = _correlation_factor(replace(prior, mean=0.0, std=1.0))
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((factor.shape[0], count))
     values = prior.mean + prior.std * (factor @ z)

@@ -142,7 +142,7 @@ class LocalizationPolicy:
 
 @dataclass(frozen=True)
 class RunSeed:
-    """Root seed with derived substreams per (assimilation step, member).
+    """Root seed with one derived substream per assimilation step.
 
     Substreams are numpy PCG64 generators created from SeedSequence spawn
     keys, so an identical seed reproduces a run bit-for-bit on one build.
@@ -272,16 +272,16 @@ def perturb_observations(
 ) -> np.ndarray:
     """Perturbed-data matrix: column k is d_obs + sqrt(alpha) e_k.
 
-    e_k ~ N(0, C_e) is drawn from the (step, member) substream of the run
-    seed, so columns are reproducible independently of evaluation order.
+    e_k ~ N(0, C_e) comes from the step's stream of the run seed, drawn
+    member-major: column k depends only on (seed, step, k), and the draw for
+    Ne members is a prefix of the draw for any larger ensemble.
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    out = np.empty((obs.n_data, n_members))
-    root = math.sqrt(alpha)
-    for k in range(n_members):
-        e = run_seed.generator(step, k).standard_normal(obs.n_data)
-        out[:, k] = obs.d_obs + root * (obs.sigma_e * e)
+    out = run_seed.generator(step).standard_normal((n_members, obs.n_data)).T
+    out *= obs.sigma_e[:, None]
+    out *= math.sqrt(alpha)
+    out += obs.d_obs[:, None]
     return out
 
 

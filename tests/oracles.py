@@ -49,3 +49,20 @@ def quadrature_posterior_mean(rho_hat, lam, upsilon, sigma):
     )
     denom = (1.0 - lam) * spike_like + lam * slab_marginal
     return lam * slab_first_moment / denom
+
+
+def pairwise_grf_correlation(prior):
+    """Random-field correlation matrix from n x n pairwise cell offsets.
+
+    The direct formula: every cell pair's offset is rotated, scaled by the
+    ranges and mapped through the variogram, with no use of stationarity.
+    """
+    x = np.tile(np.arange(prior.nx, dtype=float), prior.ny)  # i inner
+    y = np.repeat(np.arange(prior.ny, dtype=float), prior.nx)  # j outer
+    dx = x[:, None] - x[None, :]
+    dy = y[:, None] - y[None, :]
+    a = math.radians(prior.angle_deg)
+    xr = dx * math.cos(a) + dy * math.sin(a)
+    yr = -dx * math.sin(a) + dy * math.cos(a)
+    h = np.sqrt((xr / prior.range_major) ** 2 + (yr / prior.range_minor) ** 2)
+    return np.exp(-3.0 * h) if prior.kind == "exponential" else np.exp(-3.0 * h * h)

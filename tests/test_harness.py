@@ -98,6 +98,18 @@ def test_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         hn.config_from_dict(bad)
 
+    # a t0 strategy needs a taper that reads t0 and that does not set one itself
+    for entry in (
+        {"taper": "mse", "t0": "student:phi=0.05"},
+        {"taper": "mse", "t0": "p90"},
+        {"taper": "none", "t0": "p90"},
+        {"taper": "power:beta=3,t0=2", "t0": "p90"},
+    ):
+        bad = json.loads(json.dumps(base))
+        bad["localization"] = [entry]
+        with pytest.raises(ConfigError):
+            hn.config_from_dict(bad)
+
     with pytest.raises(ConfigError):
         hn.load_config(tmp_path / "missing.json")
 
@@ -108,7 +120,7 @@ def test_localization_parsing():
     assert entry.t0_strategy == PercentileT0(0.9)
     entry = hn._parse_localization({"taper": "logistic:gamma=1.5,t0=2"})
     assert entry.name == "logistic" and entry.t0_strategy is None
-    entry = hn._parse_localization({"taper": "mse", "t0": "student:phi=0.05"})
+    entry = hn._parse_localization({"taper": "logistic:gamma=1.5", "t0": "student:phi=0.05"})
     assert entry.t0_strategy == StudentT0(0.05)
     entry = hn._parse_localization({"taper": "none"})
     assert entry.spec is None and entry.name == "none"

@@ -1,9 +1,11 @@
 """Forward models: linearity, dummy inertness, proxy locality, field sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import pairwise_grf_correlation
 
 from enloc import models as md
 from enloc.errors import ForwardModelError
@@ -225,6 +227,45 @@ def test_grf_correlation_matrix_consistency():
     e = md.sample_grf(prior, 40_000, 123)
     emp = np.corrcoef(e.values)
     assert np.max(np.abs(emp - corr)) < 0.05
+
+
+def test_grf_correlation_equals_pairwise_oracle():
+    priors = (
+        md.GrfPrior(nx=8, ny=8, range_major=4, range_minor=2, angle_deg=45),
+        md.GrfPrior(nx=13, ny=7, kind="gaussian", range_major=5, range_minor=2,
+                    angle_deg=30),
+        md.GrfPrior(nx=10, ny=10, kind="gaussian", range_major=60, range_minor=60),
+        md.GrfPrior(nx=60, ny=60, range_major=30, range_minor=15, angle_deg=45),
+    )
+    for prior in priors:
+        assert np.array_equal(md.grf_correlation(prior), pairwise_grf_correlation(prior))
+
+
+def test_grf_correlation_memory():
+    """60 x 60 cells: the matrix itself is the only n x n allocation."""
+    n = 3600
+    tracemalloc.start()
+    try:
+        md.grf_correlation(md.GrfPrior(nx=60, ny=60))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n * 8
+
+
+def test_grf_factor_cache():
+    md._correlation_factor.cache_clear()
+    poro = md.GrfPrior(nx=9, ny=9, mean=0.2, std=0.05)
+    logk = md.GrfPrior(nx=9, ny=9, mean=0.0, std=0.7)
+    md.sample_grf(poro, 3, 1)
+    md.sample_grf(logk, 3, 2)
+    info = md._correlation_factor.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+    factor = md._correlation_factor(md.GrfPrior(nx=9, ny=9))
+    assert not factor.flags.writeable
+    for nx in (10, 11, 12):
+        md.sample_grf(md.GrfPrior(nx=nx, ny=9), 3, 1)
+    assert md._correlation_factor.cache_info().currsize <= 2
 
 
 def test_grid_prior_composition():

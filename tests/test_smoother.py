@@ -52,6 +52,8 @@ def test_perturb_determinism_and_moments():
     d = sm.perturb_observations(obs, 2.0, sm.RunSeed(43), 1, 10)
     assert not np.array_equal(a[:, :10], c)
     assert not np.array_equal(a[:, :10], d)
+    # a smaller ensemble draws a prefix of the same step's stream
+    assert np.array_equal(sm.perturb_observations(obs, 2.0, seed, 1, 10), a[:, :10])
 
 
 def test_scalar_gain_oracle():
