@@ -154,15 +154,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
+    """Validate a parsed JSON config; any malformed value raises ConfigError."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     try:
-        model = dict(raw["model"])
-        prior = dict(raw.get("prior", {"kind": "standard_normal"}))
-        observation = dict(raw["observation"])
+        model = _section(raw["model"], "model")
+        observation = _section(raw["observation"], "observation")
         loc_raw = raw["localization"]
     except KeyError as exc:
         raise ConfigError(f"config missing required key {exc}") from exc
+    prior = _section(raw.get("prior", {"kind": "standard_normal"}), "prior")
 
     if model.get("kind") not in ("linear", "scalar_toy", "grid_proxy"):
         raise ConfigError(f"unknown model kind {model.get('kind')!r}")
@@ -184,40 +185,56 @@ def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
     if "reference" in names:
         raise ConfigError('"reference" is reserved for the large-ensemble run')
 
-    sched_raw = raw.get("schedule", {"n_steps": 4})
+    sched_raw = _section(raw.get("schedule", {"n_steps": 4}), "schedule")
     try:
         if "alphas" in sched_raw:
+            if not isinstance(sched_raw["alphas"], list):
+                raise TypeError("alphas must be a list")
             schedule = MdaSchedule(alphas=tuple(float(a) for a in sched_raw["alphas"]))
         else:
             schedule = MdaSchedule.uniform(int(sched_raw.get("n_steps", 4)))
-    except ValueError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad schedule: {exc}") from exc
 
-    runs_raw = raw.get("runs", {})
-    run_count = int(runs_raw.get("count", 1))
-    if run_count < 1:
-        raise ConfigError("runs.count must be >= 1")
-
-    ensemble_size = int(raw.get("ensemble_size", 100))
-    if ensemble_size < 3:
-        raise ConfigError("ensemble_size must be >= 3")
+    runs_raw = _section(raw.get("runs", {}), "runs")
+    reference = raw.get("reference")
+    if reference is not None:
+        reference = _section(reference, "reference")
 
     return ExperimentConfig(
         model=model,
         prior=prior,
         observation=observation,
         localization=settings,
-        ensemble_size=ensemble_size,
+        ensemble_size=_config_int(raw.get("ensemble_size", 100), "ensemble_size", 3),
         schedule=schedule,
-        run_count=run_count,
-        base_seed=int(runs_raw.get("base_seed", 1000)),
-        reference=raw.get("reference"),
+        run_count=_config_int(runs_raw.get("count", 1), "runs.count", 1),
+        base_seed=_config_int(runs_raw.get("base_seed", 1000), "runs.base_seed", 0),
+        reference=reference,
         output_dir=str(raw.get("output_dir", "out")),
         save_posterior=bool(raw.get("save_posterior", False)),
         emit_nv_field=bool(raw.get("emit_nv_field", True)),
-        block_width=int(raw.get("block_width", 1024)),
-        threads=int(raw.get("threads", 1)),
+        block_width=_config_int(raw.get("block_width", 1024), "block_width", 1),
+        threads=_config_int(raw.get("threads", 1), "threads", 1),
     )
+
+
+def _section(value: Any, key: str) -> dict[str, Any]:
+    """A copy of one JSON-object block of the config."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
+def _config_int(value: Any, key: str, minimum: int) -> int:
+    """An integer config value, at least minimum."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from exc
+    if out < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}")
+    return out
 
 
 def _parse_localization(entry: Any) -> LocalizationSetting:

@@ -12,12 +12,15 @@ parameter anomalies and the Ne x Nd operator
     W = dD^T (C_dd + alpha C_e)^-1 / (Ne - 1),
 
 factored and solved once per step. A gain block is then the product of
-its centered parameter rows with W; gain and taper entries are produced in
-parameter-row blocks so neither K nor R is ever materialized in full.
-Without localization there is no taper and the same loop skips the
-product with R. Taper coefficients are computed from the prior ensemble
-and kept frozen across steps by default, which is the supported
-production mode; per-step recomputation exists for experiments.
+its centered parameter rows with W; gain entries are produced in
+parameter-row blocks, so K is never materialized in full. Without
+localization there is no taper and the same loop skips the product with R.
+Taper coefficients are computed from the prior ensemble and kept frozen
+across steps by default, which is the supported production mode; per-step
+recomputation exists for experiments. Within a run each taper block is
+evaluated once per taper field and kept, up to TAPER_CACHE_BYTES (32 MiB)
+of kept blocks; blocks past that cap are recomputed on every read, so
+memory stays bounded however large R is.
 """
 
 from __future__ import annotations
@@ -69,6 +72,12 @@ __all__ = [
     "run_esmda",
 ]
 
+# Bytes of taper blocks one run keeps per taper field. A one-layer 60x60 grid
+# field (7200 x 312 float64, 18 MB) fits whole; the 8-layer field (144 MB)
+# keeps 13 of its 57 blocks of 1024 rows and recomputes the other 44, since
+# keeping all of it would add the whole field to a run's resident memory.
+TAPER_CACHE_BYTES = 32 * 2**20
+
 
 @dataclass(frozen=True)
 class MdaSchedule:
@@ -83,8 +92,8 @@ class MdaSchedule:
     def __post_init__(self):
         if not self.alphas:
             raise ValueError("schedule needs at least one step")
-        if any(a <= 0.0 for a in self.alphas):
-            raise ValueError("inflation factors must be positive")
+        if not all(0.0 < a < math.inf for a in self.alphas):
+            raise ValueError("inflation factors must be positive and finite")
         total = math.fsum(1.0 / a for a in self.alphas)
         if abs(total - 1.0) > 1e-10:
             raise ValueError(
@@ -132,7 +141,9 @@ class LocalizationPolicy:
 
     spec=None disables localization (no taper is applied). freeze=True
     (the supported production mode) computes tapers from the prior
-    ensemble only and reuses them at every step.
+    ensemble only and reuses them at every step; freeze=False rebuilds the
+    field from each step's forecast ensemble. Either way run_esmda evaluates
+    a taper block once per field and keeps it within TAPER_CACHE_BYTES.
     """
 
     spec: TaperSpec | None
@@ -393,6 +404,30 @@ class EsmdaResult:
     taper_field: TaperField | None = None
 
 
+def _kept_blocks(
+    taper_rows: Callable[[RowBlock], np.ndarray],
+) -> Callable[[RowBlock], np.ndarray]:
+    """taper_rows memoized per block while the kept bytes fit TAPER_CACHE_BYTES.
+
+    Kept blocks are made read-only, since every later read shares them.
+    """
+    kept: dict[RowBlock, np.ndarray] = {}
+    kept_bytes = 0
+
+    def block(blk: RowBlock) -> np.ndarray:
+        nonlocal kept_bytes
+        r = kept.get(blk)
+        if r is None:
+            r = taper_rows(blk)
+            if kept_bytes + r.nbytes <= TAPER_CACHE_BYTES:
+                r.flags.writeable = False
+                kept[blk] = r
+                kept_bytes += r.nbytes
+        return r
+
+    return block
+
+
 def _diagnostics(
     step: int,
     alpha: float | None,
@@ -429,10 +464,16 @@ def run_esmda(
     its footprint (first step only when frozen), record diagnostics,
     perturb the observations, update blockwise. A final forward evaluation
     after the last update provides the posterior diagnostics entry.
+
+    The footprint pass and the updates read a taper block evaluated once
+    per field and kept while the kept bytes fit TAPER_CACHE_BYTES; later
+    blocks are recomputed on every read. The kept blocks are dropped on
+    return, so the result's taper_field evaluates blocks on demand. The
+    prior is not modified; a frozen field refers to it.
     """
     if obs.n_data != model.n_data:
         raise ValueError("observation set size does not match the model")
-    ens = prior.copy()
+    ens = prior
     taper_field = None
     footprint = None
     diagnostics: list[StepDiagnostics] = []
@@ -443,7 +484,7 @@ def run_esmda(
         )
         if footprint is None or not policy.freeze:
             taper_field = make_taper_field(policy, ens, pred, block_width)
-            taper_rows = None if taper_field is None else taper_field.block
+            taper_rows = None if taper_field is None else _kept_blocks(taper_field.block)
             footprint = metrics.footprint(
                 taper_rows, ens.n_params, obs.n_data, block_width
             )

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import enloc.harness as hn
 from enloc import cli
@@ -110,8 +112,89 @@ def test_config_errors(tmp_path):
         with pytest.raises(ConfigError):
             hn.config_from_dict(bad)
 
+    # wrongly typed or out-of-range values: ConfigError, never another exception
+    for key, value in (
+        ("runs", 5),
+        ("runs", {"count": "x"}),
+        ("runs", {"base_seed": -1}),
+        ("schedule", 4),
+        ("schedule", {"n_steps": None}),
+        ("schedule", {"alphas": "4444"}),
+        ("schedule", {"alphas": [float("nan")]}),
+        ("ensemble_size", None),
+        ("threads", "two"),
+        ("threads", 0),
+        ("block_width", 0),
+        ("block_width", float("inf")),
+        ("model", [1]),
+        ("observation", [1]),
+        ("prior", "x"),
+        ("reference", 5),
+    ):
+        bad = json.loads(json.dumps(base))
+        bad[key] = value
+        with pytest.raises(ConfigError):
+            hn.config_from_dict(bad)
+
     with pytest.raises(ConfigError):
         hn.load_config(tmp_path / "missing.json")
+
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**4), 10**4)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+_KEYS = st.sampled_from([
+    "model", "prior", "observation", "localization", "ensemble_size", "schedule",
+    "runs", "reference", "output_dir", "save_posterior", "emit_nv_field",
+    "block_width", "threads",
+])
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    top=st.dictionaries(_KEYS | st.text(max_size=8), _JSON, max_size=3),
+    nested=st.dictionaries(
+        st.sampled_from(["model", "observation", "runs", "schedule", "reference"]),
+        st.dictionaries(
+            st.sampled_from(["kind", "truth_seed", "count", "base_seed", "n_steps",
+                             "alphas", "ensemble_size"]) | st.text(max_size=8),
+            _JSON,
+            max_size=3,
+        ),
+        max_size=2,
+    ),
+    localization=st.none() | st.lists(
+        st.text(max_size=12)
+        | st.dictionaries(st.sampled_from(["taper", "t0", "name"]), _JSON, max_size=3)
+        | st.fixed_dictionaries(
+            {"taper": st.sampled_from(["mse", "power:beta=3", "logistic:gamma=1.5", "none"])},
+            optional={"t0": st.text(max_size=8) | _JSON, "name": _JSON},
+        ),
+        max_size=3,
+    ),
+)
+def test_config_parser_raises_only_config_error(top, nested, localization):
+    """Any JSON edit of a valid config parses or raises ConfigError."""
+    raw = tiny_config("out")
+    for key, edits in nested.items():
+        raw[key] = {**raw[key], **edits}
+    if localization is not None:
+        raw["localization"] = localization
+    raw.update(top)
+    try:
+        cfg = hn.config_from_dict(raw)
+    except ConfigError:
+        return
+    assert isinstance(cfg, hn.ExperimentConfig)
+    assert cfg.ensemble_size >= 3 and cfg.run_count >= 1
+    assert cfg.block_width >= 1 and cfg.threads >= 1
 
 
 def test_localization_parsing():

@@ -7,8 +7,16 @@ import pytest
 
 from enloc import smoother as sm
 from enloc import tapers as tp
-from enloc.ensemble import Ensemble, PredictedEnsemble, RowBlock, iter_blocks
-from enloc.models import LinearModel, ScalarToyModel
+from enloc.ensemble import DatumMeta, Ensemble, PredictedEnsemble, RowBlock, iter_blocks
+from enloc.models import (
+    ForwardModel,
+    GrfPrior,
+    GridFlowProxy,
+    LinearModel,
+    ScalarToyModel,
+    sample_grid_prior,
+)
+from enloc.significance import PercentileT0
 
 
 def _obs(nd=1, value=1.0, std=1.0):
@@ -26,6 +34,9 @@ def test_schedule_consistency():
         sm.MdaSchedule(alphas=(2.0, 3.0))
     with pytest.raises(ValueError):
         sm.MdaSchedule(alphas=())
+    for bad in ((float("nan"),), (float("inf"), 1.0)):  # both pass the sum check
+        with pytest.raises(ValueError):
+            sm.MdaSchedule(alphas=bad)
 
 
 def test_observation_set_validation():
@@ -247,6 +258,149 @@ def test_frozen_tapers_come_from_prior():
     policy_live = sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0), freeze=False)
     res_live = sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(3), policy_live, sm.RunSeed(4))
     assert not np.array_equal(res_live.taper_field.block(blk), manual.block(blk))
+
+
+def _toy_problem():
+    toy = ScalarToyModel(n_active=20, n_dummy=4, n_series=2, n_times=8, structure_seed=5)
+    obs = sm.ObservationSet(
+        d_obs=toy.evaluate(np.zeros(toy.n_params)) + 0.05, sigma_e=np.full(toy.n_data, 0.1)
+    )
+    return toy, toy.sample_prior(30, 6), obs
+
+
+def _grid_problem():
+    grid = GridFlowProxy(nx=8, ny=8, n_layers=1, prod_grid=2, n_times=4)
+    field = GrfPrior(nx=8, ny=8, range_major=4.0, range_minor=2.0)
+    prior = sample_grid_prior(grid, field, field, 30, 8)
+    truth = sample_grid_prior(grid, field, field, 2, 9).values[:, 0]
+    d = grid.evaluate(truth)
+    obs = sm.ObservationSet(d_obs=d, sigma_e=np.maximum(0.1 * np.abs(d), 0.01))
+    return grid, prior, obs
+
+
+def _count_block_reads(monkeypatch):
+    """Per-(start, width) counts of TaperField.block calls from now on."""
+    calls = {}
+    original = sm.TaperField.block
+
+    def counting(field, blk):
+        calls[blk.start, blk.width] = calls.get((blk.start, blk.width), 0) + 1
+        return original(field, blk)
+
+    monkeypatch.setattr(sm.TaperField, "block", counting)
+    return calls
+
+
+@pytest.mark.parametrize("freeze", [True, False])
+def test_taper_block_evaluated_once_per_field(monkeypatch, freeze):
+    toy, prior, obs = _toy_problem()  # 24 parameters: blocks of 8, 8 and 8
+    calls = _count_block_reads(monkeypatch)
+    policy = sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0), freeze=freeze)
+    sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(3), policy, sm.RunSeed(4), 8)
+    # a frozen field is built once; a per-step field once per step
+    reads = 1 if freeze else 3
+    assert calls == {(0, 8): reads, (8, 8): reads, (16, 8): reads}
+
+
+def test_taper_blocks_past_the_budget_are_recomputed(monkeypatch):
+    toy, prior, obs = _toy_problem()
+    n_blocks, steps = 3, 4
+    monkeypatch.setattr(sm, "TAPER_CACHE_BYTES", 8 * toy.n_data * 8)  # one block
+    calls = _count_block_reads(monkeypatch)
+    policy = sm.LocalizationPolicy(spec=tp.Mse())
+    sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(steps), policy, sm.RunSeed(4), 8)
+    # the footprint reads every block; each update then recomputes all but the first
+    assert sum(calls.values()) == n_blocks + steps * (n_blocks - 1)
+    assert calls[0, 8] == 1
+
+
+@pytest.mark.parametrize(
+    "problem, policy",
+    [
+        (_toy_problem, sm.LocalizationPolicy(spec=tp.PowerLaw(3.0, None),
+                                             t0_strategy=PercentileT0(0.9))),
+        (_grid_problem, sm.LocalizationPolicy(spec=tp.DistanceGC(4.0, 2.0, 30.0))),
+        (_toy_problem, sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0), freeze=False)),
+    ],
+)
+def test_kept_taper_blocks_match_recomputed(monkeypatch, problem, policy):
+    model, prior, obs = problem()
+    tapers = []
+    update = sm.localized_update_step
+
+    def recording(*args, **kwargs):
+        tapers.append(args[4])
+        return update(*args, **kwargs)
+
+    monkeypatch.setattr(sm, "localized_update_step", recording)
+    runs = []
+    for budget in (sm.TAPER_CACHE_BYTES, 0):
+        monkeypatch.setattr(sm, "TAPER_CACHE_BYTES", budget)
+        res = sm.run_esmda(prior, model, obs, sm.MdaSchedule.uniform(3), policy,
+                           sm.RunSeed(12), 8)
+        first = tapers[-1](RowBlock(0, 8))
+        runs.append((res, first.flags.writeable))
+    (kept, kept_writeable), (fresh, fresh_writeable) = runs
+    assert not kept_writeable and fresh_writeable
+    assert np.array_equal(kept.posterior.values, fresh.posterior.values)
+    assert len(kept.diagnostics) == len(fresh.diagnostics) == 4
+    for a, b in zip(kept.diagnostics, fresh.diagnostics):
+        assert (a.objective, a.nv, a.n_eff, a.chi) == (b.objective, b.nv, b.n_eff, b.chi)
+        assert np.array_equal(a.taper_histogram, b.taper_histogram)
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        sm.LocalizationPolicy(spec=None),
+        sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0)),
+        sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0), freeze=False),
+    ],
+)
+def test_run_leaves_prior_unchanged(policy):
+    toy, prior, obs = _toy_problem()
+    before = prior.values.copy()
+    res = sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(2), policy, sm.RunSeed(3), 8)
+    assert np.array_equal(prior.values, before)
+    assert not np.array_equal(res.posterior.values, before)
+
+
+class _EveryKthParameter(ForwardModel):
+    """d_j = m_(jk): a cheap model with as many data as wanted."""
+
+    def __init__(self, n_params: int, stride: int):
+        self._n_params, self._stride = n_params, stride
+        self.datum_meta = [DatumMeta(source=f"d{j}") for j in range(self.n_data)]
+
+    @property
+    def n_params(self) -> int:
+        return self._n_params
+
+    @property
+    def n_data(self) -> int:
+        return len(range(0, self._n_params, self._stride))
+
+    def evaluate_ensemble(self, values):
+        return values[:: self._stride].copy()
+
+
+def test_run_memory_bounded_by_taper_budget():
+    """A 64 MB taper field: kept blocks stop at the budget, no Nm x Nd array."""
+    nm, nd, ne = 20_000, 400, 20
+    model = _EveryKthParameter(nm, nm // nd)
+    prior = Ensemble(values=np.random.default_rng(13).standard_normal((nm, ne)))
+    obs = _obs(nd)
+    policy = sm.LocalizationPolicy(spec=tp.Mse())
+    tracemalloc.start()
+    try:
+        sm.run_esmda(prior, model, obs, sm.MdaSchedule.uniform(2), policy, sm.RunSeed(2), 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the kept blocks, two updated ensembles and the transients of one block
+    # (about ten 256 x Nd arrays) stay under six Nm x Ne arrays on top of the budget
+    assert peak < sm.TAPER_CACHE_BYTES + 6 * nm * ne * 8, peak
+    assert peak < nm * nd * 8, peak
 
 
 def test_taper_field_families_and_thresholds():
