@@ -206,9 +206,11 @@ def correlation_block(
     am, nm = row_anomalies(ens.values[block.slice()])
     denom = np.outer(nm, nd)
     defined = denom > 0.0
+    corr = am @ ad.T
     with np.errstate(invalid="ignore", divide="ignore"):
-        corr = (am @ ad.T) / denom
-    corr = np.clip(corr, -1.0, 1.0)
+        corr /= denom
+    del denom  # in-place arithmetic: one width x Nd array outlives this line
+    np.clip(corr, -1.0, 1.0, out=corr)
     corr[~defined] = np.nan
     return corr
 

@@ -68,6 +68,11 @@ __all__ = [
     "t0_table_rows",
 ]
 
+# Longest accepted ES-MDA schedule. Every step is a forward run and an update
+# of all members, and the schedule is built while the config is parsed, so a
+# longer one is a typo that would otherwise cost time and memory up front.
+MAX_SCHEDULE_STEPS = 1000
+
 AGGREGATE_METRICS = ("obj_mean", "nv", "nv_dummy", "mean_offset", "n_eff", "chi")
 
 
@@ -186,13 +191,21 @@ def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
         raise ConfigError('"reference" is reserved for the large-ensemble run')
 
     sched_raw = _section(raw.get("schedule", {"n_steps": 4}), "schedule")
+    if "alphas" in sched_raw:
+        alphas = sched_raw["alphas"]
+        if not isinstance(alphas, list):
+            raise ConfigError("schedule.alphas must be a list")
+        n_steps = len(alphas)
+    else:
+        alphas = None
+        n_steps = _config_int(sched_raw.get("n_steps", 4), "schedule.n_steps", 1)
+    if n_steps > MAX_SCHEDULE_STEPS:
+        raise ConfigError(f"a schedule has at most {MAX_SCHEDULE_STEPS} steps, got {n_steps}")
     try:
-        if "alphas" in sched_raw:
-            if not isinstance(sched_raw["alphas"], list):
-                raise TypeError("alphas must be a list")
-            schedule = MdaSchedule(alphas=tuple(float(a) for a in sched_raw["alphas"]))
+        if alphas is None:
+            schedule = MdaSchedule.uniform(n_steps)
         else:
-            schedule = MdaSchedule.uniform(int(sched_raw.get("n_steps", 4)))
+            schedule = MdaSchedule(alphas=tuple(float(a) for a in alphas))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad schedule: {exc}") from exc
 
@@ -227,9 +240,11 @@ def _section(value: Any, key: str) -> dict[str, Any]:
 
 
 def _config_int(value: Any, key: str, minimum: int) -> int:
-    """An integer config value, at least minimum."""
+    """A whole-number config value, at least minimum."""
     try:
         out = int(value)
+        if out != value and not isinstance(value, str):
+            raise ValueError("not a whole number")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be an integer, got {value!r}") from exc
     if out < minimum:

@@ -19,8 +19,9 @@ Taper coefficients are computed from the prior ensemble and kept frozen
 across steps by default, which is the supported production mode; per-step
 recomputation exists for experiments. Within a run each taper block is
 evaluated once per taper field and kept, up to TAPER_CACHE_BYTES (32 MiB)
-of kept blocks; blocks past that cap are recomputed on every read, so
-memory stays bounded however large R is.
+of kept blocks per run in progress; blocks past that cap are recomputed on
+every read, and a block is evaluated in slabs of rows, so memory stays
+bounded however large R is.
 """
 
 from __future__ import annotations
@@ -72,11 +73,17 @@ __all__ = [
     "run_esmda",
 ]
 
-# Bytes of taper blocks one run keeps per taper field. A one-layer 60x60 grid
+# Bytes of taper blocks one run in progress keeps (the previous field's blocks
+# are dropped before a per-step field is rebuilt). A one-layer 60x60 grid
 # field (7200 x 312 float64, 18 MB) fits whole; the 8-layer field (144 MB)
 # keeps 13 of its 57 blocks of 1024 rows and recomputes the other 44, since
 # keeping all of it would add the whole field to a run's resident memory.
 TAPER_CACHE_BYTES = 32 * 2**20
+
+# Entries per slab of rows in which TaperField.block evaluates a taper. Each
+# temporary of the taper arithmetic is then at most 512 KiB, so evaluating a
+# block costs little more than the block itself.
+TAPER_SLAB_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -247,14 +254,35 @@ class TaperField:
         return t0_vec
 
     def block(self, blk: RowBlock) -> np.ndarray:
-        if isinstance(self.spec, DistanceGC):
+        """Taper coefficients of one block of rows (width x Nd).
+
+        Every taper is elementwise, so the block is filled one slab of rows
+        at a time: the temporaries of the taper arithmetic scale with
+        TAPER_SLAB_ENTRIES, not with the block width.
+        """
+        distance = isinstance(self.spec, DistanceGC)
+        if distance:
             coords = self._ens.coords[blk.slice()]
-            dx = coords[:, 0][:, None] - self._well_x[None, :]
-            dy = coords[:, 1][:, None] - self._well_y[None, :]
-            return taper_distance(
-                dx, dy, self.spec.len_major, self.spec.len_minor, self.spec.angle_deg
-            )
-        corr = correlation_block(self._ens, self._pred, blk, self._pred_anoms)
+            out = np.empty((len(coords), self.n_data))
+        else:
+            out = correlation_block(self._ens, self._pred, blk, self._pred_anoms)
+        slab = max(1, TAPER_SLAB_ENTRIES // max(1, self.n_data))
+        for lo in range(0, out.shape[0], slab):
+            rows = slice(lo, lo + slab)
+            if distance:
+                out[rows] = self._distance_taper(coords[rows])
+            else:
+                out[rows] = self._correlation_taper(out[rows])
+        return out
+
+    def _distance_taper(self, coords: np.ndarray) -> np.ndarray:
+        dx = coords[:, 0][:, None] - self._well_x[None, :]
+        dy = coords[:, 1][:, None] - self._well_y[None, :]
+        return taper_distance(
+            dx, dy, self.spec.len_major, self.spec.len_minor, self.spec.angle_deg
+        )
+
+    def _correlation_taper(self, corr: np.ndarray) -> np.ndarray:
         undefined = np.isnan(corr)
         stats = CorrelationStats.from_rho(np.where(undefined, 0.0, corr), self._n_e)
         r = np.asarray(evaluate_taper(self.spec, stats, self._t0), dtype=float)
@@ -330,6 +358,28 @@ def kalman_gain_block(
     return (rows - rows.mean(axis=1, keepdims=True)) @ operator
 
 
+def _tapered_gain_block(
+    ens: Ensemble,
+    blk: RowBlock,
+    operator: np.ndarray,
+    taper_rows: Callable[[RowBlock], np.ndarray] | None,
+) -> np.ndarray:
+    """K_blk o R_blk, or K_blk without a taper.
+
+    The taper block is evaluated before the gain block, so its temporaries
+    never coexist with the gain, and neither outlives the caller's product.
+    """
+    r = None if taper_rows is None else taper_rows(blk)
+    gain = kalman_gain_block(ens, blk, operator)
+    if r is not None:
+        if r.shape != gain.shape:
+            raise ValueError("taper block shape does not match gain block")
+        if np.any(r < 0.0) or np.any(r > 1.0):
+            raise ValueError("taper values must lie in [0, 1]")
+        gain *= r
+    return gain
+
+
 def localized_update_step(
     ens: Ensemble,
     pred: PredictedEnsemble,
@@ -352,15 +402,7 @@ def localized_update_step(
     operator = gain_operator(pred, obs, alpha)
     new_values = ens.values.copy()
     for blk in iter_blocks(ens.n_params, block_width):
-        gain = kalman_gain_block(ens, blk, operator)
-        if taper_rows is not None:
-            r = taper_rows(blk)
-            if r.shape != gain.shape:
-                raise ValueError("taper block shape does not match gain block")
-            if np.any(r < 0.0) or np.any(r > 1.0):
-                raise ValueError("taper values must lie in [0, 1]")
-            gain *= r
-        new_values[blk.slice()] += gain @ resid
+        new_values[blk.slice()] += _tapered_gain_block(ens, blk, operator, taper_rows) @ resid
     return Ensemble(
         values=new_values,
         names=None if ens.names is None else list(ens.names),
@@ -467,9 +509,12 @@ def run_esmda(
 
     The footprint pass and the updates read a taper block evaluated once
     per field and kept while the kept bytes fit TAPER_CACHE_BYTES; later
-    blocks are recomputed on every read. The kept blocks are dropped on
-    return, so the result's taper_field evaluates blocks on demand. The
-    prior is not modified; a frozen field refers to it.
+    blocks are recomputed on every read. A per-step field's kept blocks
+    are dropped before the next field is built, so one run holds at most
+    TAPER_CACHE_BYTES of them at a time; runs in flight together each hold
+    their own. The kept blocks are dropped on return, so the result's
+    taper_field evaluates blocks on demand. The prior is not modified; a
+    frozen field refers to it.
     """
     if obs.n_data != model.n_data:
         raise ValueError("observation set size does not match the model")
@@ -483,6 +528,8 @@ def run_esmda(
             values=evaluate_members(model, ens.values), meta=model.datum_meta
         )
         if footprint is None or not policy.freeze:
+            # drop the last field and its kept blocks before building the next
+            taper_field = taper_rows = None
             taper_field = make_taper_field(policy, ens, pred, block_width)
             taper_rows = None if taper_field is None else _kept_blocks(taper_field.block)
             footprint = metrics.footprint(

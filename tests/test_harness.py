@@ -119,9 +119,14 @@ def test_config_errors(tmp_path):
         ("runs", {"base_seed": -1}),
         ("schedule", 4),
         ("schedule", {"n_steps": None}),
+        ("schedule", {"n_steps": 4.5}),
+        ("schedule", {"n_steps": hn.MAX_SCHEDULE_STEPS + 1}),
+        ("schedule", {"n_steps": 1.8e308}),
+        ("schedule", {"alphas": [float(hn.MAX_SCHEDULE_STEPS + 1)] * (hn.MAX_SCHEDULE_STEPS + 1)}),
         ("schedule", {"alphas": "4444"}),
         ("schedule", {"alphas": [float("nan")]}),
         ("ensemble_size", None),
+        ("ensemble_size", 20.5),
         ("threads", "two"),
         ("threads", 0),
         ("block_width", 0),
@@ -143,7 +148,7 @@ def test_config_errors(tmp_path):
 _JSON = st.recursive(
     st.none()
     | st.booleans()
-    | st.integers(-(10**4), 10**4)
+    | st.integers()
     | st.floats(allow_nan=True, allow_infinity=True)
     | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=4)

@@ -350,6 +350,27 @@ def test_kept_taper_blocks_match_recomputed(monkeypatch, problem, policy):
 
 
 @pytest.mark.parametrize(
+    "problem, spec, t0_strategy",
+    [
+        (_toy_problem, tp.PowerLaw(3.0, None), PercentileT0(0.9)),
+        (_toy_problem, tp.Cgc(), None),
+        (_grid_problem, tp.DistanceGC(4.0, 2.0, 30.0), None),
+    ],
+)
+def test_taper_block_same_in_any_slab(monkeypatch, problem, spec, t0_strategy):
+    model, prior, _ = problem()
+    pred = PredictedEnsemble(
+        values=model.evaluate_ensemble(prior.values), meta=model.datum_meta
+    )
+    field = sm.TaperField(spec, prior, pred, t0_strategy)
+    blk = RowBlock(0, prior.n_params)
+    whole = field.block(blk)  # one slab
+    monkeypatch.setattr(sm, "TAPER_SLAB_ENTRIES", 5 * model.n_data)
+    assert prior.n_params % 5  # the last slab of five rows is partial
+    assert np.array_equal(field.block(blk), whole)
+
+
+@pytest.mark.parametrize(
     "policy",
     [
         sm.LocalizationPolicy(spec=None),
@@ -393,12 +414,13 @@ def test_run_memory_bounded_by_taper_budget():
     policy = sm.LocalizationPolicy(spec=tp.Mse())
     tracemalloc.start()
     try:
-        sm.run_esmda(prior, model, obs, sm.MdaSchedule.uniform(2), policy, sm.RunSeed(2), 256)
+        sm.run_esmda(prior, model, obs, sm.MdaSchedule.uniform(2), policy, sm.RunSeed(2))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the kept blocks, two updated ensembles and the transients of one block
-    # (about ten 256 x Nd arrays) stay under six Nm x Ne arrays on top of the budget
+    # at the default block width a block is about one Nm x Ne array here; the
+    # prior, the step's ensemble, the updated copy and about two blocks of
+    # taper work stay under six Nm x Ne arrays on top of the budget
     assert peak < sm.TAPER_CACHE_BYTES + 6 * nm * ne * 8, peak
     assert peak < nm * nd * 8, peak
 
