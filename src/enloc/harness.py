@@ -153,7 +153,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSON, UTF-8 and int-size errors
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return config_from_dict(raw)
 

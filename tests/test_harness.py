@@ -143,6 +143,11 @@ def test_config_errors(tmp_path):
 
     with pytest.raises(ConfigError):
         hn.load_config(tmp_path / "missing.json")
+    # an integer longer than Python converts, and bytes that are not UTF-8
+    for name, data in (("long.json", b'{"a": 1' + b"0" * 5000 + b"}"), ("bin.json", b"\xff{")):
+        (tmp_path / name).write_bytes(data)
+        with pytest.raises(ConfigError):
+            hn.load_config(tmp_path / name)
 
 
 _JSON = st.recursive(
