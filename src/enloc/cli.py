@@ -76,20 +76,16 @@ def _load(args):
         updates["output_dir"] = args.out
     if args.seed is not None:
         updates["base_seed"] = args.seed
-    threads = os.environ.get("ENLOC_THREADS")
+    threads = os.environ.get("ENLOC_THREADS", args.threads)
     if threads is not None:
-        updates["threads"] = int(threads)
-    elif args.threads is not None:
-        updates["threads"] = args.threads
+        updates["threads"] = threads
+    # ExperimentConfig checks the overrides as it checks the config file
     return replace(cfg, **updates) if updates else cfg
 
 
 def _exit_code(reports: list[ExperimentReport]) -> int:
-    for report in reports:
-        runs = list(report.runs) + ([report.reference] if report.reference else [])
-        if any(r.status != "ok" for r in runs):
-            return EXIT_RUN
-    return EXIT_OK
+    failed = any(r.status != "ok" for report in reports for r in report.all_runs)
+    return EXIT_RUN if failed else EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:

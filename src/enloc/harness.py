@@ -73,6 +73,7 @@ __all__ = [
 # longer one is a typo that would otherwise cost time and memory up front.
 MAX_SCHEDULE_STEPS = 1000
 
+# the per-run metrics of report.csv, in column order, and of aggregate.csv
 AGGREGATE_METRICS = ("obj_mean", "nv", "nv_dummy", "mean_offset", "n_eff", "chi")
 
 
@@ -88,8 +89,23 @@ class LocalizationSetting:
         return LocalizationPolicy(spec=self.spec, t0_strategy=self.t0_strategy)
 
 
+_REFERENCE = LocalizationSetting(name="reference", spec=None)  # large-ensemble run
+
+# Integer fields of ExperimentConfig: their config key and least accepted value
+_CONFIG_INTS = {
+    "ensemble_size": ("ensemble_size", 3),
+    "run_count": ("runs.count", 1),
+    "base_seed": ("runs.base_seed", 0),
+    "block_width": ("block_width", 1),
+    "threads": ("threads", 1),
+}
+
+
 @dataclass
 class ExperimentConfig:
+    """One experiment. Construction, dataclasses.replace included, checks the
+    integer fields and the reference block (seed default: base_seed - 1)."""
+
     model: dict[str, Any]
     prior: dict[str, Any]
     observation: dict[str, Any]
@@ -105,6 +121,20 @@ class ExperimentConfig:
     block_width: int = 1024
     threads: int = 1
 
+    def __post_init__(self):
+        for name, (key, minimum) in _CONFIG_INTS.items():
+            setattr(self, name, _config_int(getattr(self, name), key, minimum))
+        if self.reference is not None:
+            ref = _section(self.reference, "reference")
+            if ref:  # an empty block asks for no reference run
+                size = ref.get("ensemble_size", 1000)
+                ref["ensemble_size"] = _config_int(size, "reference.ensemble_size", 3)
+                if "seed" in ref:
+                    ref["seed"] = _config_int(ref["seed"], "reference.seed", 0)
+                elif self.base_seed < 1:
+                    raise ConfigError("reference.seed defaults to runs.base_seed - 1, here -1")
+            self.reference = ref or None
+
 
 @dataclass
 class RunResult:
@@ -113,13 +143,17 @@ class RunResult:
     status: str  # "ok" or "failed: <reason>"
     report: metrics_mod.MetricReport | None
     result: EsmdaResult | None = None
-    nv_rows: np.ndarray | None = None  # per-parameter posterior/prior variance ratio
 
 
 @dataclass
 class ExperimentReport:
     runs: list[RunResult]
     reference: RunResult | None = None
+
+    @property
+    def all_runs(self) -> list[RunResult]:
+        """The (taper x run) matrix, then the reference run if there is one."""
+        return self.runs + ([self.reference] if self.reference else [])
 
     def by_taper(self, name: str) -> list[RunResult]:
         return [r for r in self.runs if r.taper == name]
@@ -210,25 +244,22 @@ def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
         raise ConfigError(f"bad schedule: {exc}") from exc
 
     runs_raw = _section(raw.get("runs", {}), "runs")
-    reference = raw.get("reference")
-    if reference is not None:
-        reference = _section(reference, "reference")
-
+    # ExperimentConfig checks the integers and the reference block
     return ExperimentConfig(
         model=model,
         prior=prior,
         observation=observation,
         localization=settings,
-        ensemble_size=_config_int(raw.get("ensemble_size", 100), "ensemble_size", 3),
+        ensemble_size=raw.get("ensemble_size", 100),
         schedule=schedule,
-        run_count=_config_int(runs_raw.get("count", 1), "runs.count", 1),
-        base_seed=_config_int(runs_raw.get("base_seed", 1000), "runs.base_seed", 0),
-        reference=reference,
+        run_count=runs_raw.get("count", 1),
+        base_seed=runs_raw.get("base_seed", 1000),
+        reference=raw.get("reference"),
         output_dir=str(raw.get("output_dir", "out")),
         save_posterior=bool(raw.get("save_posterior", False)),
         emit_nv_field=bool(raw.get("emit_nv_field", True)),
-        block_width=_config_int(raw.get("block_width", 1024), "block_width", 1),
-        threads=_config_int(raw.get("threads", 1), "threads", 1),
+        block_width=raw.get("block_width", 1024),
+        threads=raw.get("threads", 1),
     )
 
 
@@ -322,8 +353,8 @@ def build_prior_sampler(
     """Return sampler(count, seed) -> Ensemble for the configured prior."""
     if isinstance(model, GridFlowProxy):
         try:
-            poro = _grf_from_dict(model, cfg.prior["porosity"])
-            logk = _grf_from_dict(model, cfg.prior["log_perm"])
+            poro = _grf_from_dict(model, _section(cfg.prior["porosity"], "prior.porosity"))
+            logk = _grf_from_dict(model, _section(cfg.prior["log_perm"], "prior.log_perm"))
         except KeyError as exc:
             raise ConfigError(f"grid prior needs block {exc}") from exc
         return lambda count, seed: sample_grid_prior(model, poro, logk, count, seed)
@@ -388,10 +419,7 @@ def _run_one(
             cfg.block_width,
         )
         report = _final_report(model, prior, result)
-        nv_rows = np.var(result.posterior.values, axis=1, ddof=1) / np.var(
-            prior.values, axis=1, ddof=1
-        )
-        return RunResult(setting.name, run_index, "ok", report, result, nv_rows)
+        return RunResult(setting.name, run_index, "ok", report, result)
     except (EnlocError, ValueError) as exc:  # ValueError covers LinAlgError
         return RunResult(setting.name, run_index, f"failed: {exc}", None, None)
 
@@ -404,9 +432,7 @@ def _final_report(
     final = result.diagnostics[-1]
     nv_dummy = None
     if isinstance(model, ScalarToyModel) and model.n_dummy > 0:
-        nv_dummy = metrics_mod.normalized_variance(
-            prior, result.posterior, model.dummy_indices
-        )
+        nv_dummy = float(np.mean(result.nv_rows[model.dummy_indices]))
     return metrics_mod.MetricReport(
         obj_mean=final.objective,
         nv=final.nv,
@@ -422,40 +448,34 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     """Run the full (taper x run) matrix and write all CSV artifacts."""
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model = build_model(cfg)
-    sampler = build_prior_sampler(cfg, model)
-    obs, _truth = build_observations(cfg, model, sampler)
+    try:
+        model = build_model(cfg)
+        sampler = build_prior_sampler(cfg, model)
+        obs, _truth = build_observations(cfg, model, sampler)
+    except EnlocError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad model, prior or observation settings: {exc}") from exc
 
     jobs = [
         (setting, r, cfg.ensemble_size, cfg.base_seed + r)
         for setting in cfg.localization
         for r in range(cfg.run_count)
     ]
+    if cfg.reference:
+        seed = cfg.reference.get("seed", cfg.base_seed - 1)
+        jobs.append((_REFERENCE, 0, cfg.reference["ensemble_size"], seed))
+
+    def run(job) -> RunResult:
+        return _run_one(cfg, model, sampler, obs, *job)
+
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(
-                pool.map(
-                    lambda j: _run_one(cfg, model, sampler, obs, j[0], j[1], j[2], j[3]),
-                    jobs,
-                )
-            )
-    else:
-        results = [_run_one(cfg, model, sampler, obs, *j) for j in jobs]
+            results = list(pool.map(run, jobs))
+    else:  # in the calling thread, so per-thread profiler stacks see every run
+        results = list(map(run, jobs))
 
-    reference = None
-    if cfg.reference:
-        ref_setting = LocalizationSetting(name="reference", spec=None)
-        reference = _run_one(
-            cfg,
-            model,
-            sampler,
-            obs,
-            ref_setting,
-            0,
-            int(cfg.reference.get("ensemble_size", 1000)),
-            int(cfg.reference.get("seed", cfg.base_seed - 1)),
-        )
-
+    reference = results.pop() if cfg.reference else None
     report = ExperimentReport(runs=results, reference=reference)
     _write_artifacts(cfg, model, report, out)
     return report
@@ -467,63 +487,27 @@ def _write_artifacts(
     report: ExperimentReport,
     out: Path,
 ) -> None:
-    all_runs = list(report.runs) + ([report.reference] if report.reference else [])
-
+    ok_runs = [r for r in report.all_runs if r.result is not None]
     rows = []
-    for r in all_runs:
-        rep = r.report
-        rows.append(
-            [r.taper, r.run, r.status]
-            + (
-                [
-                    repr(rep.obj_mean),
-                    repr(rep.nv),
-                    "" if rep.nv_dummy is None else repr(rep.nv_dummy),
-                    repr(rep.mean_offset),
-                    repr(rep.n_eff),
-                    repr(rep.chi),
-                ]
-                if rep is not None
-                else [""] * 6
-            )
-        )
-    _write_csv(
-        out / "report.csv",
-        ["taper", "run", "status", "obj_mean", "nv", "nv_dummy", "mean_offset", "n_eff", "chi"],
-        rows,
-    )
+    for r in report.all_runs:
+        values = [getattr(r.report, m, None) for m in AGGREGATE_METRICS]  # blank if failed
+        rows.append([r.taper, r.run, r.status] + ["" if v is None else repr(v) for v in values])
+    _write_csv(out / "report.csv", ["taper", "run", "status", *AGGREGATE_METRICS], rows)
 
-    rows = []
-    for r in all_runs:
-        if r.result is None:
-            continue
-        for d in r.result.diagnostics:
-            rows.append(
-                [
-                    r.taper,
-                    r.run,
-                    d.step,
-                    repr(d.objective),
-                    repr(d.nv),
-                    repr(d.n_eff),
-                    repr(d.chi),
-                ]
-            )
-    _write_csv(
-        out / "metrics.csv",
-        ["taper", "run", "step", "objective", "nv", "n_eff", "chi"],
-        rows,
-    )
+    rows = [
+        [r.taper, r.run, d.step, repr(d.objective), repr(d.nv), repr(d.n_eff), repr(d.chi)]
+        for r in ok_runs
+        for d in r.result.diagnostics
+    ]
+    header = ["taper", "run", "step", "objective", "nv", "n_eff", "chi"]
+    _write_csv(out / "metrics.csv", header, rows)
 
-    edges = np.linspace(0.0, 1.0, metrics_mod.HISTOGRAM_BINS + 1)
-    rows = []
-    for r in all_runs:
-        if r.report is None:
-            continue
-        for b, count in enumerate(r.report.taper_histogram):
-            rows.append(
-                [r.taper, r.run, repr(float(edges[b])), repr(float(edges[b + 1])), int(count)]
-            )
+    edges = [repr(float(e)) for e in np.linspace(0.0, 1.0, metrics_mod.HISTOGRAM_BINS + 1)]
+    rows = [
+        [r.taper, r.run, edges[b], edges[b + 1], int(count)]
+        for r in ok_runs
+        for b, count in enumerate(r.report.taper_histogram)
+    ]
     _write_csv(out / "histogram.csv", ["taper", "run", "bin_lo", "bin_hi", "count"], rows)
 
     rows = [
@@ -535,9 +519,7 @@ def _write_artifacts(
     if cfg.emit_nv_field and isinstance(model, GridFlowProxy):
         _write_nv_field(model, report, out / "nv_field.csv")
 
-    for r in all_runs:
-        if r.result is None:
-            continue
+    for r in ok_runs:
         run_dir = out / "runs" / r.taper / f"run{r.run}"
         run_dir.mkdir(parents=True, exist_ok=True)
         diag_rows = [
@@ -554,11 +536,10 @@ def _write_nv_field(model: GridFlowProxy, report: ExperimentReport, path: Path) 
     fsize = model.nx * model.ny * model.n_layers
     coords = model.coords
     rows = []
-    all_runs = list(report.runs) + ([report.reference] if report.reference else [])
-    for r in all_runs:
-        if r.nv_rows is None:
+    for r in report.all_runs:
+        if r.result is None:
             continue
-        for p, nv in enumerate(r.nv_rows):
+        for p, nv in enumerate(r.result.nv_rows):
             field_name = "poro" if p < fsize else "logk"
             i, j, k = coords[p]
             rows.append([r.taper, r.run, field_name, int(i), int(j), int(k), repr(float(nv))])
@@ -592,9 +573,7 @@ def sweep_ensemble_size(
     reports: dict[int, ExperimentReport] = {}
     rows = []
     for size in sizes:
-        if size < 3:
-            raise ConfigError(f"ensemble size {size} too small")
-        sub = replace(cfg, ensemble_size=int(size))
+        sub = replace(cfg, ensemble_size=size)
         reports[size] = run_experiment(sub, out / f"ne_{size}")
         for taper, metric, mean, _half, _n in reports[size].aggregates():
             if metric in ("obj_mean", "nv"):
@@ -614,7 +593,7 @@ def sweep_layers(
     reports: dict[int, ExperimentReport] = {}
     rows = []
     for layers in layer_counts:
-        model_cfg = dict(cfg.model, n_layers=int(layers))
+        model_cfg = dict(cfg.model, n_layers=layers)
         sub = replace(cfg, model=model_cfg)
         reports[layers] = run_experiment(sub, out / f"layers_{layers}")
         agg = {

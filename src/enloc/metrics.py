@@ -1,5 +1,9 @@
 """Evaluation metrics: data mismatch, variance retention, update footprint.
 
+NV is the mean per-row ratio var(forecast) / var(prior): run_esmda takes the
+prior's row variance once per run and each forecast's ratios from it, by the
+two helpers that normalized_variance() uses, and returns the final ratios.
+
 The taper-dependent aggregates (effective updated-parameter count and
 taper histogram) come from one pass of footprint() over a block provider,
 a callable RowBlock -> (width x Nd) taper array, so each taper block is
@@ -17,6 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ensemble import DEFAULT_BLOCK_WIDTH, Ensemble, PredictedEnsemble, RowBlock, iter_blocks
+from .ensemble import ensemble_variance_per_row
 
 __all__ = [
     "MetricReport",
@@ -72,12 +77,23 @@ def normalized_variance(
     """
     if prior.values.shape[0] != posterior.values.shape[0]:
         raise ValueError("prior and posterior must have the same parameter count")
-    idx = np.arange(prior.n_params) if subset is None else np.asarray(subset, dtype=int)
-    var_prior = np.var(prior.values[idx], axis=1, ddof=1)
-    var_post = np.var(posterior.values[idx], axis=1, ddof=1)
-    if np.any(var_prior <= 0.0):
+    if subset is not None:
+        idx = np.asarray(subset, dtype=int)
+        prior, posterior = Ensemble(prior.values[idx]), Ensemble(posterior.values[idx])
+    return float(np.mean(_variance_ratios(_prior_variance(prior), posterior)))
+
+
+def _prior_variance(prior: Ensemble) -> np.ndarray:
+    """Per-row prior variance, the denominator of every NV ratio."""
+    var = ensemble_variance_per_row(prior)
+    if np.any(var <= 0.0):
         raise ValueError("zero prior variance in the requested subset")
-    return float(np.mean(var_post / var_prior))
+    return var
+
+
+def _variance_ratios(prior_var: np.ndarray, ens: Ensemble) -> np.ndarray:
+    """Per-row var(ens) / var(prior), given _prior_variance(prior)."""
+    return ensemble_variance_per_row(ens) / prior_var
 
 
 def mean_offset(prior: Ensemble, posterior: Ensemble) -> float:

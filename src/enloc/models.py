@@ -293,9 +293,6 @@ class GridFlowProxy(ForwardModel):
     def n_data(self) -> int:
         return (len(self.producers) + len(self.injectors)) * self.n_times
 
-    def cell_index(self, i: int, j: int, k: int) -> int:
-        return (k * self.ny + j) * self.nx + i
-
     @property
     def coords(self) -> np.ndarray:
         """(Nm, 3) gridblock coordinates, repeated for the two fields."""

@@ -441,9 +441,13 @@ class StepDiagnostics:
 
 @dataclass
 class EsmdaResult:
+    """The posterior, one diagnostics entry per forecast, and the final
+    forecast's per-row variance ratios var(posterior) / var(prior)."""
+
     posterior: Ensemble
     diagnostics: list[StepDiagnostics] = field(default_factory=list)
     taper_field: TaperField | None = None
+    nv_rows: np.ndarray | None = None
 
 
 def _kept_blocks(
@@ -475,8 +479,7 @@ def _diagnostics(
     alpha: float | None,
     pred: PredictedEnsemble,
     obs: ObservationSet,
-    prior: Ensemble,
-    ens: Ensemble,
+    nv_rows: np.ndarray,
     footprint: tuple[float, np.ndarray],
 ) -> StepDiagnostics:
     n_eff, hist = footprint
@@ -484,9 +487,9 @@ def _diagnostics(
         step=step,
         alpha=alpha,
         objective=metrics.objective_function(pred, obs),
-        nv=metrics.normalized_variance(prior, ens),
+        nv=float(np.mean(nv_rows)),
         n_eff=n_eff,
-        chi=metrics.chi(n_eff, ens.n_params),
+        chi=metrics.chi(n_eff, nv_rows.size),
         taper_histogram=hist.copy(),
     )
 
@@ -515,9 +518,15 @@ def run_esmda(
     their own. The kept blocks are dropped on return, so the result's
     taper_field evaluates blocks on demand. The prior is not modified; a
     frozen field refers to it.
+
+    The prior's row variance is taken once per run, and a prior row with
+    zero variance fails the run. Each forecast's NV is the mean of its row
+    variances over the prior's; the result keeps the final forecast's
+    per-row ratios (nv_rows), not those of every step.
     """
     if obs.n_data != model.n_data:
         raise ValueError("observation set size does not match the model")
+    prior_var = metrics._prior_variance(prior)
     ens = prior
     taper_field = None
     footprint = None
@@ -535,7 +544,8 @@ def run_esmda(
             footprint = metrics.footprint(
                 taper_rows, ens.n_params, obs.n_data, block_width
             )
-        diagnostics.append(_diagnostics(step, alpha, pred, obs, prior, ens, footprint))
+        nv_rows = metrics._variance_ratios(prior_var, ens)
+        diagnostics.append(_diagnostics(step, alpha, pred, obs, nv_rows, footprint))
         perturbed = perturb_observations(obs, alpha, seed, step, ens.n_members)
         ens = localized_update_step(
             ens, pred, obs, alpha, taper_rows, perturbed, block_width
@@ -544,7 +554,6 @@ def run_esmda(
     pred = PredictedEnsemble(
         values=evaluate_members(model, ens.values), meta=model.datum_meta
     )
-    diagnostics.append(
-        _diagnostics(schedule.n_steps + 1, None, pred, obs, prior, ens, footprint)
-    )
-    return EsmdaResult(posterior=ens, diagnostics=diagnostics, taper_field=taper_field)
+    nv_rows = metrics._variance_ratios(prior_var, ens)
+    diagnostics.append(_diagnostics(schedule.n_steps + 1, None, pred, obs, nv_rows, footprint))
+    return EsmdaResult(ens, diagnostics, taper_field, nv_rows)

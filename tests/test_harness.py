@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -135,11 +136,23 @@ def test_config_errors(tmp_path):
         ("observation", [1]),
         ("prior", "x"),
         ("reference", 5),
+        ("reference", {"ensemble_size": "big"}),
+        ("reference", {"ensemble_size": 2}),
+        ("reference", {"seed": -1}),
+        ("reference", {"seed": 1.5}),
     ):
         bad = json.loads(json.dumps(base))
         bad[key] = value
         with pytest.raises(ConfigError):
             hn.config_from_dict(bad)
+    # with no seed of its own the reference seed is runs.base_seed - 1, here -1
+    bad = dict(base, runs={"base_seed": 0}, reference={"ensemble_size": 50})
+    with pytest.raises(ConfigError):
+        hn.config_from_dict(bad)
+    cfg = hn.config_from_dict(dict(bad, runs={"base_seed": 1}))
+    for field, value in (("base_seed", 0), ("threads", 0), ("ensemble_size", 2)):
+        with pytest.raises(ConfigError):
+            replace(cfg, **{field: value})
 
     with pytest.raises(ConfigError):
         hn.load_config(tmp_path / "missing.json")
@@ -530,8 +543,81 @@ def test_cli_run_and_exit_codes(tmp_path, monkeypatch):
 
         return Boom(np.ones((4, 7)))
 
+    # overrides take the checks of the config file -> 2
+    o4 = ["--out", str(tmp_path / "o4")]
+    for flags in (["--threads", "0"], ["--threads", "-3"], ["--seed", "-1"]):
+        assert cli.main(["run", str(cfg_path), *o4, *flags]) == 2
+    monkeypatch.setenv("ENLOC_THREADS", "two")
+    assert cli.main(["run", str(cfg_path), *o4]) == 2
+    monkeypatch.delenv("ENLOC_THREADS")
+    assert cli.main(["sweep-ne", str(cfg_path), "--sizes", "2", *o4]) == 2
+    ref_path = tmp_path / "ref.json"
+    ref_path.write_text(json.dumps(tiny_config(tmp_path / "o4", reference={"ensemble_size": 50})))
+    assert cli.main(["run", str(ref_path), "--seed", "0"]) == 2  # reference seed -1
+    assert not (tmp_path / "o4" / "report.csv").exists()
+
     monkeypatch.setattr(hn, "build_model", exploding_build)
     assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "o3")]) == 3
+
+
+def test_run_time_config_values_exit_2(tmp_path):
+    """Values the config parser passes through fail as config errors when used."""
+    grid = dict(GRID30, localization=[{"taper": "mse"}], output_dir=str(tmp_path / "g"))
+    cases = []
+    for section, key, value in (
+        ("model", "n_params", "x"),
+        ("observation", "rel_std", "high"),
+        ("observation", "noise_seed", None),
+    ):
+        raw = tiny_config(tmp_path / "t")
+        raw["model"] = {"kind": "linear", "n_params": 4, "n_data": 6}
+        raw[section] = dict(raw[section], **{key: value})
+        cases.append((raw, "run"))
+    cases.append((dict(grid, model=dict(grid["model"], nx=4)), "run"))
+    cases.append((dict(grid, prior=dict(grid["prior"], porosity=5)), "run"))
+    cases.append((dict(grid, prior=dict(grid["prior"], log_perm={"std": "wide"})), "run"))
+    cases.append((grid, "sweep-layers"))
+    for i, (raw, command) in enumerate(cases):
+        path = tmp_path / f"case{i}.json"
+        path.write_text(json.dumps(raw))
+        cfg = hn.load_config(path)
+        with pytest.raises(ConfigError):
+            if command == "sweep-layers":
+                hn.sweep_layers(cfg, [0])
+            else:
+                hn.run_experiment(cfg)
+        extra = ["--layers", "0"] if command == "sweep-layers" else []
+        assert cli.main([command, str(path), *extra]) == 2, raw
+
+
+def test_row_variance_once_per_run(tmp_path, monkeypatch):
+    """One prior and one forecast row variance per step: n_steps + 2 per run."""
+    calls = []
+    var = np.var
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return var(*args, **kwargs)
+
+    monkeypatch.setattr(np, "var", counting)
+    toy = tiny_config(tmp_path / "toy", reference=None, schedule={"n_steps": 4})
+    toy.update(localization=[{"taper": "mse"}], runs={"count": 1, "base_seed": 5})
+    grid = dict(GRID30, localization=[{"taper": "mse"}], output_dir=str(tmp_path / "grid"))
+    grid.update(runs={"count": 1, "base_seed": 5}, emit_nv_field=True)
+    grid["model"] = dict(grid["model"], nx=12, ny=12, n_times=4)
+    for raw in (toy, grid):  # nv_dummy, then nv_field.csv
+        calls.clear()
+        hn.run_experiment(hn.config_from_dict(raw))
+        assert len(calls) == 4 + 2, calls
+
+
+def test_threaded_run_with_reference_matches_serial(tmp_path):
+    for threads in (1, 2):
+        raw = tiny_config(tmp_path / f"t{threads}", threads=threads)
+        report = hn.run_experiment(hn.config_from_dict(raw))
+        assert report.reference is not None and report.reference.taper == "reference"
+    for name in ("report.csv", "metrics.csv", "histogram.csv", "aggregate.csv"):
+        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
 
 
 def test_cli_threads_env_override(tmp_path, monkeypatch):

@@ -7,7 +7,15 @@ import pytest
 
 from enloc import smoother as sm
 from enloc import tapers as tp
-from enloc.ensemble import DatumMeta, Ensemble, PredictedEnsemble, RowBlock, iter_blocks
+from enloc.ensemble import (
+    DatumMeta,
+    Ensemble,
+    PredictedEnsemble,
+    RowBlock,
+    ensemble_variance_per_row,
+    iter_blocks,
+)
+from enloc.metrics import normalized_variance
 from enloc.models import (
     ForwardModel,
     GrfPrior,
@@ -384,6 +392,42 @@ def test_run_leaves_prior_unchanged(policy):
     res = sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(2), policy, sm.RunSeed(3), 8)
     assert np.array_equal(prior.values, before)
     assert not np.array_equal(res.posterior.values, before)
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        sm.LocalizationPolicy(spec=None),
+        sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0)),
+        sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0), freeze=False),
+    ],
+)
+def test_step_nv_equals_normalized_variance(monkeypatch, policy):
+    toy, prior, obs = _toy_problem()
+    forecasts = []
+    evaluate = sm.evaluate_members
+
+    def recording(model, values):
+        forecasts.append(Ensemble(values))
+        return evaluate(model, values)
+
+    monkeypatch.setattr(sm, "evaluate_members", recording)
+    res = sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(3), policy, sm.RunSeed(5), 8)
+    assert len(forecasts) == len(res.diagnostics) == 4
+    assert [d.nv for d in res.diagnostics] == [normalized_variance(prior, f) for f in forecasts]
+    # the run returns the final forecast's per-row ratios, and NV is their mean
+    ratios = ensemble_variance_per_row(res.posterior) / ensemble_variance_per_row(prior)
+    assert np.array_equal(res.nv_rows, ratios)
+    assert float(np.mean(res.nv_rows)) == res.diagnostics[-1].nv
+
+
+def test_constant_prior_row_fails_the_run():
+    toy, prior, obs = _toy_problem()
+    values = prior.values.copy()
+    values[5] = 0.25
+    policy = sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0))
+    with pytest.raises(ValueError, match="^zero prior variance in the requested subset$"):
+        sm.run_esmda(Ensemble(values), toy, obs, sm.MdaSchedule.uniform(2), policy, sm.RunSeed(3))
 
 
 class _EveryKthParameter(ForwardModel):
