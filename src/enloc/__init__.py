@@ -19,6 +19,7 @@ from .ensemble import (
     write_ensemble_csv,
 )
 from .errors import (
+    AssimilationError,
     ConfigError,
     DegenerateStatisticError,
     EnlocError,

@@ -33,5 +33,9 @@ class ForwardModelError(EnlocError, RuntimeError):
         self.member = member
 
 
+class AssimilationError(EnlocError):
+    """A run failed inside an assimilation step; the message starts "step k: "."""
+
+
 class ConfigError(EnlocError, ValueError):
     """Invalid experiment configuration."""

@@ -25,6 +25,8 @@ import json
 import math
 import os
 import tempfile
+import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -444,8 +446,43 @@ def _final_report(
     )
 
 
+class _SharedPriors:
+    """sampler(count, seed) drawn once per key, shared read-only by the jobs.
+
+    Built from the key of every job; each job calls it once. The first call
+    for a key draws the prior, and the last one releases it from the memo,
+    so only the priors of the seeds in flight are held here. A draw that
+    raises is not kept: the next job of the key draws again.
+    """
+
+    def __init__(self, sampler: Callable[[int, int], Ensemble], keys: list[tuple[int, int]]):
+        self._sampler = sampler
+        self._left = Counter(keys)
+        self._locks = {key: threading.Lock() for key in self._left}
+        self._drawn: dict[tuple[int, int], Ensemble] = {}
+
+    def __call__(self, count: int, seed: int) -> Ensemble:
+        key = (count, seed)
+        with self._locks[key]:  # one draw per key, and no job waits on another key
+            self._left[key] -= 1
+            prior = self._drawn.pop(key, None)
+            if prior is None:
+                prior = self._sampler(count, seed)
+                prior.values.flags.writeable = False  # a write raises, not leaks
+            if self._left[key]:
+                self._drawn[key] = prior
+        return prior
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentReport:
-    """Run the full (taper x run) matrix and write all CSV artifacts."""
+    """Run the full (taper x run) matrix and write all CSV artifacts.
+
+    Run r of every setting starts from the same prior (seed base_seed + r),
+    so each distinct (ensemble size, seed) is drawn once and shared,
+    read-only, by its jobs. Jobs are dispatched run-major, all settings of
+    run r together, so a prior leaves the memo as soon as its last job has
+    taken it. The report and every CSV keep the setting-major order.
+    """
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
@@ -459,15 +496,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
 
     jobs = [
         (setting, r, cfg.ensemble_size, cfg.base_seed + r)
-        for setting in cfg.localization
         for r in range(cfg.run_count)
+        for setting in cfg.localization
     ]
     if cfg.reference:
         seed = cfg.reference.get("seed", cfg.base_seed - 1)
         jobs.append((_REFERENCE, 0, cfg.reference["ensemble_size"], seed))
+    priors = _SharedPriors(sampler, [(n_members, seed) for *_, n_members, seed in jobs])
 
     def run(job) -> RunResult:
-        return _run_one(cfg, model, sampler, obs, *job)
+        return _run_one(cfg, model, priors, obs, *job)
 
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
@@ -476,7 +514,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         results = list(map(run, jobs))
 
     reference = results.pop() if cfg.reference else None
-    report = ExperimentReport(runs=results, reference=reference)
+    n_settings = len(cfg.localization)
+    runs = [results[r * n_settings + s] for s in range(n_settings) for r in range(cfg.run_count)]
+    report = ExperimentReport(runs=runs, reference=reference)
     _write_artifacts(cfg, model, report, out)
     return report
 

@@ -5,10 +5,13 @@ prior's row variance once per run and each forecast's ratios from it, by the
 two helpers that normalized_variance() uses, and returns the final ratios.
 
 The taper-dependent aggregates (effective updated-parameter count and
-taper histogram) come from one pass of footprint() over a block provider,
-a callable RowBlock -> (width x Nd) taper array, so each taper block is
-read once and the full taper matrix is never held. Without localization
-(no provider) the taper is one everywhere and no block is read.
+taper histogram) are tallied by a FootprintTally over the blocks a block
+provider (a callable RowBlock -> (width x Nd) taper array) hands out, so
+each taper block is read once and the full taper matrix is never held.
+footprint() reads every block in one pass; run_esmda instead tallies the
+blocks its first update with a new taper field reads. Without
+localization (no provider) the taper is one everywhere and no block is
+read.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ __all__ = [
     "normalized_variance",
     "mean_offset",
     "footprint",
+    "FootprintTally",
     "chi",
     "HISTOGRAM_BINS",
 ]
@@ -36,6 +40,7 @@ __all__ = [
 TaperProvider = Callable[[RowBlock], np.ndarray]
 
 HISTOGRAM_BINS = 20
+_HISTOGRAM_EDGES = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
 OBJ_BAND = (0.5, 1.0)  # practical data-match range for a posterior ensemble
 
 
@@ -99,21 +104,60 @@ def _variance_ratios(prior_var: np.ndarray, ens: Ensemble) -> np.ndarray:
 def mean_offset(prior: Ensemble, posterior: Ensemble) -> float:
     """Average |posterior mean - prior mean| in units of the prior std.
 
-    Zero-spread prior rows carry no scale and are excluded with a warning.
+    Zero-spread prior rows carry no scale and are excluded with a warning;
+    only then are the kept rows copied out.
     """
     if prior.values.shape[0] != posterior.values.shape[0]:
         raise ValueError("prior and posterior must have the same parameter count")
     std_prior = np.std(prior.values, axis=1, ddof=1)
+    prior_values, posterior_values = prior.values, posterior.values
     ok = std_prior > 0.0
     if not np.all(ok):
         warnings.warn(
             f"excluding {int(np.sum(~ok))} zero-spread prior rows from mean offset",
             stacklevel=2,
         )
-    shift = np.abs(
-        posterior.values[ok].mean(axis=1) - prior.values[ok].mean(axis=1)
-    )
-    return float(np.mean(shift / std_prior[ok]))
+        prior_values, posterior_values = prior_values[ok], posterior_values[ok]
+        std_prior = std_prior[ok]
+    shift = np.abs(posterior_values.mean(axis=1) - prior_values.mean(axis=1))
+    return float(np.mean(shift / std_prior))
+
+
+class FootprintTally:
+    """Effective updated-parameter count and taper histogram of one field.
+
+    rows is the taper provider seen through the tally: every block it
+    returns is counted, so the caller reads each block exactly once and
+    then takes result(). taper_provider=None means no localization: rows
+    is None and the result needs no block.
+    """
+
+    def __init__(self, taper_provider: TaperProvider | None, n_params: int, n_data: int):
+        self.n_params, self.n_data = n_params, n_data
+        self._counts = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
+        self._partials: list[float] = []
+        self.rows = None if taper_provider is None else self._reader(taper_provider)
+
+    def _reader(self, taper_provider: TaperProvider) -> TaperProvider:
+        def rows(blk: RowBlock) -> np.ndarray:
+            r = taper_provider(blk)
+            self._partials.append(float(np.sum(r)))
+            self._counts += np.histogram(r, bins=_HISTOGRAM_EDGES)[0]
+            return r
+
+        return rows
+
+    def result(self) -> tuple[float, np.ndarray]:
+        """(n_eff, histogram counts); see footprint()."""
+        if self.rows is None:
+            self._counts[-1] = self.n_params * self.n_data
+            return float(self.n_params), self._counts
+        total = int(self._counts.sum())
+        if total != self.n_params * self.n_data:
+            raise ValueError(
+                f"taper values outside [0, 1]: binned {total} of {self.n_params * self.n_data}"
+            )
+        return math.fsum(self._partials) / self.n_data, self._counts
 
 
 def footprint(
@@ -133,22 +177,11 @@ def footprint(
     taper is one everywhere, so n_eff = n_params exactly, every pair falls
     in the last bin, and no block is read.
     """
-    counts = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
-    if taper_provider is None:
-        counts[-1] = n_params * n_data
-        return float(n_params), counts
-    edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
-    partials = []
-    for blk in iter_blocks(n_params, block_width):
-        r = taper_provider(blk)
-        partials.append(float(np.sum(r)))
-        counts += np.histogram(r, bins=edges)[0]
-    total = int(counts.sum())
-    if total != n_params * n_data:
-        raise ValueError(
-            f"taper values outside [0, 1]: binned {total} of {n_params * n_data}"
-        )
-    return math.fsum(partials) / n_data, counts
+    tally = FootprintTally(taper_provider, n_params, n_data)
+    if tally.rows is not None:
+        for blk in iter_blocks(n_params, block_width):
+            tally.rows(blk)
+    return tally.result()
 
 
 def chi(n_eff_value: float, n_params: int) -> float:

@@ -21,14 +21,16 @@ recomputation exists for experiments. Within a run each taper block is
 evaluated once per taper field and kept, up to TAPER_CACHE_BYTES (32 MiB)
 of kept blocks per run in progress; blocks past that cap are recomputed on
 every read, and a block is evaluated in slabs of rows, so memory stays
-bounded however large R is.
+bounded however large R is. A field's footprint metrics are tallied from
+the blocks its first update reads, so no separate pass reads them.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -43,7 +45,7 @@ from .ensemble import (
     iter_blocks,
     row_anomalies,
 )
-from .errors import WrongTaperKindError
+from .errors import AssimilationError, EnlocError, WrongTaperKindError
 from .models import ForwardModel, evaluate_members
 from .tapers import (
     CorrelationStats,
@@ -374,8 +376,8 @@ def _tapered_gain_block(
     if r is not None:
         if r.shape != gain.shape:
             raise ValueError("taper block shape does not match gain block")
-        if np.any(r < 0.0) or np.any(r > 1.0):
-            raise ValueError("taper values must lie in [0, 1]")
+        if not (r.min() >= 0.0 and r.max() <= 1.0):  # NaN fails too
+            raise ValueError(f"taper values outside [0, 1] in rows {blk.start}:{blk.stop}")
         gain *= r
     return gain
 
@@ -505,55 +507,73 @@ def run_esmda(
 ) -> EsmdaResult:
     """Run the full multi-step assimilation.
 
-    Per step: forward-evaluate all members, (re)build the taper field and
-    its footprint (first step only when frozen), record diagnostics,
-    perturb the observations, update blockwise. A final forward evaluation
-    after the last update provides the posterior diagnostics entry.
+    Per step: forward-evaluate all members, (re)build the taper field
+    (first step only when frozen), perturb the observations, update
+    blockwise, record diagnostics. A final forward evaluation after the
+    last update provides the posterior diagnostics entry.
 
-    The footprint pass and the updates read a taper block evaluated once
-    per field and kept while the kept bytes fit TAPER_CACHE_BYTES; later
-    blocks are recomputed on every read. A per-step field's kept blocks
-    are dropped before the next field is built, so one run holds at most
-    TAPER_CACHE_BYTES of them at a time; runs in flight together each hold
-    their own. The kept blocks are dropped on return, so the result's
-    taper_field evaluates blocks on demand. The prior is not modified; a
-    frozen field refers to it.
+    The updates read a taper block evaluated once per field and kept while
+    the kept bytes fit TAPER_CACHE_BYTES; later blocks are recomputed on
+    every read. A field's footprint (n_eff and histogram) is tallied from
+    the blocks its first update reads, so no separate pass reads them. A
+    per-step field's kept blocks are dropped before the next field is
+    built, so one run holds at most TAPER_CACHE_BYTES of them at a time;
+    runs in flight together each hold their own. The kept blocks are
+    dropped on return, so the result's taper_field evaluates blocks on
+    demand. The prior is not modified (it may be read-only); a frozen field
+    refers to it.
 
     The prior's row variance is taken once per run, and a prior row with
     zero variance fails the run. Each forecast's NV is the mean of its row
     variances over the prior's; the result keeps the final forecast's
-    per-row ratios (nv_rows), not those of every step.
+    per-row ratios (nv_rows), not those of every step. A failure inside
+    step k raises AssimilationError("step k: <cause>"); the final forecast
+    counts as step n_steps + 1.
     """
     if obs.n_data != model.n_data:
         raise ValueError("observation set size does not match the model")
     prior_var = metrics._prior_variance(prior)
     ens = prior
-    taper_field = None
+    taper_field = taper_rows = None
     footprint = None
     diagnostics: list[StepDiagnostics] = []
 
     for step, alpha in enumerate(schedule.alphas, start=1):
+        with _failures_name_step(step):
+            pred = PredictedEnsemble(
+                values=evaluate_members(model, ens.values), meta=model.datum_meta
+            )
+            nv_rows = metrics._variance_ratios(prior_var, ens)
+            tally = None
+            if step == 1 or not policy.freeze:
+                # drop the last field and its kept blocks before building the next
+                taper_field = taper_rows = None
+                taper_field = make_taper_field(policy, ens, pred, block_width)
+                taper_rows = None if taper_field is None else _kept_blocks(taper_field.block)
+                tally = metrics.FootprintTally(taper_rows, ens.n_params, obs.n_data)
+            perturbed = perturb_observations(obs, alpha, seed, step, ens.n_members)
+            updated = localized_update_step(
+                ens, pred, obs, alpha, taper_rows if tally is None else tally.rows,
+                perturbed, block_width,
+            )
+            if tally is not None:
+                footprint = tally.result()
+            diagnostics.append(_diagnostics(step, alpha, pred, obs, nv_rows, footprint))
+            ens = updated
+
+    with _failures_name_step(schedule.n_steps + 1):
         pred = PredictedEnsemble(
             values=evaluate_members(model, ens.values), meta=model.datum_meta
         )
-        if footprint is None or not policy.freeze:
-            # drop the last field and its kept blocks before building the next
-            taper_field = taper_rows = None
-            taper_field = make_taper_field(policy, ens, pred, block_width)
-            taper_rows = None if taper_field is None else _kept_blocks(taper_field.block)
-            footprint = metrics.footprint(
-                taper_rows, ens.n_params, obs.n_data, block_width
-            )
-        nv_rows = metrics._variance_ratios(prior_var, ens)
-        diagnostics.append(_diagnostics(step, alpha, pred, obs, nv_rows, footprint))
-        perturbed = perturb_observations(obs, alpha, seed, step, ens.n_members)
-        ens = localized_update_step(
-            ens, pred, obs, alpha, taper_rows, perturbed, block_width
-        )
-
-    pred = PredictedEnsemble(
-        values=evaluate_members(model, ens.values), meta=model.datum_meta
-    )
     nv_rows = metrics._variance_ratios(prior_var, ens)
     diagnostics.append(_diagnostics(schedule.n_steps + 1, None, pred, obs, nv_rows, footprint))
     return EsmdaResult(ens, diagnostics, taper_field, nv_rows)
+
+
+@contextmanager
+def _failures_name_step(step: int) -> Iterator[None]:
+    """Re-raise a failure inside the block as AssimilationError naming the step."""
+    try:
+        yield
+    except (EnlocError, ValueError) as exc:  # ValueError covers LinAlgError
+        raise AssimilationError(f"step {step}: {exc}") from exc

@@ -1,7 +1,12 @@
 """Experiment harness: config handling, artifacts, determinism, CLI."""
 
 import csv
+import gc
 import json
+import sys
+import time
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,8 +17,9 @@ from hypothesis import strategies as st
 
 import enloc.harness as hn
 from enloc import cli
+from enloc.ensemble import Ensemble
 from enloc.errors import ConfigError
-from enloc.models import LinearModel
+from enloc.models import ForwardModel, LinearModel
 from enloc.significance import FixedT0, PercentileT0, StudentT0
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -326,7 +332,7 @@ def test_run_failure_recorded(tmp_path):
         d_obs=bad_obs_values, sigma_e=np.ones(model.n_params)
     )
     res = hn._run_one(cfg, bad_model, sampler, bad_obs, cfg.localization[0], 0, 10, 1)
-    assert res.status.startswith("failed:")
+    assert res.status == "failed: step 1: forward model failed: simulator crashed"
     assert res.report is None
 
     # finite outputs whose C_dd overflows fail in the solve; the run is recorded
@@ -335,8 +341,47 @@ def test_run_failure_recorded(tmp_path):
     overflow_sampler = hn.build_prior_sampler(cfg, overflow)
     for setting in cfg.localization:
         res = hn._run_one(cfg, overflow, overflow_sampler, overflow_obs, setting, 0, 10, 1)
-        assert res.status.startswith("failed:")
+        assert res.status == "failed: step 1: array must not contain infs or NaNs"
         assert res.report is None
+
+
+class _NonFiniteFromStep(ForwardModel):
+    """The wrapped model, until its step-th ensemble evaluation turns inf."""
+
+    def __init__(self, inner, step):
+        self._inner, self._step, self._calls = inner, step, 0
+        self.datum_meta = inner.datum_meta
+
+    n_params = property(lambda self: self._inner.n_params)
+    n_data = property(lambda self: self._inner.n_data)
+
+    def evaluate_ensemble(self, values):
+        self._calls += 1
+        out = self._inner.evaluate_ensemble(values)
+        return out if self._calls < self._step else out + np.inf
+
+
+def test_run_failing_at_step_3_names_it_and_the_matrix_completes(tmp_path, monkeypatch):
+    run_esmda = hn.run_esmda
+
+    def flaky(prior, model, obs, schedule, policy, *args):
+        if policy.spec is None and prior.n_members == 40:  # "none", not the reference
+            model = _NonFiniteFromStep(model, 3)
+        return run_esmda(prior, model, obs, schedule, policy, *args)
+
+    monkeypatch.setattr(hn, "run_esmda", flaky)
+    raw = tiny_config(tmp_path / "out", schedule={"n_steps": 4})
+    report = hn.run_experiment(hn.config_from_dict(raw))
+    rows = read_csv(tmp_path / "out" / "report.csv")
+    status = {(r["taper"], r["run"]): r["status"] for r in rows}
+    failed = "failed: step 3: forward model produced non-finite output for member 0"
+    assert status == {
+        ("none", "0"): failed, ("none", "1"): failed,
+        ("logistic", "0"): "ok", ("logistic", "1"): "ok",
+        ("reference", "0"): "ok",
+    }
+    assert [r.taper for r in report.all_runs if r.result is None] == ["none", "none"]
+    assert cli._exit_code([report]) == cli.EXIT_RUN
 
 
 def test_sweep_ensemble_size(tmp_path):
@@ -618,6 +663,113 @@ def test_threaded_run_with_reference_matches_serial(tmp_path):
         assert report.reference is not None and report.reference.taper == "reference"
     for name in ("report.csv", "metrics.csv", "histogram.csv", "aggregate.csv"):
         assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
+
+
+def _shared_prior_grid(out_dir, threads, localization=None):
+    raw = dict(GRID30, output_dir=str(out_dir), threads=threads, emit_nv_field=True)
+    raw["model"] = dict(raw["model"], nx=12, ny=12, n_times=4)
+    raw["localization"] = localization or [
+        {"taper": "none"},
+        {"taper": "logistic:gamma=1.5,t0=2,eps=0.01"},
+        {"taper": "distance:major=15,minor=8,angle=45"},
+    ]
+    raw["reference"] = {"ensemble_size": 80, "seed": 9}
+    return hn.config_from_dict(raw)
+
+
+def _count_draws(monkeypatch):
+    """(count, seed) of every prior draw from now on, the truth's excepted."""
+    draws = []
+    build = hn.build_prior_sampler
+
+    def counting_build(cfg, model):
+        inner = build(cfg, model)
+
+        def sampler(count, seed):
+            if seed != cfg.observation["truth_seed"]:
+                draws.append((count, seed))
+            return inner(count, seed)
+
+        return sampler
+
+    monkeypatch.setattr(hn, "build_prior_sampler", counting_build)
+    return draws
+
+
+def test_run_seed_prior_drawn_once_and_shared(tmp_path, monkeypatch):
+    draws = _count_draws(monkeypatch)
+    priors = {}
+    run_esmda = hn.run_esmda
+
+    def recording(prior, *args, **kwargs):
+        priors.setdefault(prior.n_members, []).append(prior)
+        return run_esmda(prior, *args, **kwargs)
+
+    monkeypatch.setattr(hn, "run_esmda", recording)
+    for threads in (1, 2):
+        draws.clear()
+        priors.clear()
+        report = hn.run_experiment(_shared_prior_grid(tmp_path / f"t{threads}", threads))
+        # 3 settings x 2 runs and the reference: one draw per (size, seed)
+        assert sorted(draws) == [(50, 400), (50, 401), (80, 9)]
+        assert [(r.taper, r.run) for r in report.all_runs] == [
+            (taper, run) for taper in ("none", "logistic", "distance") for run in (0, 1)
+        ] + [("reference", 0)]
+        assert all(r.status == "ok" for r in report.all_runs)
+        assert len(priors[50]) == 6 and len({id(p) for p in priors[50]}) == 2
+        for prior in priors[50] + priors[80]:
+            with pytest.raises(ValueError, match="read-only"):
+                prior.values[0, 0] = 0.0
+    names = ["report.csv", "metrics.csv", "histogram.csv", "aggregate.csv", "nv_field.csv"]
+    names += [f"runs/{r.taper}/run{r.run}/diagnostics.csv" for r in report.all_runs]
+    for name in names:
+        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
+
+
+def test_shared_prior_released_after_its_last_job(tmp_path, monkeypatch):
+    # unlocalized runs keep no reference to their prior, so only the memo could
+    settings = [{"taper": "none", "name": "a"}, {"taper": "none", "name": "b"}]
+    cfg = _shared_prior_grid(tmp_path / "out", 1, settings)
+    seen = []
+    run_esmda = hn.run_esmda
+
+    def recording(prior, *args, **kwargs):
+        gc.collect()
+        # run-major: the last run's prior is gone once its last setting ran
+        alive = {ref().values[0, 0] for ref in seen if ref() is not None}
+        assert alive <= {prior.values[0, 0]}
+        seen.append(weakref.ref(prior))
+        return run_esmda(prior, *args, **kwargs)
+
+    monkeypatch.setattr(hn, "run_esmda", recording)
+    report = hn.run_experiment(cfg)
+    assert len(seen) == 5 and all(r.status == "ok" for r in report.all_runs)
+    del report
+    gc.collect()
+    assert all(ref() is None for ref in seen)
+
+
+def test_shared_priors_under_thread_contention():
+    keys = [(3, seed) for seed in range(20) for _ in range(5)]
+    drawn = []
+
+    def sampler(count, seed):
+        drawn.append(seed)
+        time.sleep(0.001)  # a real draw releases the interpreter lock in numpy
+        return Ensemble(np.full((2, count), float(seed)) + np.arange(count))
+
+    priors = hn._SharedPriors(sampler, keys)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            taken = [f.result(timeout=30) for f in [pool.submit(priors, *k) for k in keys]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(drawn) == list(range(20))  # a lost update would draw a key twice
+    for seed in range(20):
+        assert len({id(p) for p, k in zip(taken, keys) if k[1] == seed}) == 1
+    assert not priors._drawn  # every key's last job released it
 
 
 def test_cli_threads_env_override(tmp_path, monkeypatch):

@@ -15,6 +15,7 @@ from enloc.ensemble import (
     ensemble_variance_per_row,
     iter_blocks,
 )
+from enloc.errors import AssimilationError, ForwardModelError
 from enloc.metrics import normalized_variance
 from enloc.models import (
     ForwardModel,
@@ -146,9 +147,10 @@ def test_update_with_zero_and_unit_taper():
     unlocalized = sm.localized_update_step(ens, pred, obs, 4.0, None, pert)
     assert np.allclose(unlocalized.values, expected, atol=1e-12)
 
-    with pytest.raises(ValueError):
-        bad = lambda blk: np.full((blk.width, 3), 1.5)
-        sm.localized_update_step(ens, pred, obs, 4.0, bad, pert)
+    for value in (1.5, np.nan):  # the failure names the block
+        bad = lambda blk: np.full((blk.width, 3), value)
+        with pytest.raises(ValueError, match=r"^taper values outside \[0, 1\] in rows 0:6$"):
+            sm.localized_update_step(ens, pred, obs, 4.0, bad, pert)
 
 
 def test_update_block_schedule_independence():
@@ -317,9 +319,10 @@ def test_taper_blocks_past_the_budget_are_recomputed(monkeypatch):
     calls = _count_block_reads(monkeypatch)
     policy = sm.LocalizationPolicy(spec=tp.Mse())
     sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(steps), policy, sm.RunSeed(4), 8)
-    # the footprint reads every block; each update then recomputes all but the first
-    assert sum(calls.values()) == n_blocks + steps * (n_blocks - 1)
-    assert calls[0, 8] == 1
+    # the first update reads every block and tallies the footprint from them;
+    # each later update recomputes all but the first
+    assert sum(calls.values()) == n_blocks + (steps - 1) * (n_blocks - 1)
+    assert calls == {(0, 8): 1, (8, 8): steps, (16, 8): steps}
 
 
 @pytest.mark.parametrize(
@@ -428,6 +431,24 @@ def test_constant_prior_row_fails_the_run():
     policy = sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0))
     with pytest.raises(ValueError, match="^zero prior variance in the requested subset$"):
         sm.run_esmda(Ensemble(values), toy, obs, sm.MdaSchedule.uniform(2), policy, sm.RunSeed(3))
+
+
+def test_failure_inside_a_step_names_the_step():
+    toy, prior, obs = _toy_problem()
+    calls = []
+
+    class NonFiniteAtStep2(LinearModel):
+        def evaluate_ensemble(self, values):
+            calls.append(1)
+            out = toy.evaluate_ensemble(values)
+            return out if len(calls) != 2 else np.full_like(out, np.nan)
+
+    model = NonFiniteAtStep2(np.eye(toy.n_data, toy.n_params))
+    model.datum_meta = toy.datum_meta
+    policy = sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0))
+    with pytest.raises(AssimilationError, match="^step 2: forward model produced") as err:
+        sm.run_esmda(prior, model, obs, sm.MdaSchedule.uniform(3), policy, sm.RunSeed(3), 8)
+    assert isinstance(err.value.__cause__, ForwardModelError)
 
 
 class _EveryKthParameter(ForwardModel):
