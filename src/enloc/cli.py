@@ -7,7 +7,8 @@ enloc sweep-ne <config.json> --sizes 50,100,200 [--out DIR] [--seed N] [--thread
 enloc sweep-layers <config.json> --layers 1,4,8 [--out DIR] [--seed N] [--threads N]
 enloc t0-table --ne 50,100,200,1000 --phi 0.10,0.05,0.01 [--out FILE]
 
-Exit codes: 0 success, 2 configuration error, 3 run failure. The env var
+Exit codes: 0 success, 2 configuration error, 3 run failure. --threads N
+runs N run seeds at a time, each with all its settings in turn; the env var
 ENLOC_THREADS, when set, overrides --threads.
 """
 
@@ -49,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="experiment config (JSON)")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="base seed (overrides config)")
-        p.add_argument("--threads", type=int, help="parallel runs (default 1)")
+        p.add_argument("--threads", type=int, help="parallel run seeds (default 1)")
 
     p_run = sub.add_parser("run", help="run one experiment config")
     add_common(p_run)

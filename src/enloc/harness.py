@@ -25,8 +25,6 @@ import json
 import math
 import os
 import tempfile
-import threading
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -53,6 +51,7 @@ from .smoother import (
     MdaSchedule,
     ObservationSet,
     RunSeed,
+    StepDiagnostics,
     run_esmda,
 )
 from .tapers import Logistic, PowerLaw, TaperSpec, format_taper, parse_taper
@@ -144,7 +143,9 @@ class RunResult:
     run: int
     status: str  # "ok" or "failed: <reason>"
     report: metrics_mod.MetricReport | None
-    result: EsmdaResult | None = None
+    # what the cross-run CSVs read of the run's EsmdaResult (empty if failed)
+    diagnostics: list[StepDiagnostics] = field(default_factory=list)
+    nv_rows: np.ndarray | None = None
 
 
 @dataclass
@@ -399,18 +400,42 @@ def build_observations(
 # --- the experiment driver ---
 
 
-def _run_one(
+def _run_seed(
     cfg: ExperimentConfig,
     model: ForwardModel,
     sampler: Callable[[int, int], Ensemble],
     obs: ObservationSet,
-    setting: LocalizationSetting,
+    out: Path,
+    settings: Sequence[LocalizationSetting],
     run_index: int,
     n_members: int,
     seed: int,
-) -> RunResult:
+) -> list[RunResult]:
+    """Run every setting on the one prior of this seed, drawn once, read-only.
+
+    A draw that raises fails every setting with its cause.
+    """
     try:
         prior = sampler(n_members, seed)
+    except (EnlocError, ValueError) as exc:
+        return [RunResult(s.name, run_index, f"failed: {exc}", None) for s in settings]
+    prior.values.flags.writeable = False  # shared by the settings: a write raises
+    return [_run_one(cfg, model, prior, obs, out, s, run_index, seed) for s in settings]
+
+
+def _run_one(
+    cfg: ExperimentConfig,
+    model: ForwardModel,
+    prior: Ensemble,
+    obs: ObservationSet,
+    out: Path,
+    setting: LocalizationSetting,
+    run_index: int,
+    seed: int,
+) -> RunResult:
+    """One run, reduced to its summary: its run directory is written here and
+    the posterior is dropped on return."""
+    try:
         result = run_esmda(
             prior,
             model,
@@ -421,9 +446,15 @@ def _run_one(
             cfg.block_width,
         )
         report = _final_report(model, prior, result)
-        return RunResult(setting.name, run_index, "ok", report, result)
     except (EnlocError, ValueError) as exc:  # ValueError covers LinAlgError
-        return RunResult(setting.name, run_index, f"failed: {exc}", None, None)
+        return RunResult(setting.name, run_index, f"failed: {exc}", None)
+    run_dir = out / "runs" / setting.name / f"run{run_index}"
+    run_dir.mkdir(parents=True, exist_ok=True)
+    rows = [[step, name, repr(value)] for d in result.diagnostics for step, name, value in d.rows()]
+    _write_csv(run_dir / "diagnostics.csv", ["step", "metric", "value"], rows)
+    if cfg.save_posterior:
+        write_ensemble_csv(result.posterior, run_dir / "posterior.csv")
+    return RunResult(setting.name, run_index, "ok", report, result.diagnostics, result.nv_rows)
 
 
 def _final_report(
@@ -446,42 +477,16 @@ def _final_report(
     )
 
 
-class _SharedPriors:
-    """sampler(count, seed) drawn once per key, shared read-only by the jobs.
-
-    Built from the key of every job; each job calls it once. The first call
-    for a key draws the prior, and the last one releases it from the memo,
-    so only the priors of the seeds in flight are held here. A draw that
-    raises is not kept: the next job of the key draws again.
-    """
-
-    def __init__(self, sampler: Callable[[int, int], Ensemble], keys: list[tuple[int, int]]):
-        self._sampler = sampler
-        self._left = Counter(keys)
-        self._locks = {key: threading.Lock() for key in self._left}
-        self._drawn: dict[tuple[int, int], Ensemble] = {}
-
-    def __call__(self, count: int, seed: int) -> Ensemble:
-        key = (count, seed)
-        with self._locks[key]:  # one draw per key, and no job waits on another key
-            self._left[key] -= 1
-            prior = self._drawn.pop(key, None)
-            if prior is None:
-                prior = self._sampler(count, seed)
-                prior.values.flags.writeable = False  # a write raises, not leaks
-            if self._left[key]:
-                self._drawn[key] = prior
-        return prior
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentReport:
     """Run the full (taper x run) matrix and write all CSV artifacts.
 
-    Run r of every setting starts from the same prior (seed base_seed + r),
-    so each distinct (ensemble size, seed) is drawn once and shared,
-    read-only, by its jobs. Jobs are dispatched run-major, all settings of
-    run r together, so a prior leaves the memo as soon as its last job has
-    taken it. The report and every CSV keep the setting-major order.
+    One job per run seed: run r of every setting starts from the same prior
+    (seed base_seed + r), which the job draws once and shares read-only, and
+    the reference run is a job of its own. Each run is reduced to its summary
+    as it finishes (its run directory is written then), so no prior or
+    posterior outlives its job. With threads > 1 the jobs, not the settings,
+    run in parallel: a config with fewer runs than threads leaves threads
+    idle. The report and every CSV keep the setting-major order.
     """
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -495,27 +500,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         raise ConfigError(f"bad model, prior or observation settings: {exc}") from exc
 
     jobs = [
-        (setting, r, cfg.ensemble_size, cfg.base_seed + r)
-        for r in range(cfg.run_count)
-        for setting in cfg.localization
+        (cfg.localization, r, cfg.ensemble_size, cfg.base_seed + r) for r in range(cfg.run_count)
     ]
     if cfg.reference:
         seed = cfg.reference.get("seed", cfg.base_seed - 1)
-        jobs.append((_REFERENCE, 0, cfg.reference["ensemble_size"], seed))
-    priors = _SharedPriors(sampler, [(n_members, seed) for *_, n_members, seed in jobs])
+        jobs.append(([_REFERENCE], 0, cfg.reference["ensemble_size"], seed))
 
-    def run(job) -> RunResult:
-        return _run_one(cfg, model, priors, obs, *job)
+    def run(job) -> list[RunResult]:
+        return _run_seed(cfg, model, sampler, obs, out, *job)
 
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(run, jobs))
+            by_seed = list(pool.map(run, jobs))
     else:  # in the calling thread, so per-thread profiler stacks see every run
-        results = list(map(run, jobs))
+        by_seed = list(map(run, jobs))
 
-    reference = results.pop() if cfg.reference else None
-    n_settings = len(cfg.localization)
-    runs = [results[r * n_settings + s] for s in range(n_settings) for r in range(cfg.run_count)]
+    reference = by_seed.pop()[0] if cfg.reference else None
+    runs = [seed_runs[s] for s in range(len(cfg.localization)) for seed_runs in by_seed]
     report = ExperimentReport(runs=runs, reference=reference)
     _write_artifacts(cfg, model, report, out)
     return report
@@ -527,7 +528,7 @@ def _write_artifacts(
     report: ExperimentReport,
     out: Path,
 ) -> None:
-    ok_runs = [r for r in report.all_runs if r.result is not None]
+    ok_runs = [r for r in report.all_runs if r.report is not None]
     rows = []
     for r in report.all_runs:
         values = [getattr(r.report, m, None) for m in AGGREGATE_METRICS]  # blank if failed
@@ -537,7 +538,7 @@ def _write_artifacts(
     rows = [
         [r.taper, r.run, d.step, repr(d.objective), repr(d.nv), repr(d.n_eff), repr(d.chi)]
         for r in ok_runs
-        for d in r.result.diagnostics
+        for d in r.diagnostics
     ]
     header = ["taper", "run", "step", "objective", "nv", "n_eff", "chi"]
     _write_csv(out / "metrics.csv", header, rows)
@@ -559,27 +560,15 @@ def _write_artifacts(
     if cfg.emit_nv_field and isinstance(model, GridFlowProxy):
         _write_nv_field(model, report, out / "nv_field.csv")
 
-    for r in ok_runs:
-        run_dir = out / "runs" / r.taper / f"run{r.run}"
-        run_dir.mkdir(parents=True, exist_ok=True)
-        diag_rows = [
-            [step, metric, repr(value)]
-            for d in r.result.diagnostics
-            for step, metric, value in d.rows()
-        ]
-        _write_csv(run_dir / "diagnostics.csv", ["step", "metric", "value"], diag_rows)
-        if cfg.save_posterior:
-            write_ensemble_csv(r.result.posterior, run_dir / "posterior.csv")
-
 
 def _write_nv_field(model: GridFlowProxy, report: ExperimentReport, path: Path) -> None:
     fsize = model.nx * model.ny * model.n_layers
     coords = model.coords
     rows = []
     for r in report.all_runs:
-        if r.result is None:
+        if r.report is None:
             continue
-        for p, nv in enumerate(r.result.nv_rows):
+        for p, nv in enumerate(r.nv_rows):
             field_name = "poro" if p < fsize else "logk"
             i, j, k = coords[p]
             rows.append([r.taper, r.run, field_name, int(i), int(j), int(k), repr(float(nv))])

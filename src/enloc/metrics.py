@@ -91,8 +91,11 @@ def normalized_variance(
 def _prior_variance(prior: Ensemble) -> np.ndarray:
     """Per-row prior variance, the denominator of every NV ratio."""
     var = ensemble_variance_per_row(prior)
-    if np.any(var <= 0.0):
-        raise ValueError("zero prior variance in the requested subset")
+    zero = np.flatnonzero(var <= 0.0)
+    if zero.size:
+        raise ValueError(
+            f"zero prior variance in {zero.size} of {var.size} rows (first: row {zero[0]})"
+        )
     return var
 
 

@@ -339,9 +339,11 @@ def gain_operator(
     # Fortran order lets the solve overwrite dD in place: W is Ne x Nd, the
     # largest array of a step when Ne >> Nm
     delta_d = np.array(pred.values, order="F")
-    delta_d -= delta_d.mean(axis=1, keepdims=True)
-    c_dd = (delta_d @ delta_d.T) / (pred.n_members - 1)
-    a = c_dd + np.diag(alpha * obs.sigma_e**2)
+    with np.errstate(over="ignore", invalid="ignore"):  # finite data can still overflow
+        delta_d -= delta_d.mean(axis=1, keepdims=True)
+        a = (delta_d @ delta_d.T) / (pred.n_members - 1) + np.diag(alpha * obs.sigma_e**2)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("predicted-data covariance C_dd + alpha C_e overflows")
     w_t = cho_solve(cho_factor(a, lower=True), delta_d, overwrite_b=True)
     w_t /= pred.n_members - 1
     return w_t.T
@@ -444,21 +446,22 @@ class StepDiagnostics:
 @dataclass
 class EsmdaResult:
     """The posterior, one diagnostics entry per forecast, and the final
-    forecast's per-row variance ratios var(posterior) / var(prior)."""
+    forecast's per-row variance ratios var(posterior) / var(prior). It keeps
+    no taper field, so it refers to neither the prior nor any forecast."""
 
     posterior: Ensemble
     diagnostics: list[StepDiagnostics] = field(default_factory=list)
-    taper_field: TaperField | None = None
     nv_rows: np.ndarray | None = None
 
 
-def _kept_blocks(
-    taper_rows: Callable[[RowBlock], np.ndarray],
-) -> Callable[[RowBlock], np.ndarray]:
-    """taper_rows memoized per block while the kept bytes fit TAPER_CACHE_BYTES.
+def _kept_blocks(taper_field: TaperField | None) -> Callable[[RowBlock], np.ndarray] | None:
+    """taper_field.block memoized per block while the kept bytes fit
+    TAPER_CACHE_BYTES; None without a field.
 
     Kept blocks are made read-only, since every later read shares them.
     """
+    if taper_field is None:
+        return None
     kept: dict[RowBlock, np.ndarray] = {}
     kept_bytes = 0
 
@@ -466,7 +469,7 @@ def _kept_blocks(
         nonlocal kept_bytes
         r = kept.get(blk)
         if r is None:
-            r = taper_rows(blk)
+            r = taper_field.block(blk)
             if kept_bytes + r.nbytes <= TAPER_CACHE_BYTES:
                 r.flags.writeable = False
                 kept[blk] = r
@@ -518,10 +521,9 @@ def run_esmda(
     the blocks its first update reads, so no separate pass reads them. A
     per-step field's kept blocks are dropped before the next field is
     built, so one run holds at most TAPER_CACHE_BYTES of them at a time;
-    runs in flight together each hold their own. The kept blocks are
-    dropped on return, so the result's taper_field evaluates blocks on
-    demand. The prior is not modified (it may be read-only); a frozen field
-    refers to it.
+    runs in flight together each hold their own. The fields and their kept
+    blocks are dropped on return. The prior is not modified (it may be
+    read-only).
 
     The prior's row variance is taken once per run, and a prior row with
     zero variance fails the run. Each forecast's NV is the mean of its row
@@ -534,8 +536,7 @@ def run_esmda(
         raise ValueError("observation set size does not match the model")
     prior_var = metrics._prior_variance(prior)
     ens = prior
-    taper_field = taper_rows = None
-    footprint = None
+    taper_rows = footprint = None
     diagnostics: list[StepDiagnostics] = []
 
     for step, alpha in enumerate(schedule.alphas, start=1):
@@ -546,10 +547,8 @@ def run_esmda(
             nv_rows = metrics._variance_ratios(prior_var, ens)
             tally = None
             if step == 1 or not policy.freeze:
-                # drop the last field and its kept blocks before building the next
-                taper_field = taper_rows = None
-                taper_field = make_taper_field(policy, ens, pred, block_width)
-                taper_rows = None if taper_field is None else _kept_blocks(taper_field.block)
+                taper_rows = None  # drop the last field and its kept blocks first
+                taper_rows = _kept_blocks(make_taper_field(policy, ens, pred, block_width))
                 tally = metrics.FootprintTally(taper_rows, ens.n_params, obs.n_data)
             perturbed = perturb_observations(obs, alpha, seed, step, ens.n_members)
             updated = localized_update_step(
@@ -567,7 +566,7 @@ def run_esmda(
         )
     nv_rows = metrics._variance_ratios(prior_var, ens)
     diagnostics.append(_diagnostics(schedule.n_steps + 1, None, pred, obs, nv_rows, footprint))
-    return EsmdaResult(ens, diagnostics, taper_field, nv_rows)
+    return EsmdaResult(ens, diagnostics, nv_rows)
 
 
 @contextmanager

@@ -22,8 +22,15 @@ from enloc import smoother as sm
 from enloc import spikeslab as ss
 from enloc import tapers as tp
 from enloc.ensemble import Ensemble, PredictedEnsemble, RowBlock, iter_blocks
-from enloc.harness import config_from_dict, run_experiment, sweep_layers, t0_table_rows
-from enloc.models import GrfPrior, GridFlowProxy, LinearModel, grf_correlation
+from enloc.harness import (
+    build_model,
+    build_prior_sampler,
+    config_from_dict,
+    run_experiment,
+    sweep_layers,
+    t0_table_rows,
+)
+from enloc.models import GrfPrior, LinearModel, evaluate_members, grf_correlation
 
 
 @contextmanager
@@ -246,11 +253,12 @@ def locality_experiment(tmp_path_factory):
         "output_dir": str(out),
         "emit_nv_field": False,
     }
+    cfg = config_from_dict(raw)
     start = time.perf_counter()
-    report = run_experiment(config_from_dict(raw))
+    report = run_experiment(cfg)
     elapsed = time.perf_counter() - start
 
-    model = GridFlowProxy(nx=60, ny=60, n_layers=1, prod_grid=3, n_times=24)
+    model = build_model(cfg)
     corr = grf_correlation(GrfPrior(nx=60, ny=60, **prior_kw))
     fsize = model.nx * model.ny
 
@@ -274,9 +282,16 @@ def locality_experiment(tmp_path_factory):
             outside += (r * (~allowed[:, blk.slice()].T)).sum(axis=0)
         return float(np.mean(outside / np.maximum(total, 1e-300)))
 
+    # each run's frozen field, rebuilt from (config, run seed) as run_esmda builds it
+    sampler = build_prior_sampler(cfg, model)
+    policies = {s.name: s.policy() for s in cfg.localization}
     fractions: dict[str, dict[int, float]] = {"mse": {}, "logistic": {}}
-    for run in report.runs:
-        fractions[run.taper][run.run] = outside_fraction(run.result.taper_field)
+    for r in range(cfg.run_count):
+        prior = sampler(cfg.ensemble_size, cfg.base_seed + r)
+        pred = PredictedEnsemble(evaluate_members(model, prior.values), meta=model.datum_meta)
+        for taper, policy in policies.items():
+            field = sm.make_taper_field(policy, prior, pred, cfg.block_width)
+            fractions[taper][r] = outside_fraction(field)
     return report, fractions, elapsed
 
 

@@ -3,10 +3,7 @@
 import csv
 import gc
 import json
-import sys
-import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,7 +14,6 @@ from hypothesis import strategies as st
 
 import enloc.harness as hn
 from enloc import cli
-from enloc.ensemble import Ensemble
 from enloc.errors import ConfigError
 from enloc.models import ForwardModel, LinearModel
 from enloc.significance import FixedT0, PercentileT0, StudentT0
@@ -331,18 +327,30 @@ def test_run_failure_recorded(tmp_path):
     bad_obs = ObservationSet(
         d_obs=bad_obs_values, sigma_e=np.ones(model.n_params)
     )
-    res = hn._run_one(cfg, bad_model, sampler, bad_obs, cfg.localization[0], 0, 10, 1)
-    assert res.status == "failed: step 1: forward model failed: simulator crashed"
-    assert res.report is None
+    out = tmp_path / "out"
 
-    # finite outputs whose C_dd overflows fail in the solve; the run is recorded
+    def statuses(model, sampler, obs):
+        runs = hn._run_seed(cfg, model, sampler, obs, out, cfg.localization, 0, 10, 1)
+        assert [r.taper for r in runs] == ["none", "logistic"]
+        assert all(r.report is None and not r.diagnostics for r in runs)
+        return [r.status for r in runs]
+
+    crashed = "failed: step 1: forward model failed: simulator crashed"
+    assert statuses(bad_model, sampler, bad_obs) == [crashed, crashed]
+
+    # finite outputs whose C_dd overflows fail before the solve, naming the covariance
     overflow = LinearModel(np.full((3, 4), 1e200))
     overflow_obs = ObservationSet(d_obs=np.zeros(3), sigma_e=np.ones(3))
     overflow_sampler = hn.build_prior_sampler(cfg, overflow)
-    for setting in cfg.localization:
-        res = hn._run_one(cfg, overflow, overflow_sampler, overflow_obs, setting, 0, 10, 1)
-        assert res.status == "failed: step 1: array must not contain infs or NaNs"
-        assert res.report is None
+    failed = "failed: step 1: predicted-data covariance C_dd + alpha C_e overflows"
+    assert statuses(overflow, overflow_sampler, overflow_obs) == [failed, failed]
+
+    # a draw that raises fails every setting of its seed with the cause
+    def bad_draw(count, seed):
+        raise ValueError("bad draw")
+
+    assert statuses(model, bad_draw, obs) == ["failed: bad draw", "failed: bad draw"]
+    assert not (out / "runs").exists()
 
 
 class _NonFiniteFromStep(ForwardModel):
@@ -380,7 +388,7 @@ def test_run_failing_at_step_3_names_it_and_the_matrix_completes(tmp_path, monke
         ("logistic", "0"): "ok", ("logistic", "1"): "ok",
         ("reference", "0"): "ok",
     }
-    assert [r.taper for r in report.all_runs if r.result is None] == ["none", "none"]
+    assert [r.taper for r in report.all_runs if r.report is None] == ["none", "none"]
     assert cli._exit_code([report]) == cli.EXIT_RUN
 
 
@@ -727,49 +735,28 @@ def test_run_seed_prior_drawn_once_and_shared(tmp_path, monkeypatch):
 
 
 def test_shared_prior_released_after_its_last_job(tmp_path, monkeypatch):
-    # unlocalized runs keep no reference to their prior, so only the memo could
-    settings = [{"taper": "none", "name": "a"}, {"taper": "none", "name": "b"}]
+    # a localized setting too: its taper field must not keep the prior alive
+    settings = [{"taper": "none"}, {"taper": "logistic:gamma=1.5,t0=2,eps=0.01"}]
     cfg = _shared_prior_grid(tmp_path / "out", 1, settings)
-    seen = []
+    priors, posteriors = [], []
     run_esmda = hn.run_esmda
 
     def recording(prior, *args, **kwargs):
         gc.collect()
-        # run-major: the last run's prior is gone once its last setting ran
-        alive = {ref().values[0, 0] for ref in seen if ref() is not None}
-        assert alive <= {prior.values[0, 0]}
-        seen.append(weakref.ref(prior))
-        return run_esmda(prior, *args, **kwargs)
+        # the only live prior is this run seed's; every earlier posterior is gone
+        assert all(ref() is None or ref() is prior for ref in priors)
+        assert all(ref() is None for ref in posteriors)
+        priors.append(weakref.ref(prior))
+        result = run_esmda(prior, *args, **kwargs)
+        posteriors.append(weakref.ref(result.posterior))
+        return result
 
     monkeypatch.setattr(hn, "run_esmda", recording)
     report = hn.run_experiment(cfg)
-    assert len(seen) == 5 and all(r.status == "ok" for r in report.all_runs)
-    del report
-    gc.collect()
-    assert all(ref() is None for ref in seen)
-
-
-def test_shared_priors_under_thread_contention():
-    keys = [(3, seed) for seed in range(20) for _ in range(5)]
-    drawn = []
-
-    def sampler(count, seed):
-        drawn.append(seed)
-        time.sleep(0.001)  # a real draw releases the interpreter lock in numpy
-        return Ensemble(np.full((2, count), float(seed)) + np.arange(count))
-
-    priors = hn._SharedPriors(sampler, keys)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            taken = [f.result(timeout=30) for f in [pool.submit(priors, *k) for k in keys]]
-    finally:
-        sys.setswitchinterval(interval)
-    assert sorted(drawn) == list(range(20))  # a lost update would draw a key twice
-    for seed in range(20):
-        assert len({id(p) for p, k in zip(taken, keys) if k[1] == seed}) == 1
-    assert not priors._drawn  # every key's last job released it
+    assert len(priors) == 5 and all(r.status == "ok" for r in report.all_runs)
+    gc.collect()  # the report is still held, and keeps summaries only
+    assert all(ref() is None for ref in priors + posteriors)
+    assert all(r.diagnostics and r.nv_rows is not None for r in report.all_runs)
 
 
 def test_cli_threads_env_override(tmp_path, monkeypatch):

@@ -247,27 +247,38 @@ def test_run_determinism():
     assert not np.array_equal(a.posterior.values, c.posterior.values)
 
 
-def test_frozen_tapers_come_from_prior():
+def test_frozen_tapers_come_from_prior(monkeypatch):
     toy = ScalarToyModel(n_active=4, n_dummy=2, n_series=2, n_times=10, structure_seed=2)
     prior = toy.sample_prior(40, 3)
     obs = sm.ObservationSet(
         d_obs=toy.evaluate(np.zeros(6)) + 0.05, sigma_e=np.full(toy.n_data, 0.1)
     )
+    fields = []
+    make = sm.make_taper_field
+
+    def capturing(*args, **kwargs):
+        fields.append(make(*args, **kwargs))
+        return fields[-1]
+
+    monkeypatch.setattr(sm, "make_taper_field", capturing)
     policy = sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0), freeze=True)
     res = sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(3), policy, sm.RunSeed(4))
-    # the frozen field reproduces tapers computed directly from the prior
+    # one frozen field, and it reproduces tapers computed directly from the prior
     pred0 = PredictedEnsemble(values=toy.evaluate_ensemble(prior.values), meta=toy.datum_meta)
     manual = sm.TaperField(tp.Logistic(1.5, 2.0), prior, pred0)
     blk = RowBlock(0, prior.n_params)
-    assert np.array_equal(res.taper_field.block(blk), manual.block(blk))
+    assert len(fields) == 1
+    assert np.array_equal(fields[0].block(blk), manual.block(blk))
     # histogram identical at every step (the freeze contract)
     hists = [d.taper_histogram for d in res.diagnostics]
     for h in hists[1:]:
         assert np.array_equal(hists[0], h)
     # recomputing per step produces a different field by the final step
     policy_live = sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0), freeze=False)
-    res_live = sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(3), policy_live, sm.RunSeed(4))
-    assert not np.array_equal(res_live.taper_field.block(blk), manual.block(blk))
+    fields.clear()
+    sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(3), policy_live, sm.RunSeed(4))
+    assert len(fields) == 3
+    assert not np.array_equal(fields[-1].block(blk), manual.block(blk))
 
 
 def _toy_problem():
@@ -429,7 +440,7 @@ def test_constant_prior_row_fails_the_run():
     values = prior.values.copy()
     values[5] = 0.25
     policy = sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0))
-    with pytest.raises(ValueError, match="^zero prior variance in the requested subset$"):
+    with pytest.raises(ValueError, match=r"^zero prior variance in 1 of 24 rows \(first: row 5\)$"):
         sm.run_esmda(Ensemble(values), toy, obs, sm.MdaSchedule.uniform(2), policy, sm.RunSeed(3))
 
 
