@@ -16,7 +16,9 @@ Priors are standard Gaussian for scalar parameters and anisotropic
 Gaussian random fields for grid properties. A field's correlation matrix is
 built from its lag table, since a stationary field's correlation depends
 only on the offset between cells, and its dense Cholesky factor is cached
-per geometry, at most two geometries at a time.
+per geometry, at most two geometries at a time. All layers of a field are
+drawn with one product of that factor, and a grid model builds its
+parameter names and coordinates once.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -295,27 +298,25 @@ class GridFlowProxy(ForwardModel):
 
     @property
     def coords(self) -> np.ndarray:
-        """(Nm, 3) gridblock coordinates, repeated for the two fields."""
-        ij = np.array(
-            [
-                (i, j, k)
-                for k in range(self.n_layers)
-                for j in range(self.ny)
-                for i in range(self.nx)
-            ],
-            dtype=int,
-        )
-        return np.vstack([ij, ij])
+        """(Nm, 3) gridblock coordinates, repeated for the two fields; read-only."""
+        return self._labels[1]
 
     @property
     def param_names(self) -> list[str]:
-        names = []
-        for field in ("poro", "logk"):
-            for k in range(self.n_layers):
-                for j in range(self.ny):
-                    for i in range(self.nx):
-                        names.append(f"{field}_{i}_{j}_{k}")
-        return names
+        """A new list on each call, so no caller can edit the model's copy."""
+        return list(self._labels[0])
+
+    @functools.cached_property
+    def _labels(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """Parameter names and coordinates, built on first use."""
+        k, j, i = np.indices((self.n_layers, self.ny, self.nx)).reshape(3, -1)
+        ijk = np.column_stack([i, j, k])
+        coords = np.vstack([ijk, ijk])
+        coords.setflags(write=False)
+        names = tuple(
+            f"{field}_{a}_{b}_{c}" for field in ("poro", "logk") for a, b, c in ijk.tolist()
+        )
+        return names, coords
 
     def _corridor_indices(self, cells: list[tuple[int, int]]) -> np.ndarray:
         """Flat cell indices of a corridor across all layers, one row per layer."""
@@ -459,24 +460,38 @@ def _correlation_factor(geometry: GrfPrior) -> np.ndarray:
     return factor
 
 
-def sample_grf(prior: GrfPrior, count: int, seed: int) -> Ensemble:
+def sample_grf(prior: GrfPrior, count: int, seed: int | Sequence[int]) -> Ensemble:
     """Draw `count` independent field realizations as an Ensemble.
 
     Rows are cells in row-major order (j outer, i inner); coords carry the
     (i, j, 0) gridblock indices. The correlation factor depends on the
     geometry only (grid, variogram, ranges, angle), not on mean or std; it
     comes from the two-entry cache, built from the lag table on a miss.
+
+    A sequence of seeds draws one layer per seed, stacked layer-major, with
+    rows named c_i_j_k and coords (i, j, k) for layer k. Layer k's standard
+    normals are default_rng(seed_k).standard_normal((cells, count)), as an
+    int seed draws them; all layers sit side by side in one matrix, so the
+    factor is read once for the whole field. A layer equals its one-layer
+    draw where the BLAS rounds each column of a product independently of
+    the product's width; where it does not (OpenBLAS, for some widths), the
+    two differ in the last bits.
     """
     if count < 2:
         raise ValueError("need at least 2 realizations")
+    layered = np.ndim(seed) > 0
+    seeds = list(seed) if layered else [seed]
     factor = _correlation_factor(replace(prior, mean=0.0, std=1.0))
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((factor.shape[0], count))
-    values = prior.mean + prior.std * (factor @ z)
-    coords = np.array(
-        [(i, j, 0) for j in range(prior.ny) for i in range(prior.nx)], dtype=int
-    )
-    names = [f"c_{i}_{j}" for j in range(prior.ny) for i in range(prior.nx)]
+    n = factor.shape[0]
+    z = np.hstack([np.random.default_rng(s).standard_normal((n, count)) for s in seeds])
+    x = factor @ z
+    del z  # before the layer-major copy: at most two such matrices at a time
+    x *= prior.std
+    x += prior.mean
+    values = x.reshape(n, len(seeds), count).transpose(1, 0, 2).reshape(-1, count)
+    k, j, i = np.indices((len(seeds), prior.ny, prior.nx)).reshape(3, -1)
+    coords = np.column_stack([i, j, k])
+    names = [f"c_{a}_{b}_{c}" if layered else f"c_{a}_{b}" for a, b, c in coords.tolist()]
     return Ensemble(values=values, names=names, coords=coords)
 
 
@@ -489,23 +504,22 @@ def sample_grid_prior(
 ) -> Ensemble:
     """Sample the full grid-model prior: both fields, all layers.
 
-    Layers are independent draws from the same 2-D prior; the porosity
-    block precedes the log-permeability block, matching the model's
-    parameter ordering.
+    Layers are independent draws from the same 2-D prior, one seed per
+    layer from SeedSequence(seed); each field is one sample_grf call over
+    its layers' seeds. The porosity block precedes the log-permeability
+    block, matching the model's parameter ordering.
     """
     for prior, label in ((poro_prior, "porosity"), (logk_prior, "log-permeability")):
         if (prior.nx, prior.ny) != (model.nx, model.ny):
             raise ValueError(f"{label} prior grid does not match the model grid")
-    seedseq = np.random.SeedSequence(seed)
-    layer_seeds = seedseq.generate_state(2 * model.n_layers)
-    blocks = []
-    for f, prior in enumerate((poro_prior, logk_prior)):
-        for k in range(model.n_layers):
-            blocks.append(
-                sample_grf(prior, count, int(layer_seeds[f * model.n_layers + k])).values
-            )
+    layer_seeds = np.random.SeedSequence(seed).generate_state(2 * model.n_layers).tolist()
+    n_layers = model.n_layers
+    fields = [
+        sample_grf(prior, count, layer_seeds[f * n_layers : (f + 1) * n_layers]).values
+        for f, prior in enumerate((poro_prior, logk_prior))
+    ]
     return Ensemble(
-        values=np.vstack(blocks),
+        values=np.vstack(fields),
         names=model.param_names,
         coords=model.coords,
     )

@@ -21,8 +21,11 @@ recomputation exists for experiments. Within a run each taper block is
 evaluated once per taper field and kept, up to TAPER_CACHE_BYTES (32 MiB)
 of kept blocks per run in progress; blocks past that cap are recomputed on
 every read, and a block is evaluated in slabs of rows, so memory stays
-bounded however large R is. A field's footprint metrics are tallied from
-the blocks its first update reads, so no separate pass reads them.
+bounded however large R is. Each correlation family has an in-place kernel,
+picked and validated once per field, that maps a slab of correlations to
+taper values bit-identically to the public tapers. A field's footprint
+metrics are tallied from the blocks its first update reads, so no separate
+pass reads them.
 """
 
 from __future__ import annotations
@@ -48,14 +51,19 @@ from .ensemble import (
 from .errors import AssimilationError, EnlocError, WrongTaperKindError
 from .models import ForwardModel, evaluate_members
 from .tapers import (
+    Cgc,
     CorrelationStats,
+    Discrepancy,
     DistanceGC,
     Logistic,
+    Mpo,
+    Mse,
+    Po,
     PowerLaw,
     TaperSpec,
     evaluate_taper,
-    sampling_std,
-    standardize,
+    gaspari_cohn,
+    logistic_steepness,
     taper_distance,
 )
 
@@ -178,8 +186,10 @@ class TaperField:
     """Blockwise per-pair taper coefficients for one ensemble snapshot.
 
     Correlation-based families compute the block of model-data correlations
-    on demand and map them through the taper; undefined correlations
-    (zero-variance rows) map to taper zero. The distance family uses
+    on demand and map them, in place and one slab of rows at a time,
+    through the family's kernel; undefined correlations (zero-variance
+    rows) map to taper zero. The kernel is picked, and the spec, threshold
+    and ensemble size are checked, once per field. The distance family uses
     parameter coordinates and datum well positions instead.
     """
 
@@ -214,6 +224,7 @@ class TaperField:
 
         self._pred_anoms = row_anomalies(pred.values)
         self._t0 = self._resolve_t0(spec, t0_strategy, block_width)
+        self._kernel = _taper_kernel(spec, self._n_e, self._t0)
 
     def _resolve_t0(
         self,
@@ -235,7 +246,11 @@ class TaperField:
         return self._percentile_t0(strategy.p, block_width)
 
     def _percentile_t0(self, p: float, block_width: int) -> np.ndarray:
-        """Per-datum thresholds: the p-quantile of t values per data source."""
+        """Per-datum thresholds: the p-quantile of t values per data source.
+
+        t is taken one slab of rows at a time; undefined and t = inf pairs
+        stay out of the pool.
+        """
         sources = [m.source for m in self._pred.meta] if self._pred.meta else [
             str(j) for j in range(self.n_data)
         ]
@@ -243,12 +258,14 @@ class TaperField:
         for j, s in enumerate(sources):
             groups.setdefault(s, []).append(j)
         samples: dict[str, list[np.ndarray]] = {s: [] for s in groups}
+        root = math.sqrt(self._n_e - 1)
         for blk in iter_blocks(self._ens.n_params, block_width):
             corr = correlation_block(self._ens, self._pred, blk, self._pred_anoms)
-            t = standardize(corr, sampling_std(corr, self._n_e))
-            for s, cols in groups.items():
-                vals = t[:, cols].ravel()
-                samples[s].append(vals[np.isfinite(vals)])
+            for rows in _slabs(corr.shape):
+                t = _standardize(corr[rows], root)
+                for s, cols in groups.items():
+                    vals = t[:, cols].ravel()
+                    samples[s].append(vals[np.isfinite(vals)])
         t0_vec = np.empty(self.n_data)
         for s, cols in groups.items():
             pooled = np.concatenate(samples[s])
@@ -268,13 +285,11 @@ class TaperField:
             out = np.empty((len(coords), self.n_data))
         else:
             out = correlation_block(self._ens, self._pred, blk, self._pred_anoms)
-        slab = max(1, TAPER_SLAB_ENTRIES // max(1, self.n_data))
-        for lo in range(0, out.shape[0], slab):
-            rows = slice(lo, lo + slab)
+        for rows in _slabs(out.shape):
             if distance:
                 out[rows] = self._distance_taper(coords[rows])
             else:
-                out[rows] = self._correlation_taper(out[rows])
+                self._kernel(out[rows])
         return out
 
     def _distance_taper(self, coords: np.ndarray) -> np.ndarray:
@@ -284,12 +299,123 @@ class TaperField:
             dx, dy, self.spec.len_major, self.spec.len_minor, self.spec.angle_deg
         )
 
-    def _correlation_taper(self, corr: np.ndarray) -> np.ndarray:
-        undefined = np.isnan(corr)
-        stats = CorrelationStats.from_rho(np.where(undefined, 0.0, corr), self._n_e)
-        r = np.asarray(evaluate_taper(self.spec, stats, self._t0), dtype=float)
-        r[undefined] = 0.0
-        return r
+
+def _slabs(shape: tuple[int, int]) -> Iterator[slice]:
+    """Consecutive row slices of a block, TAPER_SLAB_ENTRIES entries each."""
+    step = max(1, TAPER_SLAB_ENTRIES // max(1, shape[1]))
+    for lo in range(0, shape[0], step):
+        yield slice(lo, lo + step)
+
+
+def _sampling_std(rho: np.ndarray, root: float) -> np.ndarray:
+    """sigma = (1 - rho^2) / root, root = sqrt(n_e - 1), as sampling_std computes it."""
+    sigma = np.square(rho)  # rho * rho, without the two-operand loop
+    np.subtract(1.0, sigma, out=sigma)
+    sigma /= root
+    return sigma
+
+
+def _standardize(rho: np.ndarray, root: float) -> np.ndarray:
+    """rho -> t = |rho| / sigma in place, as CorrelationStats.from_rho.
+
+    t = inf where |rho| = 1, and NaN stays NaN. Returns rho, now holding t.
+    """
+    sigma = _sampling_std(rho, root)
+    np.abs(rho, out=rho)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho /= sigma
+    return rho
+
+
+def _taper_kernel(
+    spec: TaperSpec, n_e: int, t0: float | np.ndarray | None
+) -> Callable[[np.ndarray], None]:
+    """In-place map of a correlation slab to taper coefficients for spec.
+
+    Each family repeats, in place and in the same order, the numpy
+    operations of CorrelationStats.from_rho followed by evaluate_taper, so
+    the coefficients are bit-identical to theirs; undefined (NaN) pairs map
+    to 0. Correlations must lie in [-1, 1], as correlation_block clips them.
+    The public taper checks spec, t0 and n_e here, once per field.
+    """
+    evaluate_taper(spec, CorrelationStats.from_rho(0.0, n_e), t0)
+    root = math.sqrt(n_e - 1)
+
+    if isinstance(spec, (Mse, PowerLaw)):
+        # MSE is the power law with beta = 2, t0 = 1; u**2 is u*u exactly
+        beta = 2.0 if isinstance(spec, Mse) else spec.beta
+        t0_beta = 1.0 if isinstance(spec, Mse) else np.asarray(t0, dtype=float) ** beta
+
+        def family(r: np.ndarray) -> None:
+            u = _standardize(r, root)
+            u **= beta
+            inf = np.isinf(u)
+            u /= u + t0_beta
+            np.copyto(u, 1.0, where=inf)
+
+    elif isinstance(spec, Logistic):
+        gamma, t0_gamma = spec.gamma, np.asarray(t0, dtype=float) ** spec.gamma
+        minus_c = -logistic_steepness(spec.gamma, t0, spec.epsilon)
+
+        def family(r: np.ndarray) -> None:
+            arg = _standardize(r, root)
+            arg **= gamma
+            arg -= t0_gamma
+            arg *= minus_c  # -arg: negation commutes with rounding
+            np.copyto(arg, -np.inf, where=np.isnan(arg))  # inf - inf counts as +inf
+            np.exp(arg, out=arg)
+            arg += 1.0
+            np.divide(1.0, arg, out=arg)
+
+    elif isinstance(spec, Discrepancy):
+        eta = spec.eta
+
+        def family(r: np.ndarray) -> None:
+            t = _standardize(r, root)
+            np.divide(eta, t, out=t)  # t = 0 gives 1 - inf, clipped to 0 below
+            np.subtract(1.0, t, out=t)
+            np.maximum(t, 0.0, out=t)
+
+    elif isinstance(spec, Cgc):
+        def family(r: np.ndarray) -> None:
+            if spec.theta is None:  # theta = sigma
+                denom = _sampling_std(r, root)
+                np.subtract(1.0, denom, out=denom)
+            else:
+                denom = 1.0 - spec.theta
+            np.abs(r, out=r)
+            np.minimum(r, 1.0, out=r)
+            np.subtract(1.0, r, out=r)
+            r /= denom
+            r[...] = gaspari_cohn(r)
+
+    elif isinstance(spec, Po):
+        def family(r: np.ndarray) -> None:
+            r *= r
+            r /= r + (1.0 + r) / n_e
+
+    elif isinstance(spec, Mpo):
+        sqrt_n_e = math.sqrt(n_e)
+
+        def family(r: np.ndarray) -> None:
+            below = np.abs(r) * sqrt_n_e <= 1.0
+            r *= r
+            np.divide(1.0, r, out=r)
+            np.subtract(n_e, r, out=r)
+            r /= n_e + 1.0
+            np.maximum(r, 0.0, out=r)
+            np.copyto(r, 0.0, where=below)
+
+    else:
+        raise TypeError(f"no correlation kernel for taper spec {spec!r}")
+
+    def kernel(slab: np.ndarray) -> None:
+        undefined = np.isnan(slab)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            family(slab)
+        np.copyto(slab, 0.0, where=undefined)
+
+    return kernel
 
 
 def make_taper_field(

@@ -66,3 +66,31 @@ def pairwise_grf_correlation(prior):
     yr = -dx * math.sin(a) + dy * math.cos(a)
     h = np.sqrt((xr / prior.range_major) ** 2 + (yr / prior.range_minor) ** 2)
     return np.exp(-3.0 * h) if prior.kind == "exponential" else np.exp(-3.0 * h * h)
+
+
+def correlation_taper(spec, rho, n_e, t0=None):
+    """Taper coefficients of a correlation array through the public tapers.
+
+    CorrelationStats.from_rho then evaluate_taper, with undefined (NaN)
+    correlations evaluated at 0 and their coefficients set to 0.
+    """
+    from enloc.tapers import CorrelationStats, evaluate_taper
+
+    undefined = np.isnan(rho)
+    stats = CorrelationStats.from_rho(np.where(undefined, 0.0, rho), n_e)
+    r = np.asarray(evaluate_taper(spec, stats, t0), dtype=float)
+    r[undefined] = 0.0
+    return r
+
+
+def per_layer_grid_prior(model, poro_prior, logk_prior, count, seed):
+    """Grid prior values drawn with one sample_grf call per field and layer."""
+    from enloc.models import sample_grf
+
+    layer_seeds = np.random.SeedSequence(seed).generate_state(2 * model.n_layers)
+    blocks = []
+    for f, prior in enumerate((poro_prior, logk_prior)):
+        for k in range(model.n_layers):
+            seed_k = int(layer_seeds[f * model.n_layers + k])
+            blocks.append(sample_grf(prior, count, seed_k).values)
+    return np.vstack(blocks)

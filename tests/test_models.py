@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import pairwise_grf_correlation
+from oracles import pairwise_grf_correlation, per_layer_grid_prior
 
 from enloc import models as md
 from enloc.errors import ForwardModelError
@@ -283,6 +283,74 @@ def test_grid_prior_composition():
     assert abs(c[0, 1]) < 0.9
     again = md.sample_grid_prior(proxy, poro, logk, 12, 31)
     assert np.array_equal(ens.values, again.values)
+
+
+# Two geometries, so both factor cache entries are in use. The one-product
+# draw equals the per-layer draws where the BLAS rounds each column of a
+# product independently of the product's width. OpenBLAS on x86-64 does not
+# for the trailing columns of products wider than 192 columns (3 layers of
+# 100 members on 60 x 60 cells differ in the last bit), nor on some grids
+# under 20 x 20 cells; the counts below stay at the truth draw's 2 members
+# and at small ensembles on 30 x 30 cells.
+_POROSITY = md.GrfPrior(nx=30, ny=30, range_major=12, range_minor=6, angle_deg=30,
+                        mean=0.2, std=0.05)
+_LOG_PERM = md.GrfPrior(nx=30, ny=30, kind="gaussian", range_major=8, range_minor=8,
+                        mean=0.0, std=0.7)
+
+
+@pytest.mark.parametrize("count", [2, 12])
+@pytest.mark.parametrize("n_layers", [1, 3])
+def test_grf_seed_sequence_stacks_layer_draws(n_layers, count):
+    md._correlation_factor.cache_clear()
+    seeds = [11 + 7 * k for k in range(n_layers)]
+    for prior in (_POROSITY, _LOG_PERM):
+        ens = md.sample_grf(prior, count, seeds)
+        layers = [md.sample_grf(prior, count, s) for s in seeds]
+        assert np.array_equal(ens.values, np.vstack([e.values for e in layers]))
+        assert ens.names[:2] == ["c_0_0_0", "c_1_0_0"]
+        assert ens.names[-1] == f"c_29_29_{n_layers - 1}"
+        assert np.array_equal(ens.coords[:, :2], np.vstack([e.coords[:, :2] for e in layers]))
+        assert np.array_equal(ens.coords[:, 2], np.repeat(np.arange(n_layers), 900))
+    assert md._correlation_factor.cache_info().currsize == 2
+
+
+@pytest.mark.parametrize("count", [2, 12])
+@pytest.mark.parametrize("n_layers", [1, 3])
+def test_grid_prior_equals_per_layer_oracle(n_layers, count):
+    proxy = md.GridFlowProxy(nx=30, ny=30, n_layers=n_layers, prod_grid=2, n_times=4)
+    ens = md.sample_grid_prior(proxy, _POROSITY, _LOG_PERM, count, 31)
+    oracle = per_layer_grid_prior(proxy, _POROSITY, _LOG_PERM, count, 31)
+    assert np.array_equal(ens.values, oracle)
+
+
+def test_grf_seed_sequence_rounding():
+    """Where the BLAS rounds by product width, layers still agree to rounding."""
+    prior = md.GrfPrior(nx=9, ny=9, range_major=4, range_minor=2)
+    ens = md.sample_grf(prior, 3, [1, 2, 3])
+    stacked = np.vstack([md.sample_grf(prior, 3, s).values for s in (1, 2, 3)])
+    assert np.allclose(ens.values, stacked, rtol=1e-13, atol=1e-13)
+
+
+def test_grid_labels_built_once():
+    proxy = md.GridFlowProxy(nx=10, ny=8, n_layers=2, prod_grid=2, n_times=4)
+    names = proxy.param_names
+    expected = [
+        f"{field}_{i}_{j}_{k}"
+        for field in ("poro", "logk")
+        for k in range(2)
+        for j in range(8)
+        for i in range(10)
+    ]
+    assert names == expected
+    names[0] = "edited"
+    assert proxy.param_names == expected  # each call hands out a new list
+    coords = proxy.coords
+    assert coords is proxy.coords and not coords.flags.writeable
+    ijk = np.array([(i, j, k) for k in range(2) for j in range(8) for i in range(10)])
+    assert np.array_equal(coords, np.vstack([ijk, ijk]))
+    ens = md.sample_grid_prior(proxy, md.GrfPrior(nx=10, ny=8), md.GrfPrior(nx=10, ny=8), 3, 1)
+    ens.names[0] = "edited"
+    assert proxy.param_names == expected
 
 
 def test_grf_rejects_oversized_grid():

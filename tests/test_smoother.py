@@ -12,6 +12,7 @@ from enloc.ensemble import (
     Ensemble,
     PredictedEnsemble,
     RowBlock,
+    correlation_block,
     ensemble_variance_per_row,
     iter_blocks,
 )
@@ -25,7 +26,7 @@ from enloc.models import (
     ScalarToyModel,
     sample_grid_prior,
 )
-from enloc.significance import PercentileT0
+from enloc.significance import PercentileT0, adaptive_t0
 
 
 def _obs(nd=1, value=1.0, std=1.0):
@@ -390,6 +391,27 @@ def test_taper_block_same_in_any_slab(monkeypatch, problem, spec, t0_strategy):
     monkeypatch.setattr(sm, "TAPER_SLAB_ENTRIES", 5 * model.n_data)
     assert prior.n_params % 5  # the last slab of five rows is partial
     assert np.array_equal(field.block(blk), whole)
+
+
+def test_percentile_t0_equals_whole_block_oracle(monkeypatch):
+    """Slab-wise t pools the same values as standardizing the whole matrix."""
+    rng = np.random.default_rng(12)
+    values = rng.standard_normal((50, 40))
+    data = rng.standard_normal((6, 40))
+    data[3] = 0.7  # constant data row: undefined correlations stay out of the pool
+    values[7] = data[1]
+    values[9] = 0.2  # constant parameter row
+    ens = Ensemble(values=values)
+    pred = PredictedEnsemble(values=data, meta=[DatumMeta(source=f"w{j // 3}") for j in range(6)])
+    monkeypatch.setattr(sm, "TAPER_SLAB_ENTRIES", 4 * 6)  # partial last slab of each block
+    field = sm.TaperField(tp.Logistic(1.5), ens, pred, PercentileT0(0.9), block_width=16)
+    corr = correlation_block(ens, pred, RowBlock(0, 50))
+    t = tp.standardize(corr, tp.sampling_std(corr, 40))
+    expected = np.empty(6)
+    for cols in ([0, 1, 2], [3, 4, 5]):
+        pool = t[:, cols].ravel()
+        expected[cols] = adaptive_t0(pool[np.isfinite(pool)], 0.9)
+    assert np.array_equal(field._t0, expected)
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,20 @@
 """Randomized invariant sweeps over the taper families.
 
-Seeded vectorized sampling stands in for a property-testing framework:
-each invariant is checked on thousands of random parameter combinations
-in a single numpy pass.
+The invariants of the public tapers are swept over thousands of seeded
+random parameter combinations. A hypothesis property test checks that the
+in-place kernel TaperField evaluates for each family is bit-identical to
+the public tapers, at the edges of their domains.
 """
 
-import numpy as np
+import math
 
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from oracles import correlation_taper
+
+from enloc import smoother as sm
 from enloc import tapers as tp
 
 N_CASES = 2000
@@ -131,3 +139,52 @@ def test_even_in_rho():
         ):
             assert tp.evaluate_taper(spec, stats_p) == tp.evaluate_taper(spec, stats_m)
         assert tp.taper_cgc(rho[i], theta[i]) == tp.taper_cgc(-rho[i], theta[i])
+
+
+# Correlations at the edges: t = inf at |rho| = 1, t = 0 at zero, t near
+# its largest finite value next to 1. Below |rho| = 1e-300, eta / t
+# overflows in the public discrepancy taper, and below t0 = 1e-25, t0^beta
+# underflows and the public power taper returns NaN at t = 0, so the
+# oracle's domain stops there.
+_EDGES = [-1.0, 1.0, 0.0, -0.0, math.nextafter(1.0, 0.0), -1e-300]
+_RHO = st.sampled_from(_EDGES) | st.floats(-1.0, 1.0).filter(
+    lambda x: x == 0.0 or abs(x) >= 1e-300
+)
+_T0 = st.sampled_from([1e-25, 1e-3]) | st.floats(1e-25, 1e3)
+_SPECS = st.one_of(
+    st.just(tp.Mse()),
+    st.builds(tp.PowerLaw, beta=st.just(2.0) | st.floats(2.0, 12.0)),
+    st.builds(
+        tp.Logistic,
+        gamma=st.just(2.0) | st.floats(0.01, 2.0),
+        epsilon=st.sampled_from([0.01, 0.5 - 1e-9, math.nextafter(0.5, 0.0)])
+        | st.floats(1e-9, 0.5, exclude_max=True),
+    ),
+    st.builds(tp.Discrepancy, eta=st.floats(1e-3, 10.0)),
+    st.builds(tp.Cgc, theta=st.none() | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    st.just(tp.Po()),
+    st.just(tp.Mpo()),
+)
+
+
+@st.composite
+def _slabs(draw):
+    """(spec, n_e, rho, t0): a correlation slab with NaN rows and columns."""
+    spec = draw(_SPECS)
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 7))
+    rho = draw(hnp.arrays(float, (rows, cols), elements=_RHO))
+    rho[draw(st.lists(st.integers(0, rows - 1), max_size=2)), :] = np.nan
+    rho[:, draw(st.lists(st.integers(0, cols - 1), max_size=2))] = np.nan
+    t0 = None
+    if isinstance(spec, (tp.PowerLaw, tp.Logistic)):
+        t0 = draw(_T0 | hnp.arrays(float, cols, elements=_T0))  # scalar or per datum
+    return spec, draw(st.just(3) | st.integers(3, 5000)), rho, t0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_slabs())
+def test_taper_kernel_equals_public_tapers(case):
+    spec, n_e, rho, t0 = case
+    got = rho.copy()
+    sm._taper_kernel(spec, n_e, t0)(got)
+    assert np.array_equal(got, correlation_taper(spec, rho, n_e, t0))
