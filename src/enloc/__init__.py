@@ -32,7 +32,6 @@ from .errors import (
 from .harness import (
     ExperimentConfig,
     ExperimentReport,
-    LocalizationSetting,
     load_config,
     run_experiment,
     sweep_ensemble_size,

@@ -71,13 +71,6 @@ class Ensemble:
     def n_members(self) -> int:
         return self.values.shape[1]
 
-    def copy(self) -> "Ensemble":
-        return Ensemble(
-            values=self.values.copy(),
-            names=None if self.names is None else list(self.names),
-            coords=None if self.coords is None else self.coords.copy(),
-        )
-
 
 @dataclass(frozen=True)
 class DatumMeta:

@@ -54,11 +54,10 @@ from .smoother import (
     StepDiagnostics,
     run_esmda,
 )
-from .tapers import Logistic, PowerLaw, TaperSpec, format_taper, parse_taper
+from .tapers import format_taper, parse_taper
 
 __all__ = [
     "ExperimentConfig",
-    "LocalizationSetting",
     "ExperimentReport",
     "RunResult",
     "load_config",
@@ -78,19 +77,7 @@ MAX_SCHEDULE_STEPS = 1000
 AGGREGATE_METRICS = ("obj_mean", "nv", "nv_dummy", "mean_offset", "n_eff", "chi")
 
 
-@dataclass(frozen=True)
-class LocalizationSetting:
-    """One localization column of the experiment matrix."""
-
-    name: str
-    spec: TaperSpec | None  # None = no localization
-    t0_strategy: significance.T0Strategy | None = None
-
-    def policy(self) -> LocalizationPolicy:
-        return LocalizationPolicy(spec=self.spec, t0_strategy=self.t0_strategy)
-
-
-_REFERENCE = LocalizationSetting(name="reference", spec=None)  # large-ensemble run
+_REFERENCE = {"reference": LocalizationPolicy(spec=None)}  # the large-ensemble run
 
 # Integer fields of ExperimentConfig: their config key and least accepted value
 _CONFIG_INTS = {
@@ -105,12 +92,13 @@ _CONFIG_INTS = {
 @dataclass
 class ExperimentConfig:
     """One experiment. Construction, dataclasses.replace included, checks the
-    integer fields and the reference block (seed default: base_seed - 1)."""
+    integer fields and the reference block (seed default: base_seed - 1).
+    localization maps each setting's name to its policy, in config order."""
 
     model: dict[str, Any]
     prior: dict[str, Any]
     observation: dict[str, Any]
-    localization: list[LocalizationSetting]
+    localization: dict[str, LocalizationPolicy]
     ensemble_size: int = 100
     schedule: MdaSchedule = field(default_factory=lambda: MdaSchedule.uniform(4))
     run_count: int = 1
@@ -221,7 +209,7 @@ def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
             settings.append(_parse_localization(entry))
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"bad localization entry {entry!r}: {exc}") from exc
-    names = [s.name for s in settings]
+    names = [name for name, _policy in settings]
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate localization names: {names}")
     if "reference" in names:
@@ -252,7 +240,7 @@ def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
         model=model,
         prior=prior,
         observation=observation,
-        localization=settings,
+        localization=dict(settings),
         ensemble_size=raw.get("ensemble_size", 100),
         schedule=schedule,
         run_count=runs_raw.get("count", 1),
@@ -286,7 +274,7 @@ def _config_int(value: Any, key: str, minimum: int) -> int:
     return out
 
 
-def _parse_localization(entry: Any) -> LocalizationSetting:
+def _parse_localization(entry: Any) -> tuple[str, LocalizationPolicy]:
     if isinstance(entry, str):
         entry = {"taper": entry}
     taper_text = str(entry["taper"]).strip()
@@ -294,15 +282,14 @@ def _parse_localization(entry: Any) -> LocalizationSetting:
     strategy = None
     if "t0" in entry and entry["t0"] is not None:
         strategy = significance.parse_t0_strategy(str(entry["t0"]))
-        if not isinstance(spec, (PowerLaw, Logistic)) or spec.t0 is not None:
-            raise ConfigError("a t0 strategy needs a power or logistic taper with no t0 of its own")
+    policy = LocalizationPolicy(spec=spec, t0_strategy=strategy)
     name = entry.get("name")
     if not name:
         name = "none" if spec is None else format_taper(spec).split(":")[0]
         if strategy is not None:
             suffix = significance.format_t0_strategy(strategy)
             name = f"{name}_{suffix}".replace(":", "-").replace("=", "-")
-    return LocalizationSetting(name=str(name), spec=spec, t0_strategy=strategy)
+    return str(name), policy
 
 
 # --- model / prior / observation builders ---
@@ -406,7 +393,7 @@ def _run_seed(
     sampler: Callable[[int, int], Ensemble],
     obs: ObservationSet,
     out: Path,
-    settings: Sequence[LocalizationSetting],
+    settings: dict[str, LocalizationPolicy],
     run_index: int,
     n_members: int,
     seed: int,
@@ -418,9 +405,9 @@ def _run_seed(
     try:
         prior = sampler(n_members, seed)
     except (EnlocError, ValueError) as exc:
-        return [RunResult(s.name, run_index, f"failed: {exc}", None) for s in settings]
+        return [RunResult(name, run_index, f"failed: {exc}", None) for name in settings]
     prior.values.flags.writeable = False  # shared by the settings: a write raises
-    return [_run_one(cfg, model, prior, obs, out, s, run_index, seed) for s in settings]
+    return [_run_one(cfg, model, prior, obs, out, *s, run_index, seed) for s in settings.items()]
 
 
 def _run_one(
@@ -429,7 +416,8 @@ def _run_one(
     prior: Ensemble,
     obs: ObservationSet,
     out: Path,
-    setting: LocalizationSetting,
+    name: str,
+    policy: LocalizationPolicy,
     run_index: int,
     seed: int,
 ) -> RunResult:
@@ -441,20 +429,20 @@ def _run_one(
             model,
             obs,
             cfg.schedule,
-            setting.policy(),
+            policy,
             RunSeed(seed),
             cfg.block_width,
         )
         report = _final_report(model, prior, result)
     except (EnlocError, ValueError) as exc:  # ValueError covers LinAlgError
-        return RunResult(setting.name, run_index, f"failed: {exc}", None)
-    run_dir = out / "runs" / setting.name / f"run{run_index}"
+        return RunResult(name, run_index, f"failed: {exc}", None)
+    run_dir = out / "runs" / name / f"run{run_index}"
     run_dir.mkdir(parents=True, exist_ok=True)
-    rows = [[step, name, repr(value)] for d in result.diagnostics for step, name, value in d.rows()]
+    rows = [[step, metric, repr(v)] for d in result.diagnostics for step, metric, v in d.rows()]
     _write_csv(run_dir / "diagnostics.csv", ["step", "metric", "value"], rows)
     if cfg.save_posterior:
         write_ensemble_csv(result.posterior, run_dir / "posterior.csv")
-    return RunResult(setting.name, run_index, "ok", report, result.diagnostics, result.nv_rows)
+    return RunResult(name, run_index, "ok", report, result.diagnostics, result.nv_rows)
 
 
 def _final_report(
@@ -504,7 +492,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     ]
     if cfg.reference:
         seed = cfg.reference.get("seed", cfg.base_seed - 1)
-        jobs.append(([_REFERENCE], 0, cfg.reference["ensemble_size"], seed))
+        jobs.append((_REFERENCE, 0, cfg.reference["ensemble_size"], seed))
 
     def run(job) -> list[RunResult]:
         return _run_seed(cfg, model, sampler, obs, out, *job)

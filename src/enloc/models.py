@@ -48,6 +48,12 @@ __all__ = [
 
 MAX_DENSE_CELLS = 20_000  # dense-Cholesky ceiling for random-field sampling
 
+# ScalarToyModel's random-feature map: hidden width, and the scales of the
+# input weights and biases and of the output weights
+TOY_N_FEATURES = 48
+TOY_INPUT_SCALE = 0.5
+TOY_OUTPUT_SCALE = 2.0
+
 
 class ForwardModel(ABC):
     """Deterministic map from a parameter vector to a data vector."""
@@ -119,8 +125,10 @@ class ScalarToyModel(ForwardModel):
 
         d = V tanh(W m_active + b)
 
-    so the final n_dummy parameters have exactly zero influence. Data are
-    organized as n_series sources ("wells") with n_times points each.
+    with TOY_N_FEATURES hidden features, W and b of scale TOY_INPUT_SCALE
+    and V of scale TOY_OUTPUT_SCALE, so the final n_dummy parameters have
+    exactly zero influence. Data are organized as n_series sources
+    ("wells") with n_times points each.
     """
 
     def __init__(
@@ -130,9 +138,6 @@ class ScalarToyModel(ForwardModel):
         n_series: int = 6,
         n_times: int = 50,
         structure_seed: int = 0,
-        n_features: int = 48,
-        input_scale: float = 0.5,
-        output_scale: float = 2.0,
     ):
         if n_active < 1 or n_dummy < 0:
             raise ValueError("need n_active >= 1 and n_dummy >= 0")
@@ -142,12 +147,12 @@ class ScalarToyModel(ForwardModel):
         self.n_times = n_times
         rng = np.random.default_rng(structure_seed)
         nd = n_series * n_times
-        self._W = rng.standard_normal((n_features, n_active)) * (
-            input_scale / math.sqrt(n_active)
+        self._W = rng.standard_normal((TOY_N_FEATURES, n_active)) * (
+            TOY_INPUT_SCALE / math.sqrt(n_active)
         )
-        self._b = rng.standard_normal(n_features) * input_scale
-        self._V = rng.standard_normal((nd, n_features)) * (
-            output_scale / math.sqrt(n_features)
+        self._b = rng.standard_normal(TOY_N_FEATURES) * TOY_INPUT_SCALE
+        self._V = rng.standard_normal((nd, TOY_N_FEATURES)) * (
+            TOY_OUTPUT_SCALE / math.sqrt(TOY_N_FEATURES)
         )
         self.datum_meta = [
             DatumMeta(source=f"w{s + 1}", kind="resp", time=t)
@@ -224,8 +229,8 @@ class GridFlowProxy(ForwardModel):
 
     Producer water cut at report time t averages a logistic ramp
     1/(1 + exp(-(t - t_bt)/ramp_width)) over its corridors and layers.
-    Injector water rate is q_nom * sum of corridor T, scaled by the fixed
-    ramp (1 + 0.2 t / t_end). Responses therefore touch corridor cells
+    Injector water rate is the sum of corridor T, scaled by the fixed ramp
+    (1 + 0.2 t / t_end). Responses therefore touch corridor cells
     only, which defines the exact per-datum sensitivity masks.
     """
 
@@ -238,7 +243,6 @@ class GridFlowProxy(ForwardModel):
         n_times: int = 24,
         t_ref: float = 4.0,
         ramp_width: float = 2.0,
-        q_nom: float = 1.0,
     ):
         if nx < 8 or ny < 8 or n_layers < 1 or prod_grid < 2:
             raise ValueError("grid too small for a five-spot layout")
@@ -246,7 +250,6 @@ class GridFlowProxy(ForwardModel):
         self.n_times = n_times
         self.t_ref = t_ref
         self.ramp_width = ramp_width
-        self.q_nom = q_nom
         self.times = np.arange(1, n_times + 1, dtype=float)
         self.t_end = float(n_times)
 
@@ -375,7 +378,7 @@ class GridFlowProxy(ForwardModel):
             ramp = 1.0 / (1.0 + np.exp(-(t - t_bt[:, None, :]) / self.ramp_width))
             wct[ip] += ramp.sum(axis=0) / self.n_layers
             corridors_per_prod[ip] += 1
-            rate[ii] += self.q_nom * trans.sum(axis=0)[None, :] * (
+            rate[ii] += trans.sum(axis=0)[None, :] * (
                 1.0 + 0.2 * self.times[:, None] / self.t_end
             )
 

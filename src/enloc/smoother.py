@@ -15,17 +15,15 @@ factored and solved once per step. A gain block is then the product of
 its centered parameter rows with W; gain entries are produced in
 parameter-row blocks, so K is never materialized in full. Without
 localization there is no taper and the same loop skips the product with R.
-Taper coefficients are computed from the prior ensemble and kept frozen
-across steps by default, which is the supported production mode; per-step
-recomputation exists for experiments. Within a run each taper block is
-evaluated once per taper field and kept, up to TAPER_CACHE_BYTES (32 MiB)
-of kept blocks per run in progress; blocks past that cap are recomputed on
-every read, and a block is evaluated in slabs of rows, so memory stays
-bounded however large R is. Each correlation family has an in-place kernel,
-picked and validated once per field, that maps a slab of correlations to
-taper values bit-identically to the public tapers. A field's footprint
-metrics are tallied from the blocks its first update reads, so no separate
-pass reads them.
+Taper coefficients are computed once per run, from the prior ensemble and
+its forecast, and kept frozen across steps. Each taper block is evaluated
+once and kept, up to TAPER_CACHE_BYTES (32 MiB) of kept blocks per run in
+progress; blocks past that cap are recomputed on every read, and a block
+is evaluated in slabs of rows, so memory stays bounded however large R is.
+Each correlation family has an in-place kernel, picked and validated once
+per field, that maps a slab of correlations to taper values bit-identically
+to the public tapers. The field's footprint metrics are tallied from the
+blocks the first update reads, so no separate pass reads them.
 """
 
 from __future__ import annotations
@@ -64,6 +62,7 @@ from .tapers import (
     evaluate_taper,
     gaspari_cohn,
     logistic_steepness,
+    power_of_t0,
     taper_distance,
 )
 
@@ -83,8 +82,7 @@ __all__ = [
     "run_esmda",
 ]
 
-# Bytes of taper blocks one run in progress keeps (the previous field's blocks
-# are dropped before a per-step field is rebuilt). A one-layer 60x60 grid
+# Bytes of taper blocks one run in progress keeps. A one-layer 60x60 grid
 # field (7200 x 312 float64, 18 MB) fits whole; the 8-layer field (144 MB)
 # keeps 13 of its 57 blocks of 1024 rows and recomputes the other 44, since
 # keeping all of it would add the whole field to a run's resident memory.
@@ -156,16 +154,20 @@ class ObservationSet:
 class LocalizationPolicy:
     """Which taper to apply and how its threshold is chosen.
 
-    spec=None disables localization (no taper is applied). freeze=True
-    (the supported production mode) computes tapers from the prior
-    ensemble only and reuses them at every step; freeze=False rebuilds the
-    field from each step's forecast ensemble. Either way run_esmda evaluates
-    a taper block once per field and keeps it within TAPER_CACHE_BYTES.
+    spec=None disables localization (no taper is applied). run_esmda builds
+    the taper field once, from the prior ensemble, and keeps it frozen
+    across steps. A t0_strategy needs a power-law or logistic spec with no
+    t0 of its own; any other combination raises ValueError.
     """
 
     spec: TaperSpec | None
     t0_strategy: significance.T0Strategy | None = None
-    freeze: bool = True
+
+    def __post_init__(self):
+        if self.t0_strategy is not None and (
+            not isinstance(self.spec, (PowerLaw, Logistic)) or self.spec.t0 is not None
+        ):
+            raise ValueError("a t0 strategy needs a power or logistic taper with no t0 of its own")
 
 
 @dataclass(frozen=True)
@@ -344,7 +346,7 @@ def _taper_kernel(
     if isinstance(spec, (Mse, PowerLaw)):
         # MSE is the power law with beta = 2, t0 = 1; u**2 is u*u exactly
         beta = 2.0 if isinstance(spec, Mse) else spec.beta
-        t0_beta = 1.0 if isinstance(spec, Mse) else np.asarray(t0, dtype=float) ** beta
+        t0_beta = 1.0 if isinstance(spec, Mse) else power_of_t0(t0, beta)
 
         def family(r: np.ndarray) -> None:
             u = _standardize(r, root)
@@ -354,7 +356,7 @@ def _taper_kernel(
             np.copyto(u, 1.0, where=inf)
 
     elif isinstance(spec, Logistic):
-        gamma, t0_gamma = spec.gamma, np.asarray(t0, dtype=float) ** spec.gamma
+        gamma, t0_gamma = spec.gamma, power_of_t0(t0, spec.gamma)
         minus_c = -logistic_steepness(spec.gamma, t0, spec.epsilon)
 
         def family(r: np.ndarray) -> None:
@@ -636,33 +638,29 @@ def run_esmda(
 ) -> EsmdaResult:
     """Run the full multi-step assimilation.
 
-    Per step: forward-evaluate all members, (re)build the taper field
-    (first step only when frozen), perturb the observations, update
-    blockwise, record diagnostics. A final forward evaluation after the
+    Per step: forward-evaluate all members, perturb the observations,
+    update blockwise, record diagnostics. Step 1 also takes the prior's row
+    variance and builds the one taper field of the run from the prior and
+    its forecast; later steps reuse it. A final forward evaluation after the
     last update provides the posterior diagnostics entry.
 
-    The updates read a taper block evaluated once per field and kept while
-    the kept bytes fit TAPER_CACHE_BYTES; later blocks are recomputed on
-    every read. A field's footprint (n_eff and histogram) is tallied from
-    the blocks its first update reads, so no separate pass reads them. A
-    per-step field's kept blocks are dropped before the next field is
-    built, so one run holds at most TAPER_CACHE_BYTES of them at a time;
-    runs in flight together each hold their own. The fields and their kept
-    blocks are dropped on return. The prior is not modified (it may be
-    read-only).
+    The updates read a taper block evaluated once and kept while the kept
+    bytes fit TAPER_CACHE_BYTES; later blocks are recomputed on every read.
+    The field's footprint (n_eff and histogram) is tallied from the blocks
+    the first update reads, so no separate pass reads them. Runs in flight
+    together each keep their own blocks. The field and its kept blocks are
+    dropped on return. The prior is not modified (it may be read-only).
 
-    The prior's row variance is taken once per run, and a prior row with
-    zero variance fails the run. Each forecast's NV is the mean of its row
-    variances over the prior's; the result keeps the final forecast's
-    per-row ratios (nv_rows), not those of every step. A failure inside
-    step k raises AssimilationError("step k: <cause>"); the final forecast
-    counts as step n_steps + 1.
+    A prior row with zero variance fails step 1. Each forecast's NV is the
+    mean of its row variances over the prior's; the result keeps the final
+    forecast's per-row ratios (nv_rows), not those of every step. A failure
+    inside step k raises AssimilationError("step k: <cause>"); the final
+    forecast counts as step n_steps + 1.
     """
     if obs.n_data != model.n_data:
         raise ValueError("observation set size does not match the model")
-    prior_var = metrics._prior_variance(prior)
     ens = prior
-    taper_rows = footprint = None
+    prior_var = taper_rows = footprint = None
     diagnostics: list[StepDiagnostics] = []
 
     for step, alpha in enumerate(schedule.alphas, start=1):
@@ -670,18 +668,17 @@ def run_esmda(
             pred = PredictedEnsemble(
                 values=evaluate_members(model, ens.values), meta=model.datum_meta
             )
-            nv_rows = metrics._variance_ratios(prior_var, ens)
-            tally = None
-            if step == 1 or not policy.freeze:
-                taper_rows = None  # drop the last field and its kept blocks first
+            if step == 1:  # the prior's row variance and the run's one taper field
+                prior_var = metrics._prior_variance(prior)
                 taper_rows = _kept_blocks(make_taper_field(policy, ens, pred, block_width))
                 tally = metrics.FootprintTally(taper_rows, ens.n_params, obs.n_data)
+            nv_rows = metrics._variance_ratios(prior_var, ens)
             perturbed = perturb_observations(obs, alpha, seed, step, ens.n_members)
             updated = localized_update_step(
-                ens, pred, obs, alpha, taper_rows if tally is None else tally.rows,
+                ens, pred, obs, alpha, tally.rows if step == 1 else taper_rows,
                 perturbed, block_width,
             )
-            if tally is not None:
+            if step == 1:
                 footprint = tally.result()
             diagnostics.append(_diagnostics(step, alpha, pred, obs, nv_rows, footprint))
             ens = updated

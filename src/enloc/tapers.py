@@ -104,16 +104,29 @@ def taper_power(t, beta: float, t0):
     _check_t0(t0)
     tt = np.asarray(t, dtype=float)
     _check_nonneg(tt, "t")
-    t0a = np.asarray(t0, dtype=float)
+    t0_beta = power_of_t0(t0, beta)
     with np.errstate(invalid="ignore", over="ignore"):
         u = tt**beta
-        r = np.where(np.isinf(u), 1.0, u / (u + t0a**beta))
+        r = np.where(np.isinf(u), 1.0, u / (u + t0_beta))
     return r[()] if r.ndim == 0 else r
 
 
+def power_of_t0(t0, exponent: float) -> np.ndarray:
+    """t0^exponent; raises ValueError where it underflows to 0 (r(0) = 0/0)."""
+    t0 = np.asarray(t0, dtype=float)
+    with np.errstate(over="ignore"):
+        out = t0**exponent
+    _reject_t0(t0, out == 0.0, f"t0^{exponent:g} underflows to 0")
+    return out
+
+
 def logistic_steepness(gamma: float, t0, epsilon: float):
-    """Steepness c = ln((1 - eps)/eps) / t0^gamma enforcing r(0) = eps."""
-    return math.log((1.0 - epsilon) / epsilon) / np.asarray(t0, dtype=float) ** gamma
+    """Steepness c = ln((1 - eps)/eps) / t0^gamma enforcing r(0) = eps; c must be finite."""
+    t0 = np.asarray(t0, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        c = math.log((1.0 - epsilon) / epsilon) / t0**gamma
+    _reject_t0(t0, ~np.isfinite(c), f"logistic steepness is not finite for gamma = {gamma:g}")
+    return c
 
 
 def taper_logistic(t, gamma: float, t0, epsilon: float = 0.01):
@@ -159,7 +172,7 @@ def taper_discrepancy(t, eta: float):
         raise ValueError(f"eta must be > 0, got {eta}")
     tt = np.asarray(t, dtype=float)
     _check_nonneg(tt, "t")
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # eta/t overflows for subnormal t
         r = np.where(tt > 0.0, 1.0 - eta / np.where(tt > 0.0, tt, 1.0), 0.0)
     r = np.maximum(r, 0.0)
     return r[()] if r.ndim == 0 else r
@@ -499,3 +512,8 @@ def _check_nonneg(arr: np.ndarray, name: str) -> None:
 def _check_t0(t0) -> None:
     if np.any(np.asarray(t0, dtype=float) <= 0.0):
         raise ValueError("t0 must be > 0")
+
+
+def _reject_t0(t0: np.ndarray, bad: np.ndarray, why: str) -> None:
+    if np.any(bad):
+        raise ValueError(f"t0 = {float(t0[bad].flat[0])!r} too small: {why}")

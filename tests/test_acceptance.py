@@ -284,12 +284,11 @@ def locality_experiment(tmp_path_factory):
 
     # each run's frozen field, rebuilt from (config, run seed) as run_esmda builds it
     sampler = build_prior_sampler(cfg, model)
-    policies = {s.name: s.policy() for s in cfg.localization}
     fractions: dict[str, dict[int, float]] = {"mse": {}, "logistic": {}}
     for r in range(cfg.run_count):
         prior = sampler(cfg.ensemble_size, cfg.base_seed + r)
         pred = PredictedEnsemble(evaluate_members(model, prior.values), meta=model.datum_meta)
-        for taper, policy in policies.items():
+        for taper, policy in cfg.localization.items():
             field = sm.make_taper_field(policy, prior, pred, cfg.block_width)
             fractions[taper][r] = outside_fraction(field)
     return report, fractions, elapsed

@@ -223,18 +223,18 @@ def test_config_parser_raises_only_config_error(top, nested, localization):
 
 
 def test_localization_parsing():
-    entry = hn._parse_localization({"taper": "power:beta=3", "t0": "p90"})
-    assert entry.name == "power_p90"
-    assert entry.t0_strategy == PercentileT0(0.9)
-    entry = hn._parse_localization({"taper": "logistic:gamma=1.5,t0=2"})
-    assert entry.name == "logistic" and entry.t0_strategy is None
-    entry = hn._parse_localization({"taper": "logistic:gamma=1.5", "t0": "student:phi=0.05"})
-    assert entry.t0_strategy == StudentT0(0.05)
-    entry = hn._parse_localization({"taper": "none"})
-    assert entry.spec is None and entry.name == "none"
-    entry = hn._parse_localization({"taper": "power:beta=3", "t0": "fixed:2", "name": "pw"})
-    assert entry.name == "pw" and entry.t0_strategy == FixedT0(2.0)
-    assert hn._parse_localization("mpo").name == "mpo"
+    name, policy = hn._parse_localization({"taper": "power:beta=3", "t0": "p90"})
+    assert name == "power_p90"
+    assert policy.t0_strategy == PercentileT0(0.9)
+    name, policy = hn._parse_localization({"taper": "logistic:gamma=1.5,t0=2"})
+    assert name == "logistic" and policy.t0_strategy is None
+    name, policy = hn._parse_localization({"taper": "logistic:gamma=1.5", "t0": "student:phi=0.05"})
+    assert policy.t0_strategy == StudentT0(0.05)
+    name, policy = hn._parse_localization({"taper": "none"})
+    assert policy.spec is None and name == "none"
+    name, policy = hn._parse_localization({"taper": "power:beta=3", "t0": "fixed:2", "name": "pw"})
+    assert name == "pw" and policy.t0_strategy == FixedT0(2.0)
+    assert hn._parse_localization("mpo")[0] == "mpo"
 
 
 def test_run_experiment_artifacts(tmp_path):

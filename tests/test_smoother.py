@@ -26,7 +26,7 @@ from enloc.models import (
     ScalarToyModel,
     sample_grid_prior,
 )
-from enloc.significance import PercentileT0, adaptive_t0
+from enloc.significance import FixedT0, PercentileT0, adaptive_t0
 
 
 def _obs(nd=1, value=1.0, std=1.0):
@@ -262,7 +262,7 @@ def test_frozen_tapers_come_from_prior(monkeypatch):
         return fields[-1]
 
     monkeypatch.setattr(sm, "make_taper_field", capturing)
-    policy = sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0), freeze=True)
+    policy = sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0))
     res = sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(3), policy, sm.RunSeed(4))
     # one frozen field, and it reproduces tapers computed directly from the prior
     pred0 = PredictedEnsemble(values=toy.evaluate_ensemble(prior.values), meta=toy.datum_meta)
@@ -270,16 +270,10 @@ def test_frozen_tapers_come_from_prior(monkeypatch):
     blk = RowBlock(0, prior.n_params)
     assert len(fields) == 1
     assert np.array_equal(fields[0].block(blk), manual.block(blk))
-    # histogram identical at every step (the freeze contract)
+    # histogram identical at every step: one field serves every update
     hists = [d.taper_histogram for d in res.diagnostics]
     for h in hists[1:]:
         assert np.array_equal(hists[0], h)
-    # recomputing per step produces a different field by the final step
-    policy_live = sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0), freeze=False)
-    fields.clear()
-    sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(3), policy_live, sm.RunSeed(4))
-    assert len(fields) == 3
-    assert not np.array_equal(fields[-1].block(blk), manual.block(blk))
 
 
 def _toy_problem():
@@ -313,15 +307,13 @@ def _count_block_reads(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("freeze", [True, False])
-def test_taper_block_evaluated_once_per_field(monkeypatch, freeze):
+def test_taper_block_evaluated_once_per_field(monkeypatch):
     toy, prior, obs = _toy_problem()  # 24 parameters: blocks of 8, 8 and 8
     calls = _count_block_reads(monkeypatch)
-    policy = sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0), freeze=freeze)
+    policy = sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0))
     sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(3), policy, sm.RunSeed(4), 8)
-    # a frozen field is built once; a per-step field once per step
-    reads = 1 if freeze else 3
-    assert calls == {(0, 8): reads, (8, 8): reads, (16, 8): reads}
+    # the one frozen field is built in step 1 and each of its blocks read once
+    assert calls == {(0, 8): 1, (8, 8): 1, (16, 8): 1}
 
 
 def test_taper_blocks_past_the_budget_are_recomputed(monkeypatch):
@@ -343,7 +335,6 @@ def test_taper_blocks_past_the_budget_are_recomputed(monkeypatch):
         (_toy_problem, sm.LocalizationPolicy(spec=tp.PowerLaw(3.0, None),
                                              t0_strategy=PercentileT0(0.9))),
         (_grid_problem, sm.LocalizationPolicy(spec=tp.DistanceGC(4.0, 2.0, 30.0))),
-        (_toy_problem, sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0), freeze=False)),
     ],
 )
 def test_kept_taper_blocks_match_recomputed(monkeypatch, problem, policy):
@@ -419,7 +410,6 @@ def test_percentile_t0_equals_whole_block_oracle(monkeypatch):
     [
         sm.LocalizationPolicy(spec=None),
         sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0)),
-        sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0), freeze=False),
     ],
 )
 def test_run_leaves_prior_unchanged(policy):
@@ -435,7 +425,6 @@ def test_run_leaves_prior_unchanged(policy):
     [
         sm.LocalizationPolicy(spec=None),
         sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0)),
-        sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0), freeze=False),
     ],
 )
 def test_step_nv_equals_normalized_variance(monkeypatch, policy):
@@ -462,8 +451,11 @@ def test_constant_prior_row_fails_the_run():
     values = prior.values.copy()
     values[5] = 0.25
     policy = sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0))
-    with pytest.raises(ValueError, match=r"^zero prior variance in 1 of 24 rows \(first: row 5\)$"):
+    with pytest.raises(
+        AssimilationError, match=r"^step 1: zero prior variance in 1 of 24 rows \(first: row 5\)$"
+    ) as err:
         sm.run_esmda(Ensemble(values), toy, obs, sm.MdaSchedule.uniform(2), policy, sm.RunSeed(3))
+    assert type(err.value.__cause__) is ValueError
 
 
 def test_failure_inside_a_step_names_the_step():
@@ -563,6 +555,22 @@ def test_taper_field_families_and_thresholds():
     assert f_student._t0 == critical_t0(60, 0.05)
     with pytest.raises(ValueError):
         sm.TaperField(tp.PowerLaw(3.0, None), ens, pred)
+
+
+def test_policy_rejects_a_threshold_strategy_its_taper_cannot_use():
+    for spec in (tp.Mse(), tp.PowerLaw(3.0, t0=2.0), tp.Logistic(1.5, 2.0), None):
+        with pytest.raises(ValueError, match="^a t0 strategy needs a power or logistic taper"):
+            sm.LocalizationPolicy(spec, PercentileT0(0.9))
+    sm.LocalizationPolicy(tp.PowerLaw(3.0), PercentileT0(0.9))  # no t0 of its own: accepted
+
+
+def test_field_with_underflowing_threshold_fails_at_construction():
+    toy, prior, _ = _toy_problem()
+    pred = PredictedEnsemble(values=toy.evaluate_ensemble(prior.values), meta=toy.datum_meta)
+    with pytest.raises(ValueError, match="^t0 = 1e-30 too small"):
+        sm.TaperField(tp.PowerLaw(11.0, 1e-30), prior, pred)
+    with pytest.raises(ValueError, match="^t0 = 1e-200 too small"):
+        sm.TaperField(tp.Logistic(2.0), prior, pred, FixedT0(1e-200))
 
 
 def test_distance_taper_field():

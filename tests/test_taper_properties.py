@@ -9,6 +9,7 @@ the public tapers, at the edges of their domains.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -142,15 +143,15 @@ def test_even_in_rho():
 
 
 # Correlations at the edges: t = inf at |rho| = 1, t = 0 at zero, t near
-# its largest finite value next to 1. Below |rho| = 1e-300, eta / t
-# overflows in the public discrepancy taper, and below t0 = 1e-25, t0^beta
-# underflows and the public power taper returns NaN at t = 0, so the
-# oracle's domain stops there.
-_EDGES = [-1.0, 1.0, 0.0, -0.0, math.nextafter(1.0, 0.0), -1e-300]
-_RHO = st.sampled_from(_EDGES) | st.floats(-1.0, 1.0).filter(
-    lambda x: x == 0.0 or abs(x) >= 1e-300
+# its largest finite value next to 1, and subnormal t, where eta / t
+# overflows. Thresholds reach the smallest subnormal, where t0^beta
+# underflows to 0 or the logistic steepness is not finite and the taper
+# rejects t0.
+_EDGES = [-1.0, 1.0, 0.0, -0.0, math.nextafter(1.0, 0.0), -1e-300, 5e-324, -2.2e-308]
+_RHO = st.sampled_from(_EDGES) | st.floats(-1.0, 1.0, allow_subnormal=True)
+_T0 = st.sampled_from([5e-324, 1e-160, 1e-25, 1e-3]) | st.floats(
+    5e-324, 1e3, allow_subnormal=True
 )
-_T0 = st.sampled_from([1e-25, 1e-3]) | st.floats(1e-25, 1e3)
 _SPECS = st.one_of(
     st.just(tp.Mse()),
     st.builds(tp.PowerLaw, beta=st.just(2.0) | st.floats(2.0, 12.0)),
@@ -185,6 +186,13 @@ def _slabs(draw):
 @given(_slabs())
 def test_taper_kernel_equals_public_tapers(case):
     spec, n_e, rho, t0 = case
+    try:
+        want = correlation_taper(spec, rho, n_e, t0)
+    except ValueError as exc:  # a threshold the taper rejects: the kernel says the same
+        with pytest.raises(ValueError) as err:
+            sm._taper_kernel(spec, n_e, t0)
+        assert str(err.value) == str(exc)
+        return
     got = rho.copy()
     sm._taper_kernel(spec, n_e, t0)(got)
-    assert np.array_equal(got, correlation_taper(spec, rho, n_e, t0))
+    assert np.array_equal(got, want)

@@ -68,6 +68,25 @@ def test_taper_discrepancy():
     assert tp.taper_discrepancy(math.inf, 0.5) == 1.0
 
 
+def test_threshold_whose_power_underflows_is_rejected():
+    # t0^beta underflows to 0, which made r(0) = 0/0
+    with pytest.raises(ValueError, match=r"^t0 = 1e-30 too small: t0\^11 underflows to 0$"):
+        tp.taper_power(0.0, 11.0, 1e-30)
+    # c = ln(99) / t0^2 overflows for t0 = 1e-160 and divides by 0 for t0 = 1e-200
+    for t0 in (1e-160, 1e-200):
+        with pytest.raises(ValueError, match=f"^t0 = {t0!r} too small: logistic steepness"):
+            tp.taper_logistic(np.array([0.0, 1.0, math.inf]), 2.0, t0)
+    # a per-datum threshold names the rejected entry
+    with pytest.raises(ValueError, match="^t0 = 1e-200 too small"):
+        tp.taper_logistic(1.0, 2.0, np.array([2.0, 1e-200]))
+
+
+def test_discrepancy_of_subnormal_t_is_zero_without_warning():
+    # eta / t overflows to inf; the taper is 1 - inf, clipped to 0
+    assert tp.taper_discrepancy(1e-308, 6.0) == 0.0
+    assert np.array_equal(tp.taper_discrepancy(np.array([5e-324, 12.0]), 6.0), [0.0, 0.5])
+
+
 def test_gaspari_cohn_anchors():
     assert tp.gaspari_cohn(0.0) == 1.0
     assert tp.gaspari_cohn(2.0) == 0.0
