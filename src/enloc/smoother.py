@@ -20,10 +20,12 @@ its forecast, and kept frozen across steps. Each taper block is evaluated
 once and kept, up to TAPER_CACHE_BYTES (32 MiB) of kept blocks per run in
 progress; blocks past that cap are recomputed on every read, and a block
 is evaluated in slabs of rows, so memory stays bounded however large R is.
-Each correlation family has an in-place kernel, picked and validated once
-per field, that maps a slab of correlations to taper values bit-identically
-to the public tapers. The field's footprint metrics are tallied from the
-blocks the first update reads, so no separate pass reads them.
+A field's kernel, picked and validated once per field, maps a slab of
+correlations to taper values bit-identically to the public tapers. MSE,
+power-law and logistic, the families the grid workloads evaluate, run in
+place; the other families evaluate their public taper on the slab. The
+field's footprint metrics are tallied from the blocks the first update
+reads, so no separate pass reads them.
 """
 
 from __future__ import annotations
@@ -49,18 +51,13 @@ from .ensemble import (
 from .errors import AssimilationError, EnlocError, WrongTaperKindError
 from .models import ForwardModel, evaluate_members
 from .tapers import (
-    Cgc,
     CorrelationStats,
-    Discrepancy,
     DistanceGC,
     Logistic,
-    Mpo,
     Mse,
-    Po,
     PowerLaw,
     TaperSpec,
     evaluate_taper,
-    gaspari_cohn,
     logistic_steepness,
     power_of_t0,
     taper_distance,
@@ -156,18 +153,20 @@ class LocalizationPolicy:
 
     spec=None disables localization (no taper is applied). run_esmda builds
     the taper field once, from the prior ensemble, and keeps it frozen
-    across steps. A t0_strategy needs a power-law or logistic spec with no
-    t0 of its own; any other combination raises ValueError.
+    across steps. A power-law or logistic spec takes its threshold either
+    from its own t0 or from a t0_strategy, exactly one of them, and no other
+    spec takes a t0_strategy; any other combination raises ValueError.
     """
 
     spec: TaperSpec | None
     t0_strategy: significance.T0Strategy | None = None
 
     def __post_init__(self):
-        if self.t0_strategy is not None and (
-            not isinstance(self.spec, (PowerLaw, Logistic)) or self.spec.t0 is not None
-        ):
+        reads_t0 = isinstance(self.spec, (PowerLaw, Logistic))
+        if self.t0_strategy is not None and (not reads_t0 or self.spec.t0 is not None):
             raise ValueError("a t0 strategy needs a power or logistic taper with no t0 of its own")
+        if reads_t0 and self.t0_strategy is None and self.spec.t0 is None:
+            raise ValueError("a power or logistic taper needs a t0 value or a t0 strategy")
 
 
 @dataclass(frozen=True)
@@ -188,11 +187,13 @@ class TaperField:
     """Blockwise per-pair taper coefficients for one ensemble snapshot.
 
     Correlation-based families compute the block of model-data correlations
-    on demand and map them, in place and one slab of rows at a time,
-    through the family's kernel; undefined correlations (zero-variance
-    rows) map to taper zero. The kernel is picked, and the spec, threshold
-    and ensemble size are checked, once per field. The distance family uses
-    parameter coordinates and datum well positions instead.
+    on demand and map them, one slab of rows at a time, through the
+    family's kernel: in place for MSE, power-law and logistic, which the
+    grid workloads evaluate, and through the public taper for the others.
+    Undefined correlations (zero-variance rows) map to taper zero. The
+    kernel is picked, and the spec, threshold and ensemble size are checked,
+    once per field. The distance family uses parameter coordinates and
+    datum well positions instead.
     """
 
     def __init__(
@@ -203,6 +204,7 @@ class TaperField:
         t0_strategy: significance.T0Strategy | None = None,
         block_width: int = DEFAULT_BLOCK_WIDTH,
     ):
+        LocalizationPolicy(spec, t0_strategy)  # rejects a threshold the taper cannot use
         self.spec = spec
         self.n_data = pred.n_data
         self._ens = ens
@@ -238,8 +240,6 @@ class TaperField:
         if not isinstance(spec, (PowerLaw, Logistic)):
             return None
         if strategy is None:
-            if spec.t0 is None:
-                raise ValueError("taper needs a t0 value or a threshold strategy")
             return spec.t0
         if isinstance(strategy, significance.FixedT0):
             return strategy.value
@@ -309,20 +309,16 @@ def _slabs(shape: tuple[int, int]) -> Iterator[slice]:
         yield slice(lo, lo + step)
 
 
-def _sampling_std(rho: np.ndarray, root: float) -> np.ndarray:
-    """sigma = (1 - rho^2) / root, root = sqrt(n_e - 1), as sampling_std computes it."""
-    sigma = np.square(rho)  # rho * rho, without the two-operand loop
-    np.subtract(1.0, sigma, out=sigma)
-    sigma /= root
-    return sigma
-
-
 def _standardize(rho: np.ndarray, root: float) -> np.ndarray:
     """rho -> t = |rho| / sigma in place, as CorrelationStats.from_rho.
 
-    t = inf where |rho| = 1, and NaN stays NaN. Returns rho, now holding t.
+    sigma = (1 - rho^2) / root with root = sqrt(n_e - 1), as sampling_std
+    computes it; t = inf where |rho| = 1, and NaN stays NaN. Returns rho,
+    now holding t.
     """
-    sigma = _sampling_std(rho, root)
+    sigma = np.square(rho)  # rho * rho, without the two-operand loop
+    np.subtract(1.0, sigma, out=sigma)
+    sigma /= root
     np.abs(rho, out=rho)
     with np.errstate(divide="ignore", invalid="ignore"):
         rho /= sigma
@@ -334,11 +330,13 @@ def _taper_kernel(
 ) -> Callable[[np.ndarray], None]:
     """In-place map of a correlation slab to taper coefficients for spec.
 
-    Each family repeats, in place and in the same order, the numpy
-    operations of CorrelationStats.from_rho followed by evaluate_taper, so
-    the coefficients are bit-identical to theirs; undefined (NaN) pairs map
-    to 0. Correlations must lie in [-1, 1], as correlation_block clips them.
-    The public taper checks spec, t0 and n_e here, once per field.
+    MSE, power-law and logistic, the families the grid workloads evaluate,
+    repeat in place and in the same order the numpy operations of
+    CorrelationStats.from_rho followed by evaluate_taper, so their
+    coefficients are bit-identical to the public tapers'. Every other family
+    evaluates its public taper on the slab. Undefined (NaN) pairs map to 0.
+    Correlations must lie in [-1, 1], as correlation_block clips them. The
+    public taper checks spec, t0 and n_e here, once per field.
     """
     evaluate_taper(spec, CorrelationStats.from_rho(0.0, n_e), t0)
     root = math.sqrt(n_e - 1)
@@ -369,47 +367,9 @@ def _taper_kernel(
             arg += 1.0
             np.divide(1.0, arg, out=arg)
 
-    elif isinstance(spec, Discrepancy):
-        eta = spec.eta
-
-        def family(r: np.ndarray) -> None:
-            t = _standardize(r, root)
-            np.divide(eta, t, out=t)  # t = 0 gives 1 - inf, clipped to 0 below
-            np.subtract(1.0, t, out=t)
-            np.maximum(t, 0.0, out=t)
-
-    elif isinstance(spec, Cgc):
-        def family(r: np.ndarray) -> None:
-            if spec.theta is None:  # theta = sigma
-                denom = _sampling_std(r, root)
-                np.subtract(1.0, denom, out=denom)
-            else:
-                denom = 1.0 - spec.theta
-            np.abs(r, out=r)
-            np.minimum(r, 1.0, out=r)
-            np.subtract(1.0, r, out=r)
-            r /= denom
-            r[...] = gaspari_cohn(r)
-
-    elif isinstance(spec, Po):
-        def family(r: np.ndarray) -> None:
-            r *= r
-            r /= r + (1.0 + r) / n_e
-
-    elif isinstance(spec, Mpo):
-        sqrt_n_e = math.sqrt(n_e)
-
-        def family(r: np.ndarray) -> None:
-            below = np.abs(r) * sqrt_n_e <= 1.0
-            r *= r
-            np.divide(1.0, r, out=r)
-            np.subtract(n_e, r, out=r)
-            r /= n_e + 1.0
-            np.maximum(r, 0.0, out=r)
-            np.copyto(r, 0.0, where=below)
-
     else:
-        raise TypeError(f"no correlation kernel for taper spec {spec!r}")
+        def family(r: np.ndarray) -> None:
+            r[...] = evaluate_taper(spec, CorrelationStats.from_rho(np.nan_to_num(r), n_e), t0)
 
     def kernel(slab: np.ndarray) -> None:
         undefined = np.isnan(slab)

@@ -67,8 +67,8 @@ def sampling_std(rho_hat, n_e: int):
     if n_e < 3:
         raise InvalidEnsembleSizeError(f"ensemble size must be >= 3, got {n_e}")
     rho = np.asarray(rho_hat, dtype=float)
-    if np.any(np.abs(rho) > 1.0 + 1e-12):
-        raise ValueError("correlation magnitude exceeds 1")
+    if not np.all(np.abs(rho) <= 1.0 + 1e-12):  # NaN fails too
+        raise ValueError("correlation must be a number in [-1, 1]")
     return (1.0 - rho * rho) / math.sqrt(n_e - 1)
 
 
@@ -116,16 +116,24 @@ def power_of_t0(t0, exponent: float) -> np.ndarray:
     t0 = np.asarray(t0, dtype=float)
     with np.errstate(over="ignore"):
         out = t0**exponent
-    _reject_t0(t0, out == 0.0, f"t0^{exponent:g} underflows to 0")
+    _reject_t0(t0, out == 0.0, f"too small: t0^{exponent:g} underflows to 0")
     return out
 
 
 def logistic_steepness(gamma: float, t0, epsilon: float):
-    """Steepness c = ln((1 - eps)/eps) / t0^gamma enforcing r(0) = eps; c must be finite."""
+    """Steepness c = ln((1 - eps)/eps) / t0^gamma enforcing r(0) = eps.
+
+    c must be finite, and t0^gamma too: where it overflows, c = 0 and every
+    correlation would pass with r = 1. Either case raises ValueError.
+    """
     t0 = np.asarray(t0, dtype=float)
     with np.errstate(divide="ignore", over="ignore"):
-        c = math.log((1.0 - epsilon) / epsilon) / t0**gamma
-    _reject_t0(t0, ~np.isfinite(c), f"logistic steepness is not finite for gamma = {gamma:g}")
+        t0_gamma = t0**gamma
+        c = math.log((1.0 - epsilon) / epsilon) / t0_gamma
+    _reject_t0(
+        t0, ~np.isfinite(c), f"too small: logistic steepness is not finite for gamma = {gamma:g}"
+    )
+    _reject_t0(t0, np.isinf(t0_gamma), f"too large: t0^{gamma:g} overflows")
     return c
 
 
@@ -221,8 +229,8 @@ def taper_cgc(rho_hat, theta):
     theta = sigma rule (where the taper equals f_GC(0) = 1).
     """
     rho = np.abs(np.asarray(rho_hat, dtype=float))
-    if np.any(rho > 1.0 + 1e-12):
-        raise ValueError("correlation magnitude exceeds 1")
+    if not np.all(rho <= 1.0 + 1e-12):  # NaN fails too
+        raise ValueError("correlation must be a number in [-1, 1]")
     th = np.asarray(theta, dtype=float)
     if np.any(th < 0.0) or np.any(th >= 1.0):
         raise ValueError("theta must lie in [0, 1)")
@@ -516,4 +524,4 @@ def _check_t0(t0) -> None:
 
 def _reject_t0(t0: np.ndarray, bad: np.ndarray, why: str) -> None:
     if np.any(bad):
-        raise ValueError(f"t0 = {float(t0[bad].flat[0])!r} too small: {why}")
+        raise ValueError(f"t0 = {float(t0[bad].flat[0])!r} {why}")

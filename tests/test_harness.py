@@ -3,6 +3,7 @@
 import csv
 import gc
 import json
+import re
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -52,10 +53,18 @@ def read_csv(path):
 
 
 def test_shipped_configs_parse():
-    for name in ("scalar_toy.json", "grid_proxy.json", "linear_smoke.json"):
-        cfg = hn.load_config(CONFIG_DIR / name)
+    """Every shipped config loads, and every python example of the README runs."""
+    paths = sorted(CONFIG_DIR.glob("*.json"))
+    assert {p.name for p in paths} >= {"scalar_toy.json", "grid_proxy.json", "linear_smoke.json"}
+    for path in paths:
+        cfg = hn.load_config(path)
         assert cfg.run_count >= 1
         assert cfg.localization
+    readme = (CONFIG_DIR.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    assert len(blocks) >= 2
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_config_errors(tmp_path):
@@ -103,12 +112,15 @@ def test_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         hn.config_from_dict(bad)
 
-    # a t0 strategy needs a taper that reads t0 and that does not set one itself
+    # a t0 strategy needs a taper that reads t0 and that does not set one
+    # itself, and such a taper needs one of the two
     for entry in (
         {"taper": "mse", "t0": "student:phi=0.05"},
         {"taper": "mse", "t0": "p90"},
         {"taper": "none", "t0": "p90"},
         {"taper": "power:beta=3,t0=2", "t0": "p90"},
+        {"taper": "power:beta=3"},
+        {"taper": "logistic:gamma=1.5,eps=0.01"},
     ):
         bad = json.loads(json.dumps(base))
         bad["localization"] = [entry]

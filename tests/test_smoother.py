@@ -397,7 +397,9 @@ def test_percentile_t0_equals_whole_block_oracle(monkeypatch):
     monkeypatch.setattr(sm, "TAPER_SLAB_ENTRIES", 4 * 6)  # partial last slab of each block
     field = sm.TaperField(tp.Logistic(1.5), ens, pred, PercentileT0(0.9), block_width=16)
     corr = correlation_block(ens, pred, RowBlock(0, 50))
-    t = tp.standardize(corr, tp.sampling_std(corr, 40))
+    undefined = np.isnan(corr)  # the public tapers reject NaN: evaluate at 0, then mark
+    rho = np.where(undefined, 0.0, corr)
+    t = np.where(undefined, np.nan, tp.standardize(rho, tp.sampling_std(rho, 40)))
     expected = np.empty(6)
     for cols in ([0, 1, 2], [3, 4, 5]):
         pool = t[:, cols].ravel()
@@ -562,6 +564,17 @@ def test_policy_rejects_a_threshold_strategy_its_taper_cannot_use():
         with pytest.raises(ValueError, match="^a t0 strategy needs a power or logistic taper"):
             sm.LocalizationPolicy(spec, PercentileT0(0.9))
     sm.LocalizationPolicy(tp.PowerLaw(3.0), PercentileT0(0.9))  # no t0 of its own: accepted
+    # a power or logistic taper with neither a t0 nor a strategy has no threshold
+    for spec in (tp.PowerLaw(3.0), tp.Logistic(1.5)):
+        with pytest.raises(ValueError, match="^a power or logistic taper needs a t0"):
+            sm.LocalizationPolicy(spec)
+    # a field built directly checks its taper and strategy the same way
+    toy, prior, _ = _toy_problem()
+    pred = PredictedEnsemble(values=toy.evaluate_ensemble(prior.values), meta=toy.datum_meta)
+    with pytest.raises(ValueError, match="^a t0 strategy needs a power or logistic taper"):
+        sm.TaperField(tp.Mse(), prior, pred, PercentileT0(0.9))
+    with pytest.raises(ValueError, match="^a power or logistic taper needs a t0"):
+        sm.TaperField(tp.Logistic(1.5), prior, pred)
 
 
 def test_field_with_underflowing_threshold_fails_at_construction():
@@ -571,6 +584,13 @@ def test_field_with_underflowing_threshold_fails_at_construction():
         sm.TaperField(tp.PowerLaw(11.0, 1e-30), prior, pred)
     with pytest.raises(ValueError, match="^t0 = 1e-200 too small"):
         sm.TaperField(tp.Logistic(2.0), prior, pred, FixedT0(1e-200))
+
+
+def test_field_with_overflowing_logistic_threshold_fails_at_construction():
+    toy, prior, _ = _toy_problem()
+    pred = PredictedEnsemble(values=toy.evaluate_ensemble(prior.values), meta=toy.datum_meta)
+    with pytest.raises(ValueError, match=r"^t0 = 1e\+200 too large"):
+        sm.TaperField(tp.Logistic(2.0, 1e200), prior, pred)
 
 
 def test_distance_taper_field():

@@ -2,8 +2,8 @@
 
 The invariants of the public tapers are swept over thousands of seeded
 random parameter combinations. A hypothesis property test checks that the
-in-place kernel TaperField evaluates for each family is bit-identical to
-the public tapers, at the edges of their domains.
+kernel TaperField evaluates for each family is bit-identical to the public
+tapers, at the edges of their domains.
 """
 
 import math
@@ -145,12 +145,13 @@ def test_even_in_rho():
 # Correlations at the edges: t = inf at |rho| = 1, t = 0 at zero, t near
 # its largest finite value next to 1, and subnormal t, where eta / t
 # overflows. Thresholds reach the smallest subnormal, where t0^beta
-# underflows to 0 or the logistic steepness is not finite and the taper
-# rejects t0.
+# underflows to 0 or the logistic steepness is not finite, and the largest
+# finite floats, where t0^gamma overflows; the logistic taper rejects such a
+# t0, and the power law then maps every finite t to 0.
 _EDGES = [-1.0, 1.0, 0.0, -0.0, math.nextafter(1.0, 0.0), -1e-300, 5e-324, -2.2e-308]
 _RHO = st.sampled_from(_EDGES) | st.floats(-1.0, 1.0, allow_subnormal=True)
-_T0 = st.sampled_from([5e-324, 1e-160, 1e-25, 1e-3]) | st.floats(
-    5e-324, 1e3, allow_subnormal=True
+_T0 = st.sampled_from([5e-324, 1e-160, 1e-25, 1e-3, 1e200, 1.7e308]) | st.floats(
+    5e-324, 1.7e308, allow_subnormal=True
 )
 _SPECS = st.one_of(
     st.just(tp.Mse()),

@@ -81,6 +81,26 @@ def test_threshold_whose_power_underflows_is_rejected():
         tp.taper_logistic(1.0, 2.0, np.array([2.0, 1e-200]))
 
 
+def test_logistic_threshold_whose_power_overflows_is_rejected():
+    # where t0^2 overflows, c = 0 and every correlation would pass with r = 1
+    with pytest.raises(ValueError, match=r"^t0 = 1e\+200 too large: t0\^2 overflows$"):
+        tp.taper_logistic(np.array([0.0, 1.0, 5.0]), 2.0, 1e200)
+    with pytest.raises(ValueError, match=r"^t0 = 1e\+200 too large"):
+        tp.taper_logistic(1.0, 2.0, np.array([2.0, 1e200]))
+    r = tp.taper_logistic(np.array([0.0, 1.0, 5.0]), 2.0, 1e150)
+    assert r == pytest.approx(0.01, rel=1e-12)
+
+
+def test_undefined_correlation_is_rejected():
+    # a NaN correlation would map to t = inf, and every t taper to r = 1
+    with pytest.raises(ValueError, match="correlation must be a number"):
+        tp.sampling_std(math.nan, 50)
+    with pytest.raises(ValueError, match="correlation must be a number"):
+        tp.CorrelationStats.from_rho(np.array([0.1, math.nan]), 50)
+    with pytest.raises(ValueError, match="correlation must be a number"):
+        tp.taper_cgc(math.nan, 0.2)
+
+
 def test_discrepancy_of_subnormal_t_is_zero_without_warning():
     # eta / t overflows to inf; the taper is 1 - inf, clipped to 0
     assert tp.taper_discrepancy(1e-308, 6.0) == 0.0
