@@ -1,4 +1,8 @@
-"""Semantic exceptions shared across the package."""
+"""Semantic exceptions shared across the package, and its finiteness check."""
+
+import math
+
+import numpy as np
 
 
 class EnlocError(Exception):
@@ -39,3 +43,17 @@ class AssimilationError(EnlocError):
 
 class ConfigError(EnlocError, ValueError):
     """Invalid experiment configuration."""
+
+
+def check_finite(name: str, value, above: float = -math.inf) -> None:
+    """Raise ValueError naming `name` unless every value is finite and > above.
+
+    The comparisons are phrased so that NaN fails them.
+    """
+    if isinstance(value, float) and above < value < math.inf:
+        return  # the common scalar case (np.float64 too), without an array
+    v = np.asarray(value, dtype=float)
+    ok = (v > above) & (v < math.inf)
+    if not ok.all():
+        bound = "" if above == -math.inf else f" and > {above:g}"
+        raise ValueError(f"{name} must be finite{bound}, got {float(v[~ok].flat[0])!r}")

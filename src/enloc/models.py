@@ -15,10 +15,10 @@ Three model families cover the experiment designs:
 Priors are standard Gaussian for scalar parameters and anisotropic
 Gaussian random fields for grid properties. A field's correlation matrix is
 built from its lag table, since a stationary field's correlation depends
-only on the offset between cells, and its dense Cholesky factor is cached
-per geometry, at most two geometries at a time. All layers of a field are
-drawn with one product of that factor, and a grid model builds its
-parameter names and coordinates once.
+only on the offset between cells, and its dense Cholesky factor, computed
+over the matrix in place, is cached per geometry, at most two geometries at
+a time. All layers of a field are drawn with one triangular product of that
+factor, and a grid model builds its parameter names and coordinates once.
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .ensemble import DatumMeta, Ensemble
-from .errors import FieldGenerationError, ForwardModelError
+from .errors import FieldGenerationError, ForwardModelError, check_finite
 
 __all__ = [
     "ForwardModel",
@@ -397,6 +398,7 @@ class GrfPrior:
     distance h (offset rotated by angle_deg, scaled by the ranges):
     exp(-3 h) for the exponential variogram and exp(-3 h^2) for the
     Gaussian one, so correlation drops to ~0.05 at the stated ranges.
+    Every number must be finite.
     """
 
     nx: int
@@ -411,10 +413,12 @@ class GrfPrior:
     def __post_init__(self):
         if self.kind not in ("exponential", "gaussian"):
             raise ValueError(f"unknown variogram kind {self.kind!r}")
-        if not self.range_major >= self.range_minor > 0.0:
+        for name in ("range_minor", "range_major", "std"):
+            check_finite(name, getattr(self, name), above=0.0)
+        for name in ("angle_deg", "mean"):
+            check_finite(name, getattr(self, name))
+        if not self.range_major >= self.range_minor:
             raise ValueError("require range_major >= range_minor > 0")
-        if self.std <= 0.0:
-            raise ValueError("std must be > 0")
         if self.nx * self.ny > MAX_DENSE_CELLS:
             raise ValueError(
                 f"grid has {self.nx * self.ny} cells; dense sampling supports "
@@ -446,12 +450,18 @@ def grf_correlation(prior: GrfPrior) -> np.ndarray:
 # geometries differ.
 @functools.lru_cache(maxsize=2)
 def _correlation_factor(geometry: GrfPrior) -> np.ndarray:
-    """Read-only Cholesky factor of the cell-correlation matrix."""
-    corr = grf_correlation(geometry)
+    """Read-only Cholesky factor of the cell-correlation matrix.
+
+    The factor overwrites the matrix, so one n x n array is alive at a time:
+    the transpose of the symmetric C-ordered matrix is Fortran-ordered, and
+    LAPACK's upper factor of it, transposed back, is the lower factor in C
+    order. A jitter that fails rebuilds the matrix for the next one.
+    """
     for jitter in (1e-10, 1e-8, 1e-6):
+        corr = grf_correlation(geometry)
         np.fill_diagonal(corr, 1.0 + jitter)
         try:
-            factor = np.linalg.cholesky(corr)
+            factor = scipy.linalg.cholesky(corr.T, overwrite_a=True, check_finite=False).T
             break
         except np.linalg.LinAlgError:
             pass
@@ -475,7 +485,8 @@ def sample_grf(prior: GrfPrior, count: int, seed: int | Sequence[int]) -> Ensemb
     rows named c_i_j_k and coords (i, j, k) for layer k. Layer k's standard
     normals are default_rng(seed_k).standard_normal((cells, count)), as an
     int seed draws them; all layers sit side by side in one matrix, so the
-    factor is read once for the whole field. A layer equals its one-layer
+    factor is read once for the whole field, in one triangular product
+    written over the normals. A layer equals its one-layer
     draw where the BLAS rounds each column of a product independently of
     the product's width; where it does not (OpenBLAS, for some widths), the
     two differ in the last bits.
@@ -487,8 +498,9 @@ def sample_grf(prior: GrfPrior, count: int, seed: int | Sequence[int]) -> Ensemb
     factor = _correlation_factor(replace(prior, mean=0.0, std=1.0))
     n = factor.shape[0]
     z = np.hstack([np.random.default_rng(s).standard_normal((n, count)) for s in seeds])
-    x = factor @ z
-    del z  # before the layer-major copy: at most two such matrices at a time
+    # x = factor @ z as x^T = z^T factor^T, the BLAS triangular product (half
+    # the work of a full one) written over z; the transposes are free views
+    x = scipy.linalg.blas.dtrmm(1.0, factor.T, z.T, side=1, overwrite_b=1).T
     x *= prior.std
     x += prior.mean
     values = x.reshape(n, len(seeds), count).transpose(1, 0, 2).reshape(-1, count)

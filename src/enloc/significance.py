@@ -17,7 +17,7 @@ from typing import Sequence, Union
 import numpy as np
 from scipy.special import stdtr, stdtrit
 
-from .errors import DegenerateStatisticError, InvalidEnsembleSizeError
+from .errors import DegenerateStatisticError, InvalidEnsembleSizeError, check_finite
 
 __all__ = [
     "student_t_cdf",
@@ -103,8 +103,7 @@ class FixedT0:
     value: float
 
     def __post_init__(self):
-        if self.value <= 0.0:
-            raise ValueError(f"t0 must be > 0, got {self.value}")
+        check_finite("t0", self.value, above=0.0)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InvalidEnsembleSizeError, WrongTaperKindError
+from .errors import InvalidEnsembleSizeError, WrongTaperKindError, check_finite
 
 __all__ = [
     "CorrelationStats",
@@ -99,9 +99,8 @@ def taper_power(t, beta: float, t0):
     Reduces to the MSE taper for beta = 2, t0 = 1, and satisfies
     r(t0) = 1/2 exactly. beta >= 2 sharpens the transition at t0.
     """
-    if beta < 2.0:
-        raise ValueError(f"power-law exponent must be >= 2, got {beta}")
-    _check_t0(t0)
+    PowerLaw(beta)  # checks beta as the spec does
+    check_finite("t0", t0, above=0.0)
     tt = np.asarray(t, dtype=float)
     _check_nonneg(tt, "t")
     t0_beta = power_of_t0(t0, beta)
@@ -112,11 +111,13 @@ def taper_power(t, beta: float, t0):
 
 
 def power_of_t0(t0, exponent: float) -> np.ndarray:
-    """t0^exponent; raises ValueError where it underflows to 0 (r(0) = 0/0)."""
+    """t0^exponent; raises ValueError where it underflows to 0 (r(0) = 0/0)
+    or overflows (r = 0 below t0 and 1 from t0 on, so r(t0) = 1, not 1/2)."""
     t0 = np.asarray(t0, dtype=float)
     with np.errstate(over="ignore"):
         out = t0**exponent
     _reject_t0(t0, out == 0.0, f"too small: t0^{exponent:g} underflows to 0")
+    _reject_t0(t0, np.isinf(out), f"too large: t0^{exponent:g} overflows")
     return out
 
 
@@ -155,11 +156,8 @@ def taper_logistic(t, gamma: float, t0, epsilon: float = 0.01):
     epsilon : float
         Value at t = 0, in (0, 0.5).
     """
-    if not 0.0 < gamma <= 2.0:
-        raise ValueError(f"gamma must be in (0, 2], got {gamma}")
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError(f"epsilon must be in (0, 0.5), got {epsilon}")
-    _check_t0(t0)
+    Logistic(gamma, epsilon=epsilon)  # checks gamma and epsilon as the spec does
+    check_finite("t0", t0, above=0.0)
     tt = np.asarray(t, dtype=float)
     _check_nonneg(tt, "t")
     c = logistic_steepness(gamma, t0, epsilon)
@@ -176,8 +174,7 @@ def taper_discrepancy(t, eta: float):
     Hard threshold at t = eta: standardized correlations at or below the
     expected noise factor are fully suppressed.
     """
-    if eta <= 0.0:
-        raise ValueError(f"eta must be > 0, got {eta}")
+    Discrepancy(eta)  # checks eta as the spec does
     tt = np.asarray(t, dtype=float)
     _check_nonneg(tt, "t")
     with np.errstate(divide="ignore", over="ignore"):  # eta/t overflows for subnormal t
@@ -232,7 +229,7 @@ def taper_cgc(rho_hat, theta):
     if not np.all(rho <= 1.0 + 1e-12):  # NaN fails too
         raise ValueError("correlation must be a number in [-1, 1]")
     th = np.asarray(theta, dtype=float)
-    if np.any(th < 0.0) or np.any(th >= 1.0):
+    if not np.all((th >= 0.0) & (th < 1.0)):  # NaN fails too
         raise ValueError("theta must lie in [0, 1)")
     z = (1.0 - np.minimum(rho, 1.0)) / (1.0 - th)
     r = gaspari_cohn(z)
@@ -275,8 +272,7 @@ def taper_distance(dx, dy, len_major: float, len_minor: float, angle_deg: float)
     lengths, and passed to the Gaspari-Cohn function, so the taper reaches
     zero at twice the critical length along each principal direction.
     """
-    if not len_major >= len_minor > 0.0:
-        raise ValueError("require len_major >= len_minor > 0")
+    DistanceGC(len_major, len_minor, angle_deg)  # checks the lengths as the spec does
     a = math.radians(angle_deg)
     dxa = np.asarray(dx, dtype=float)
     dya = np.asarray(dy, dtype=float)
@@ -321,10 +317,11 @@ class PowerLaw:
     t0: float | None = None  # None until resolved by a threshold strategy
 
     def __post_init__(self):
-        if self.beta < 2.0:
-            raise ValueError(f"power-law beta must be >= 2, got {self.beta}")
-        if self.t0 is not None and self.t0 <= 0.0:
-            raise ValueError(f"t0 must be > 0, got {self.t0}")
+        if not 2.0 <= self.beta < math.inf:
+            raise ValueError(f"power-law beta must be finite and >= 2, got {self.beta}")
+        if self.t0 is not None:
+            check_finite("t0", self.t0, above=0.0)
+            power_of_t0(self.t0, self.beta)
 
 
 @dataclass(frozen=True)
@@ -336,10 +333,11 @@ class Logistic:
     def __post_init__(self):
         if not 0.0 < self.gamma <= 2.0:
             raise ValueError(f"gamma must be in (0, 2], got {self.gamma}")
-        if self.t0 is not None and self.t0 <= 0.0:
-            raise ValueError(f"t0 must be > 0, got {self.t0}")
         if not 0.0 < self.epsilon < 0.5:
             raise ValueError(f"epsilon must be in (0, 0.5), got {self.epsilon}")
+        if self.t0 is not None:
+            check_finite("t0", self.t0, above=0.0)
+            logistic_steepness(self.gamma, self.t0, self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -347,8 +345,7 @@ class Discrepancy:
     eta: float
 
     def __post_init__(self):
-        if self.eta <= 0.0:
-            raise ValueError(f"eta must be > 0, got {self.eta}")
+        check_finite("eta", self.eta, above=0.0)
 
 
 @dataclass(frozen=True)
@@ -377,7 +374,10 @@ class DistanceGC:
     angle_deg: float = 0.0
 
     def __post_init__(self):
-        if not self.len_major >= self.len_minor > 0.0:
+        for name in ("len_minor", "len_major"):
+            check_finite(name, getattr(self, name), above=0.0)
+        check_finite("angle_deg", self.angle_deg)
+        if not self.len_major >= self.len_minor:
             raise ValueError("require len_major >= len_minor > 0")
 
 
@@ -517,11 +517,6 @@ def _check_nonneg(arr: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be nonnegative")
 
 
-def _check_t0(t0) -> None:
-    if np.any(np.asarray(t0, dtype=float) <= 0.0):
-        raise ValueError("t0 must be > 0")
-
-
 def _reject_t0(t0: np.ndarray, bad: np.ndarray, why: str) -> None:
-    if np.any(bad):
+    if bad.any():
         raise ValueError(f"t0 = {float(t0[bad].flat[0])!r} {why}")

@@ -655,6 +655,31 @@ def test_run_time_config_values_exit_2(tmp_path):
         assert cli.main([command, str(path), *extra]) == 2, raw
 
 
+def test_non_finite_values_exit_2(tmp_path, capsys):
+    """NaN, inf and overflowing taper and prior values are config errors."""
+    for taper in ("power:beta=3,t0=nan", "discrepancy:eta=nan", "power:beta=inf,t0=2",
+                  "power:beta=1e6,t0=2"):
+        raw = tiny_config(tmp_path / "t", localization=[{"taper": taper}])
+        with pytest.raises(ConfigError):
+            hn.config_from_dict(raw)
+        path = tmp_path / "taper.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", str(path)]) == 2, taper
+    for block, key, value in (
+        ("log_perm", "range_major", float("inf")),
+        ("porosity", "std", float("nan")),
+        ("porosity", "mean", float("-inf")),
+        ("log_perm", "angle_deg", float("nan")),
+    ):
+        prior = dict(GRID30["prior"], **{block: dict(GRID30["prior"][block], **{key: value})})
+        raw = dict(GRID30, prior=prior, localization=["mse"], output_dir=str(tmp_path / "g"))
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(raw))  # as Infinity and NaN
+        capsys.readouterr()
+        assert cli.main(["run", str(path)]) == 2, (block, key)
+        assert f"{key} must be finite" in capsys.readouterr().err
+
+
 def test_row_variance_once_per_run(tmp_path, monkeypatch):
     """One prior and one forecast row variance per step: n_steps + 2 per run."""
     calls = []

@@ -268,6 +268,29 @@ def test_grf_factor_cache():
     assert md._correlation_factor.cache_info().currsize <= 2
 
 
+def test_grf_factor_built_in_place():
+    """The factor overwrites the correlation matrix: one n x n array at a time."""
+    md._correlation_factor.cache_clear()
+    n = 3600
+    tracemalloc.start()
+    try:
+        md._correlation_factor(md.GrfPrior(nx=60, ny=60, range_major=30, range_minor=15,
+                                           angle_deg=45))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n * 8
+    prior = md.GrfPrior(nx=20, ny=15, kind="gaussian", range_major=6, range_minor=3,
+                        angle_deg=-20)
+    factor = md._correlation_factor(prior)
+    assert factor.flags.c_contiguous and not factor.flags.writeable
+    assert np.array_equal(factor, np.tril(factor)) and np.all(np.diag(factor) > 0.0)
+    corr = md.grf_correlation(prior)
+    np.fill_diagonal(corr, 1.0 + 1e-10)
+    assert np.max(np.abs(factor @ factor.T - corr)) < 1e-13
+    md._correlation_factor.cache_clear()
+
+
 def test_grid_prior_composition():
     proxy = md.GridFlowProxy(nx=20, ny=20, n_layers=3, prod_grid=2, n_times=4)
     poro = md.GrfPrior(nx=20, ny=20, mean=0.2, std=0.05)
@@ -329,6 +352,13 @@ def test_grf_seed_sequence_rounding():
     ens = md.sample_grf(prior, 3, [1, 2, 3])
     stacked = np.vstack([md.sample_grf(prior, 3, s).values for s in (1, 2, 3)])
     assert np.allclose(ens.values, stacked, rtol=1e-13, atol=1e-13)
+
+
+def test_grf_prior_rejects_non_finite_values():
+    for field in ("range_major", "range_minor", "std", "mean", "angle_deg"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                md.GrfPrior(nx=5, ny=5, **{field: value})
 
 
 def test_grid_labels_built_once():

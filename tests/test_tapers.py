@@ -7,6 +7,7 @@ import pytest
 
 from enloc import tapers as tp
 from enloc.errors import InvalidEnsembleSizeError, WrongTaperKindError
+from enloc.significance import FixedT0, PercentileT0, StudentT0
 
 
 def test_sampling_std_values():
@@ -89,6 +90,57 @@ def test_logistic_threshold_whose_power_overflows_is_rejected():
         tp.taper_logistic(1.0, 2.0, np.array([2.0, 1e200]))
     r = tp.taper_logistic(np.array([0.0, 1.0, 5.0]), 2.0, 1e150)
     assert r == pytest.approx(0.01, rel=1e-12)
+
+
+def test_non_finite_taper_parameters_are_rejected():
+    nan, inf = math.nan, math.inf
+    for text in ("power:beta=3,t0=nan", "discrepancy:eta=nan", "power:beta=inf,t0=2",
+                 "discrepancy:eta=inf", "distance:major=inf,minor=2", "logistic:gamma=1,t0=inf"):
+        with pytest.raises(ValueError):
+            tp.parse_taper(text)
+    t = np.array([0.5, 1.0, 1.5, 1.99, 2.0, 3.0])
+    for beta, t0 in ((inf, 2.0), (nan, 2.0), (3.0, nan), (3.0, inf)):
+        with pytest.raises(ValueError):
+            tp.taper_power(t, beta, t0)
+    with pytest.raises(ValueError):
+        tp.taper_power(t, 3.0, np.array([2.0, nan]))
+    for eta in (nan, inf):
+        with pytest.raises(ValueError):
+            tp.taper_discrepancy(t, eta)
+    with pytest.raises(ValueError, match=r"^theta must lie in \[0, 1\)$"):
+        tp.taper_cgc(0.5, nan)
+    with pytest.raises(ValueError):
+        tp.taper_distance(1.0, 1.0, inf, 2.0, 0.0)
+
+
+_VALID_ARGS = {
+    tp.PowerLaw: dict(beta=3.0, t0=2.0),
+    tp.Logistic: dict(gamma=1.5, t0=2.0, epsilon=0.01),
+    tp.Discrepancy: dict(eta=0.5),
+    tp.Cgc: dict(theta=0.2),
+    tp.DistanceGC: dict(len_major=5.0, len_minor=2.0, angle_deg=30.0),
+    FixedT0: dict(value=2.0),
+    StudentT0: dict(phi=0.05),
+    PercentileT0: dict(p=0.9),
+}
+_FIELDS = [(cls, field) for cls, args in _VALID_ARGS.items() for field in args]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, field", _FIELDS, ids=[f"{c.__name__}.{f}" for c, f in _FIELDS])
+def test_every_spec_and_strategy_rejects_non_finite_numbers(cls, field, value):
+    cls(**_VALID_ARGS[cls])
+    with pytest.raises(ValueError):
+        cls(**dict(_VALID_ARGS[cls], **{field: value}))
+
+
+def test_power_threshold_whose_power_overflows_is_rejected():
+    # t0^beta = inf made r = 0 below t0 and r = 1 from t0 on: r(t0) = 1, not 1/2
+    with pytest.raises(ValueError, match=r"^t0 = 2\.0 too large: t0\^1e\+06 overflows$"):
+        tp.taper_power(np.array([0.5, 1.0, 2.0, 3.0]), 1e6, 2.0)
+    with pytest.raises(ValueError, match=r"^t0 = 1e\+200 too large: t0\^2 overflows$"):
+        tp.PowerLaw(2.0, 1e200)
+    assert tp.taper_power(2.0, 1000.0, 2.0) == 0.5
 
 
 def test_undefined_correlation_is_rejected():
