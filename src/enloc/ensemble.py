@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 DEFAULT_BLOCK_WIDTH = 1024  # parameter rows per block; memory ~ width x Nd
+_DENOM_SLAB_ROWS = 64  # rows per slab of correlation denominators
 
 
 @dataclass
@@ -197,14 +198,20 @@ def correlation_block(
         pred_anomalies = row_anomalies(pred.values)
     ad, nd = pred_anomalies
     am, nm = row_anomalies(ens.values[block.slice()])
-    denom = np.outer(nm, nd)
-    defined = denom > 0.0
     corr = am @ ad.T
-    with np.errstate(invalid="ignore", divide="ignore"):
-        corr /= denom
-    del denom  # in-place arithmetic: one width x Nd array outlives this line
-    np.clip(corr, -1.0, 1.0, out=corr)
-    corr[~defined] = np.nan
+    # norms are never negative, so every product is positive when the
+    # smallest of each side is, and no pair needs the undefined mask
+    masked = not (nm.min() * nd.min() > 0.0)
+    # the denominators come a slab of rows at a time, so no second width x Nd
+    # array is ever alive; each entry's arithmetic is the same
+    for lo in range(0, block.width, _DENOM_SLAB_ROWS):
+        rows = corr[lo : lo + _DENOM_SLAB_ROWS]
+        denom = np.outer(nm[lo : lo + _DENOM_SLAB_ROWS], nd)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            rows /= denom
+        np.clip(rows, -1.0, 1.0, out=rows)
+        if masked:
+            rows[~(denom > 0.0)] = np.nan
     return corr
 
 

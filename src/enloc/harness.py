@@ -27,6 +27,7 @@ import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -550,16 +551,16 @@ def _write_artifacts(
 
 
 def _write_nv_field(model: GridFlowProxy, report: ExperimentReport, path: Path) -> None:
+    """One row per (run, parameter): the cell columns are built once per
+    model and zipped with each ok run's ratios, column by column."""
     fsize = model.nx * model.ny * model.n_layers
-    coords = model.coords
-    rows = []
-    for r in report.all_runs:
-        if r.report is None:
-            continue
-        for p, nv in enumerate(r.nv_rows):
-            field_name = "poro" if p < fsize else "logk"
-            i, j, k = coords[p]
-            rows.append([r.taper, r.run, field_name, int(i), int(j), int(k), repr(float(nv))])
+    field_names = ["poro"] * fsize + ["logk"] * (model.n_params - fsize)
+    i, j, k = model.coords.T.tolist()
+    rows = chain.from_iterable(
+        zip(repeat(r.taper), repeat(r.run), field_names, i, j, k, map(repr, r.nv_rows.tolist()))
+        for r in report.all_runs
+        if r.report is not None
+    )
     _write_csv(path, ["taper", "run", "field", "i", "j", "k", "value"], rows)
 
 

@@ -17,6 +17,7 @@ read.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -131,21 +132,28 @@ class FootprintTally:
 
     rows is the taper provider seen through the tally: every block it
     returns is counted, so the caller reads each block exactly once and
-    then takes result(). taper_provider=None means no localization: rows
-    is None and the result needs no block.
+    then takes result(). Blocks may be read from several threads at once,
+    in any order: each block's partial sum and counts are combined under a
+    lock, and the compensated sum does not depend on their order.
+    taper_provider=None means no localization: rows is None and the result
+    needs no block.
     """
 
     def __init__(self, taper_provider: TaperProvider | None, n_params: int, n_data: int):
         self.n_params, self.n_data = n_params, n_data
         self._counts = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
         self._partials: list[float] = []
+        self._lock = threading.Lock()
         self.rows = None if taper_provider is None else self._reader(taper_provider)
 
     def _reader(self, taper_provider: TaperProvider) -> TaperProvider:
         def rows(blk: RowBlock) -> np.ndarray:
             r = taper_provider(blk)
-            self._partials.append(float(np.sum(r)))
-            self._counts += np.histogram(r, bins=_HISTOGRAM_EDGES)[0]
+            partial = float(np.sum(r))
+            counts = np.histogram(r, bins=_HISTOGRAM_EDGES)[0]
+            with self._lock:
+                self._partials.append(partial)
+                self._counts += counts
             return r
 
         return rows

@@ -473,7 +473,9 @@ def _correlation_factor(geometry: GrfPrior) -> np.ndarray:
     return factor
 
 
-def sample_grf(prior: GrfPrior, count: int, seed: int | Sequence[int]) -> Ensemble:
+def sample_grf(
+    prior: GrfPrior, count: int, seed: int | Sequence[int], *, labels: bool = True
+) -> Ensemble:
     """Draw `count` independent field realizations as an Ensemble.
 
     Rows are cells in row-major order (j outer, i inner); coords carry the
@@ -490,6 +492,9 @@ def sample_grf(prior: GrfPrior, count: int, seed: int | Sequence[int]) -> Ensemb
     draw where the BLAS rounds each column of a product independently of
     the product's width; where it does not (OpenBLAS, for some widths), the
     two differ in the last bits.
+
+    labels=False leaves out the names and coords, for a caller that
+    labels the rows itself.
     """
     if count < 2:
         raise ValueError("need at least 2 realizations")
@@ -504,6 +509,8 @@ def sample_grf(prior: GrfPrior, count: int, seed: int | Sequence[int]) -> Ensemb
     x *= prior.std
     x += prior.mean
     values = x.reshape(n, len(seeds), count).transpose(1, 0, 2).reshape(-1, count)
+    if not labels:
+        return Ensemble(values=values)
     k, j, i = np.indices((len(seeds), prior.ny, prior.nx)).reshape(3, -1)
     coords = np.column_stack([i, j, k])
     names = [f"c_{a}_{b}_{c}" if layered else f"c_{a}_{b}" for a, b, c in coords.tolist()]
@@ -520,9 +527,10 @@ def sample_grid_prior(
     """Sample the full grid-model prior: both fields, all layers.
 
     Layers are independent draws from the same 2-D prior, one seed per
-    layer from SeedSequence(seed); each field is one sample_grf call over
-    its layers' seeds. The porosity block precedes the log-permeability
-    block, matching the model's parameter ordering.
+    layer from SeedSequence(seed); each field is one unlabelled sample_grf
+    call over its layers' seeds, and the model supplies names and coords.
+    The porosity block precedes the log-permeability block, matching the
+    model's parameter ordering.
     """
     for prior, label in ((poro_prior, "porosity"), (logk_prior, "log-permeability")):
         if (prior.nx, prior.ny) != (model.nx, model.ny):
@@ -530,7 +538,9 @@ def sample_grid_prior(
     layer_seeds = np.random.SeedSequence(seed).generate_state(2 * model.n_layers).tolist()
     n_layers = model.n_layers
     fields = [
-        sample_grf(prior, count, layer_seeds[f * n_layers : (f + 1) * n_layers]).values
+        sample_grf(
+            prior, count, layer_seeds[f * n_layers : (f + 1) * n_layers], labels=False
+        ).values
         for f, prior in enumerate((poro_prior, logk_prior))
     ]
     return Ensemble(

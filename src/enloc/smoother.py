@@ -26,11 +26,24 @@ power-law and logistic, the families the grid workloads evaluate, run in
 place; the other families evaluate their public taper on the slab. The
 field's footprint metrics are tallied from the blocks the first update
 reads, so no separate pass reads them.
+
+An update spreads its row blocks over the CPUs the process may run on: the
+calling thread and one helper thread per further CPU take blocks in row
+order, the helpers from one update pool per process, created at the first
+update. Each block writes only its own rows, whether a taper block is kept
+depends only on where its rows end, and the footprint's partial sums are
+combined exactly, so a run's results do not depend on the CPU count. One
+thread at a time holds both a block's taper and its gain; every other holds
+one block-sized array, so each helper adds about one block to the memory
+an update needs.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -79,7 +92,8 @@ __all__ = [
     "run_esmda",
 ]
 
-# Bytes of taper blocks one run in progress keeps. A one-layer 60x60 grid
+# Bytes of taper blocks one run in progress keeps: the blocks whose rows end
+# within the first TAPER_CACHE_BYTES // (8 Nd) rows. A one-layer 60x60 grid
 # field (7200 x 312 float64, 18 MB) fits whole; the 8-layer field (144 MB)
 # keeps 13 of its 57 blocks of 1024 rows and recomputes the other 44, since
 # keeping all of it would add the whole field to a run's resident memory.
@@ -455,20 +469,25 @@ def _tapered_gain_block(
     blk: RowBlock,
     operator: np.ndarray,
     taper_rows: Callable[[RowBlock], np.ndarray] | None,
+    pair_lock: threading.Lock,
 ) -> np.ndarray:
     """K_blk o R_blk, or K_blk without a taper.
 
     The taper block is evaluated before the gain block, so its temporaries
-    never coexist with the gain, and neither outlives the caller's product.
+    never coexist with the gain. pair_lock is held from the gain block's
+    creation until the taper block is let go, so of the threads sharing it
+    one at most holds both; every other holds one width x Nd array.
     """
     r = None if taper_rows is None else taper_rows(blk)
-    gain = kalman_gain_block(ens, blk, operator)
-    if r is not None:
-        if r.shape != gain.shape:
-            raise ValueError("taper block shape does not match gain block")
-        if not (r.min() >= 0.0 and r.max() <= 1.0):  # NaN fails too
-            raise ValueError(f"taper values outside [0, 1] in rows {blk.start}:{blk.stop}")
-        gain *= r
+    with pair_lock:
+        gain = kalman_gain_block(ens, blk, operator)
+        if r is not None:
+            if r.shape != gain.shape:
+                raise ValueError("taper block shape does not match gain block")
+            if not (r.min() >= 0.0 and r.max() <= 1.0):  # NaN fails too
+                raise ValueError(f"taper values outside [0, 1] in rows {blk.start}:{blk.stop}")
+            gain *= r
+        del r
     return gain
 
 
@@ -486,20 +505,102 @@ def localized_update_step(
     The gain (tapered entrywise when taper_rows is given) is formed per
     block and applied to the innovation columns as (K_blk o R_blk) resid;
     the caller supplies the perturbed-data matrix from
-    perturb_observations(). The input ensemble is not modified.
+    perturb_observations(). Blocks run as _each_block spreads them, so
+    taper_rows may be called from several threads at once, each time for
+    another block. The input ensemble is not modified.
     """
     if perturbed.shape != (obs.n_data, ens.n_members):
         raise ValueError("perturbed-data matrix has wrong shape")
     resid = perturbed - pred.values
     operator = gain_operator(pred, obs, alpha)
     new_values = ens.values.copy()
-    for blk in iter_blocks(ens.n_params, block_width):
-        new_values[blk.slice()] += _tapered_gain_block(ens, blk, operator, taper_rows) @ resid
+    pair_lock = threading.Lock()
+
+    def update(blk: RowBlock) -> None:
+        gain = _tapered_gain_block(ens, blk, operator, taper_rows, pair_lock)
+        new_values[blk.slice()] += gain @ resid
+
+    _each_block(ens.n_params, block_width, update)
     return Ensemble(
         values=new_values,
         names=None if ens.names is None else list(ens.names),
         coords=None if ens.coords is None else ens.coords.copy(),
     )
+
+
+def _each_block(n_rows: int, block_width: int, work: Callable[[RowBlock], None]) -> None:
+    """Call work once for every row block, on this thread and pool helpers.
+
+    The calling thread and up to _helper_count() helper threads take blocks
+    in row order until none is left; the caller takes its share, so helpers
+    keep no arrays beyond a block. work must write only its own block's
+    rows. After a failure no further block is taken; once every taken block
+    has finished, the failure of the lowest block is raised. Every block
+    below it was taken before it, so the same error surfaces however the
+    threads interleave.
+    """
+    blocks = list(iter_blocks(n_rows, block_width))
+    pending = iter(blocks)
+    lock = threading.Lock()
+    failures: dict[int, Exception] = {}
+    stopped = False
+
+    def drain() -> None:
+        while True:
+            with lock:
+                blk = None if stopped or failures else next(pending, None)
+            if blk is None:
+                return
+            try:
+                work(blk)
+            except Exception as exc:  # raised below, once all taken blocks are done
+                with lock:
+                    failures[blk.start] = exc
+
+    helpers = min(_helper_count(), len(blocks) - 1)
+    futures = []
+    if helpers > 0:
+        pool = _helper_pool(helpers)
+        futures = [pool.submit(drain) for _ in range(helpers)]
+    try:
+        drain()
+    finally:
+        stopped = True  # an interrupted caller stops the helpers too
+        for future in futures:
+            future.cancel()  # not started yet: the caller has done its blocks
+        wait(futures)
+    for future in futures:
+        if not future.cancelled():
+            future.result()
+    if failures:
+        raise failures[min(failures)]
+
+
+def _helper_count() -> int:
+    """Helper threads per update: one for each further CPU of the process."""
+    try:
+        return len(os.sched_getaffinity(0)) - 1
+    except AttributeError:  # no CPU affinity on this platform
+        return (os.cpu_count() or 1) - 1
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_size = 0
+_pool_lock = threading.Lock()
+
+
+def _helper_pool(size: int) -> ThreadPoolExecutor:
+    """The process's update pool, created at first use with size threads.
+
+    Every update of a process asks for the same size unless its CPU
+    affinity grows; a larger size then replaces the pool.
+    """
+    global _pool, _pool_size
+    with _pool_lock:
+        if _pool_size < size:
+            _pool = ThreadPoolExecutor(size, thread_name_prefix="enloc-update")
+            _pool_size = size
+        return _pool
 
 
 @dataclass
@@ -543,25 +644,25 @@ class EsmdaResult:
 
 
 def _kept_blocks(taper_field: TaperField | None) -> Callable[[RowBlock], np.ndarray] | None:
-    """taper_field.block memoized per block while the kept bytes fit
-    TAPER_CACHE_BYTES; None without a field.
+    """taper_field.block memoized for the blocks whose rows end within the
+    first TAPER_CACHE_BYTES // (8 Nd) rows; None without a field.
 
-    Kept blocks are made read-only, since every later read shares them.
+    Whether a block is kept depends on its rows alone, not on the order in
+    which threads first read the blocks. Kept blocks are made read-only,
+    since every later read shares them.
     """
     if taper_field is None:
         return None
     kept: dict[RowBlock, np.ndarray] = {}
-    kept_bytes = 0
+    kept_rows = TAPER_CACHE_BYTES // (8 * taper_field.n_data)
 
     def block(blk: RowBlock) -> np.ndarray:
-        nonlocal kept_bytes
         r = kept.get(blk)
         if r is None:
             r = taper_field.block(blk)
-            if kept_bytes + r.nbytes <= TAPER_CACHE_BYTES:
+            if blk.stop <= kept_rows:
                 r.flags.writeable = False
                 kept[blk] = r
-                kept_bytes += r.nbytes
         return r
 
     return block
@@ -604,8 +705,9 @@ def run_esmda(
     its forecast; later steps reuse it. A final forward evaluation after the
     last update provides the posterior diagnostics entry.
 
-    The updates read a taper block evaluated once and kept while the kept
-    bytes fit TAPER_CACHE_BYTES; later blocks are recomputed on every read.
+    The updates read a taper block evaluated once and kept when its rows
+    end within the first TAPER_CACHE_BYTES // (8 Nd) rows; later blocks are
+    recomputed on every read.
     The field's footprint (n_eff and histogram) is tallied from the blocks
     the first update reads, so no separate pass reads them. Runs in flight
     together each keep their own blocks. The field and its kept blocks are

@@ -87,7 +87,7 @@ def taper_mse(t):
     """MSE-optimal taper r(t) = t^2 / (t^2 + 1)."""
     tt = np.asarray(t, dtype=float)
     _check_nonneg(tt, "t")
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):  # t^2 overflows to inf past 1.3e154
         u = tt * tt
         r = np.where(np.isinf(u), 1.0, u / (u + 1.0))
     return r[()] if r.ndim == 0 else r

@@ -92,6 +92,33 @@ def test_correlation_block_zero_variance_markers():
     assert np.all(np.abs(corr[defined]) <= 1.0)
 
 
+def _whole_block_correlation(ens, pred, block):
+    """correlation_block's arithmetic over the whole block at once."""
+    am, nm = es.row_anomalies(ens.values[block.slice()])
+    ad, nd = es.row_anomalies(pred.values)
+    denom = np.outer(nm, nd)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        corr = (am @ ad.T) / denom
+    corr = np.clip(corr, -1.0, 1.0)
+    corr[~(denom > 0.0)] = np.nan
+    return corr
+
+
+def test_correlation_block_slabs_equal_whole_block():
+    """Denominators taken a slab of rows at a time give the whole block's
+    bits, with no undefined pair and with constant rows in several slabs."""
+    rng = np.random.default_rng(14)
+    pred = es.PredictedEnsemble(values=rng.standard_normal((9, 25)))
+    defined = es.Ensemble(values=rng.standard_normal((150, 25)))
+    vals = rng.standard_normal((150, 25))
+    vals[[0, 70, 149]] = 2.5  # the first, a middle and the partial last slab
+    for ens in (defined, es.Ensemble(values=vals)):
+        for blk in (es.RowBlock(0, 150), es.RowBlock(3, 140)):
+            got = es.correlation_block(ens, pred, blk)
+            assert np.array_equal(got, _whole_block_correlation(ens, pred, blk), equal_nan=True)
+            assert np.isnan(got).any() == (ens is not defined)
+
+
 def test_variance_per_row():
     ens = es.Ensemble(values=np.array([[0.0, 2.0], [5.0, 5.0]]))
     v = es.ensemble_variance_per_row(ens)

@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import io
 import json
 import re
 import weakref
@@ -542,7 +543,7 @@ def test_sweep_layers_chi_exact(tmp_path):
 
 def test_nv_field_emitted_for_grid(tmp_path):
     raw = {
-        "model": {"kind": "grid_proxy", "nx": 16, "ny": 16, "n_layers": 1,
+        "model": {"kind": "grid_proxy", "nx": 16, "ny": 16, "n_layers": 2,
                    "prod_grid": 2, "n_times": 4},
         "prior": {
             "porosity": {"mean": 0.2, "std": 0.05, "range_major": 6, "range_minor": 3},
@@ -551,14 +552,26 @@ def test_nv_field_emitted_for_grid(tmp_path):
         "observation": {"truth_seed": 3, "noise_seed": 4, "rel_std": 0.1, "floor": 0.02},
         "ensemble_size": 15,
         "schedule": {"n_steps": 1},
-        "localization": [{"taper": "mse"}],
-        "runs": {"count": 1, "base_seed": 10},
+        "localization": [{"taper": "mse"}, {"taper": "none"}],
+        "runs": {"count": 2, "base_seed": 10},
         "output_dir": str(tmp_path / "grid"),
     }
-    hn.run_experiment(hn.config_from_dict(raw))
+    cfg = hn.config_from_dict(raw)
+    report = hn.run_experiment(cfg)
     rows = read_csv(tmp_path / "grid" / "nv_field.csv")
-    assert len(rows) == 2 * 16 * 16  # both fields, every cell
+    assert len(rows) == 4 * 2 * 16 * 16 * 2  # every run, both fields, every cell
     assert {r["field"] for r in rows} == {"poro", "logk"}
+    # the bytes a writer of one row at a time gives
+    model, fsize = hn.build_model(cfg), 16 * 16 * 2
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["taper", "run", "field", "i", "j", "k", "value"])
+    for r in report.all_runs:
+        for p, nv in enumerate(r.nv_rows):
+            i, j, k = model.coords[p]
+            field = "poro" if p < fsize else "logk"
+            writer.writerow([r.taper, r.run, field, int(i), int(j), int(k), repr(float(nv))])
+    assert (tmp_path / "grid" / "nv_field.csv").read_bytes() == expected.getvalue().encode()
 
 
 def test_t0_table(tmp_path):

@@ -334,6 +334,9 @@ def test_grf_seed_sequence_stacks_layer_draws(n_layers, count):
         assert ens.names[-1] == f"c_29_29_{n_layers - 1}"
         assert np.array_equal(ens.coords[:, :2], np.vstack([e.coords[:, :2] for e in layers]))
         assert np.array_equal(ens.coords[:, 2], np.repeat(np.arange(n_layers), 900))
+        bare = md.sample_grf(prior, count, seeds, labels=False)
+        assert np.array_equal(bare.values, ens.values)
+        assert bare.names is None and bare.coords is None
     assert md._correlation_factor.cache_info().currsize == 2
 
 

@@ -1,10 +1,18 @@
 """Smoother tests: perturbation moments, gain oracles, update semantics."""
 
+import json
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from enloc import cli, metrics
 from enloc import smoother as sm
 from enloc import tapers as tp
 from enloc.ensemble import (
@@ -364,6 +372,139 @@ def test_kept_taper_blocks_match_recomputed(monkeypatch, problem, policy):
 
 
 @pytest.mark.parametrize(
+    "problem, policy, kept_blocks",
+    [
+        # a 16-block grid kept whole, then with its first 3 blocks kept
+        (_grid_problem, sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0)), None),
+        (_grid_problem, sm.LocalizationPolicy(spec=tp.Mse()), 3),
+        (_toy_problem, sm.LocalizationPolicy(spec=tp.PowerLaw(3.0, None),
+                                             t0_strategy=PercentileT0(0.9)), None),
+        (_grid_problem, sm.LocalizationPolicy(spec=tp.DistanceGC(4.0, 2.0, 30.0)), None),
+        (_grid_problem, sm.LocalizationPolicy(spec=None), None),
+    ],
+)
+def test_run_equal_for_any_helper_count(monkeypatch, problem, policy, kept_blocks):
+    model, prior, obs = problem()
+    if kept_blocks is not None:
+        monkeypatch.setattr(sm, "TAPER_CACHE_BYTES", kept_blocks * 8 * model.n_data * 8)
+    runs = []
+    for helpers in (0, 1, 3):
+        monkeypatch.setattr(sm, "_helper_count", lambda helpers=helpers: helpers)
+        runs.append(sm.run_esmda(prior, model, obs, sm.MdaSchedule.uniform(3), policy,
+                                 sm.RunSeed(12), 8))
+    serial = runs[0]
+    for res in runs[1:]:
+        assert np.array_equal(res.posterior.values, serial.posterior.values)
+        assert np.array_equal(res.nv_rows, serial.nv_rows)
+        for a, b in zip(res.diagnostics, serial.diagnostics):
+            assert (a.objective, a.nv, a.n_eff, a.chi) == (b.objective, b.nv, b.n_eff, b.chi)
+            assert np.array_equal(a.taper_histogram, b.taper_histogram)
+
+
+def test_blocks_spread_over_helper_threads(monkeypatch):
+    monkeypatch.setattr(sm, "_helper_count", lambda: 3)
+    threads, done = {}, []
+
+    def work(blk):
+        threads[blk.start] = threading.get_ident()
+        time.sleep(0.002)  # lets every thread take blocks
+        done.append(blk.start)
+
+    sm._each_block(100, 4, work)
+    assert sorted(done) == list(range(0, 100, 4))
+    assert len(set(threads.values())) > 1
+
+
+def test_footprint_tally_under_thread_contention(monkeypatch):
+    """More threads than cores and a short switch interval lose no count."""
+    monkeypatch.setattr(sm, "_helper_count", lambda: 3)
+    rng = np.random.default_rng(21)
+    taper = rng.uniform(0.0, 1.0, (400, 5))
+    rows = lambda blk: taper[blk.slice()]
+    serial = metrics.footprint(rows, 400, 5, block_width=2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        tally = metrics.FootprintTally(rows, 400, 5)
+        sm._each_block(400, 2, tally.rows)
+        n_eff, hist = tally.result()
+    finally:
+        sys.setswitchinterval(interval)
+    assert n_eff == serial[0]
+    assert np.array_equal(hist, serial[1])
+
+
+@pytest.mark.parametrize("helpers", [0, 1, 3])
+def test_failure_names_the_lowest_failing_block(monkeypatch, helpers):
+    """Rows 8:16 fail after rows 24:32 do, and block 0 ends last: the error
+    names the lower rows, once every taken block has finished."""
+    monkeypatch.setattr(sm, "_helper_count", lambda: helpers)
+    rng = np.random.default_rng(7)
+    ens = Ensemble(values=rng.standard_normal((48, 12)))
+    pred = PredictedEnsemble(values=rng.standard_normal((3, 12)))
+    obs = _obs(3)
+    pert = sm.perturb_observations(obs, 4.0, sm.RunSeed(1), 1, 12)
+    finished = []
+
+    def taper(blk):
+        time.sleep({0: 0.06, 8: 0.03}.get(blk.start, 0.0))
+        finished.append(blk.start)
+        return np.full((blk.width, 3), 1.5 if blk.start in (8, 24) else 0.5)
+
+    with pytest.raises(ValueError, match=r"^taper values outside \[0, 1\] in rows 8:16$"):
+        sm.localized_update_step(ens, pred, obs, 4.0, taper, pert, block_width=8)
+    assert {0, 8} <= set(finished)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_artifacts_equal_on_one_cpu(monkeypatch, tmp_path):
+    """A process pinned to one CPU writes the bytes a multi-thread run does.
+
+    The grid is small enough that the BLAS computes on one thread in both
+    processes; on larger grids its own thread count changes the prior's
+    rounding, whatever the update does.
+    """
+    cfg = {
+        "model": {"kind": "grid_proxy", "nx": 8, "ny": 8, "n_layers": 2, "prod_grid": 2,
+                  "n_times": 4},
+        "prior": {
+            "porosity": {"kind": "exponential", "mean": 0.2, "std": 0.05,
+                         "range_major": 4, "range_minor": 2, "angle_deg": 45},
+            "log_perm": {"kind": "exponential", "mean": 0.0, "std": 0.7,
+                         "range_major": 4, "range_minor": 2, "angle_deg": 45},
+        },
+        "observation": {"truth_seed": 3, "noise_seed": 4, "rel_std": 0.1, "floor": 0.02},
+        "ensemble_size": 30,
+        "schedule": {"n_steps": 3},
+        "localization": [
+            {"taper": "none"},
+            {"taper": "mse"},
+            {"taper": "logistic:gamma=1.5,eps=0.01", "t0": "p90", "name": "logistic_p90"},
+            {"taper": "distance:major=4,minor=2,angle=45"},
+        ],
+        "runs": {"count": 2, "base_seed": 40},
+        "block_width": 24,
+    }
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(sm, "_helper_count", lambda: 3)
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "threads")]) == 0
+    cpu = min(os.sched_getaffinity(0))
+    code = (
+        f"import os, sys; os.sched_setaffinity(0, {{{cpu}}}); from enloc import cli; "
+        f"sys.exit(cli.main(['run', {str(path)!r}, '--out', {str(tmp_path / 'one')!r}]))"
+    )
+    src = str(Path(sm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=300)
+    files = sorted(p.relative_to(tmp_path / "threads") for p in (tmp_path / "threads").rglob("*")
+                   if p.is_file())
+    assert "nv_field.csv" in {str(f) for f in files}
+    for f in files:
+        assert (tmp_path / "one" / f).read_bytes() == (tmp_path / "threads" / f).read_bytes(), f
+
+
+@pytest.mark.parametrize(
     "problem, spec, t0_strategy",
     [
         (_toy_problem, tp.PowerLaw(3.0, None), PercentileT0(0.9)),
@@ -497,8 +638,11 @@ class _EveryKthParameter(ForwardModel):
         return values[:: self._stride].copy()
 
 
-def test_run_memory_bounded_by_taper_budget():
+def test_run_memory_bounded_by_taper_budget(monkeypatch):
     """A 64 MB taper field: kept blocks stop at the budget, no Nm x Nd array."""
+    # the caller and one helper thread, whatever the host: each further
+    # helper holds about one more block
+    monkeypatch.setattr(sm, "_helper_count", lambda: 1)
     nm, nd, ne = 20_000, 400, 20
     model = _EveryKthParameter(nm, nm // nd)
     prior = Ensemble(values=np.random.default_rng(13).standard_normal((nm, ne)))

@@ -1,9 +1,10 @@
 """Randomized invariant sweeps over the taper families.
 
 The invariants of the public tapers are swept over thousands of seeded
-random parameter combinations. A hypothesis property test checks that the
-kernel TaperField evaluates for each family is bit-identical to the public
-tapers, at the edges of their domains.
+random parameter combinations, and hypothesis property tests check their
+range and monotonicity at the edges: t = 0, subnormal t, t = t0, t = inf
+and Ne = 3. Another checks that the kernel TaperField evaluates for each
+family is bit-identical to the public tapers, at the edges of their domains.
 """
 
 import math
@@ -34,6 +35,33 @@ def _random_params(n=N_CASES):
         "theta": rng.uniform(1e-3, 0.999, n),
         "ne": rng.integers(3, 2000, n),
     }
+
+
+# Correlations at the edges: t = inf at |rho| = 1, t = 0 at zero, t near
+# its largest finite value next to 1, and subnormal t, where eta / t
+# overflows. Thresholds reach the smallest subnormal, where t0^beta
+# underflows to 0 or the logistic steepness is not finite, and the largest
+# finite floats, where t0^gamma overflows; the logistic taper rejects such a
+# t0, and the power law then maps every finite t to 0.
+_EDGES = [-1.0, 1.0, 0.0, -0.0, math.nextafter(1.0, 0.0), -1e-300, 5e-324, -2.2e-308]
+_RHO = st.sampled_from(_EDGES) | st.floats(-1.0, 1.0, allow_subnormal=True)
+_T0 = st.sampled_from([5e-324, 1e-160, 1e-25, 1e-3, 1e200, 1.7e308]) | st.floats(
+    5e-324, 1.7e308, allow_subnormal=True
+)
+_SPECS = st.one_of(
+    st.just(tp.Mse()),
+    st.builds(tp.PowerLaw, beta=st.just(2.0) | st.floats(2.0, 12.0)),
+    st.builds(
+        tp.Logistic,
+        gamma=st.just(2.0) | st.floats(0.01, 2.0),
+        epsilon=st.sampled_from([0.01, 0.5 - 1e-9, math.nextafter(0.5, 0.0)])
+        | st.floats(1e-9, 0.5, exclude_max=True),
+    ),
+    st.builds(tp.Discrepancy, eta=st.floats(1e-3, 10.0)),
+    st.builds(tp.Cgc, theta=st.none() | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    st.just(tp.Po()),
+    st.just(tp.Mpo()),
+)
 
 
 def test_range_all_families():
@@ -68,6 +96,55 @@ def test_monotone_in_t():
         assert tp.taper_discrepancy(t2[i], p["eta"][i]) >= tp.taper_discrepancy(
             t1[i], p["eta"][i]
         )
+
+
+# A ratio such as u / (u + t0^beta) can step back where its sum rounds up,
+# and the Gaspari-Cohn polynomial sums five rounded terms: monotone up to
+# a few ulps of 1.
+_ROUNDING = 8 * np.finfo(float).eps
+# t at its edges: 0, subnormal (t -> 0) and inf, then any t in between
+_T = st.sampled_from([0.0, 5e-324, 1e-300, math.inf]) | st.floats(0.0, math.inf)
+_THRESHOLD = st.floats(1e-3, 1e3)  # t0^beta and the logistic steepness stay finite
+
+
+@st.composite
+def _t_tapers(draw):
+    """(r, t0, r(t0)): a taper of t from each t family, with its threshold."""
+    family = draw(st.sampled_from(["mse", "power", "logistic", "discrepancy"]))
+    t0 = draw(_THRESHOLD)
+    if family == "mse":
+        return tp.taper_mse, 1.0, 0.5
+    if family == "power":
+        beta = draw(st.floats(2.0, 12.0))
+        return (lambda t: tp.taper_power(t, beta, t0)), t0, 0.5
+    if family == "logistic":
+        gamma = draw(st.floats(0.01, 2.0))
+        eps = draw(st.floats(1e-9, 0.5, exclude_max=True))
+        return (lambda t: tp.taper_logistic(t, gamma, t0, eps)), t0, 0.5
+    return (lambda t: tp.taper_discrepancy(t, t0)), t0, 0.0  # hard threshold eta = t0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_t_tapers(), st.lists(_T, max_size=6))
+def test_range_and_monotone_in_t_at_the_edges(taper, ts):
+    r_of, t0, at_t0 = taper
+    t = np.sort(np.array(ts + [0.0, 5e-324, t0, math.inf]))
+    r = r_of(t)
+    assert np.all((r >= 0.0) & (r <= 1.0))
+    assert np.all(np.diff(r) >= -_ROUNDING)
+    assert r_of(t0) == at_t0 and r[-1] == 1.0  # t = t0 and t = inf
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SPECS, st.just(3) | st.integers(3, 5000), st.lists(_RHO, max_size=8), _THRESHOLD)
+def test_range_and_monotone_in_rho_every_family(spec, n_e, rhos, t0):
+    """Every family, from |rho| = 0 (t = 0) to |rho| = 1 (t = inf), Ne = 3 too."""
+    rho = np.array(rhos + [0.0, 5e-324, -1.0, 1.0])
+    rho = rho[np.argsort(np.abs(rho), kind="stable")]
+    t0 = t0 if isinstance(spec, (tp.PowerLaw, tp.Logistic)) else None
+    r = tp.evaluate_taper(spec, tp.CorrelationStats.from_rho(rho, n_e), t0)
+    assert np.all((r >= 0.0) & (r <= 1.0))
+    assert np.all(np.diff(r) >= -_ROUNDING)
 
 
 def test_monotone_in_ensemble_size():
@@ -140,33 +217,6 @@ def test_even_in_rho():
         ):
             assert tp.evaluate_taper(spec, stats_p) == tp.evaluate_taper(spec, stats_m)
         assert tp.taper_cgc(rho[i], theta[i]) == tp.taper_cgc(-rho[i], theta[i])
-
-
-# Correlations at the edges: t = inf at |rho| = 1, t = 0 at zero, t near
-# its largest finite value next to 1, and subnormal t, where eta / t
-# overflows. Thresholds reach the smallest subnormal, where t0^beta
-# underflows to 0 or the logistic steepness is not finite, and the largest
-# finite floats, where t0^gamma overflows; the logistic taper rejects such a
-# t0, and the power law then maps every finite t to 0.
-_EDGES = [-1.0, 1.0, 0.0, -0.0, math.nextafter(1.0, 0.0), -1e-300, 5e-324, -2.2e-308]
-_RHO = st.sampled_from(_EDGES) | st.floats(-1.0, 1.0, allow_subnormal=True)
-_T0 = st.sampled_from([5e-324, 1e-160, 1e-25, 1e-3, 1e200, 1.7e308]) | st.floats(
-    5e-324, 1.7e308, allow_subnormal=True
-)
-_SPECS = st.one_of(
-    st.just(tp.Mse()),
-    st.builds(tp.PowerLaw, beta=st.just(2.0) | st.floats(2.0, 12.0)),
-    st.builds(
-        tp.Logistic,
-        gamma=st.just(2.0) | st.floats(0.01, 2.0),
-        epsilon=st.sampled_from([0.01, 0.5 - 1e-9, math.nextafter(0.5, 0.0)])
-        | st.floats(1e-9, 0.5, exclude_max=True),
-    ),
-    st.builds(tp.Discrepancy, eta=st.floats(1e-3, 10.0)),
-    st.builds(tp.Cgc, theta=st.none() | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
-    st.just(tp.Po()),
-    st.just(tp.Mpo()),
-)
 
 
 @st.composite
