@@ -2,20 +2,17 @@
 
 Commands
 --------
-enloc run <config.json> [--out DIR] [--seed N] [--threads N]
-enloc sweep-ne <config.json> --sizes 50,100,200 [--out DIR] [--seed N] [--threads N]
-enloc sweep-layers <config.json> --layers 1,4,8 [--out DIR] [--seed N] [--threads N]
+enloc run <config.json> [--out DIR] [--seed N]
+enloc sweep-ne <config.json> --sizes 50,100,200 [--out DIR] [--seed N]
+enloc sweep-layers <config.json> --layers 1,4,8 [--out DIR] [--seed N]
 enloc t0-table --ne 50,100,200,1000 --phi 0.10,0.05,0.01 [--out FILE]
 
-Exit codes: 0 success, 2 configuration error, 3 run failure. --threads N
-runs N run seeds at a time, each with all its settings in turn; the env var
-ENLOC_THREADS, when set, overrides --threads.
+Exit codes: 0 success, 2 configuration error, 3 run failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
@@ -50,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="experiment config (JSON)")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="base seed (overrides config)")
-        p.add_argument("--threads", type=int, help="parallel run seeds (default 1)")
 
     p_run = sub.add_parser("run", help="run one experiment config")
     add_common(p_run)
@@ -77,9 +73,6 @@ def _load(args):
         updates["output_dir"] = args.out
     if args.seed is not None:
         updates["base_seed"] = args.seed
-    threads = os.environ.get("ENLOC_THREADS", args.threads)
-    if threads is not None:
-        updates["threads"] = threads
     # ExperimentConfig checks the overrides as it checks the config file
     return replace(cfg, **updates) if updates else cfg
 

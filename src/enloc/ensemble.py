@@ -10,9 +10,11 @@ ever produced in row blocks so the full Nm x Nd array need not exist.
 from __future__ import annotations
 
 import csv
+import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -220,15 +222,27 @@ def ensemble_variance_per_row(ens: Ensemble) -> np.ndarray:
     return np.var(ens.values, axis=1, ddof=1)
 
 
+def write_csv(path: Path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write a CSV atomically so interrupted runs never leave partial files."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_ensemble_csv(ens: Ensemble, path: str | Path) -> None:
-    """Write an ensemble as CSV with header param_id,e1,...,eNe."""
-    path = Path(path)
+    """Write an ensemble atomically as CSV with header param_id,e1,...,eNe."""
     names = ens.names or [f"p{i}" for i in range(ens.n_params)]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["param_id"] + [f"e{k + 1}" for k in range(ens.n_members)])
-        for name, row in zip(names, ens.values):
-            writer.writerow([name] + [repr(float(v)) for v in row])
+    header = ["param_id"] + [f"e{k + 1}" for k in range(ens.n_members)]
+    rows = ([name] + [repr(float(v)) for v in row] for name, row in zip(names, ens.values))
+    write_csv(Path(path), header, rows)
 
 
 def read_ensemble_csv(path: str | Path) -> Ensemble:

@@ -38,7 +38,11 @@ class ForwardModelError(EnlocError, RuntimeError):
 
 
 class AssimilationError(EnlocError):
-    """A run failed inside an assimilation step; the message starts "step k: "."""
+    """A run failed inside assimilation step `step`; the message is "step k: <cause>"."""
+
+    def __init__(self, step: int, cause: str):
+        super().__init__(f"step {step}: {cause}")
+        self.step = step
 
 
 class ConfigError(EnlocError, ValueError):

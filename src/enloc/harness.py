@@ -20,12 +20,8 @@ Artifacts written to the output directory:
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-import os
-import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 from pathlib import Path
@@ -35,7 +31,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from . import significance
-from .ensemble import Ensemble, write_ensemble_csv
+from .ensemble import Ensemble, write_csv, write_ensemble_csv
 from .errors import ConfigError, EnlocError
 from .models import (
     ForwardModel,
@@ -86,7 +82,6 @@ _CONFIG_INTS = {
     "run_count": ("runs.count", 1),
     "base_seed": ("runs.base_seed", 0),
     "block_width": ("block_width", 1),
-    "threads": ("threads", 1),
 }
 
 
@@ -109,7 +104,6 @@ class ExperimentConfig:
     save_posterior: bool = False
     emit_nv_field: bool = True
     block_width: int = 1024
-    threads: int = 1
 
     def __post_init__(self):
         for name, (key, minimum) in _CONFIG_INTS.items():
@@ -251,7 +245,6 @@ def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
         save_posterior=bool(raw.get("save_posterior", False)),
         emit_nv_field=bool(raw.get("emit_nv_field", True)),
         block_width=raw.get("block_width", 1024),
-        threads=raw.get("threads", 1),
     )
 
 
@@ -440,7 +433,7 @@ def _run_one(
     run_dir = out / "runs" / name / f"run{run_index}"
     run_dir.mkdir(parents=True, exist_ok=True)
     rows = [[step, metric, repr(v)] for d in result.diagnostics for step, metric, v in d.rows()]
-    _write_csv(run_dir / "diagnostics.csv", ["step", "metric", "value"], rows)
+    write_csv(run_dir / "diagnostics.csv", ["step", "metric", "value"], rows)
     if cfg.save_posterior:
         write_ensemble_csv(result.posterior, run_dir / "posterior.csv")
     return RunResult(name, run_index, "ok", report, result.diagnostics, result.nv_rows)
@@ -473,9 +466,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     (seed base_seed + r), which the job draws once and shares read-only, and
     the reference run is a job of its own. Each run is reduced to its summary
     as it finishes (its run directory is written then), so no prior or
-    posterior outlives its job. With threads > 1 the jobs, not the settings,
-    run in parallel: a config with fewer runs than threads leaves threads
-    idle. The report and every CSV keep the setting-major order.
+    posterior outlives its job. Jobs run one after another in the calling
+    thread; each update spreads its own blocks over the process's CPUs. The
+    report and every CSV keep the setting-major order.
     """
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -495,15 +488,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         seed = cfg.reference.get("seed", cfg.base_seed - 1)
         jobs.append((_REFERENCE, 0, cfg.reference["ensemble_size"], seed))
 
-    def run(job) -> list[RunResult]:
-        return _run_seed(cfg, model, sampler, obs, out, *job)
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            by_seed = list(pool.map(run, jobs))
-    else:  # in the calling thread, so per-thread profiler stacks see every run
-        by_seed = list(map(run, jobs))
-
+    by_seed = [_run_seed(cfg, model, sampler, obs, out, *job) for job in jobs]
     reference = by_seed.pop()[0] if cfg.reference else None
     runs = [seed_runs[s] for s in range(len(cfg.localization)) for seed_runs in by_seed]
     report = ExperimentReport(runs=runs, reference=reference)
@@ -522,7 +507,7 @@ def _write_artifacts(
     for r in report.all_runs:
         values = [getattr(r.report, m, None) for m in AGGREGATE_METRICS]  # blank if failed
         rows.append([r.taper, r.run, r.status] + ["" if v is None else repr(v) for v in values])
-    _write_csv(out / "report.csv", ["taper", "run", "status", *AGGREGATE_METRICS], rows)
+    write_csv(out / "report.csv", ["taper", "run", "status", *AGGREGATE_METRICS], rows)
 
     rows = [
         [r.taper, r.run, d.step, repr(d.objective), repr(d.nv), repr(d.n_eff), repr(d.chi)]
@@ -530,7 +515,7 @@ def _write_artifacts(
         for d in r.diagnostics
     ]
     header = ["taper", "run", "step", "objective", "nv", "n_eff", "chi"]
-    _write_csv(out / "metrics.csv", header, rows)
+    write_csv(out / "metrics.csv", header, rows)
 
     edges = [repr(float(e)) for e in np.linspace(0.0, 1.0, metrics_mod.HISTOGRAM_BINS + 1)]
     rows = [
@@ -538,13 +523,13 @@ def _write_artifacts(
         for r in ok_runs
         for b, count in enumerate(r.report.taper_histogram)
     ]
-    _write_csv(out / "histogram.csv", ["taper", "run", "bin_lo", "bin_hi", "count"], rows)
+    write_csv(out / "histogram.csv", ["taper", "run", "bin_lo", "bin_hi", "count"], rows)
 
     rows = [
         [taper, metric, repr(mean), repr(half), n]
         for taper, metric, mean, half, n in report.aggregates()
     ]
-    _write_csv(out / "aggregate.csv", ["taper", "metric", "mean", "ci95_half", "n_runs"], rows)
+    write_csv(out / "aggregate.csv", ["taper", "metric", "mean", "ci95_half", "n_runs"], rows)
 
     if cfg.emit_nv_field and isinstance(model, GridFlowProxy):
         _write_nv_field(model, report, out / "nv_field.csv")
@@ -561,22 +546,7 @@ def _write_nv_field(model: GridFlowProxy, report: ExperimentReport, path: Path) 
         for r in report.all_runs
         if r.report is not None
     )
-    _write_csv(path, ["taper", "run", "field", "i", "j", "k", "value"], rows)
-
-
-def _write_csv(path: Path, header: list, rows: list) -> None:
-    """Write a CSV atomically so interrupted runs never leave partial files."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_csv(path, ["taper", "run", "field", "i", "j", "k", "value"], rows)
 
 
 # --- sweeps and tables ---
@@ -596,7 +566,7 @@ def sweep_ensemble_size(
         for taper, metric, mean, _half, _n in reports[size].aggregates():
             if metric in ("obj_mean", "nv"):
                 rows.append([size, taper, metric, repr(mean)])
-    _write_csv(out / "ne_trend.csv", ["ensemble_size", "taper", "metric", "mean"], rows)
+    write_csv(out / "ne_trend.csv", ["ensemble_size", "taper", "metric", "mean"], rows)
     return reports
 
 
@@ -628,7 +598,7 @@ def sweep_layers(
                     repr(agg[(taper, "chi")]),
                 ]
             )
-    _write_csv(out / "neff_table.csv", ["taper", "layers", "n_eff", "chi"], rows)
+    write_csv(out / "neff_table.csv", ["taper", "layers", "n_eff", "chi"], rows)
     return reports
 
 
@@ -653,4 +623,4 @@ def emit_t0_table(
         [ne, repr(float(phi)), f"{t0:.6f}", f"{rho0:.6f}"]
         for ne, phi, t0, rho0 in t0_table_rows(ne_list, phi_list)
     ]
-    _write_csv(path, ["ne", "phi", "t0", "rho0"], rows)
+    write_csv(path, ["ne", "phi", "t0", "rho0"], rows)

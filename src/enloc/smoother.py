@@ -29,13 +29,13 @@ reads, so no separate pass reads them.
 
 An update spreads its row blocks over the CPUs the process may run on: the
 calling thread and one helper thread per further CPU take blocks in row
-order, the helpers from one update pool per process, created at the first
-update. Each block writes only its own rows, whether a taper block is kept
-depends only on where its rows end, and the footprint's partial sums are
-combined exactly, so a run's results do not depend on the CPU count. One
-thread at a time holds both a block's taper and its gain; every other holds
-one block-sized array, so each helper adds about one block to the memory
-an update needs.
+order, the helpers from a pool that lives for that update alone, so no
+thread outlives it. This is the package's only parallelism. Each block
+writes only its own rows, whether a taper block is kept depends only on
+where its rows end, and the footprint's partial sums are combined exactly,
+so a run's results do not depend on the CPU count. One thread at a time
+holds both a block's taper and its gain; every other holds one block-sized
+array, so each helper adds about one block to the memory an update needs.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -529,9 +529,10 @@ def localized_update_step(
 
 
 def _each_block(n_rows: int, block_width: int, work: Callable[[RowBlock], None]) -> None:
-    """Call work once for every row block, on this thread and pool helpers.
+    """Call work once for every row block, on this thread and helper threads.
 
-    The calling thread and up to _helper_count() helper threads take blocks
+    The calling thread and up to _helper_count() helper threads, from a pool
+    opened for this call and shut down before it returns, take blocks
     in row order until none is left; the caller takes its share, so helpers
     keep no arrays beyond a block. work must write only its own block's
     rows. After a failure no further block is taken; once every taken block
@@ -558,20 +559,15 @@ def _each_block(n_rows: int, block_width: int, work: Callable[[RowBlock], None])
                     failures[blk.start] = exc
 
     helpers = min(_helper_count(), len(blocks) - 1)
-    futures = []
-    if helpers > 0:
-        pool = _helper_pool(helpers)
+    # a pool starts a thread per submit, so with no helpers it starts none
+    with ThreadPoolExecutor(max(1, helpers), thread_name_prefix="enloc-update") as pool:
         futures = [pool.submit(drain) for _ in range(helpers)]
-    try:
-        drain()
-    finally:
-        stopped = True  # an interrupted caller stops the helpers too
-        for future in futures:
-            future.cancel()  # not started yet: the caller has done its blocks
-        wait(futures)
+        try:
+            drain()
+        finally:
+            stopped = True  # an interrupted caller stops the helpers too
     for future in futures:
-        if not future.cancelled():
-            future.result()
+        future.result()
     if failures:
         raise failures[min(failures)]
 
@@ -582,25 +578,6 @@ def _helper_count() -> int:
         return len(os.sched_getaffinity(0)) - 1
     except AttributeError:  # no CPU affinity on this platform
         return (os.cpu_count() or 1) - 1
-
-
-_pool: ThreadPoolExecutor | None = None
-_pool_size = 0
-_pool_lock = threading.Lock()
-
-
-def _helper_pool(size: int) -> ThreadPoolExecutor:
-    """The process's update pool, created at first use with size threads.
-
-    Every update of a process asks for the same size unless its CPU
-    affinity grows; a larger size then replaces the pool.
-    """
-    global _pool, _pool_size
-    with _pool_lock:
-        if _pool_size < size:
-            _pool = ThreadPoolExecutor(size, thread_name_prefix="enloc-update")
-            _pool_size = size
-        return _pool
 
 
 @dataclass
@@ -716,8 +693,8 @@ def run_esmda(
     A prior row with zero variance fails step 1. Each forecast's NV is the
     mean of its row variances over the prior's; the result keeps the final
     forecast's per-row ratios (nv_rows), not those of every step. A failure
-    inside step k raises AssimilationError("step k: <cause>"); the final
-    forecast counts as step n_steps + 1.
+    inside step k raises AssimilationError with .step = k and the message
+    "step k: <cause>"; the final forecast counts as step n_steps + 1.
     """
     if obs.n_data != model.n_data:
         raise ValueError("observation set size does not match the model")
@@ -760,4 +737,4 @@ def _failures_name_step(step: int) -> Iterator[None]:
     try:
         yield
     except (EnlocError, ValueError) as exc:  # ValueError covers LinAlgError
-        raise AssimilationError(f"step {step}: {exc}") from exc
+        raise AssimilationError(step, str(exc)) from exc

@@ -1,5 +1,6 @@
 """Experiment harness: config handling, artifacts, determinism, CLI."""
 
+import argparse
 import csv
 import gc
 import io
@@ -143,8 +144,6 @@ def test_config_errors(tmp_path):
         ("schedule", {"alphas": [float("nan")]}),
         ("ensemble_size", None),
         ("ensemble_size", 20.5),
-        ("threads", "two"),
-        ("threads", 0),
         ("block_width", 0),
         ("block_width", float("inf")),
         ("model", [1]),
@@ -165,7 +164,7 @@ def test_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         hn.config_from_dict(bad)
     cfg = hn.config_from_dict(dict(bad, runs={"base_seed": 1}))
-    for field, value in (("base_seed", 0), ("threads", 0), ("ensemble_size", 2)):
+    for field, value in (("base_seed", 0), ("ensemble_size", 2)):
         with pytest.raises(ConfigError):
             replace(cfg, **{field: value})
 
@@ -191,7 +190,7 @@ _JSON = st.recursive(
 _KEYS = st.sampled_from([
     "model", "prior", "observation", "localization", "ensemble_size", "schedule",
     "runs", "reference", "output_dir", "save_posterior", "emit_nv_field",
-    "block_width", "threads",
+    "block_width",
 ])
 
 
@@ -232,7 +231,7 @@ def test_config_parser_raises_only_config_error(top, nested, localization):
         return
     assert isinstance(cfg, hn.ExperimentConfig)
     assert cfg.ensemble_size >= 3 and cfg.run_count >= 1
-    assert cfg.block_width >= 1 and cfg.threads >= 1
+    assert cfg.block_width >= 1
 
 
 def test_localization_parsing():
@@ -294,6 +293,31 @@ def test_run_experiment_artifacts(tmp_path):
     for taper in ("none", "logistic"):
         total = sum(int(r["count"]) for r in hist if r["taper"] == taper and r["run"] == "0")
         assert total == 7 * 30
+
+
+def test_posterior_write_failing_part_way_leaves_no_file(tmp_path, monkeypatch):
+    """posterior.csv is written atomically: a write that fails at its third
+    row leaves neither the file nor its temporary."""
+
+    class Unwritable:
+        def __str__(self):
+            raise OSError("no space left on device")
+
+    run_esmda = hn.run_esmda
+
+    def failing_third_row(prior, *args, **kwargs):
+        result = run_esmda(prior, *args, **kwargs)
+        result.posterior.names = ["p0", "p1", Unwritable()] + [
+            f"p{i}" for i in range(3, result.posterior.n_params)
+        ]
+        return result
+
+    monkeypatch.setattr(hn, "run_esmda", failing_third_row)
+    raw = tiny_config(tmp_path / "out", save_posterior=True, reference=None)
+    with pytest.raises(OSError, match="no space left"):
+        hn.run_experiment(hn.config_from_dict(raw))
+    run_dir = tmp_path / "out" / "runs" / "none" / "run0"
+    assert [p.name for p in run_dir.iterdir()] == ["diagnostics.csv"]
 
 
 def test_single_run_linear_smoke(tmp_path):
@@ -623,11 +647,7 @@ def test_cli_run_and_exit_codes(tmp_path, monkeypatch):
 
     # overrides take the checks of the config file -> 2
     o4 = ["--out", str(tmp_path / "o4")]
-    for flags in (["--threads", "0"], ["--threads", "-3"], ["--seed", "-1"]):
-        assert cli.main(["run", str(cfg_path), *o4, *flags]) == 2
-    monkeypatch.setenv("ENLOC_THREADS", "two")
-    assert cli.main(["run", str(cfg_path), *o4]) == 2
-    monkeypatch.delenv("ENLOC_THREADS")
+    assert cli.main(["run", str(cfg_path), *o4, "--seed", "-1"]) == 2
     assert cli.main(["sweep-ne", str(cfg_path), "--sizes", "2", *o4]) == 2
     ref_path = tmp_path / "ref.json"
     ref_path.write_text(json.dumps(tiny_config(tmp_path / "o4", reference={"ensemble_size": 50})))
@@ -636,6 +656,28 @@ def test_cli_run_and_exit_codes(tmp_path, monkeypatch):
 
     monkeypatch.setattr(hn, "build_model", exploding_build)
     assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "o3")]) == 3
+
+
+def _synopsis_flags(text):
+    """{command: --flags named} over the lines of text that start `enloc <command>`."""
+    named = {}
+    for command, rest in re.findall(r"^\s*enloc ([a-z0-9-]+)(.*)$", text, flags=re.M):
+        named.setdefault(command, set()).update(re.findall(r"--[a-z][a-z0-9-]*", rest))
+    return named
+
+
+def test_cli_docs_name_what_the_parser_accepts():
+    """README.md and the cli docstring name exactly the parser's commands and flags."""
+    commands = next(
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    accepted = {
+        name: {f for f in sub._option_string_actions if f.startswith("--") and f != "--help"}
+        for name, sub in commands.choices.items()
+    }
+    readme = (CONFIG_DIR.parent / "README.md").read_text()
+    assert _synopsis_flags(readme) == accepted
+    assert _synopsis_flags(cli.__doc__) == accepted
 
 
 def test_run_time_config_values_exit_2(tmp_path):
@@ -714,17 +756,8 @@ def test_row_variance_once_per_run(tmp_path, monkeypatch):
         assert len(calls) == 4 + 2, calls
 
 
-def test_threaded_run_with_reference_matches_serial(tmp_path):
-    for threads in (1, 2):
-        raw = tiny_config(tmp_path / f"t{threads}", threads=threads)
-        report = hn.run_experiment(hn.config_from_dict(raw))
-        assert report.reference is not None and report.reference.taper == "reference"
-    for name in ("report.csv", "metrics.csv", "histogram.csv", "aggregate.csv"):
-        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
-
-
-def _shared_prior_grid(out_dir, threads, localization=None):
-    raw = dict(GRID30, output_dir=str(out_dir), threads=threads, emit_nv_field=True)
+def _shared_prior_grid(out_dir, localization=None):
+    raw = dict(GRID30, output_dir=str(out_dir), emit_nv_field=True)
     raw["model"] = dict(raw["model"], nx=12, ny=12, n_times=4)
     raw["localization"] = localization or [
         {"taper": "none"},
@@ -764,30 +797,32 @@ def test_run_seed_prior_drawn_once_and_shared(tmp_path, monkeypatch):
         return run_esmda(prior, *args, **kwargs)
 
     monkeypatch.setattr(hn, "run_esmda", recording)
-    for threads in (1, 2):
-        draws.clear()
-        priors.clear()
-        report = hn.run_experiment(_shared_prior_grid(tmp_path / f"t{threads}", threads))
-        # 3 settings x 2 runs and the reference: one draw per (size, seed)
-        assert sorted(draws) == [(50, 400), (50, 401), (80, 9)]
-        assert [(r.taper, r.run) for r in report.all_runs] == [
-            (taper, run) for taper in ("none", "logistic", "distance") for run in (0, 1)
-        ] + [("reference", 0)]
-        assert all(r.status == "ok" for r in report.all_runs)
-        assert len(priors[50]) == 6 and len({id(p) for p in priors[50]}) == 2
-        for prior in priors[50] + priors[80]:
-            with pytest.raises(ValueError, match="read-only"):
-                prior.values[0, 0] = 0.0
-    names = ["report.csv", "metrics.csv", "histogram.csv", "aggregate.csv", "nv_field.csv"]
-    names += [f"runs/{r.taper}/run{r.run}/diagnostics.csv" for r in report.all_runs]
-    for name in names:
-        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
+    cfg = _shared_prior_grid(tmp_path / "shared")
+    report = hn.run_experiment(cfg)
+    # 3 settings x 2 runs and the reference: one draw per (size, seed)
+    assert sorted(draws) == [(50, 400), (50, 401), (80, 9)]
+    assert [(r.taper, r.run) for r in report.all_runs] == [
+        (taper, run) for taper in ("none", "logistic", "distance") for run in (0, 1)
+    ] + [("reference", 0)]
+    assert all(r.status == "ok" for r in report.all_runs)
+    assert len(priors[50]) == 6 and len({id(p) for p in priors[50]}) == 2
+    for prior in priors[50] + priors[80]:
+        with pytest.raises(ValueError, match="read-only"):
+            prior.values[0, 0] = 0.0
+    # sharing changes no byte: each setting alone, on a prior of its own
+    for name, policy in cfg.localization.items():
+        alone = replace(cfg, localization={name: policy}, reference=None)
+        hn.run_experiment(alone, tmp_path / name)
+        for run in (0, 1):
+            file = f"runs/{name}/run{run}/diagnostics.csv"
+            shared = (tmp_path / "shared" / file).read_bytes()
+            assert (tmp_path / name / file).read_bytes() == shared
 
 
 def test_shared_prior_released_after_its_last_job(tmp_path, monkeypatch):
     # a localized setting too: its taper field must not keep the prior alive
     settings = [{"taper": "none"}, {"taper": "logistic:gamma=1.5,t0=2,eps=0.01"}]
-    cfg = _shared_prior_grid(tmp_path / "out", 1, settings)
+    cfg = _shared_prior_grid(tmp_path / "out", settings)
     priors, posteriors = [], []
     run_esmda = hn.run_esmda
 
@@ -807,16 +842,3 @@ def test_shared_prior_released_after_its_last_job(tmp_path, monkeypatch):
     gc.collect()  # the report is still held, and keeps summaries only
     assert all(ref() is None for ref in priors + posteriors)
     assert all(r.diagnostics and r.nv_rows is not None for r in report.all_runs)
-
-
-def test_cli_threads_env_override(tmp_path, monkeypatch):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(tiny_config(tmp_path / "thr", **{"reference": None})))
-    monkeypatch.setenv("ENLOC_THREADS", "2")
-    assert cli.main(["run", str(cfg_path), "--threads", "1"]) == 0
-    # threaded and serial execution produce identical artifacts
-    monkeypatch.delenv("ENLOC_THREADS")
-    assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "thr_serial")]) == 0
-    a = (tmp_path / "thr" / "report.csv").read_bytes()
-    b = (tmp_path / "thr_serial" / "report.csv").read_bytes()
-    assert a == b

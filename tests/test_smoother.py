@@ -415,6 +415,17 @@ def test_blocks_spread_over_helper_threads(monkeypatch):
     assert len(set(threads.values())) > 1
 
 
+def test_no_helper_thread_outlives_an_update(monkeypatch):
+    """Each update shuts its helpers down, also when the helper count grows."""
+    toy, prior, obs = _toy_problem()
+    policy = sm.LocalizationPolicy(spec=tp.Mse())
+    for helpers in (1, 3):
+        monkeypatch.setattr(sm, "_helper_count", lambda: helpers)
+        sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(2), policy, sm.RunSeed(4), 4)
+        alive = [t.name for t in threading.enumerate() if t.name.startswith("enloc-update")]
+        assert not alive, (helpers, alive)
+
+
 def test_footprint_tally_under_thread_contention(monkeypatch):
     """More threads than cores and a short switch interval lose no count."""
     monkeypatch.setattr(sm, "_helper_count", lambda: 3)
@@ -598,6 +609,7 @@ def test_constant_prior_row_fails_the_run():
         AssimilationError, match=r"^step 1: zero prior variance in 1 of 24 rows \(first: row 5\)$"
     ) as err:
         sm.run_esmda(Ensemble(values), toy, obs, sm.MdaSchedule.uniform(2), policy, sm.RunSeed(3))
+    assert err.value.step == 1
     assert type(err.value.__cause__) is ValueError
 
 
@@ -616,6 +628,7 @@ def test_failure_inside_a_step_names_the_step():
     policy = sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0))
     with pytest.raises(AssimilationError, match="^step 2: forward model produced") as err:
         sm.run_esmda(prior, model, obs, sm.MdaSchedule.uniform(3), policy, sm.RunSeed(3), 8)
+    assert err.value.step == 2
     assert isinstance(err.value.__cause__, ForwardModelError)
 
 
