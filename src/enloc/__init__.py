@@ -57,7 +57,6 @@ from .models import (
     sample_grid_prior,
 )
 from .significance import (
-    FixedT0,
     PercentileT0,
     StudentT0,
     adaptive_t0,

@@ -15,31 +15,22 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.special import stdtr, stdtrit
+from scipy.special import stdtrit
 
-from .errors import DegenerateStatisticError, InvalidEnsembleSizeError, check_finite
+from .errors import DegenerateStatisticError, InvalidEnsembleSizeError
 
 __all__ = [
-    "student_t_cdf",
     "student_t_quantile",
     "critical_t0",
     "critical_rho",
     "t_statistic",
     "adaptive_t0",
-    "FixedT0",
     "StudentT0",
     "PercentileT0",
     "T0Strategy",
     "parse_t0_strategy",
     "format_t0_strategy",
 ]
-
-
-def student_t_cdf(x: float, nu: float) -> float:
-    """CDF of the Student-t distribution with nu degrees of freedom."""
-    if nu <= 0:
-        raise ValueError(f"degrees of freedom must be positive, got {nu}")
-    return float(stdtr(nu, x))
 
 
 def student_t_quantile(nu: float, p: float) -> float:
@@ -99,14 +90,6 @@ def adaptive_t0(t_values: Sequence[float], p: float = 0.9) -> float:
 
 
 @dataclass(frozen=True)
-class FixedT0:
-    value: float
-
-    def __post_init__(self):
-        check_finite("t0", self.value, above=0.0)
-
-
-@dataclass(frozen=True)
 class StudentT0:
     phi: float
 
@@ -124,16 +107,18 @@ class PercentileT0:
             raise ValueError(f"percentile must be in (0, 1), got {self.p}")
 
 
-T0Strategy = Union[FixedT0, StudentT0, PercentileT0]
+T0Strategy = Union[StudentT0, PercentileT0]
 
 
 def parse_t0_strategy(text: str) -> T0Strategy:
-    """Parse a threshold strategy: "fixed:2", "student:phi=0.05", or "p90"."""
+    """Parse a threshold strategy: "student:phi=0.05" or "p90".
+
+    A fixed threshold is no strategy but the taper's own t0, as in
+    "power:beta=3,t0=2".
+    """
     s = text.strip().lower()
     if s.startswith("t0="):
         s = s[3:]
-    if s.startswith("fixed:"):
-        return FixedT0(float(s.split(":", 1)[1]))
     if s.startswith("student:"):
         body = s.split(":", 1)[1]
         if body.startswith("phi="):
@@ -141,12 +126,13 @@ def parse_t0_strategy(text: str) -> T0Strategy:
         return StudentT0(float(body))
     if s.startswith("p") and s[1:].replace(".", "").isdigit():
         return PercentileT0(float(s[1:]) / 100.0)
-    raise ValueError(f"unknown t0 strategy {text!r}")
+    raise ValueError(
+        f"unknown t0 strategy {text!r}: use student:phi=<level> or p<percent>, "
+        "or give a fixed t0 in the taper, as in power:beta=3,t0=2"
+    )
 
 
 def format_t0_strategy(strategy: T0Strategy) -> str:
-    if isinstance(strategy, FixedT0):
-        return f"fixed:{strategy.value:g}"
     if isinstance(strategy, StudentT0):
         return f"student:phi={strategy.phi:g}"
     if isinstance(strategy, PercentileT0):

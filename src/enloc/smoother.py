@@ -20,10 +20,10 @@ its forecast, and kept frozen across steps. Each taper block is evaluated
 once and kept, up to TAPER_CACHE_BYTES (32 MiB) of kept blocks per run in
 progress; blocks past that cap are recomputed on every read, and a block
 is evaluated in slabs of rows, so memory stays bounded however large R is.
-A field's kernel, picked and validated once per field, maps a slab of
-correlations to taper values bit-identically to the public tapers. MSE,
-power-law and logistic, the families the grid workloads evaluate, run in
-place; the other families evaluate their public taper on the slab. The
+A field's kernel comes from the tapers module, picked and validated once
+per field: MSE, power-law and logistic run their public taper's own body in
+place on a slab of correlations, and the other families evaluate their
+public taper on the slab. This module keeps only the blocks and slabs. The
 field's footprint metrics are tallied from the blocks the first update
 reads, so no separate pass reads them.
 
@@ -64,15 +64,12 @@ from .ensemble import (
 from .errors import AssimilationError, EnlocError, WrongTaperKindError
 from .models import ForwardModel, evaluate_members
 from .tapers import (
-    CorrelationStats,
     DistanceGC,
     Logistic,
-    Mse,
     PowerLaw,
     TaperSpec,
-    evaluate_taper,
-    logistic_steepness,
-    power_of_t0,
+    _standardize,
+    _taper_kernel,
     taper_distance,
 )
 
@@ -202,12 +199,11 @@ class TaperField:
 
     Correlation-based families compute the block of model-data correlations
     on demand and map them, one slab of rows at a time, through the
-    family's kernel: in place for MSE, power-law and logistic, which the
-    grid workloads evaluate, and through the public taper for the others.
-    Undefined correlations (zero-variance rows) map to taper zero. The
-    kernel is picked, and the spec, threshold and ensemble size are checked,
-    once per field. The distance family uses parameter coordinates and
-    datum well positions instead.
+    family's kernel from the tapers module. Undefined correlations
+    (zero-variance rows) map to taper zero. The kernel is picked, and the
+    spec, threshold and ensemble size are checked, once per field. The
+    distance family uses parameter coordinates and datum well positions
+    instead.
     """
 
     def __init__(
@@ -255,8 +251,6 @@ class TaperField:
             return None
         if strategy is None:
             return spec.t0
-        if isinstance(strategy, significance.FixedT0):
-            return strategy.value
         if isinstance(strategy, significance.StudentT0):
             return significance.critical_t0(self._n_e, strategy.phi)
         return self._percentile_t0(strategy.p, block_width)
@@ -265,7 +259,9 @@ class TaperField:
         """Per-datum thresholds: the p-quantile of t values per data source.
 
         t is taken one slab of rows at a time; undefined and t = inf pairs
-        stay out of the pool.
+        stay out of the pool. A source whose pool is empty gets the
+        placeholder t0 = 1: none of its coefficients reads t0, since an
+        undefined pair maps to 0 and t = inf maps to 1 under both families.
         """
         sources = [m.source for m in self._pred.meta] if self._pred.meta else [
             str(j) for j in range(self.n_data)
@@ -282,10 +278,11 @@ class TaperField:
                 for s, cols in groups.items():
                     vals = t[:, cols].ravel()
                     samples[s].append(vals[np.isfinite(vals)])
-        t0_vec = np.empty(self.n_data)
+        t0_vec = np.ones(self.n_data)
         for s, cols in groups.items():
             pooled = np.concatenate(samples[s])
-            t0_vec[cols] = significance.adaptive_t0(pooled, p)
+            if pooled.size:
+                t0_vec[cols] = significance.adaptive_t0(pooled, p)
         return t0_vec
 
     def block(self, blk: RowBlock) -> np.ndarray:
@@ -321,77 +318,6 @@ def _slabs(shape: tuple[int, int]) -> Iterator[slice]:
     step = max(1, TAPER_SLAB_ENTRIES // max(1, shape[1]))
     for lo in range(0, shape[0], step):
         yield slice(lo, lo + step)
-
-
-def _standardize(rho: np.ndarray, root: float) -> np.ndarray:
-    """rho -> t = |rho| / sigma in place, as CorrelationStats.from_rho.
-
-    sigma = (1 - rho^2) / root with root = sqrt(n_e - 1), as sampling_std
-    computes it; t = inf where |rho| = 1, and NaN stays NaN. Returns rho,
-    now holding t.
-    """
-    sigma = np.square(rho)  # rho * rho, without the two-operand loop
-    np.subtract(1.0, sigma, out=sigma)
-    sigma /= root
-    np.abs(rho, out=rho)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho /= sigma
-    return rho
-
-
-def _taper_kernel(
-    spec: TaperSpec, n_e: int, t0: float | np.ndarray | None
-) -> Callable[[np.ndarray], None]:
-    """In-place map of a correlation slab to taper coefficients for spec.
-
-    MSE, power-law and logistic, the families the grid workloads evaluate,
-    repeat in place and in the same order the numpy operations of
-    CorrelationStats.from_rho followed by evaluate_taper, so their
-    coefficients are bit-identical to the public tapers'. Every other family
-    evaluates its public taper on the slab. Undefined (NaN) pairs map to 0.
-    Correlations must lie in [-1, 1], as correlation_block clips them. The
-    public taper checks spec, t0 and n_e here, once per field.
-    """
-    evaluate_taper(spec, CorrelationStats.from_rho(0.0, n_e), t0)
-    root = math.sqrt(n_e - 1)
-
-    if isinstance(spec, (Mse, PowerLaw)):
-        # MSE is the power law with beta = 2, t0 = 1; u**2 is u*u exactly
-        beta = 2.0 if isinstance(spec, Mse) else spec.beta
-        t0_beta = 1.0 if isinstance(spec, Mse) else power_of_t0(t0, beta)
-
-        def family(r: np.ndarray) -> None:
-            u = _standardize(r, root)
-            u **= beta
-            inf = np.isinf(u)
-            u /= u + t0_beta
-            np.copyto(u, 1.0, where=inf)
-
-    elif isinstance(spec, Logistic):
-        gamma, t0_gamma = spec.gamma, power_of_t0(t0, spec.gamma)
-        minus_c = -logistic_steepness(spec.gamma, t0, spec.epsilon)
-
-        def family(r: np.ndarray) -> None:
-            arg = _standardize(r, root)
-            arg **= gamma
-            arg -= t0_gamma
-            arg *= minus_c  # -arg: negation commutes with rounding
-            np.copyto(arg, -np.inf, where=np.isnan(arg))  # inf - inf counts as +inf
-            np.exp(arg, out=arg)
-            arg += 1.0
-            np.divide(1.0, arg, out=arg)
-
-    else:
-        def family(r: np.ndarray) -> None:
-            r[...] = evaluate_taper(spec, CorrelationStats.from_rho(np.nan_to_num(r), n_e), t0)
-
-    def kernel(slab: np.ndarray) -> None:
-        undefined = np.isnan(slab)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            family(slab)
-        np.copyto(slab, 0.0, where=undefined)
-
-    return kernel
 
 
 def make_taper_field(
@@ -534,7 +460,11 @@ def _each_block(n_rows: int, block_width: int, work: Callable[[RowBlock], None])
     The calling thread and up to _helper_count() helper threads, from a pool
     opened for this call and shut down before it returns, take blocks
     in row order until none is left; the caller takes its share, so helpers
-    keep no arrays beyond a block. work must write only its own block's
+    keep no arrays beyond a block. The caller works rather than waiting on
+    the helpers because handing every block to two helper threads left the
+    run time unchanged but raised the 8-layer grid's peak RSS from 372 to
+    458-493 MB, likely as freed block arrays stay in the helpers' malloc
+    arenas (not confirmed). work must write only its own block's
     rows. After a failure no further block is taken; once every taken block
     has finished, the failure of the lowest block is raised. Every block
     below it was taken before it, so the same error surfaces however the

@@ -11,13 +11,17 @@ sigma : sampling standard deviation of an estimated correlation,
 t     : standardized correlation |rho| / sigma (signal-to-noise measure);
         t = +inf when sigma = 0 (|rho| = 1), in which case every taper
         whose large-t limit is 1 returns exactly 1.
+
+The power law (MSE is its beta = 2, t0 = 1 case) and the logistic taper
+each have one in-place body, run by the public taper on a copy of t and by
+a TaperField's kernel on each slab of correlations, standardized in place.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -84,13 +88,8 @@ def standardize(rho_hat, sigma):
 
 
 def taper_mse(t):
-    """MSE-optimal taper r(t) = t^2 / (t^2 + 1)."""
-    tt = np.asarray(t, dtype=float)
-    _check_nonneg(tt, "t")
-    with np.errstate(invalid="ignore", over="ignore"):  # t^2 overflows to inf past 1.3e154
-        u = tt * tt
-        r = np.where(np.isinf(u), 1.0, u / (u + 1.0))
-    return r[()] if r.ndim == 0 else r
+    """MSE-optimal taper r(t) = t^2 / (t^2 + 1): the power law at beta = 2, t0 = 1."""
+    return _on_copy(Mse(), t, 1.0)
 
 
 def taper_power(t, beta: float, t0):
@@ -99,15 +98,9 @@ def taper_power(t, beta: float, t0):
     Reduces to the MSE taper for beta = 2, t0 = 1, and satisfies
     r(t0) = 1/2 exactly. beta >= 2 sharpens the transition at t0.
     """
-    PowerLaw(beta)  # checks beta as the spec does
+    spec = PowerLaw(beta)  # checks beta as the spec does
     check_finite("t0", t0, above=0.0)
-    tt = np.asarray(t, dtype=float)
-    _check_nonneg(tt, "t")
-    t0_beta = power_of_t0(t0, beta)
-    with np.errstate(invalid="ignore", over="ignore"):
-        u = tt**beta
-        r = np.where(np.isinf(u), 1.0, u / (u + t0_beta))
-    return r[()] if r.ndim == 0 else r
+    return _on_copy(spec, t, t0)
 
 
 def power_of_t0(t0, exponent: float) -> np.ndarray:
@@ -156,16 +149,59 @@ def taper_logistic(t, gamma: float, t0, epsilon: float = 0.01):
     epsilon : float
         Value at t = 0, in (0, 0.5).
     """
-    Logistic(gamma, epsilon=epsilon)  # checks gamma and epsilon as the spec does
+    spec = Logistic(gamma, epsilon=epsilon)  # checks gamma and epsilon as the spec does
     check_finite("t0", t0, above=0.0)
+    return _on_copy(spec, t, t0)
+
+
+def _power_law(u: np.ndarray, beta: float, t0_beta) -> None:
+    """The power law's one body: t -> t^beta / (t^beta + t0_beta) in place, 1
+    where t^beta overflows; t0_beta = power_of_t0(t0, beta). MSE is beta = 2
+    and t0_beta = 1, since u**2 is u*u exactly."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        u **= beta
+        inf = np.isinf(u)
+        u /= u + t0_beta
+    np.copyto(u, 1.0, where=inf)
+
+
+def _logistic(u: np.ndarray, gamma: float, t0_gamma, minus_c) -> None:
+    """The logistic taper's one body: t -> 1 / (1 + exp(-c (t^gamma - t0^gamma)))
+    in place, with c = logistic_steepness(gamma, t0, epsilon)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        u **= gamma
+        u -= t0_gamma
+        u *= minus_c  # -(c x): negation commutes with rounding
+        np.copyto(u, -np.inf, where=np.isnan(u))  # inf - inf counts as +inf
+        np.exp(u, out=u)
+    u += 1.0
+    np.divide(1.0, u, out=u)
+
+
+def _in_place(spec, t0) -> tuple[Callable[..., None], tuple] | None:
+    """(body, args) of spec's family at threshold t0, where body(t, *args)
+    maps t to the taper in place; None for a family with no such body."""
+    if isinstance(spec, Mse):
+        return _power_law, (2.0, 1.0)
+    if isinstance(spec, PowerLaw):
+        return _power_law, (spec.beta, power_of_t0(t0, spec.beta))
+    if isinstance(spec, Logistic):
+        minus_c = -logistic_steepness(spec.gamma, t0, spec.epsilon)
+        return _logistic, (spec.gamma, np.asarray(t0, dtype=float) ** spec.gamma, minus_c)
+    return None
+
+
+def _on_copy(spec, t, t0):
+    """spec's in-place body run on a fresh copy of t broadcast against t0;
+    a scalar for a scalar."""
     tt = np.asarray(t, dtype=float)
     _check_nonneg(tt, "t")
-    c = logistic_steepness(gamma, t0, epsilon)
-    with np.errstate(over="ignore", invalid="ignore"):
-        arg = c * (tt**gamma - np.asarray(t0, dtype=float) ** gamma)
-        arg = np.where(np.isnan(arg), np.inf, arg)  # inf - inf from t = t0 = inf
-        r = 1.0 / (1.0 + np.exp(-arg))
-    return r[()] if r.ndim == 0 else r
+    body, args = _in_place(spec, t0)
+    shape = np.shape(t0)
+    u = np.empty(np.broadcast_shapes(tt.shape, shape) if shape else tt.shape)
+    u[...] = tt
+    body(u, *args)
+    return u[()] if u.ndim == 0 else u
 
 
 def taper_discrepancy(t, eta: float):
@@ -418,6 +454,51 @@ def evaluate_taper(spec: TaperSpec, stats: CorrelationStats, t0=None):
     raise TypeError(f"unknown taper spec {spec!r}")
 
 
+def _standardize(rho: np.ndarray, root: float) -> np.ndarray:
+    """rho -> t = |rho| / sigma in place, as CorrelationStats.from_rho.
+
+    sigma = (1 - rho^2) / root with root = sqrt(n_e - 1), as sampling_std
+    computes it; t = inf where |rho| = 1, and NaN stays NaN. Returns rho,
+    now holding t.
+    """
+    sigma = np.square(rho)  # rho * rho, without the two-operand loop
+    np.subtract(1.0, sigma, out=sigma)
+    sigma /= root
+    np.abs(rho, out=rho)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho /= sigma
+    return rho
+
+
+def _taper_kernel(
+    spec: TaperSpec, n_e: int, t0: float | np.ndarray | None
+) -> Callable[[np.ndarray], None]:
+    """In-place map of a correlation slab to taper coefficients for spec.
+
+    MSE, power-law and logistic standardize the slab in place and run the
+    same body as their public taper, so their coefficients are bit-identical
+    to it. Every other family evaluates its public taper on the slab.
+    Undefined (NaN) pairs map to 0. Correlations must lie in [-1, 1], as
+    correlation_block clips them. The public taper checks spec, t0 and n_e
+    here, once per kernel.
+    """
+    evaluate_taper(spec, CorrelationStats.from_rho(0.0, n_e), t0)
+    in_place = _in_place(spec, t0)
+    root = math.sqrt(n_e - 1)
+
+    def kernel(slab: np.ndarray) -> None:
+        undefined = np.isnan(slab)
+        if in_place is None:
+            stats = CorrelationStats.from_rho(np.nan_to_num(slab), n_e)
+            slab[...] = evaluate_taper(spec, stats, t0)
+        else:
+            body, args = in_place
+            body(_standardize(slab, root), *args)
+        np.copyto(slab, 0.0, where=undefined)
+
+    return kernel
+
+
 # --- canonical textual encoding, e.g. "logistic:gamma=1.5,t0=2,eps=0.01" ---
 
 
@@ -513,7 +594,7 @@ def format_taper(spec: TaperSpec) -> str:
 
 
 def _check_nonneg(arr: np.ndarray, name: str) -> None:
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise ValueError(f"{name} must be nonnegative")
 
 

@@ -68,17 +68,56 @@ def pairwise_grf_correlation(prior):
     return np.exp(-3.0 * h) if prior.kind == "exponential" else np.exp(-3.0 * h * h)
 
 
-def correlation_taper(spec, rho, n_e, t0=None):
-    """Taper coefficients of a correlation array through the public tapers.
+def taper_mse(t):
+    """MSE taper t^2 / (t^2 + 1) by np.where; 1 where t^2 overflows."""
+    tt = np.asarray(t, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        u = tt * tt
+        r = np.where(np.isinf(u), 1.0, u / (u + 1.0))
+    return r[()] if r.ndim == 0 else r
 
-    CorrelationStats.from_rho then evaluate_taper, with undefined (NaN)
-    correlations evaluated at 0 and their coefficients set to 0.
+
+def taper_power(t, beta, t0):
+    """Power-law taper t^beta / (t^beta + t0^beta) by np.where."""
+    tt = np.asarray(t, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        u = tt**beta
+        r = np.where(np.isinf(u), 1.0, u / (u + np.asarray(t0, dtype=float) ** beta))
+    return r[()] if r.ndim == 0 else r
+
+
+def taper_logistic(t, gamma, t0, epsilon=0.01):
+    """Logistic taper 1 / (1 + exp(-c (t^gamma - t0^gamma))), c from r(0) = eps."""
+    tt = np.asarray(t, dtype=float)
+    t0_gamma = np.asarray(t0, dtype=float) ** gamma
+    with np.errstate(over="ignore", invalid="ignore"):
+        arg = math.log((1.0 - epsilon) / epsilon) / t0_gamma * (tt**gamma - t0_gamma)
+        arg = np.where(np.isnan(arg), np.inf, arg)  # inf - inf from t = t0 = inf
+        r = 1.0 / (1.0 + np.exp(-arg))
+    return r[()] if r.ndim == 0 else r
+
+
+def correlation_taper(spec, rho, n_e, t0=None):
+    """Taper coefficients of a correlation array.
+
+    CorrelationStats.from_rho, then the formulas above for MSE, power-law
+    and logistic and evaluate_taper for the other families, with undefined
+    (NaN) correlations evaluated at 0 and their coefficients set to 0.
     """
-    from enloc.tapers import CorrelationStats, evaluate_taper
+    from enloc import tapers as tp
 
     undefined = np.isnan(rho)
-    stats = CorrelationStats.from_rho(np.where(undefined, 0.0, rho), n_e)
-    r = np.asarray(evaluate_taper(spec, stats, t0), dtype=float)
+    stats = tp.CorrelationStats.from_rho(np.where(undefined, 0.0, rho), n_e)
+    t0 = getattr(spec, "t0", None) if t0 is None else t0
+    if isinstance(spec, tp.Mse):
+        r = taper_mse(stats.t)
+    elif isinstance(spec, tp.PowerLaw):
+        r = taper_power(stats.t, spec.beta, t0)
+    elif isinstance(spec, tp.Logistic):
+        r = taper_logistic(stats.t, spec.gamma, t0, spec.epsilon)
+    else:
+        r = tp.evaluate_taper(spec, stats, t0)
+    r = np.array(r, dtype=float)
     r[undefined] = 0.0
     return r
 

@@ -19,7 +19,7 @@ import enloc.harness as hn
 from enloc import cli
 from enloc.errors import ConfigError
 from enloc.models import ForwardModel, LinearModel
-from enloc.significance import FixedT0, PercentileT0, StudentT0
+from enloc.significance import PercentileT0, StudentT0
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -244,9 +244,38 @@ def test_localization_parsing():
     assert policy.t0_strategy == StudentT0(0.05)
     name, policy = hn._parse_localization({"taper": "none"})
     assert policy.spec is None and name == "none"
-    name, policy = hn._parse_localization({"taper": "power:beta=3", "t0": "fixed:2", "name": "pw"})
-    assert name == "pw" and policy.t0_strategy == FixedT0(2.0)
+    name, policy = hn._parse_localization({"taper": "power:beta=3,t0=2", "name": "pw"})
+    assert name == "pw" and policy.spec.t0 == 2.0 and policy.t0_strategy is None
     assert hn._parse_localization("mpo")[0] == "mpo"
+
+
+def test_fixed_t0_strategy_is_a_config_error(tmp_path, capsys):
+    """A fixed threshold is the taper's own t0; "fixed:2" is no strategy."""
+    path = tmp_path / "cfg.json"
+    entry = {"taper": "power:beta=3", "t0": "fixed:2"}
+    path.write_text(json.dumps(tiny_config(tmp_path / "out", localization=[entry])))
+    assert cli.main(["run", str(path)]) == 2
+    assert "as in power:beta=3,t0=2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_percentile_threshold_with_a_constant_datum_runs(tmp_path):
+    matrix = np.random.default_rng(3).standard_normal((5, 6))
+    matrix[1] = 0.0  # datum 1 is constant: its source has no finite t
+    cfg = {
+        "model": {"kind": "linear", "matrix": matrix.tolist()},
+        "prior": {"kind": "standard_normal"},
+        "observation": {"truth_seed": 1, "noise_seed": 2, "rel_std": 0.1, "floor": 0.05},
+        "ensemble_size": 50,
+        "schedule": {"n_steps": 2},
+        "localization": [{"taper": "power:beta=3", "t0": "p90"}],
+        "runs": {"count": 1, "base_seed": 100},
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path)]) == 0
+    assert [r["status"] for r in read_csv(tmp_path / "out" / "report.csv")] == ["ok"]
 
 
 def test_run_experiment_artifacts(tmp_path):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import ndtri, stdtr
 from oracles import T0_RHO0_TABLE as GOLDEN
 
 from enloc import significance as sig
@@ -34,7 +34,7 @@ def test_quantile_roundtrips_cdf():
     for nu in (1, 2, 5, 30, 300):
         for p in (0.6, 0.9, 0.975, 0.999):
             q = sig.student_t_quantile(nu, p)
-            assert sig.student_t_cdf(q, nu) == pytest.approx(p, abs=1e-10)
+            assert stdtr(nu, q) == pytest.approx(p, abs=1e-10)
 
 
 def test_quantile_gaussian_limit():
@@ -106,12 +106,14 @@ def test_adaptive_t0():
 
 
 def test_strategy_encoding():
-    assert sig.parse_t0_strategy("t0=fixed:2") == sig.FixedT0(2.0)
-    assert sig.parse_t0_strategy("fixed:2") == sig.FixedT0(2.0)
     assert sig.parse_t0_strategy("t0=student:phi=0.05") == sig.StudentT0(0.05)
     assert sig.parse_t0_strategy("t0=p90") == sig.PercentileT0(0.9)
     assert sig.parse_t0_strategy("p95") == sig.PercentileT0(0.95)
-    for strat in (sig.FixedT0(2.0), sig.StudentT0(0.05), sig.PercentileT0(0.9)):
+    for strat in (sig.StudentT0(0.05), sig.PercentileT0(0.9)):
         assert sig.parse_t0_strategy(sig.format_t0_strategy(strat)) == strat
     with pytest.raises(ValueError):
         sig.parse_t0_strategy("q90")
+    # a fixed threshold is the taper's own t0, not a strategy
+    for text in ("fixed:2", "t0=fixed:2"):
+        with pytest.raises(ValueError, match="as in power:beta=3,t0=2$"):
+            sig.parse_t0_strategy(text)

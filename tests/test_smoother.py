@@ -34,7 +34,7 @@ from enloc.models import (
     ScalarToyModel,
     sample_grid_prior,
 )
-from enloc.significance import FixedT0, PercentileT0, adaptive_t0
+from enloc.significance import PercentileT0, adaptive_t0
 
 
 def _obs(nd=1, value=1.0, std=1.0):
@@ -559,6 +559,29 @@ def test_percentile_t0_equals_whole_block_oracle(monkeypatch):
     assert np.array_equal(field._t0, expected)
 
 
+def test_percentile_threshold_of_a_constant_datum():
+    """A source with no finite t (here a constant datum) gets a placeholder
+    t0 that none of its coefficients reads, and the run goes on."""
+    rng = np.random.default_rng(21)
+    g = rng.standard_normal((4, 12))
+    g[2] = 0.0  # datum 2 is constant: every pair of its source is undefined
+    prior = Ensemble(values=rng.standard_normal((12, 50)))
+    policy = sm.LocalizationPolicy(tp.PowerLaw(3.0), PercentileT0(0.9))
+
+    def field_of(model):
+        pred = PredictedEnsemble(model.evaluate_ensemble(prior.values), meta=model.datum_meta)
+        return sm.make_taper_field(policy, prior, pred)
+
+    field = field_of(LinearModel(g))
+    assert np.all(field.block(RowBlock(0, 12))[:, 2] == 0.0)
+    # the other sources keep the thresholds they have without the constant datum
+    others = LinearModel(g[[0, 1, 3]])
+    assert np.array_equal(field._t0[[0, 1, 3]], field_of(others)._t0)
+    res = sm.run_esmda(prior, LinearModel(g), _obs(4), sm.MdaSchedule.uniform(2), policy,
+                       sm.RunSeed(4))
+    assert np.all(np.isfinite(res.posterior.values))
+
+
 @pytest.mark.parametrize(
     "policy",
     [
@@ -699,7 +722,7 @@ def test_taper_field_families_and_thresholds():
         assert np.all(r[:, 3] == 0.0)
 
     # per-source percentile thresholds differ between sources
-    from enloc.significance import PercentileT0, FixedT0, StudentT0
+    from enloc.significance import StudentT0
     from enloc.significance import critical_t0
 
     field = sm.TaperField(tp.PowerLaw(3.0, None), ens, pred, PercentileT0(0.9))
@@ -708,8 +731,7 @@ def test_taper_field_families_and_thresholds():
     assert np.all(t0[:3] == t0[0]) and np.all(t0[3:] == t0[3])
     assert t0[0] != t0[3]
 
-    f_fixed = sm.TaperField(tp.PowerLaw(3.0, None), ens, pred, FixedT0(2.0))
-    assert f_fixed._t0 == 2.0
+    assert sm.TaperField(tp.PowerLaw(3.0, 2.0), ens, pred)._t0 == 2.0
     f_student = sm.TaperField(tp.PowerLaw(3.0, None), ens, pred, StudentT0(0.05))
     assert f_student._t0 == critical_t0(60, 0.05)
     with pytest.raises(ValueError):
@@ -740,7 +762,7 @@ def test_field_with_underflowing_threshold_fails_at_construction():
     with pytest.raises(ValueError, match="^t0 = 1e-30 too small"):
         sm.TaperField(tp.PowerLaw(11.0, 1e-30), prior, pred)
     with pytest.raises(ValueError, match="^t0 = 1e-200 too small"):
-        sm.TaperField(tp.Logistic(2.0), prior, pred, FixedT0(1e-200))
+        sm.TaperField(tp.Logistic(2.0, 1e-200), prior, pred)
 
 
 def test_field_with_overflowing_logistic_threshold_fails_at_construction():

@@ -3,8 +3,10 @@
 The invariants of the public tapers are swept over thousands of seeded
 random parameter combinations, and hypothesis property tests check their
 range and monotonicity at the edges: t = 0, subnormal t, t = t0, t = inf
-and Ne = 3. Another checks that the kernel TaperField evaluates for each
-family is bit-identical to the public tapers, at the edges of their domains.
+and Ne = 3. Others check, at the edges of their domains, that the public
+MSE, power-law and logistic tapers are bit-identical to independent
+np.where formulas, and that the kernel TaperField evaluates for each family
+is bit-identical to those formulas or to the family's public taper.
 """
 
 import math
@@ -14,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+import oracles
 from oracles import correlation_taper
 
-from enloc import smoother as sm
 from enloc import tapers as tp
 
 N_CASES = 2000
@@ -236,14 +238,51 @@ def _slabs(draw):
 @settings(max_examples=300, deadline=None)
 @given(_slabs())
 def test_taper_kernel_equals_public_tapers(case):
+    """The field kernel equals the oracle formulas, which the public tapers
+    equal bit for bit (below), and the public taper of every other family."""
     spec, n_e, rho, t0 = case
     try:
-        want = correlation_taper(spec, rho, n_e, t0)
+        tp.evaluate_taper(spec, tp.CorrelationStats.from_rho(0.0, n_e), t0)
     except ValueError as exc:  # a threshold the taper rejects: the kernel says the same
         with pytest.raises(ValueError) as err:
-            sm._taper_kernel(spec, n_e, t0)
+            tp._taper_kernel(spec, n_e, t0)
         assert str(err.value) == str(exc)
         return
+    want = correlation_taper(spec, rho, n_e, t0)
     got = rho.copy()
-    sm._taper_kernel(spec, n_e, t0)(got)
+    tp._taper_kernel(spec, n_e, t0)(got)
+    assert np.array_equal(got, want)
+
+
+_T_EDGES = st.sampled_from([0.0, 5e-324, 2.2e-308, 1e-160, math.inf]) | st.floats(
+    0.0, math.inf, allow_subnormal=True
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["mse", "power", "logistic"]),
+    _T_EDGES | hnp.arrays(float, st.integers(1, 6), elements=_T_EDGES),
+    st.floats(2.0, 12.0),
+    st.floats(0.01, 2.0),
+    st.floats(1e-9, 0.5, exclude_max=True),
+    st.data(),
+)
+def test_public_tapers_equal_oracle_formulas(family, t, beta, gamma, eps, data):
+    """MSE, power-law and logistic on a fresh copy of t, bit for bit with
+    the np.where formulas: scalar or array t, scalar or per-datum t0 array,
+    t = 0, subnormal t and t = inf. A scalar t gives a scalar."""
+    n = np.size(t) if np.ndim(t) else data.draw(st.integers(1, 6))
+    t0 = 1.0 if family == "mse" else data.draw(
+        _THRESHOLD | hnp.arrays(float, n, elements=_THRESHOLD)
+    )
+    if family == "mse":
+        got, want = tp.taper_mse(t), oracles.taper_mse(t)
+    elif family == "power":
+        got, want = tp.taper_power(t, beta, t0), oracles.taper_power(t, beta, t0)
+    else:
+        got = tp.taper_logistic(t, gamma, t0, eps)
+        want = oracles.taper_logistic(t, gamma, t0, eps)
+    assert isinstance(got, np.ndarray) == (np.ndim(t) + np.ndim(t0) > 0)
+    assert np.shape(got) == np.shape(want)
     assert np.array_equal(got, want)

@@ -7,7 +7,7 @@ import pytest
 
 from enloc import tapers as tp
 from enloc.errors import InvalidEnsembleSizeError, WrongTaperKindError
-from enloc.significance import FixedT0, PercentileT0, StudentT0
+from enloc.significance import PercentileT0, StudentT0
 
 
 def test_sampling_std_values():
@@ -119,7 +119,6 @@ _VALID_ARGS = {
     tp.Discrepancy: dict(eta=0.5),
     tp.Cgc: dict(theta=0.2),
     tp.DistanceGC: dict(len_major=5.0, len_minor=2.0, angle_deg=30.0),
-    FixedT0: dict(value=2.0),
     StudentT0: dict(phi=0.05),
     PercentileT0: dict(p=0.9),
 }
