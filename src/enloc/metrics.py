@@ -5,13 +5,13 @@ prior's row variance once per run and each forecast's ratios from it, by the
 two helpers that normalized_variance() uses, and returns the final ratios.
 
 The taper-dependent aggregates (effective updated-parameter count and
-taper histogram) are tallied by a FootprintTally over the blocks a block
-provider (a callable RowBlock -> (width x Nd) taper array) hands out, so
-each taper block is read once and the full taper matrix is never held.
-footprint() reads every block in one pass; run_esmda instead tallies the
-blocks its first update with a new taper field reads. Without
-localization (no provider) the taper is one everywhere and no block is
-read.
+taper histogram) are tallied block by block, so the full taper matrix is
+never held. A run reads its frozen taper through one _RunTaper, which keeps
+the run's first blocks and tallies the footprint from the blocks the first
+update reads. footprint() runs the same tally over every block of a block
+provider (a callable RowBlock -> (width x Nd) taper array), keeping none.
+Without localization (no provider) the taper is one everywhere and no
+block is read.
 """
 
 from __future__ import annotations
@@ -33,12 +33,9 @@ __all__ = [
     "normalized_variance",
     "mean_offset",
     "footprint",
-    "FootprintTally",
     "chi",
     "HISTOGRAM_BINS",
 ]
-
-TaperProvider = Callable[[RowBlock], np.ndarray]
 
 HISTOGRAM_BINS = 20
 _HISTOGRAM_EDGES = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
@@ -127,52 +124,72 @@ def mean_offset(prior: Ensemble, posterior: Ensemble) -> float:
     return float(np.mean(shift / std_prior))
 
 
-class FootprintTally:
-    """Effective updated-parameter count and taper histogram of one field.
+class _RunTaper:
+    """The taper blocks one run reads, and the field's footprint.
 
-    rows is the taper provider seen through the tally: every block it
-    returns is counted, so the caller reads each block exactly once and
-    then takes result(). Blocks may be read from several threads at once,
-    in any order: each block's partial sum and counts are combined under a
-    lock, and the compensated sum does not depend on their order.
-    taper_provider=None means no localization: rows is None and the result
-    needs no block.
+    block is the field's block method (a callable RowBlock -> width x Nd
+    taper array), or None without localization. rows(blk) returns a block,
+    keeping it read-only for later reads when its rows end within the first
+    keep_rows rows, so which blocks are kept depends on their rows alone,
+    not on the order in which threads first read them. Until footprint()
+    closes the tally, rows() also tallies every block it returns, so the
+    caller reads each block exactly once before that. Blocks may be read
+    from several threads at once, in any order: each block's partial sum
+    and counts are combined under a lock, and the compensated sum does not
+    depend on their order. The object keeps no closure or bound method of
+    itself, so it forms no reference cycle and reference counting frees
+    the field and the kept blocks with it.
     """
 
-    def __init__(self, taper_provider: TaperProvider | None, n_params: int, n_data: int):
-        self.n_params, self.n_data = n_params, n_data
+    def __init__(
+        self,
+        block: Callable[[RowBlock], np.ndarray] | None,
+        n_params: int,
+        n_data: int,
+        keep_rows: int = 0,
+    ):
+        self._block, self.n_params, self.n_data = block, n_params, n_data
+        self._keep_rows = keep_rows
+        self._kept: dict[RowBlock, np.ndarray] = {}
         self._counts = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
-        self._partials: list[float] = []
+        self._partials: list[float] | None = []  # None once the tally is closed
+        self._n_eff = math.nan
         self._lock = threading.Lock()
-        self.rows = None if taper_provider is None else self._reader(taper_provider)
 
-    def _reader(self, taper_provider: TaperProvider) -> TaperProvider:
-        def rows(blk: RowBlock) -> np.ndarray:
-            r = taper_provider(blk)
+    def rows(self, blk: RowBlock) -> np.ndarray:
+        r = self._kept.get(blk)
+        if r is None:
+            r = self._block(blk)
+            if blk.stop <= self._keep_rows:
+                r.flags.writeable = False
+                self._kept[blk] = r
+        if self._partials is not None:
             partial = float(np.sum(r))
             counts = np.histogram(r, bins=_HISTOGRAM_EDGES)[0]
             with self._lock:
                 self._partials.append(partial)
                 self._counts += counts
-            return r
+        return r
 
-        return rows
-
-    def result(self) -> tuple[float, np.ndarray]:
-        """(n_eff, histogram counts); see footprint()."""
-        if self.rows is None:
-            self._counts[-1] = self.n_params * self.n_data
-            return float(self.n_params), self._counts
-        total = int(self._counts.sum())
-        if total != self.n_params * self.n_data:
-            raise ValueError(
-                f"taper values outside [0, 1]: binned {total} of {self.n_params * self.n_data}"
-            )
-        return math.fsum(self._partials) / self.n_data, self._counts
+    def footprint(self) -> tuple[float, np.ndarray]:
+        """(n_eff, histogram counts), see footprint(); the first call closes
+        the tally and later calls return the same result."""
+        if self._partials is not None:
+            total = self.n_params * self.n_data
+            if self._block is None:
+                self._counts[-1] = total
+                self._n_eff = float(self.n_params)
+            else:
+                binned = int(self._counts.sum())
+                if binned != total:
+                    raise ValueError(f"taper values outside [0, 1]: binned {binned} of {total}")
+                self._n_eff = math.fsum(self._partials) / self.n_data
+            self._partials = None
+        return self._n_eff, self._counts
 
 
 def footprint(
-    taper_provider: TaperProvider | None,
+    taper_provider: Callable[[RowBlock], np.ndarray] | None,
     n_params: int,
     n_data: int,
     block_width: int = DEFAULT_BLOCK_WIDTH,
@@ -188,11 +205,11 @@ def footprint(
     taper is one everywhere, so n_eff = n_params exactly, every pair falls
     in the last bin, and no block is read.
     """
-    tally = FootprintTally(taper_provider, n_params, n_data)
-    if tally.rows is not None:
+    taper = _RunTaper(taper_provider, n_params, n_data)
+    if taper_provider is not None:
         for blk in iter_blocks(n_params, block_width):
-            tally.rows(blk)
-    return tally.result()
+            taper.rows(blk)
+    return taper.footprint()
 
 
 def chi(n_eff_value: float, n_params: int) -> float:

@@ -23,9 +23,12 @@ is evaluated in slabs of rows, so memory stays bounded however large R is.
 A field's kernel comes from the tapers module, picked and validated once
 per field: MSE, power-law and logistic run their public taper's own body in
 place on a slab of correlations, and the other families evaluate their
-public taper on the slab. This module keeps only the blocks and slabs. The
-field's footprint metrics are tallied from the blocks the first update
-reads, so no separate pass reads them.
+public taper on the slab. This module keeps only the blocks and slabs. A
+run reads its field through one metrics._RunTaper, which keeps the blocks
+and tallies the field's footprint metrics from the blocks the first update
+reads, so no separate pass reads them. That object refers to nothing that
+refers back to it, so reference counting frees the field, its prior and
+its kept blocks as soon as the run returns.
 
 An update spreads its row blocks over the CPUs the process may run on: the
 calling thread and one helper thread per further CPU take blocks in row
@@ -550,31 +553,6 @@ class EsmdaResult:
     nv_rows: np.ndarray | None = None
 
 
-def _kept_blocks(taper_field: TaperField | None) -> Callable[[RowBlock], np.ndarray] | None:
-    """taper_field.block memoized for the blocks whose rows end within the
-    first TAPER_CACHE_BYTES // (8 Nd) rows; None without a field.
-
-    Whether a block is kept depends on its rows alone, not on the order in
-    which threads first read the blocks. Kept blocks are made read-only,
-    since every later read shares them.
-    """
-    if taper_field is None:
-        return None
-    kept: dict[RowBlock, np.ndarray] = {}
-    kept_rows = TAPER_CACHE_BYTES // (8 * taper_field.n_data)
-
-    def block(blk: RowBlock) -> np.ndarray:
-        r = kept.get(blk)
-        if r is None:
-            r = taper_field.block(blk)
-            if blk.stop <= kept_rows:
-                r.flags.writeable = False
-                kept[blk] = r
-        return r
-
-    return block
-
-
 def _diagnostics(
     step: int,
     alpha: float | None,
@@ -612,13 +590,14 @@ def run_esmda(
     its forecast; later steps reuse it. A final forward evaluation after the
     last update provides the posterior diagnostics entry.
 
-    The updates read a taper block evaluated once and kept when its rows
-    end within the first TAPER_CACHE_BYTES // (8 Nd) rows; later blocks are
-    recomputed on every read.
-    The field's footprint (n_eff and histogram) is tallied from the blocks
-    the first update reads, so no separate pass reads them. Runs in flight
-    together each keep their own blocks. The field and its kept blocks are
-    dropped on return. The prior is not modified (it may be read-only).
+    The updates read the field through one metrics._RunTaper: a taper
+    block is evaluated once and kept when its rows end within the first
+    TAPER_CACHE_BYTES // (8 Nd) rows; later blocks are recomputed on every
+    read. The field's footprint (n_eff and histogram) is tallied from the
+    blocks the first update reads, so no separate pass reads them. Runs in
+    flight together each keep their own blocks. The field and its kept
+    blocks form no reference cycle, so they are freed on return without a
+    garbage-collector pass. The prior is not modified (it may be read-only).
 
     A prior row with zero variance fails step 1. Each forecast's NV is the
     mean of its row variances over the prior's; the result keeps the final
@@ -629,7 +608,7 @@ def run_esmda(
     if obs.n_data != model.n_data:
         raise ValueError("observation set size does not match the model")
     ens = prior
-    prior_var = taper_rows = footprint = None
+    prior_var = taper = taper_rows = None
     diagnostics: list[StepDiagnostics] = []
 
     for step, alpha in enumerate(schedule.alphas, start=1):
@@ -639,17 +618,18 @@ def run_esmda(
             )
             if step == 1:  # the prior's row variance and the run's one taper field
                 prior_var = metrics._prior_variance(prior)
-                taper_rows = _kept_blocks(make_taper_field(policy, ens, pred, block_width))
-                tally = metrics.FootprintTally(taper_rows, ens.n_params, obs.n_data)
+                taper_field = make_taper_field(policy, ens, pred, block_width)
+                taper = metrics._RunTaper(
+                    None if taper_field is None else taper_field.block,
+                    ens.n_params, obs.n_data, TAPER_CACHE_BYTES // (8 * obs.n_data),
+                )
+                taper_rows = None if taper_field is None else taper.rows
             nv_rows = metrics._variance_ratios(prior_var, ens)
             perturbed = perturb_observations(obs, alpha, seed, step, ens.n_members)
             updated = localized_update_step(
-                ens, pred, obs, alpha, tally.rows if step == 1 else taper_rows,
-                perturbed, block_width,
+                ens, pred, obs, alpha, taper_rows, perturbed, block_width
             )
-            if step == 1:
-                footprint = tally.result()
-            diagnostics.append(_diagnostics(step, alpha, pred, obs, nv_rows, footprint))
+            diagnostics.append(_diagnostics(step, alpha, pred, obs, nv_rows, taper.footprint()))
             ens = updated
 
     with _failures_name_step(schedule.n_steps + 1):
@@ -657,7 +637,9 @@ def run_esmda(
             values=evaluate_members(model, ens.values), meta=model.datum_meta
         )
     nv_rows = metrics._variance_ratios(prior_var, ens)
-    diagnostics.append(_diagnostics(schedule.n_steps + 1, None, pred, obs, nv_rows, footprint))
+    diagnostics.append(
+        _diagnostics(schedule.n_steps + 1, None, pred, obs, nv_rows, taper.footprint())
+    )
     return EsmdaResult(ens, diagnostics, nv_rows)
 
 

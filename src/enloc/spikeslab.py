@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_finite
+
 __all__ = [
     "SpikeSlabParams",
     "LogisticParams",
@@ -45,10 +47,8 @@ class SpikeSlabParams:
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
             raise ValueError(f"lambda must be in (0, 1), got {self.lam}")
-        if self.upsilon <= 0.0:
-            raise ValueError(f"upsilon must be > 0, got {self.upsilon}")
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        check_finite("upsilon", self.upsilon, above=0.0)
+        check_finite("sigma", self.sigma, above=0.0)
 
     @property
     def tau(self) -> float:
@@ -83,8 +83,8 @@ def gaussian_prior_taper(tau):
     estimate by the same signal-to-noise ratio.
     """
     ta = np.asarray(tau, dtype=float)
-    if np.any(ta < 0.0):
-        raise ValueError("tau must be nonnegative")
+    if not (ta >= 0.0).all():  # NaN fails too
+        raise ValueError("tau must be nonnegative, not NaN")
     u = ta * ta
     with np.errstate(invalid="ignore"):
         r = np.where(np.isinf(u), 1.0, u / (u + 1.0))
@@ -132,11 +132,10 @@ def taper_spike_slab(t, lam: float, tau: float):
     """
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must be in (0, 1), got {lam}")
-    if tau <= 0.0:
-        raise ValueError(f"tau must be > 0, got {tau}")
+    check_finite("tau", tau, above=0.0)
     tt = np.asarray(t, dtype=float)
-    if np.any(tt < 0.0):
-        raise ValueError("t must be nonnegative")
+    if not (tt >= 0.0).all():  # NaN fails too
+        raise ValueError("t must be nonnegative, not NaN")
     tau2 = tau * tau
     r_max = tau2 / (tau2 + 1.0)
     odds = (1.0 - lam) / lam
@@ -155,8 +154,7 @@ def to_logistic_params(lam: float, tau: float) -> LogisticParams:
     """
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must be in (0, 1), got {lam}")
-    if tau <= 0.0:
-        raise ValueError(f"tau must be > 0, got {tau}")
+    check_finite("tau", tau, above=0.0)
     tau2 = tau * tau
     r_max = tau2 / (tau2 + 1.0)
     c = r_max / 2.0
@@ -175,8 +173,8 @@ def to_logistic_params(lam: float, tau: float) -> LogisticParams:
 def logistic_from_params(t, p: LogisticParams):
     """Scaled logistic taper r(t) = r_max / (1 + exp(-c (t^2 - t0^2)))."""
     tt = np.asarray(t, dtype=float)
-    if np.any(tt < 0.0):
-        raise ValueError("t must be nonnegative")
+    if not (tt >= 0.0).all():  # NaN fails too
+        raise ValueError("t must be nonnegative, not NaN")
     with np.errstate(over="ignore"):
         arg = p.c * (tt * tt - p.t0_sq)
         r = p.r_max / (1.0 + np.exp(-arg))
@@ -190,15 +188,13 @@ def power_taper_prior_odds(t, beta: float, lam: float, b: float):
     r(t) = lam BF / ((1 - lam) + lam BF), which equals the closed-form
     power-law taper with threshold t0^beta = (1 - lam)/(lam b).
     """
-    if beta <= 0.0:
-        raise ValueError(f"beta must be > 0, got {beta}")
+    check_finite("beta", beta, above=0.0)
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must be in (0, 1), got {lam}")
-    if b <= 0.0:
-        raise ValueError(f"b must be > 0, got {b}")
+    check_finite("b", b, above=0.0)
     tt = np.asarray(t, dtype=float)
-    if np.any(tt < 0.0):
-        raise ValueError("t must be nonnegative")
+    if not (tt >= 0.0).all():  # NaN fails too
+        raise ValueError("t must be nonnegative, not NaN")
     with np.errstate(over="ignore", invalid="ignore"):
         bf = lam * b * tt**beta
         r = np.where(np.isinf(bf), 1.0, bf / ((1.0 - lam) + bf))
@@ -212,6 +208,5 @@ def bayes_factor_power_taper(t, beta: float, t0: float):
     threshold matches t0 and the value coincides with the closed form
     t^beta / (t^beta + t0^beta).
     """
-    if t0 <= 0.0:
-        raise ValueError(f"t0 must be > 0, got {t0}")
+    check_finite("t0", t0, above=0.0)
     return power_taper_prior_odds(t, beta, 0.5, t0 ** (-beta))

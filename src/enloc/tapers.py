@@ -80,8 +80,8 @@ def standardize(rho_hat, sigma):
     """Standardized correlation t = |rho_hat| / sigma; +inf where sigma = 0."""
     rho = np.abs(np.asarray(rho_hat, dtype=float))
     sig = np.asarray(sigma, dtype=float)
-    if np.any(sig < 0.0):
-        raise ValueError("sigma must be nonnegative")
+    if not (sig >= 0.0).all():  # NaN fails too
+        raise ValueError("sigma must be nonnegative, not NaN")
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(sig > 0.0, rho / np.where(sig > 0.0, sig, 1.0), np.inf)
     return t[()] if t.ndim == 0 else t
@@ -594,8 +594,8 @@ def format_taper(spec: TaperSpec) -> str:
 
 
 def _check_nonneg(arr: np.ndarray, name: str) -> None:
-    if (arr < 0.0).any():
-        raise ValueError(f"{name} must be nonnegative")
+    if not (arr >= 0.0).all():  # NaN fails too
+        raise ValueError(f"{name} must be nonnegative, not NaN")
 
 
 def _reject_t0(t0: np.ndarray, bad: np.ndarray, why: str) -> None:

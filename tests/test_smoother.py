@@ -1,5 +1,6 @@
 """Smoother tests: perturbation moments, gain oracles, update semantics."""
 
+import gc
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +286,63 @@ def test_frozen_tapers_come_from_prior(monkeypatch):
         assert np.array_equal(hists[0], h)
 
 
+@pytest.fixture
+def gc_disabled():
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+def test_run_frees_field_prior_and_kept_blocks_without_gc(monkeypatch, gc_disabled):
+    """Reference counting alone frees the run's field, its kept blocks and
+    the prior when run_esmda returns: nothing of the run forms a cycle."""
+    toy, prior, obs = _toy_problem()
+    fields, blocks = [], []
+    make, block = sm.make_taper_field, sm.TaperField.block
+
+    def capturing(*args, **kwargs):
+        taper_field = make(*args, **kwargs)
+        fields.append(weakref.ref(taper_field))
+        return taper_field
+
+    def recording(taper_field, blk):
+        r = block(taper_field, blk)
+        if blk.start == 0:
+            blocks.append(weakref.ref(r))
+        return r
+
+    monkeypatch.setattr(sm, "make_taper_field", capturing)
+    monkeypatch.setattr(sm.TaperField, "block", recording)
+    prior_ref = weakref.ref(prior)
+    policy = sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0))
+    res = sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(3), policy, sm.RunSeed(4), 8)
+    del prior
+    assert res.diagnostics and len(fields) == 1 and len(blocks) == 1  # block 0 is kept
+    assert fields[0]() is None
+    assert blocks[0]() is None
+    assert prior_ref() is None
+
+
+@pytest.mark.parametrize("spec", [tp.Mse(), None])
+def test_run_leaves_no_cyclic_garbage(monkeypatch, gc_disabled, spec):
+    toy, prior, obs = _toy_problem()
+    policy = sm.LocalizationPolicy(spec=spec)
+    gc.collect()  # what earlier tests left
+    saved = len(gc.garbage)
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(3), policy, sm.RunSeed(4), 8)
+        gc.collect()
+        garbage = [type(o).__name__ for o in gc.garbage[saved:]]
+    finally:
+        gc.set_debug(0)
+        del gc.garbage[saved:]
+    assert garbage == []
+
+
 def _toy_problem():
     toy = ScalarToyModel(n_active=20, n_dummy=4, n_series=2, n_times=8, structure_seed=5)
     obs = sm.ObservationSet(
@@ -436,9 +495,9 @@ def test_footprint_tally_under_thread_contention(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        tally = metrics.FootprintTally(rows, 400, 5)
-        sm._each_block(400, 2, tally.rows)
-        n_eff, hist = tally.result()
+        run_taper = metrics._RunTaper(rows, 400, 5)
+        sm._each_block(400, 2, run_taper.rows)
+        n_eff, hist = run_taper.footprint()
     finally:
         sys.setswitchinterval(interval)
     assert n_eff == serial[0]

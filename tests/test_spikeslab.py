@@ -185,3 +185,38 @@ def test_bayes_factor_power_route():
     route = ss.power_taper_prior_odds(t, beta, lam, b)
     closed = t**beta / (t**beta + t0**beta)
     assert route == pytest.approx(closed, rel=1e-12)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: ss.SpikeSlabParams(0.5, v, 1.0),
+        lambda v: ss.SpikeSlabParams(0.5, 1.0, v),
+        lambda v: ss.taper_spike_slab(1.0, 0.5, v),
+        lambda v: ss.to_logistic_params(0.5, v),
+        lambda v: ss.power_taper_prior_odds(1.0, v, 0.5, 1.0),
+        lambda v: ss.power_taper_prior_odds(1.0, 3.0, 0.5, v),
+        lambda v: ss.bayes_factor_power_taper(1.0, 3.0, v),
+    ],
+    ids=["upsilon", "sigma", "spike_slab_tau", "logistic_tau", "beta", "b", "t0"],
+)
+def test_non_finite_or_nonpositive_parameters_are_rejected(call, value):
+    # a non-finite parameter would make every taper value NaN
+    with pytest.raises(ValueError, match="must be finite and > 0"):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        ss.gaussian_prior_taper,
+        lambda v: ss.taper_spike_slab(v, 0.5, 1.0),
+        lambda v: ss.logistic_from_params(v, ss.to_logistic_params(0.1, 3.0)),
+        lambda v: ss.power_taper_prior_odds(v, 3.0, 0.5, 1.0),
+    ],
+    ids=["gaussian_tau", "spike_slab_t", "logistic_t", "prior_odds_t"],
+)
+def test_nan_magnitude_is_rejected(call):
+    with pytest.raises(ValueError, match="must be nonnegative, not NaN"):
+        call(np.array([1.0, math.nan]))

@@ -113,6 +113,29 @@ def test_non_finite_taper_parameters_are_rejected():
         tp.taper_distance(1.0, 1.0, inf, 2.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "taper",
+    [
+        tp.taper_mse,
+        lambda t: tp.taper_power(t, 3.0, 2.0),
+        lambda t: tp.taper_logistic(t, 1.5, 2.0),
+        lambda t: tp.taper_discrepancy(t, 0.5),
+        tp.gaspari_cohn,
+    ],
+    ids=["mse", "power", "logistic", "discrepancy", "gaspari_cohn"],
+)
+@pytest.mark.parametrize("t", [math.nan, np.array([0.5, math.nan])], ids=["scalar", "array"])
+def test_nan_t_is_rejected(taper, t):
+    # NaN is no magnitude: it must not pass as a full update or as none
+    with pytest.raises(ValueError, match="must be nonnegative, not NaN"):
+        taper(t)
+
+
+def test_standardize_rejects_nan_sigma():
+    with pytest.raises(ValueError, match="sigma must be nonnegative, not NaN"):
+        tp.standardize(0.5, math.nan)
+
+
 _VALID_ARGS = {
     tp.PowerLaw: dict(beta=3.0, t0=2.0),
     tp.Logistic: dict(gamma=1.5, t0=2.0, epsilon=0.01),
