@@ -20,6 +20,7 @@ from .ensemble import (
 )
 from .errors import (
     AssimilationError,
+    BlockError,
     ConfigError,
     DegenerateStatisticError,
     EnlocError,

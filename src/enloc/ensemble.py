@@ -182,12 +182,14 @@ def correlation_block(
     pred: PredictedEnsemble,
     block: RowBlock,
     pred_anomalies: tuple[np.ndarray, np.ndarray] | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Correlations between one block of parameter rows and all data rows.
 
     Returns a (width x Nd) array, entrywise equal to correlation() on the
-    corresponding row pairs. Undefined entries (zero-variance parameter or
-    data rows) are marked NaN; callers treat them as taper-zero pairs.
+    corresponding row pairs, written to out when given. Undefined entries
+    (zero-variance parameter or data rows) are marked NaN; callers treat
+    them as taper-zero pairs.
 
     pred_anomalies may carry the precomputed (anomalies, norms) of the
     predicted ensemble so repeated block calls share that work.
@@ -200,7 +202,7 @@ def correlation_block(
         pred_anomalies = row_anomalies(pred.values)
     ad, nd = pred_anomalies
     am, nm = row_anomalies(ens.values[block.slice()])
-    corr = am @ ad.T
+    corr = np.matmul(am, ad.T, out=out)
     # norms are never negative, so every product is positive when the
     # smallest of each side is, and no pair needs the undefined mask
     masked = not (nm.min() * nd.min() > 0.0)
@@ -218,8 +220,15 @@ def correlation_block(
 
 
 def ensemble_variance_per_row(ens: Ensemble) -> np.ndarray:
-    """Unbiased sample variance of each parameter row."""
-    return np.var(ens.values, axis=1, ddof=1)
+    """Unbiased sample variance of each parameter row.
+
+    np.var runs on one DEFAULT_BLOCK_WIDTH block of rows at a time, so its
+    temporaries are one block in size; each row's arithmetic is unchanged.
+    """
+    out = np.empty(ens.n_params)
+    for blk in iter_blocks(ens.n_params):
+        out[blk.slice()] = np.var(ens.values[blk.slice()], axis=1, ddof=1)
+    return out
 
 
 def write_csv(path: Path, header: Sequence, rows: Iterable[Sequence]) -> None:

@@ -37,12 +37,23 @@ class ForwardModelError(EnlocError, RuntimeError):
         self.member = member
 
 
-class AssimilationError(EnlocError):
-    """A run failed inside assimilation step `step`; the message is "step k: <cause>"."""
+class BlockError(EnlocError, ValueError):
+    """An update failed in the parameter rows `rows` (a slice) of one row
+    block; the message is "rows a:b: <cause>"."""
 
-    def __init__(self, step: int, cause: str):
+    def __init__(self, rows: slice, cause: str):
+        super().__init__(f"rows {rows.start}:{rows.stop}: {cause}")
+        self.rows = rows
+
+
+class AssimilationError(EnlocError):
+    """A run failed inside assimilation step `step`; the message is "step k:
+    <cause>". When one row block failed, `rows` is its slice of parameter
+    rows and the cause is the BlockError's "rows a:b: <cause>"; else None."""
+
+    def __init__(self, step: int, cause: str, rows: slice | None = None):
         super().__init__(f"step {step}: {cause}")
-        self.step = step
+        self.step, self.rows = step, rows
 
 
 class ConfigError(EnlocError, ValueError):

@@ -82,11 +82,17 @@ class ForwardModel(ABC):
 
 
 def evaluate_members(model: ForwardModel, values: np.ndarray) -> np.ndarray:
-    """Evaluate an ensemble, aborting with the member id on any failure."""
+    """Evaluate an ensemble, aborting with the member id on any failure.
+
+    The result shares no memory with values, which the caller may then
+    update in place.
+    """
     try:
         pred = model.evaluate_ensemble(values)
     except Exception as exc:  # noqa: BLE001 - simulator failures are opaque
         raise ForwardModelError(f"forward model failed: {exc}") from exc
+    if np.may_share_memory(pred, values):  # a model that returns a view of its input
+        pred = np.array(pred)
     bad = ~np.all(np.isfinite(pred), axis=0)
     if np.any(bad):
         member = int(np.argmax(bad))
@@ -361,7 +367,7 @@ class GridFlowProxy(ForwardModel):
 
     def evaluate_ensemble(self, values: np.ndarray) -> np.ndarray:
         poro = values[: self._field_size, :]
-        inv_perm = np.exp(-values[self._field_size :, :])
+        log_perm = values[self._field_size :, :]
         n_e = values.shape[1]
         n_prod, n_inj = len(self.producers), len(self.injectors)
 
@@ -373,7 +379,8 @@ class GridFlowProxy(ForwardModel):
         for ii, ip, cells in self._pairs:
             idx = self._corridor_indices(cells)  # (n_layers, L)
             length = idx.shape[1]
-            trans = length / inv_perm[idx, :].sum(axis=1)  # (n_layers, n_e)
+            # exp on the corridor's rows only: no temporary of a field's size
+            trans = length / np.exp(-log_perm[idx, :]).sum(axis=1)  # (n_layers, n_e)
             phibar = poro[idx, :].mean(axis=1)
             t_bt = self.t_ref * length * phibar / trans
             ramp = 1.0 / (1.0 + np.exp(-(t - t_bt[:, None, :]) / self.ramp_width))

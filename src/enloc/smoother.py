@@ -17,9 +17,11 @@ parameter-row blocks, so K is never materialized in full. Without
 localization there is no taper and the same loop skips the product with R.
 Taper coefficients are computed once per run, from the prior ensemble and
 its forecast, and kept frozen across steps. Each taper block is evaluated
-once and kept, up to TAPER_CACHE_BYTES (32 MiB) of kept blocks per run in
-progress; blocks past that cap are recomputed on every read, and a block
-is evaluated in slabs of rows, so memory stays bounded however large R is.
+once and kept while a run's kept blocks fit in TAPER_CACHE_BYTES (32 MiB)
+plus the bytes of one ensemble: from step 2 a run updates its own ensemble
+in place, and the copy that saves pays for the extra blocks. Blocks past
+that cap are recomputed on every read, and a block is evaluated in slabs
+of rows, so memory stays bounded however large R is.
 A field's kernel comes from the tapers module, picked and validated once
 per field: MSE, power-law and logistic run their public taper's own body in
 place on a slab of correlations, and the other families evaluate their
@@ -64,7 +66,7 @@ from .ensemble import (
     iter_blocks,
     row_anomalies,
 )
-from .errors import AssimilationError, EnlocError, WrongTaperKindError
+from .errors import AssimilationError, BlockError, EnlocError, WrongTaperKindError
 from .models import ForwardModel, evaluate_members
 from .tapers import (
     DistanceGC,
@@ -92,11 +94,13 @@ __all__ = [
     "run_esmda",
 ]
 
-# Bytes of taper blocks one run in progress keeps: the blocks whose rows end
-# within the first TAPER_CACHE_BYTES // (8 Nd) rows. A one-layer 60x60 grid
-# field (7200 x 312 float64, 18 MB) fits whole; the 8-layer field (144 MB)
-# keeps 13 of its 57 blocks of 1024 rows and recomputes the other 44, since
-# keeping all of it would add the whole field to a run's resident memory.
+# Bytes of taper blocks one run in progress keeps on top of the bytes of one
+# ensemble, which the in-place update from step 2 frees: the blocks whose
+# rows end within the first (TAPER_CACHE_BYTES + Nm Ne 8) // (8 Nd) rows. A
+# one-layer 60x60 grid field (7200 x 312 float64, 18 MB) fits whole; the
+# 8-layer field (144 MB, Ne = 100) keeps 31 of its 57 blocks of 1024 rows and
+# recomputes the other 26, since keeping all of it would add the whole field
+# to a run's resident memory.
 TAPER_CACHE_BYTES = 32 * 2**20
 
 # Entries per slab of rows in which TaperField.block evaluates a taper. Each
@@ -288,8 +292,9 @@ class TaperField:
                 t0_vec[cols] = significance.adaptive_t0(pooled, p)
         return t0_vec
 
-    def block(self, blk: RowBlock) -> np.ndarray:
-        """Taper coefficients of one block of rows (width x Nd).
+    def block(self, blk: RowBlock, out: np.ndarray | None = None) -> np.ndarray:
+        """Taper coefficients of one block of rows (width x Nd), in out when
+        given (a C-contiguous float array of that shape).
 
         Every taper is elementwise, so the block is filled one slab of rows
         at a time: the temporaries of the taper arithmetic scale with
@@ -298,9 +303,9 @@ class TaperField:
         distance = isinstance(self.spec, DistanceGC)
         if distance:
             coords = self._ens.coords[blk.slice()]
-            out = np.empty((len(coords), self.n_data))
+            out = np.empty((len(coords), self.n_data)) if out is None else out
         else:
-            out = correlation_block(self._ens, self._pred, blk, self._pred_anoms)
+            out = correlation_block(self._ens, self._pred, blk, self._pred_anoms, out)
         for rows in _slabs(out.shape):
             if distance:
                 out[rows] = self._distance_taper(coords[rows])
@@ -414,7 +419,7 @@ def _tapered_gain_block(
             if r.shape != gain.shape:
                 raise ValueError("taper block shape does not match gain block")
             if not (r.min() >= 0.0 and r.max() <= 1.0):  # NaN fails too
-                raise ValueError(f"taper values outside [0, 1] in rows {blk.start}:{blk.stop}")
+                raise ValueError("taper values outside [0, 1]")
             gain *= r
         del r
     return gain
@@ -428,6 +433,8 @@ def localized_update_step(
     taper_rows: Callable[[RowBlock], np.ndarray] | None,
     perturbed: np.ndarray,
     block_width: int = DEFAULT_BLOCK_WIDTH,
+    *,
+    out: np.ndarray | None = None,
 ) -> Ensemble:
     """One update pass over all parameter rows; taper_rows=None is unlocalized.
 
@@ -436,22 +443,37 @@ def localized_update_step(
     the caller supplies the perturbed-data matrix from
     perturb_observations(). Blocks run as _each_block spreads them, so
     taper_rows may be called from several threads at once, each time for
-    another block. The input ensemble is not modified.
+    another block. A block whose update raises an EnlocError or ValueError
+    fails the step with a BlockError naming its rows.
+
+    The updated values are written to a new array, and the input ensemble
+    is not modified. As with numpy's out=, out may instead name the Nm x Ne
+    float array to write them to and return in the new ensemble: ens.values
+    itself, for an update in place that allocates no Nm x Ne array, or an
+    array that shares no memory with it. Each block reads its own rows of
+    ens before it writes them, so in place gives the same values.
     """
     if perturbed.shape != (obs.n_data, ens.n_members):
         raise ValueError("perturbed-data matrix has wrong shape")
+    if out is None:
+        out = ens.values.copy()
+    elif out.shape != ens.values.shape or out.dtype != float or not out.flags.writeable:
+        raise ValueError("out must be a writable float array of the ensemble's shape")
+    elif out is not ens.values:
+        if np.may_share_memory(out, ens.values):
+            raise ValueError("out must be ens.values or share no memory with it")
+        out[...] = ens.values
     resid = perturbed - pred.values
     operator = gain_operator(pred, obs, alpha)
-    new_values = ens.values.copy()
     pair_lock = threading.Lock()
 
     def update(blk: RowBlock) -> None:
         gain = _tapered_gain_block(ens, blk, operator, taper_rows, pair_lock)
-        new_values[blk.slice()] += gain @ resid
+        out[blk.slice()] += gain @ resid
 
     _each_block(ens.n_params, block_width, update)
     return Ensemble(
-        values=new_values,
+        values=out,
         names=None if ens.names is None else list(ens.names),
         coords=None if ens.coords is None else ens.coords.copy(),
     )
@@ -469,14 +491,15 @@ def _each_block(n_rows: int, block_width: int, work: Callable[[RowBlock], None])
     458-493 MB, likely as freed block arrays stay in the helpers' malloc
     arenas (not confirmed). work must write only its own block's
     rows. After a failure no further block is taken; once every taken block
-    has finished, the failure of the lowest block is raised. Every block
+    has finished, the failure of the lowest block is raised, as a BlockError
+    naming its rows when it is an EnlocError or ValueError. Every block
     below it was taken before it, so the same error surfaces however the
     threads interleave.
     """
     blocks = list(iter_blocks(n_rows, block_width))
     pending = iter(blocks)
     lock = threading.Lock()
-    failures: dict[int, Exception] = {}
+    failures: dict[int, tuple[RowBlock, Exception]] = {}
     stopped = False
 
     def drain() -> None:
@@ -489,7 +512,7 @@ def _each_block(n_rows: int, block_width: int, work: Callable[[RowBlock], None])
                 work(blk)
             except Exception as exc:  # raised below, once all taken blocks are done
                 with lock:
-                    failures[blk.start] = exc
+                    failures[blk.start] = blk, exc
 
     helpers = min(_helper_count(), len(blocks) - 1)
     # a pool starts a thread per submit, so with no helpers it starts none
@@ -502,7 +525,10 @@ def _each_block(n_rows: int, block_width: int, work: Callable[[RowBlock], None])
     for future in futures:
         future.result()
     if failures:
-        raise failures[min(failures)]
+        blk, exc = failures[min(failures)]
+        if isinstance(exc, (EnlocError, ValueError)):
+            raise BlockError(blk.slice(), str(exc)) from exc
+        raise exc
 
 
 def _helper_count() -> int:
@@ -590,20 +616,25 @@ def run_esmda(
     its forecast; later steps reuse it. A final forward evaluation after the
     last update provides the posterior diagnostics entry.
 
-    The updates read the field through one metrics._RunTaper: a taper
-    block is evaluated once and kept when its rows end within the first
-    TAPER_CACHE_BYTES // (8 Nd) rows; later blocks are recomputed on every
-    read. The field's footprint (n_eff and histogram) is tallied from the
-    blocks the first update reads, so no separate pass reads them. Runs in
-    flight together each keep their own blocks. The field and its kept
-    blocks form no reference cycle, so they are freed on return without a
-    garbage-collector pass. The prior is not modified (it may be read-only).
+    Step 1 writes its update to a new array; later steps update the run's
+    own ensemble in place, so the prior is not modified (it may be
+    read-only). The updates read the field through one metrics._RunTaper:
+    a taper block is evaluated once and kept when its rows end within the
+    first (TAPER_CACHE_BYTES + Nm Ne 8) // (8 Nd) rows, so the bytes of the
+    copy the in-place update saves go to kept blocks; later blocks are
+    recomputed on every read. The field's footprint (n_eff and histogram)
+    is tallied from the blocks the first update reads, so no separate pass
+    reads them. Runs in flight together each keep their own blocks. The
+    field and its kept blocks form no reference cycle, so they are freed on
+    return without a garbage-collector pass.
 
     A prior row with zero variance fails step 1. Each forecast's NV is the
     mean of its row variances over the prior's; the result keeps the final
     forecast's per-row ratios (nv_rows), not those of every step. A failure
     inside step k raises AssimilationError with .step = k and the message
-    "step k: <cause>"; the final forecast counts as step n_steps + 1.
+    "step k: <cause>", or "step k: rows a:b: <cause>" with .rows = slice(a,
+    b) when the update's row block a:b failed; the final forecast counts as
+    step n_steps + 1.
     """
     if obs.n_data != model.n_data:
         raise ValueError("observation set size does not match the model")
@@ -619,15 +650,18 @@ def run_esmda(
             if step == 1:  # the prior's row variance and the run's one taper field
                 prior_var = metrics._prior_variance(prior)
                 taper_field = make_taper_field(policy, ens, pred, block_width)
+                keep_bytes = TAPER_CACHE_BYTES + prior.values.nbytes
                 taper = metrics._RunTaper(
                     None if taper_field is None else taper_field.block,
-                    ens.n_params, obs.n_data, TAPER_CACHE_BYTES // (8 * obs.n_data),
+                    ens.n_params, obs.n_data, keep_bytes // (8 * obs.n_data), block_width,
                 )
                 taper_rows = None if taper_field is None else taper.rows
             nv_rows = metrics._variance_ratios(prior_var, ens)
             perturbed = perturb_observations(obs, alpha, seed, step, ens.n_members)
+            # the field reads the prior, which the caller may share: step 1 copies
             updated = localized_update_step(
-                ens, pred, obs, alpha, taper_rows, perturbed, block_width
+                ens, pred, obs, alpha, taper_rows, perturbed, block_width,
+                out=None if ens is prior else ens.values,
             )
             diagnostics.append(_diagnostics(step, alpha, pred, obs, nv_rows, taper.footprint()))
             ens = updated
@@ -649,4 +683,5 @@ def _failures_name_step(step: int) -> Iterator[None]:
     try:
         yield
     except (EnlocError, ValueError) as exc:  # ValueError covers LinAlgError
-        raise AssimilationError(step, str(exc)) from exc
+        rows = exc.rows if isinstance(exc, BlockError) else None
+        raise AssimilationError(step, str(exc), rows) from exc

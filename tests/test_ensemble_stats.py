@@ -1,5 +1,7 @@
 """Moment estimation: hand oracles, blockwise-equals-dense, serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,24 @@ def test_variance_per_row():
     a = es.ensemble_variance_per_row(es.Ensemble(values=vals))
     b = es.ensemble_variance_per_row(es.Ensemble(values=vals[:, perm]))
     assert np.allclose(a, b, atol=1e-15)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_variance_per_row_peaks_at_about_one_block(order):
+    """np.var runs one block of rows at a time, with each row's arithmetic
+    unchanged: bit-equal to np.var over the whole array."""
+    nm, ne = 20_000, 30
+    values = np.random.default_rng(9).standard_normal((nm, ne))
+    ens = es.Ensemble(values=np.asarray(values, order=order))
+    tracemalloc.start()
+    try:
+        var = es.ensemble_variance_per_row(ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = es.DEFAULT_BLOCK_WIDTH * ne * 8
+    assert peak < var.nbytes + 2 * block, (peak, block)
+    assert np.array_equal(var, np.var(ens.values, axis=1, ddof=1))
 
 
 def test_row_shift_invariance():

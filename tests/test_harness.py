@@ -458,6 +458,52 @@ def test_run_failing_at_step_3_names_it_and_the_matrix_completes(tmp_path, monke
     assert cli._exit_code([report]) == cli.EXIT_RUN
 
 
+class _InfRowAtStep2(ForwardModel):
+    """The wrapped model, but its second evaluation sets parameter row `row`
+    of the ensemble it reads to inf: the run's own ensemble, which the
+    step's update then writes in place."""
+
+    def __init__(self, inner, row):
+        self._inner, self._row, self._calls = inner, row, 0
+        self.datum_meta = inner.datum_meta
+
+    n_params = property(lambda self: self._inner.n_params)
+    n_data = property(lambda self: self._inner.n_data)
+
+    def evaluate_ensemble(self, values):
+        self._calls += 1
+        out = self._inner.evaluate_ensemble(values)
+        if self._calls == 2:
+            values[self._row] = np.inf
+        return out
+
+
+# the inf row's variance, taken before the update fails, is NaN
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+def test_run_failing_in_block_2_names_its_rows_and_the_matrix_completes(tmp_path, monkeypatch):
+    run_esmda = hn.run_esmda
+
+    def flaky(prior, model, obs, schedule, policy, *args):
+        if policy.spec is not None:  # "logistic" only
+            model = _InfRowAtStep2(model, 5)
+        return run_esmda(prior, model, obs, schedule, policy, *args)
+
+    monkeypatch.setattr(hn, "run_esmda", flaky)
+    # 7 parameters in blocks 0:2, 2:4, 4:6 and 6:7
+    raw = tiny_config(tmp_path / "out", block_width=2, schedule={"n_steps": 3})
+    report = hn.run_experiment(hn.config_from_dict(raw))
+    rows = read_csv(tmp_path / "out" / "report.csv")
+    status = {(r["taper"], r["run"]): r["status"] for r in rows}
+    failed = "failed: step 2: rows 4:6: ensemble rows must be finite"
+    assert status == {
+        ("none", "0"): "ok", ("none", "1"): "ok",
+        ("logistic", "0"): failed, ("logistic", "1"): failed,
+        ("reference", "0"): "ok",
+    }
+    assert [r.taper for r in report.all_runs if r.report is None] == ["logistic", "logistic"]
+    assert cli._exit_code([report]) == cli.EXIT_RUN
+
+
 def test_sweep_ensemble_size(tmp_path):
     raw = tiny_config(tmp_path / "sweep", **{"reference": None})
     cfg = hn.config_from_dict(raw)

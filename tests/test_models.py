@@ -253,6 +253,33 @@ def test_grf_correlation_memory():
     assert peak < 1.5 * n * n * 8
 
 
+def test_grid_forward_allocates_no_field_sized_array():
+    """exp runs on each corridor's rows only, so evaluating a 4-layer grid
+    allocates nothing the size of the log-permeability half."""
+    grid = md.GridFlowProxy(nx=30, ny=30, n_layers=4, prod_grid=3, n_times=6)
+    ne = 40
+    values = 0.2 + 0.1 * np.random.default_rng(3).standard_normal((grid.n_params, ne))
+    half = values[grid.n_params // 2 :].nbytes
+    tracemalloc.start()
+    try:
+        out = grid.evaluate_ensemble(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < half / 2, (peak, half)
+    assert np.array_equal(out[:, 7], grid.evaluate(values[:, 7]))
+
+
+def test_evaluate_members_never_returns_a_view_of_its_input():
+    class Identity(md.LinearModel):
+        def evaluate_ensemble(self, values):
+            return values
+
+    values = np.arange(12.0).reshape(3, 4)
+    out = md.evaluate_members(Identity(np.eye(3)), values)
+    assert np.array_equal(out, values) and not np.may_share_memory(out, values)
+
+
 def test_grf_factor_cache():
     md._correlation_factor.cache_clear()
     poro = md.GrfPrior(nx=9, ny=9, mean=0.2, std=0.05)

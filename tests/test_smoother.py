@@ -26,7 +26,7 @@ from enloc.ensemble import (
     ensemble_variance_per_row,
     iter_blocks,
 )
-from enloc.errors import AssimilationError, ForwardModelError
+from enloc.errors import AssimilationError, BlockError, ForwardModelError
 from enloc.metrics import normalized_variance
 from enloc.models import (
     ForwardModel,
@@ -160,8 +160,9 @@ def test_update_with_zero_and_unit_taper():
 
     for value in (1.5, np.nan):  # the failure names the block
         bad = lambda blk: np.full((blk.width, 3), value)
-        with pytest.raises(ValueError, match=r"^taper values outside \[0, 1\] in rows 0:6$"):
+        with pytest.raises(BlockError, match=r"^rows 0:6: taper values outside \[0, 1\]$") as err:
             sm.localized_update_step(ens, pred, obs, 4.0, bad, pert)
+        assert err.value.rows == slice(0, 6)
 
 
 def test_update_block_schedule_independence():
@@ -197,6 +198,41 @@ def test_update_memory_stays_blockwise():
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, peak
+
+
+@pytest.mark.parametrize("tapered", [False, True])
+def test_update_in_place_allocates_no_ensemble(monkeypatch, tapered):
+    """out=ens.values writes the update over its input with no Nm x Ne array
+    and the values of a copying update; without out the input is unchanged."""
+    monkeypatch.setattr(sm, "_helper_count", lambda: 1)
+    rng = np.random.default_rng(14)
+    nm, nd, ne = 20_000, 40, 30
+    ens = Ensemble(values=rng.standard_normal((nm, ne)))
+    pred = PredictedEnsemble(values=rng.standard_normal((nd, ne)))
+    obs = _obs(nd)
+    pert = sm.perturb_observations(obs, 4.0, sm.RunSeed(3), 1, ne)
+    taper = (lambda blk: np.full((blk.width, nd), 0.5)) if tapered else None
+    before = ens.values.copy()
+    copied = sm.localized_update_step(ens, pred, obs, 4.0, taper, pert)
+    assert np.array_equal(ens.values, before)
+    into = np.empty_like(before)
+    assert sm.localized_update_step(ens, pred, obs, 4.0, taper, pert, out=into).values is into
+    assert np.array_equal(into, copied.values) and np.array_equal(ens.values, before)
+    tracemalloc.start()
+    try:
+        in_place = sm.localized_update_step(ens, pred, obs, 4.0, taper, pert, out=ens.values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert in_place.values is ens.values
+    assert np.array_equal(ens.values, copied.values)
+    assert peak < ens.values.nbytes, peak
+    read_only = before.copy()
+    read_only.flags.writeable = False
+    for bad in (before[::-1], np.empty((nm, ne + 1)), np.empty((nm, ne), dtype=np.float32),
+                read_only):
+        with pytest.raises(ValueError, match="^out must"):
+            sm.localized_update_step(Ensemble(before), pred, obs, 4.0, taper, pert, out=bad)
 
 
 def test_localization_monotonicity_single_datum():
@@ -308,8 +344,8 @@ def test_run_frees_field_prior_and_kept_blocks_without_gc(monkeypatch, gc_disabl
         fields.append(weakref.ref(taper_field))
         return taper_field
 
-    def recording(taper_field, blk):
-        r = block(taper_field, blk)
+    def recording(taper_field, blk, **kwargs):  # kwargs: a kept block's out=
+        r = block(taper_field, blk, **kwargs)
         if blk.start == 0:
             blocks.append(weakref.ref(r))
         return r
@@ -361,14 +397,20 @@ def _grid_problem():
     return grid, prior, obs
 
 
+def _budget_keeping(rows, model, prior):
+    """The TAPER_CACHE_BYTES under which a run of prior keeps the taper blocks
+    that end within its first rows rows: the run adds the prior's bytes."""
+    return rows * 8 * model.n_data - prior.values.nbytes
+
+
 def _count_block_reads(monkeypatch):
     """Per-(start, width) counts of TaperField.block calls from now on."""
     calls = {}
     original = sm.TaperField.block
 
-    def counting(field, blk):
+    def counting(field, blk, **kwargs):  # kwargs: a kept block's out=
         calls[blk.start, blk.width] = calls.get((blk.start, blk.width), 0) + 1
-        return original(field, blk)
+        return original(field, blk, **kwargs)
 
     monkeypatch.setattr(sm.TaperField, "block", counting)
     return calls
@@ -386,7 +428,7 @@ def test_taper_block_evaluated_once_per_field(monkeypatch):
 def test_taper_blocks_past_the_budget_are_recomputed(monkeypatch):
     toy, prior, obs = _toy_problem()
     n_blocks, steps = 3, 4
-    monkeypatch.setattr(sm, "TAPER_CACHE_BYTES", 8 * toy.n_data * 8)  # one block
+    monkeypatch.setattr(sm, "TAPER_CACHE_BYTES", _budget_keeping(8, toy, prior))  # one block
     calls = _count_block_reads(monkeypatch)
     policy = sm.LocalizationPolicy(spec=tp.Mse())
     sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(steps), policy, sm.RunSeed(4), 8)
@@ -415,7 +457,8 @@ def test_kept_taper_blocks_match_recomputed(monkeypatch, problem, policy):
 
     monkeypatch.setattr(sm, "localized_update_step", recording)
     runs = []
-    for budget in (sm.TAPER_CACHE_BYTES, 0):
+    # the whole field kept, then every block recomputed
+    for budget in (sm.TAPER_CACHE_BYTES, _budget_keeping(0, model, prior)):
         monkeypatch.setattr(sm, "TAPER_CACHE_BYTES", budget)
         res = sm.run_esmda(prior, model, obs, sm.MdaSchedule.uniform(3), policy,
                            sm.RunSeed(12), 8)
@@ -445,7 +488,7 @@ def test_kept_taper_blocks_match_recomputed(monkeypatch, problem, policy):
 def test_run_equal_for_any_helper_count(monkeypatch, problem, policy, kept_blocks):
     model, prior, obs = problem()
     if kept_blocks is not None:
-        monkeypatch.setattr(sm, "TAPER_CACHE_BYTES", kept_blocks * 8 * model.n_data * 8)
+        monkeypatch.setattr(sm, "TAPER_CACHE_BYTES", _budget_keeping(kept_blocks * 8, model, prior))
     runs = []
     for helpers in (0, 1, 3):
         monkeypatch.setattr(sm, "_helper_count", lambda helpers=helpers: helpers)
@@ -521,8 +564,9 @@ def test_failure_names_the_lowest_failing_block(monkeypatch, helpers):
         finished.append(blk.start)
         return np.full((blk.width, 3), 1.5 if blk.start in (8, 24) else 0.5)
 
-    with pytest.raises(ValueError, match=r"^taper values outside \[0, 1\] in rows 8:16$"):
+    with pytest.raises(BlockError, match=r"^rows 8:16: taper values outside \[0, 1\]$") as err:
         sm.localized_update_step(ens, pred, obs, 4.0, taper, pert, block_width=8)
+    assert err.value.rows == slice(8, 16)
     assert {0, 8} <= set(finished)
 
 
@@ -649,11 +693,13 @@ def test_percentile_threshold_of_a_constant_datum():
     ],
 )
 def test_run_leaves_prior_unchanged(policy):
+    """The prior is writable here; step 2 updates the run's own copy in place."""
     toy, prior, obs = _toy_problem()
     before = prior.values.copy()
     res = sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(2), policy, sm.RunSeed(3), 8)
     assert np.array_equal(prior.values, before)
     assert not np.array_equal(res.posterior.values, before)
+    assert not np.may_share_memory(res.posterior.values, prior.values)
 
 
 @pytest.mark.parametrize(
@@ -669,7 +715,7 @@ def test_step_nv_equals_normalized_variance(monkeypatch, policy):
     evaluate = sm.evaluate_members
 
     def recording(model, values):
-        forecasts.append(Ensemble(values))
+        forecasts.append(Ensemble(values.copy()))  # from step 2 the run updates values in place
         return evaluate(model, values)
 
     monkeypatch.setattr(sm, "evaluate_members", recording)
@@ -710,8 +756,34 @@ def test_failure_inside_a_step_names_the_step():
     policy = sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0))
     with pytest.raises(AssimilationError, match="^step 2: forward model produced") as err:
         sm.run_esmda(prior, model, obs, sm.MdaSchedule.uniform(3), policy, sm.RunSeed(3), 8)
-    assert err.value.step == 2
+    assert err.value.step == 2 and err.value.rows is None
     assert isinstance(err.value.__cause__, ForwardModelError)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+def test_failure_in_a_row_block_names_the_step_and_the_rows():
+    """Row 9 of the run's own ensemble turns inf as step 2 reads it: the
+    update of rows 8:16 fails, named once."""
+    toy, prior, obs = _toy_problem()
+    calls = []
+
+    class InfRowAtStep2(LinearModel):
+        def evaluate_ensemble(self, values):
+            calls.append(1)
+            out = toy.evaluate_ensemble(values)
+            if len(calls) == 2:
+                values[9] = np.inf
+            return out
+
+    model = InfRowAtStep2(np.eye(toy.n_data, toy.n_params))
+    model.datum_meta = toy.datum_meta
+    policy = sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0))
+    with pytest.raises(
+        AssimilationError, match=r"^step 2: rows 8:16: ensemble rows must be finite$"
+    ) as err:
+        sm.run_esmda(prior, model, obs, sm.MdaSchedule.uniform(3), policy, sm.RunSeed(3), 8)
+    assert (err.value.step, err.value.rows) == (2, slice(8, 16))
+    assert isinstance(err.value.__cause__, BlockError)
 
 
 class _EveryKthParameter(ForwardModel):
@@ -750,8 +822,9 @@ def test_run_memory_bounded_by_taper_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     # at the default block width a block is about one Nm x Ne array here; the
-    # prior, the step's ensemble, the updated copy and about two blocks of
-    # taper work stay under six Nm x Ne arrays on top of the budget
+    # kept blocks (the constant plus one Nm x Ne array), the prior, the run's
+    # ensemble, updated in place from step 2, and about two blocks of taper
+    # work stay under six Nm x Ne arrays on top of the constant
     assert peak < sm.TAPER_CACHE_BYTES + 6 * nm * ne * 8, peak
     assert peak < nm * nd * 8, peak
 
