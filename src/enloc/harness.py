@@ -31,7 +31,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from . import significance
-from .ensemble import Ensemble, write_csv, write_ensemble_csv
+from .ensemble import DEFAULT_BLOCK_WIDTH, Ensemble, write_csv, write_ensemble_csv
 from .errors import ConfigError, EnlocError
 from .models import (
     ForwardModel,
@@ -103,7 +103,7 @@ class ExperimentConfig:
     output_dir: str = "out"
     save_posterior: bool = False
     emit_nv_field: bool = True
-    block_width: int = 1024
+    block_width: int = DEFAULT_BLOCK_WIDTH
 
     def __post_init__(self):
         for name, (key, minimum) in _CONFIG_INTS.items():
@@ -244,7 +244,7 @@ def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
         output_dir=str(raw.get("output_dir", "out")),
         save_posterior=bool(raw.get("save_posterior", False)),
         emit_nv_field=bool(raw.get("emit_nv_field", True)),
-        block_width=raw.get("block_width", 1024),
+        block_width=raw.get("block_width", DEFAULT_BLOCK_WIDTH),
     )
 
 
@@ -283,7 +283,11 @@ def _parse_localization(entry: Any) -> tuple[str, LocalizationPolicy]:
         if strategy is not None:
             suffix = significance.format_t0_strategy(strategy)
             name = f"{name}_{suffix}".replace(":", "-").replace("=", "-")
-    return str(name), policy
+    name = str(name)
+    # the name is the run directory under <out>/runs: one path component
+    if name in (".", "..") or any(c in name for c in "/\\\0"):
+        raise ValueError(f"name {name!r} must be one path component")
+    return name, policy
 
 
 # --- model / prior / observation builders ---

@@ -15,13 +15,13 @@ factored and solved once per step. A gain block is then the product of
 its centered parameter rows with W; gain entries are produced in
 parameter-row blocks, so K is never materialized in full. Without
 localization there is no taper and the same loop skips the product with R.
+A run copies its prior once and every update writes that copy in place.
 Taper coefficients are computed once per run, from the prior ensemble and
 its forecast, and kept frozen across steps. Each taper block is evaluated
 once and kept while a run's kept blocks fit in TAPER_CACHE_BYTES (32 MiB)
-plus the bytes of one ensemble: from step 2 a run updates its own ensemble
-in place, and the copy that saves pays for the extra blocks. Blocks past
-that cap are recomputed on every read, and a block is evaluated in slabs
-of rows, so memory stays bounded however large R is.
+plus the bytes of one ensemble, the copy each update would otherwise
+make. Blocks past that cap are recomputed on every read, and a block is
+evaluated in slabs of rows, so memory stays bounded however large R is.
 A field's kernel comes from the tapers module, picked and validated once
 per field: MSE, power-law and logistic run their public taper's own body in
 place on a slab of correlations, and the other families evaluate their
@@ -95,7 +95,7 @@ __all__ = [
 ]
 
 # Bytes of taper blocks one run in progress keeps on top of the bytes of one
-# ensemble, which the in-place update from step 2 frees: the blocks whose
+# ensemble, which updating the run's copy in place frees: the blocks whose
 # rows end within the first (TAPER_CACHE_BYTES + Nm Ne 8) // (8 Nd) rows. A
 # one-layer 60x60 grid field (7200 x 312 float64, 18 MB) fits whole; the
 # 8-layer field (144 MB, Ne = 100) keeps 31 of its 57 blocks of 1024 rows and
@@ -155,6 +155,8 @@ class ObservationSet:
         self.sigma_e = np.asarray(self.sigma_e, dtype=float).ravel()
         if self.sigma_e.shape != self.d_obs.shape:
             raise ValueError("sigma_e must match d_obs in length")
+        if not self.d_obs.size:
+            raise ValueError("there must be at least one observation")
         if not (np.all(np.isfinite(self.d_obs)) and np.all(np.isfinite(self.sigma_e))):
             raise ValueError("observations must be finite")
         if np.any(self.sigma_e <= 0.0):
@@ -433,50 +435,36 @@ def localized_update_step(
     taper_rows: Callable[[RowBlock], np.ndarray] | None,
     perturbed: np.ndarray,
     block_width: int = DEFAULT_BLOCK_WIDTH,
-    *,
-    out: np.ndarray | None = None,
-) -> Ensemble:
-    """One update pass over all parameter rows; taper_rows=None is unlocalized.
+) -> None:
+    """One update pass over all parameter rows of ens, in place; taper_rows=None
+    is unlocalized.
 
     The gain (tapered entrywise when taper_rows is given) is formed per
     block and applied to the innovation columns as (K_blk o R_blk) resid;
     the caller supplies the perturbed-data matrix from
-    perturb_observations(). Blocks run as _each_block spreads them, so
-    taper_rows may be called from several threads at once, each time for
-    another block. A block whose update raises an EnlocError or ValueError
-    fails the step with a BlockError naming its rows.
-
-    The updated values are written to a new array, and the input ensemble
-    is not modified. As with numpy's out=, out may instead name the Nm x Ne
-    float array to write them to and return in the new ensemble: ens.values
-    itself, for an update in place that allocates no Nm x Ne array, or an
-    array that shares no memory with it. Each block reads its own rows of
-    ens before it writes them, so in place gives the same values.
+    perturb_observations(). Each block's rows are written after its gain
+    block has read them, so no Nm x Ne array is allocated. Blocks run as
+    _each_block spreads them, so taper_rows may be called from several
+    threads at once, each time for another block. A block whose update
+    raises an EnlocError or ValueError, or whose updated rows are not
+    finite, fails the step with a BlockError naming its rows. Returns None,
+    like list.sort.
     """
     if perturbed.shape != (obs.n_data, ens.n_members):
         raise ValueError("perturbed-data matrix has wrong shape")
-    if out is None:
-        out = ens.values.copy()
-    elif out.shape != ens.values.shape or out.dtype != float or not out.flags.writeable:
-        raise ValueError("out must be a writable float array of the ensemble's shape")
-    elif out is not ens.values:
-        if np.may_share_memory(out, ens.values):
-            raise ValueError("out must be ens.values or share no memory with it")
-        out[...] = ens.values
     resid = perturbed - pred.values
     operator = gain_operator(pred, obs, alpha)
     pair_lock = threading.Lock()
 
     def update(blk: RowBlock) -> None:
         gain = _tapered_gain_block(ens, blk, operator, taper_rows, pair_lock)
-        out[blk.slice()] += gain @ resid
+        rows = ens.values[blk.slice()]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            rows += gain @ resid
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("updated ensemble rows must be finite")
 
     _each_block(ens.n_params, block_width, update)
-    return Ensemble(
-        values=out,
-        names=None if ens.names is None else list(ens.names),
-        coords=None if ens.coords is None else ens.coords.copy(),
-    )
 
 
 def _each_block(n_rows: int, block_width: int, work: Callable[[RowBlock], None]) -> None:
@@ -610,23 +598,25 @@ def run_esmda(
 ) -> EsmdaResult:
     """Run the full multi-step assimilation.
 
-    Per step: forward-evaluate all members, perturb the observations,
-    update blockwise, record diagnostics. Step 1 also takes the prior's row
-    variance and builds the one taper field of the run from the prior and
-    its forecast; later steps reuse it. A final forward evaluation after the
-    last update provides the posterior diagnostics entry.
+    The run copies the prior once, before step 1, and every step updates
+    that copy in place, so the prior is never written (it may be read-only).
+    The posterior shares the prior's names list and coords array, which
+    nothing writes. Per step: forward-evaluate all members, perturb the
+    observations, update blockwise, record diagnostics. Step 1 also takes
+    the prior's row variance and builds the one taper field of the run from
+    the prior itself and its forecast; later steps reuse it. A final forward
+    evaluation after the last update provides the posterior diagnostics
+    entry.
 
-    Step 1 writes its update to a new array; later steps update the run's
-    own ensemble in place, so the prior is not modified (it may be
-    read-only). The updates read the field through one metrics._RunTaper:
-    a taper block is evaluated once and kept when its rows end within the
-    first (TAPER_CACHE_BYTES + Nm Ne 8) // (8 Nd) rows, so the bytes of the
-    copy the in-place update saves go to kept blocks; later blocks are
-    recomputed on every read. The field's footprint (n_eff and histogram)
-    is tallied from the blocks the first update reads, so no separate pass
-    reads them. Runs in flight together each keep their own blocks. The
-    field and its kept blocks form no reference cycle, so they are freed on
-    return without a garbage-collector pass.
+    The updates read the field through one metrics._RunTaper: a taper block
+    is evaluated once and kept when its rows end within the first
+    (TAPER_CACHE_BYTES + Nm Ne 8) // (8 Nd) rows, so the bytes of the copy
+    each update would otherwise make go to kept blocks; later blocks are
+    recomputed on every read. The field's footprint (n_eff and
+    histogram) is tallied from the blocks the first update reads, so no
+    separate pass reads them. Runs in flight together each keep their own
+    blocks. The field and its kept blocks form no reference cycle, so they
+    are freed on return without a garbage-collector pass.
 
     A prior row with zero variance fails step 1. Each forecast's NV is the
     mean of its row variances over the prior's; the result keeps the final
@@ -638,7 +628,7 @@ def run_esmda(
     """
     if obs.n_data != model.n_data:
         raise ValueError("observation set size does not match the model")
-    ens = prior
+    ens = Ensemble(prior.values.copy(), prior.names, prior.coords)
     prior_var = taper = taper_rows = None
     diagnostics: list[StepDiagnostics] = []
 
@@ -649,7 +639,7 @@ def run_esmda(
             )
             if step == 1:  # the prior's row variance and the run's one taper field
                 prior_var = metrics._prior_variance(prior)
-                taper_field = make_taper_field(policy, ens, pred, block_width)
+                taper_field = make_taper_field(policy, prior, pred, block_width)
                 keep_bytes = TAPER_CACHE_BYTES + prior.values.nbytes
                 taper = metrics._RunTaper(
                     None if taper_field is None else taper_field.block,
@@ -658,13 +648,8 @@ def run_esmda(
                 taper_rows = None if taper_field is None else taper.rows
             nv_rows = metrics._variance_ratios(prior_var, ens)
             perturbed = perturb_observations(obs, alpha, seed, step, ens.n_members)
-            # the field reads the prior, which the caller may share: step 1 copies
-            updated = localized_update_step(
-                ens, pred, obs, alpha, taper_rows, perturbed, block_width,
-                out=None if ens is prior else ens.values,
-            )
+            localized_update_step(ens, pred, obs, alpha, taper_rows, perturbed, block_width)
             diagnostics.append(_diagnostics(step, alpha, pred, obs, nv_rows, taper.footprint()))
-            ens = updated
 
     with _failures_name_step(schedule.n_steps + 1):
         pred = PredictedEnsemble(

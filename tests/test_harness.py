@@ -232,6 +232,8 @@ def test_config_parser_raises_only_config_error(top, nested, localization):
     assert isinstance(cfg, hn.ExperimentConfig)
     assert cfg.ensemble_size >= 3 and cfg.run_count >= 1
     assert cfg.block_width >= 1
+    for name in cfg.localization:  # each names one directory under runs/
+        assert name not in ("", ".", "..") and not set(name) & set("/\\\0"), name
 
 
 def test_localization_parsing():
@@ -247,6 +249,22 @@ def test_localization_parsing():
     name, policy = hn._parse_localization({"taper": "power:beta=3,t0=2", "name": "pw"})
     assert name == "pw" and policy.spec.t0 == 2.0 and policy.t0_strategy is None
     assert hn._parse_localization("mpo")[0] == "mpo"
+
+
+def test_setting_name_is_one_path_component(tmp_path, capsys):
+    """A name that would put a run directory outside runs/ exits 2 and
+    writes nothing."""
+    for bad in ("..", ".", "../../escaped", "a/b", "/abs", "a\\b", "a\0b"):
+        raw = tiny_config(tmp_path / "out" / "sub", localization=[{"taper": "mse", "name": bad}])
+        with pytest.raises(ConfigError, match="must be one path component"):
+            hn.config_from_dict(raw)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", str(path)]) == 2, bad
+        assert "must be one path component" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+    for good in ("...", "a.b", "p 90"):
+        assert hn._parse_localization({"taper": "mse", "name": good})[0] == good
 
 
 def test_fixed_t0_strategy_is_a_config_error(tmp_path, capsys):
@@ -768,6 +786,11 @@ def test_run_time_config_values_exit_2(tmp_path):
         raw["model"] = {"kind": "linear", "n_params": 4, "n_data": 6}
         raw[section] = dict(raw[section], **{key: value})
         cases.append((raw, "run"))
+    toy = tiny_config(tmp_path / "t")["model"]
+    for model in ({"kind": "linear", "n_params": 4, "n_data": 0}, dict(toy, n_times=0),
+                  dict(toy, n_series=0)):  # no data
+        cases.append((tiny_config(tmp_path / "t", model=model), "run"))
+    cases.append((dict(grid, model=dict(grid["model"], n_times=0)), "run"))
     cases.append((dict(grid, model=dict(grid["model"], nx=4)), "run"))
     cases.append((dict(grid, prior=dict(grid["prior"], porosity=5)), "run"))
     cases.append((dict(grid, prior=dict(grid["prior"], log_perm={"std": "wide"})), "run"))

@@ -64,6 +64,8 @@ def test_observation_set_validation():
         sm.ObservationSet(d_obs=np.array([1.0]), sigma_e=np.array([0.0]))
     with pytest.raises(ValueError):
         sm.ObservationSet(d_obs=np.array([np.inf]), sigma_e=np.array([1.0]))
+    with pytest.raises(ValueError, match="^there must be at least one observation$"):
+        sm.ObservationSet(d_obs=np.array([]), sigma_e=np.array([]))
 
 
 def test_perturb_determinism_and_moments():
@@ -138,6 +140,14 @@ def test_gain_scaling_invariance():
     assert np.allclose(base, scaled3, rtol=1e-12)
 
 
+def _updated(ens, *args, **kwargs):
+    """A copy of ens after localized_update_step updates it in place; ens
+    itself is not written."""
+    out = Ensemble(ens.values.copy())
+    sm.localized_update_step(out, *args, **kwargs)
+    return out
+
+
 def test_update_with_zero_and_unit_taper():
     rng = np.random.default_rng(4)
     ens = Ensemble(values=rng.standard_normal((6, 40)))
@@ -147,21 +157,21 @@ def test_update_with_zero_and_unit_taper():
     pert = sm.perturb_observations(obs, 4.0, sm.RunSeed(9), 1, 40)
 
     zero = lambda blk: np.zeros((blk.width, 3))
-    unchanged = sm.localized_update_step(ens, pred, obs, 4.0, zero, pert)
+    unchanged = _updated(ens, pred, obs, 4.0, zero, pert)
     assert np.array_equal(unchanged.values, ens.values)
 
     ones = lambda blk: np.ones((blk.width, 3))
-    full = sm.localized_update_step(ens, pred, obs, 4.0, ones, pert)
+    full = _updated(ens, pred, obs, 4.0, ones, pert)
     gain = sm.kalman_gain_block(ens, RowBlock(0, 6), sm.gain_operator(pred, obs, 4.0))
     expected = ens.values + gain @ (pert - pred.values)
     assert np.allclose(full.values, expected, atol=1e-12)
-    unlocalized = sm.localized_update_step(ens, pred, obs, 4.0, None, pert)
+    unlocalized = _updated(ens, pred, obs, 4.0, None, pert)
     assert np.allclose(unlocalized.values, expected, atol=1e-12)
 
     for value in (1.5, np.nan):  # the failure names the block
         bad = lambda blk: np.full((blk.width, 3), value)
         with pytest.raises(BlockError, match=r"^rows 0:6: taper values outside \[0, 1\]$") as err:
-            sm.localized_update_step(ens, pred, obs, 4.0, bad, pert)
+            _updated(ens, pred, obs, 4.0, bad, pert)
         assert err.value.rows == slice(0, 6)
 
 
@@ -174,7 +184,7 @@ def test_update_block_schedule_independence():
     pert = sm.perturb_observations(obs, 2.0, sm.RunSeed(5), 1, 25)
     taper = lambda blk: np.full((blk.width, 8), 0.6)
     results = [
-        sm.localized_update_step(ens, pred, obs, 2.0, taper, pert, block_width=w)
+        _updated(ens, pred, obs, 2.0, taper, pert, block_width=w)
         for w in (1, 5, 16, 37)
     ]
     for other in results[1:]:
@@ -202,8 +212,8 @@ def test_update_memory_stays_blockwise():
 
 @pytest.mark.parametrize("tapered", [False, True])
 def test_update_in_place_allocates_no_ensemble(monkeypatch, tapered):
-    """out=ens.values writes the update over its input with no Nm x Ne array
-    and the values of a copying update; without out the input is unchanged."""
+    """The update writes over its input, block by block, the values a
+    copying update gives, and allocates no Nm x Ne array."""
     monkeypatch.setattr(sm, "_helper_count", lambda: 1)
     rng = np.random.default_rng(14)
     nm, nd, ne = 20_000, 40, 30
@@ -212,27 +222,41 @@ def test_update_in_place_allocates_no_ensemble(monkeypatch, tapered):
     obs = _obs(nd)
     pert = sm.perturb_observations(obs, 4.0, sm.RunSeed(3), 1, ne)
     taper = (lambda blk: np.full((blk.width, nd), 0.5)) if tapered else None
-    before = ens.values.copy()
-    copied = sm.localized_update_step(ens, pred, obs, 4.0, taper, pert)
-    assert np.array_equal(ens.values, before)
-    into = np.empty_like(before)
-    assert sm.localized_update_step(ens, pred, obs, 4.0, taper, pert, out=into).values is into
-    assert np.array_equal(into, copied.values) and np.array_equal(ens.values, before)
+    before = Ensemble(ens.values.copy())
+    operator = sm.gain_operator(pred, obs, 4.0)
+    copied = np.empty_like(before.values)
+    for blk in iter_blocks(nm, sm.DEFAULT_BLOCK_WIDTH):
+        gain = sm.kalman_gain_block(before, blk, operator)
+        if tapered:
+            gain *= taper(blk)
+        copied[blk.slice()] = before.values[blk.slice()] + gain @ (pert - pred.values)
     tracemalloc.start()
     try:
-        in_place = sm.localized_update_step(ens, pred, obs, 4.0, taper, pert, out=ens.values)
+        assert sm.localized_update_step(ens, pred, obs, 4.0, taper, pert) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert in_place.values is ens.values
-    assert np.array_equal(ens.values, copied.values)
+    assert np.array_equal(ens.values, copied)
     assert peak < ens.values.nbytes, peak
-    read_only = before.copy()
-    read_only.flags.writeable = False
-    for bad in (before[::-1], np.empty((nm, ne + 1)), np.empty((nm, ne), dtype=np.float32),
-                read_only):
-        with pytest.raises(ValueError, match="^out must"):
-            sm.localized_update_step(Ensemble(before), pred, obs, 4.0, taper, pert, out=bad)
+
+
+@pytest.mark.parametrize("helpers", [0, 1])
+def test_update_overflow_names_its_rows(monkeypatch, helpers):
+    """Finite rows near 1e307 whose update overflows fail the block that
+    holds them, on whichever thread takes it."""
+    monkeypatch.setattr(sm, "_helper_count", lambda: helpers)
+    rng = np.random.default_rng(15)
+    values = rng.standard_normal((16, 10))
+    values[8:] = 1e307 * (1.0 + 0.1 * values[8:])
+    ens = Ensemble(values)
+    pred = PredictedEnsemble(values=rng.standard_normal((3, 10)))
+    obs = _obs(3, value=1e10)
+    pert = sm.perturb_observations(obs, 4.0, sm.RunSeed(2), 1, 10)
+    with pytest.raises(
+        BlockError, match=r"^rows 8:16: updated ensemble rows must be finite$"
+    ) as err:
+        sm.localized_update_step(ens, pred, obs, 4.0, None, pert, block_width=8)
+    assert err.value.rows == slice(8, 16)
 
 
 def test_localization_monotonicity_single_datum():
@@ -245,8 +269,8 @@ def test_localization_monotonicity_single_datum():
     pert = sm.perturb_observations(obs, 4.0, sm.RunSeed(7), 1, 50)
     r_b = rng.uniform(0.0, 1.0, size=(30, 1))
     r_a = r_b * rng.uniform(0.0, 1.0, size=(30, 1))
-    upd_a = sm.localized_update_step(ens, pred, obs, 4.0, lambda blk: r_a[blk.slice()], pert)
-    upd_b = sm.localized_update_step(ens, pred, obs, 4.0, lambda blk: r_b[blk.slice()], pert)
+    upd_a = _updated(ens, pred, obs, 4.0, lambda blk: r_a[blk.slice()], pert)
+    upd_b = _updated(ens, pred, obs, 4.0, lambda blk: r_b[blk.slice()], pert)
     da = np.abs(upd_a.values - ens.values)
     db = np.abs(upd_b.values - ens.values)
     assert np.all(da <= db + 1e-15)
@@ -693,7 +717,7 @@ def test_percentile_threshold_of_a_constant_datum():
     ],
 )
 def test_run_leaves_prior_unchanged(policy):
-    """The prior is writable here; step 2 updates the run's own copy in place."""
+    """The prior is writable here; every step updates the run's own copy in place."""
     toy, prior, obs = _toy_problem()
     before = prior.values.copy()
     res = sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(2), policy, sm.RunSeed(3), 8)
@@ -715,7 +739,7 @@ def test_step_nv_equals_normalized_variance(monkeypatch, policy):
     evaluate = sm.evaluate_members
 
     def recording(model, values):
-        forecasts.append(Ensemble(values.copy()))  # from step 2 the run updates values in place
+        forecasts.append(Ensemble(values.copy()))  # the run updates values in place
         return evaluate(model, values)
 
     monkeypatch.setattr(sm, "evaluate_members", recording)
@@ -823,7 +847,7 @@ def test_run_memory_bounded_by_taper_budget(monkeypatch):
         tracemalloc.stop()
     # at the default block width a block is about one Nm x Ne array here; the
     # kept blocks (the constant plus one Nm x Ne array), the prior, the run's
-    # ensemble, updated in place from step 2, and about two blocks of taper
+    # ensemble, updated in place, and about two blocks of taper
     # work stay under six Nm x Ne arrays on top of the constant
     assert peak < sm.TAPER_CACHE_BYTES + 6 * nm * ne * 8, peak
     assert peak < nm * nd * 8, peak
