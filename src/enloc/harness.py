@@ -278,15 +278,23 @@ def _parse_localization(entry: Any) -> tuple[str, LocalizationPolicy]:
         strategy = significance.parse_t0_strategy(str(entry["t0"]))
     policy = LocalizationPolicy(spec=spec, t0_strategy=strategy)
     name = entry.get("name")
-    if not name:
+    if name is None:
         name = "none" if spec is None else format_taper(spec).split(":")[0]
         if strategy is not None:
             suffix = significance.format_t0_strategy(strategy)
             name = f"{name}_{suffix}".replace(":", "-").replace("=", "-")
-    name = str(name)
-    # the name is the run directory under <out>/runs: one path component
-    if name in (".", "..") or any(c in name for c in "/\\\0"):
-        raise ValueError(f"name {name!r} must be one path component")
+    # the name is the run directory under <out>/runs and a CSV value
+    if (
+        not isinstance(name, str)
+        or not name.isprintable()
+        or name != name.strip()
+        or name in ("", ".", "..")
+        or any(c in name for c in "/\\")
+    ):
+        raise ValueError(
+            f"name {name!r} must be one path component: non-empty printable "
+            "text, no surrounding spaces"
+        )
     return name, policy
 
 

@@ -15,16 +15,18 @@ Three model families cover the experiment designs:
 Priors are standard Gaussian for scalar parameters and anisotropic
 Gaussian random fields for grid properties. A field's correlation matrix is
 built from its lag table, since a stationary field's correlation depends
-only on the offset between cells, and its dense Cholesky factor, computed
-over the matrix in place, is cached per geometry, at most two geometries at
-a time. All layers of a field are drawn with one triangular product of that
-factor, and a grid model builds its parameter names and coordinates once.
+only on the offset between cells. Its dense Cholesky factor is computed in
+place over the lower triangle alone, the only one built, and is cached per
+geometry, at most two geometries at a time. All layers of a field are
+drawn with one triangular product of that factor, and a grid model builds
+its parameter names and coordinates once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import mmap
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -426,6 +428,8 @@ class GrfPrior:
             check_finite(name, getattr(self, name))
         if not self.range_major >= self.range_minor:
             raise ValueError("require range_major >= range_minor > 0")
+        if self.nx < 1 or self.ny < 1:
+            raise ValueError(f"a grid needs at least one cell each way, got {self.nx} x {self.ny}")
         if self.nx * self.ny > MAX_DENSE_CELLS:
             raise ValueError(
                 f"grid has {self.nx * self.ny} cells; dense sampling supports "
@@ -433,12 +437,12 @@ class GrfPrior:
             )
 
 
-def grf_correlation(prior: GrfPrior) -> np.ndarray:
-    """Cell-to-cell prior correlation matrix (row-major cell order).
+def _lag_windows(prior: GrfPrior) -> np.ndarray:
+    """Correlation of cell (j, i) with cell (j', i') as the view [j, i, j', i'].
 
     The field is stationary, so the kernel is evaluated once per lag on the
-    (2 ny - 1) x (2 nx - 1) lag table; the n x n matrix is one copy out of
-    it, corr[(j, i), (j', i')] = lag[j - j', i - i'].
+    (2 ny - 1) x (2 nx - 1) lag table; the view reads
+    lag[j - j', i - i'] out of it without a copy.
     """
     nx, ny = prior.nx, prior.ny
     dx = np.arange(1 - nx, nx, dtype=float)[None, :]
@@ -448,8 +452,30 @@ def grf_correlation(prior: GrfPrior) -> np.ndarray:
     yr = -dx * math.sin(a) + dy * math.cos(a)
     h = np.sqrt((xr / prior.range_major) ** 2 + (yr / prior.range_minor) ** 2)
     lag = np.exp(-3.0 * h) if prior.kind == "exponential" else np.exp(-3.0 * h * h)
-    windows = np.lib.stride_tricks.sliding_window_view(lag, (ny, nx))
-    return windows[:, :, ::-1, ::-1].reshape(nx * ny, nx * ny)
+    return np.lib.stride_tricks.sliding_window_view(lag, (ny, nx))[:, :, ::-1, ::-1]
+
+
+def grf_correlation(prior: GrfPrior) -> np.ndarray:
+    """Cell-to-cell prior correlation matrix (row-major cell order).
+
+    One copy out of the lag table, corr[(j, i), (j', i')] = lag[j - j', i - i'].
+    On a grid one cell wide the reshape is a read-only view; that one is copied.
+    """
+    n = prior.nx * prior.ny
+    return np.ascontiguousarray(_lag_windows(prior).reshape(n, n))
+
+
+def _fill_lower(low: np.ndarray, windows: np.ndarray, jitter: float) -> None:
+    """Write the correlation matrix's lower triangle, diagonal 1 + jitter,
+    into `low`; nothing above the diagonal is touched."""
+    ny, nx = windows.shape[:2]
+    cells = low.reshape(ny, nx, ny, nx)
+    for j in range(1, ny):  # the blocks left of cell row j's diagonal block
+        cells[j, :, :j] = windows[j, :, :j]
+    rows = np.arange(ny)
+    for i in range(1, nx):  # the diagonal blocks, the same lags in every row
+        cells[rows, i, rows, :i] = windows[0, i, 0, :i]
+    np.fill_diagonal(low, 1.0 + jitter)
 
 
 # Keyed on geometry only, so the porosity and log-permeability fields of one
@@ -457,27 +483,34 @@ def grf_correlation(prior: GrfPrior) -> np.ndarray:
 # geometries differ.
 @functools.lru_cache(maxsize=2)
 def _correlation_factor(geometry: GrfPrior) -> np.ndarray:
-    """Read-only Cholesky factor of the cell-correlation matrix.
+    """Read-only lower Cholesky factor of the cell-correlation matrix.
 
-    The factor overwrites the matrix, so one n x n array is alive at a time:
-    the transpose of the symmetric C-ordered matrix is Fortran-ordered, and
-    LAPACK's upper factor of it, transposed back, is the lower factor in C
-    order. A jitter that fails rebuilds the matrix for the next one.
+    Only the lower triangle, the one LAPACK reads and writes, is built, on
+    a zero-filled anonymous mapping: pages wholly above the diagonal are
+    never written and so never become resident (numpy's own allocation
+    would be advised as transparent huge pages, which makes every touched
+    2 MB region resident). The transpose of the C-ordered buffer is
+    Fortran-ordered, and LAPACK's upper factor of it, computed in place
+    without clearing the other triangle, is the lower factor in C order.
+    A jitter that fails refills the triangle for the next one.
     """
+    n = geometry.nx * geometry.ny
+    low = np.frombuffer(mmap.mmap(-1, n * n * 8), dtype=float).reshape(n, n)
+    windows = _lag_windows(geometry)
     for jitter in (1e-10, 1e-8, 1e-6):
-        corr = grf_correlation(geometry)
-        np.fill_diagonal(corr, 1.0 + jitter)
-        try:
-            factor = scipy.linalg.cholesky(corr.T, overwrite_a=True, check_finite=False).T
+        _fill_lower(low, windows, jitter)
+        upper, info = scipy.linalg.lapack.dpotrf(low.T, lower=0, clean=0, overwrite_a=1)
+        # a copy would bring the whole n x n matrix back into memory
+        if not np.shares_memory(upper, low):
+            raise RuntimeError("dpotrf did not factor the matrix in place")
+        if info == 0:
             break
-        except np.linalg.LinAlgError:
-            pass
     else:
         raise FieldGenerationError(
             "correlation matrix not positive definite after jitter"
         )
-    factor.setflags(write=False)
-    return factor
+    low.setflags(write=False)
+    return low
 
 
 def sample_grf(

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import scipy.linalg
 
 # published (t0, rho0) thresholds per (ensemble size, two-sided level)
 T0_RHO0_TABLE = {
@@ -66,6 +67,18 @@ def pairwise_grf_correlation(prior):
     yr = -dx * math.sin(a) + dy * math.cos(a)
     h = np.sqrt((xr / prior.range_major) ** 2 + (yr / prior.range_minor) ** 2)
     return np.exp(-3.0 * h) if prior.kind == "exponential" else np.exp(-3.0 * h * h)
+
+
+def dense_correlation_factor(prior, jitter=1e-10):
+    """Lower Cholesky factor of the full correlation matrix, diagonal 1 + jitter.
+
+    The whole symmetric matrix is built and handed to scipy.linalg.cholesky,
+    which clears the triangle it does not reference; its transpose is
+    Fortran-ordered, so the upper factor transposed back is C-ordered.
+    """
+    corr = pairwise_grf_correlation(prior)
+    np.fill_diagonal(corr, 1.0 + jitter)
+    return scipy.linalg.cholesky(corr.T, overwrite_a=True, check_finite=False).T
 
 
 def taper_mse(t):

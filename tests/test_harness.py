@@ -252,9 +252,11 @@ def test_localization_parsing():
 
 
 def test_setting_name_is_one_path_component(tmp_path, capsys):
-    """A name that would put a run directory outside runs/ exits 2 and
-    writes nothing."""
-    for bad in ("..", ".", "../../escaped", "a/b", "/abs", "a\\b", "a\0b"):
+    """A name that would put a run directory outside runs/, or is not one
+    line of non-blank text without surrounding spaces, exits 2 and writes
+    nothing; an absent or null name is derived from the taper."""
+    for bad in ("..", ".", "../../escaped", "a/b", "/abs", "a\\b", "a\0b",
+                "", 0, False, [], {}, [1], " ", "a\n", "\tp90", "p90 "):
         raw = tiny_config(tmp_path / "out" / "sub", localization=[{"taper": "mse", "name": bad}])
         with pytest.raises(ConfigError, match="must be one path component"):
             hn.config_from_dict(raw)
@@ -265,6 +267,8 @@ def test_setting_name_is_one_path_component(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
     for good in ("...", "a.b", "p 90"):
         assert hn._parse_localization({"taper": "mse", "name": good})[0] == good
+    assert hn._parse_localization({"taper": "mse", "name": None})[0] == "mse"
+    assert hn._parse_localization({"taper": "mse"})[0] == "mse"
 
 
 def test_fixed_t0_strategy_is_a_config_error(tmp_path, capsys):

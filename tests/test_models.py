@@ -1,14 +1,19 @@
 """Forward models: linearity, dummy inertness, proxy locality, field sampling."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import pairwise_grf_correlation, per_layer_grid_prior
+import scipy.linalg
+from oracles import dense_correlation_factor, pairwise_grf_correlation, per_layer_grid_prior
 
 from enloc import models as md
-from enloc.errors import ForwardModelError
+from enloc.errors import FieldGenerationError, ForwardModelError
 
 
 class _ExplodingModel(md.LinearModel):
@@ -236,9 +241,13 @@ def test_grf_correlation_equals_pairwise_oracle():
                     angle_deg=30),
         md.GrfPrior(nx=10, ny=10, kind="gaussian", range_major=60, range_minor=60),
         md.GrfPrior(nx=60, ny=60, range_major=30, range_minor=15, angle_deg=45),
+        md.GrfPrior(nx=1, ny=9, range_major=4, range_minor=2),
+        md.GrfPrior(nx=9, ny=1, range_major=4, range_minor=2),
     )
     for prior in priors:
-        assert np.array_equal(md.grf_correlation(prior), pairwise_grf_correlation(prior))
+        corr = md.grf_correlation(prior)
+        assert np.array_equal(corr, pairwise_grf_correlation(prior))
+        assert corr.flags.c_contiguous and corr.flags.writeable
 
 
 def test_grf_correlation_memory():
@@ -296,7 +305,11 @@ def test_grf_factor_cache():
 
 
 def test_grf_factor_built_in_place():
-    """The factor overwrites the correlation matrix: one n x n array at a time."""
+    """The factor overwrites the correlation matrix: one n x n array at a time.
+
+    The matrix sits on an anonymous mapping, which tracemalloc does not
+    see; test_grf_factor_resident_memory measures what becomes resident.
+    """
     md._correlation_factor.cache_clear()
     n = 3600
     tracemalloc.start()
@@ -316,6 +329,100 @@ def test_grf_factor_built_in_place():
     np.fill_diagonal(corr, 1.0 + 1e-10)
     assert np.max(np.abs(factor @ factor.T - corr)) < 1e-13
     md._correlation_factor.cache_clear()
+
+
+# exponential and Gaussian kernels, anisotropic, non-square and one cell wide
+_FACTOR_PRIORS = (
+    md.GrfPrior(nx=8, ny=8, range_major=4, range_minor=2, angle_deg=45),
+    md.GrfPrior(nx=13, ny=7, kind="gaussian", range_major=5, range_minor=2, angle_deg=30),
+    md.GrfPrior(nx=7, ny=16, range_major=9, range_minor=3, angle_deg=-60),
+    md.GrfPrior(nx=20, ny=15, kind="gaussian", range_major=6, range_minor=3, angle_deg=-20),
+    md.GrfPrior(nx=1, ny=30, range_major=6, range_minor=6),
+    md.GrfPrior(nx=30, ny=1, kind="gaussian", range_major=4, range_minor=4),
+    md.GrfPrior(nx=60, ny=60, range_major=30, range_minor=15, angle_deg=45),
+)
+
+
+@pytest.mark.parametrize("prior", _FACTOR_PRIORS, ids=lambda p: f"{p.kind}-{p.nx}x{p.ny}")
+def test_grf_factor_equals_dense_oracle(prior):
+    """The triangle built from the lag table factors to the bits of the
+    full matrix's Cholesky factor, and the draws are that factor times
+    their normals."""
+    md._correlation_factor.cache_clear()
+    oracle = dense_correlation_factor(prior)
+    assert np.array_equal(md._correlation_factor(prior), oracle)
+    z = np.random.default_rng(5).standard_normal((prior.nx * prior.ny, 3))
+    assert np.allclose(md.sample_grf(prior, 3, 5).values, oracle @ z, rtol=0.0, atol=1e-12)
+    md._correlation_factor.cache_clear()
+
+
+def test_grf_factor_jitter_ladder(monkeypatch):
+    """A failed factorization is retried with the next jitter on a refilled
+    triangle; three failures raise; a copying dpotrf is refused."""
+    prior = _FACTOR_PRIORS[1]
+    dpotrf = scipy.linalg.lapack.dpotrf
+    calls = []
+
+    def fail_first(a, **kwargs):
+        calls.append(kwargs)
+        if len(calls) == 1:
+            a[np.triu_indices(a.shape[0])] = np.nan  # a partial factor, then failure
+            return a, 1
+        return dpotrf(a, **kwargs)
+
+    md._correlation_factor.cache_clear()
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", fail_first)
+    factor = md._correlation_factor(prior)
+    assert len(calls) == 2
+    assert np.array_equal(factor, dense_correlation_factor(prior, jitter=1e-8))
+
+    def always_fail(a, **kwargs):
+        calls.append(kwargs)
+        return a, 1
+
+    calls.clear()
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", always_fail)
+    md._correlation_factor.cache_clear()
+    with pytest.raises(FieldGenerationError, match="not positive definite"):
+        md._correlation_factor(prior)
+    assert len(calls) == 3
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lambda a, **kwargs: (a.copy(), 0))
+    with pytest.raises(RuntimeError, match="in place"):
+        md._correlation_factor(prior)
+    md._correlation_factor.cache_clear()
+
+
+def _thp_always() -> bool:
+    path = Path("/sys/kernel/mm/transparent_hugepage/enabled")
+    return path.exists() and "[always]" in path.read_text()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmRSS from /proc")
+@pytest.mark.skipif(_thp_always(), reason="huge pages make every touched 2 MB resident")
+def test_grf_factor_resident_memory():
+    """Pages wholly above the diagonal never become resident: the 60 x 60
+    factor grows the resident set by about three quarters of one n x n
+    array, where a full matrix grows it by about 1.1. The BLAS runs on one
+    thread, so the count of its per-thread buffers does not depend on the
+    CPU count."""
+    n = 3600
+    code = (
+        "from enloc import models as md\n"
+        "def rss():\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        return next(int(x.split()[1]) for x in f if x.startswith('VmRSS:')) * 1024\n"
+        "before = rss()\n"
+        "md._correlation_factor(md.GrfPrior(nx=60, ny=60))\n"
+        "print(rss() - before)\n"
+    )
+    src = str(Path(md.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=300,
+                         capture_output=True, text=True)
+    growth = int(out.stdout)
+    assert growth < 0.85 * n * n * 8, growth
 
 
 def test_grid_prior_composition():
@@ -416,3 +523,6 @@ def test_grid_labels_built_once():
 def test_grf_rejects_oversized_grid():
     with pytest.raises(ValueError):
         md.GrfPrior(nx=200, ny=200)
+    for nx, ny in ((0, 3), (3, 0), (-1, 3)):
+        with pytest.raises(ValueError, match="at least one cell"):
+            md.GrfPrior(nx=nx, ny=ny)
