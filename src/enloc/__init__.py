@@ -10,24 +10,19 @@ from .ensemble import (
     Ensemble,
     PredictedEnsemble,
     RowBlock,
-    correlation,
     correlation_block,
-    cross_covariance,
     ensemble_variance_per_row,
     iter_blocks,
-    read_ensemble_csv,
     write_ensemble_csv,
 )
 from .errors import (
     AssimilationError,
     BlockError,
     ConfigError,
-    DegenerateStatisticError,
     EnlocError,
     FieldGenerationError,
     ForwardModelError,
     InvalidEnsembleSizeError,
-    UndefinedCorrelationError,
     WrongTaperKindError,
 )
 from .harness import (
@@ -44,7 +39,6 @@ from .metrics import (
     chi,
     footprint,
     mean_offset,
-    normalized_variance,
     objective_function,
 )
 from .models import (
@@ -65,7 +59,6 @@ from .significance import (
     critical_t0,
     parse_t0_strategy,
     student_t_quantile,
-    t_statistic,
 )
 from .smoother import (
     LocalizationPolicy,

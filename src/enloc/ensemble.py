@@ -2,9 +2,9 @@
 
 An ensemble is an Nm x Ne matrix: one row per model parameter, one column
 per realization. Predicted data are the corresponding Nd x Ne forward-model
-outputs. Cross-covariances and correlations use the unbiased (Ne - 1)
-normalization throughout, and the model-data correlation matrix is only
-ever produced in row blocks so the full Nm x Nd array need not exist.
+outputs. Row variances use the unbiased (Ne - 1) normalization, and the
+model-data correlation matrix is only ever produced in row blocks so the
+full Nm x Nd array need not exist.
 """
 
 from __future__ import annotations
@@ -18,20 +18,15 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import UndefinedCorrelationError
-
 __all__ = [
     "Ensemble",
     "PredictedEnsemble",
     "DatumMeta",
     "RowBlock",
     "iter_blocks",
-    "cross_covariance",
-    "correlation",
     "correlation_block",
     "ensemble_variance_per_row",
     "write_ensemble_csv",
-    "read_ensemble_csv",
     "row_anomalies",
 ]
 
@@ -135,33 +130,6 @@ def iter_blocks(n_rows: int, width: int = DEFAULT_BLOCK_WIDTH) -> Iterator[RowBl
         yield RowBlock(start, min(width, n_rows - start))
 
 
-def cross_covariance(m_row: Sequence[float], d_row: Sequence[float]) -> float:
-    """Unbiased sample covariance between one parameter row and one data row."""
-    m = np.asarray(m_row, dtype=float)
-    d = np.asarray(d_row, dtype=float)
-    if m.shape != d.shape or m.ndim != 1:
-        raise ValueError("rows must be 1-D and of equal length")
-    if m.size < 2:
-        raise ValueError("need at least 2 samples")
-    return float((m - m.mean()) @ (d - d.mean()) / (m.size - 1))
-
-
-def correlation(m_row: Sequence[float], d_row: Sequence[float]) -> float:
-    """Sample correlation, clamped to [-1, 1] against round-off.
-
-    Raises UndefinedCorrelationError for a zero-variance row; downstream
-    localization maps that case to a taper of zero (no signal, no update).
-    """
-    m = np.asarray(m_row, dtype=float)
-    d = np.asarray(d_row, dtype=float)
-    if m.shape != d.shape or m.ndim != 1:
-        raise ValueError("rows must be 1-D and of equal length")
-    (am, ad), (nm, nd) = row_anomalies(np.vstack([m, d]))
-    if nm == 0.0 or nd == 0.0:
-        raise UndefinedCorrelationError("correlation undefined for constant row")
-    return float(np.clip(am @ ad / (nm * nd), -1.0, 1.0))
-
-
 def row_anomalies(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centered rows and their Euclidean norms (zero norm marks constant rows).
 
@@ -186,8 +154,8 @@ def correlation_block(
 ) -> np.ndarray:
     """Correlations between one block of parameter rows and all data rows.
 
-    Returns a (width x Nd) array, entrywise equal to correlation() on the
-    corresponding row pairs, written to out when given. Undefined entries
+    Returns a (width x Nd) array of sample correlations, clamped to [-1, 1]
+    against round-off, written to out when given. Undefined entries
     (zero-variance parameter or data rows) are marked NaN; callers treat
     them as taper-zero pairs.
 
@@ -252,19 +220,3 @@ def write_ensemble_csv(ens: Ensemble, path: str | Path) -> None:
     header = ["param_id"] + [f"e{k + 1}" for k in range(ens.n_members)]
     rows = ([name] + [repr(float(v)) for v in row] for name, row in zip(names, ens.values))
     write_csv(Path(path), header, rows)
-
-
-def read_ensemble_csv(path: str | Path) -> Ensemble:
-    """Read an ensemble written by write_ensemble_csv."""
-    path = Path(path)
-    names: list[str] = []
-    rows: list[list[float]] = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0] != "param_id":
-            raise ValueError(f"{path}: not an ensemble CSV")
-        for rec in reader:
-            names.append(rec[0])
-            rows.append([float(v) for v in rec[1:]])
-    return Ensemble(values=np.asarray(rows, dtype=float), names=names)

@@ -17,14 +17,6 @@ class WrongTaperKindError(EnlocError, TypeError):
     """A geometry-based taper was passed where a correlation-based one is required."""
 
 
-class UndefinedCorrelationError(EnlocError, ValueError):
-    """Correlation requested for a zero-variance (constant) sample row."""
-
-
-class DegenerateStatisticError(EnlocError, ValueError):
-    """Test statistic undefined, e.g. |rho| = 1 in the t-statistic."""
-
-
 class FieldGenerationError(EnlocError, RuntimeError):
     """Random-field covariance not positive definite even after jitter."""
 

@@ -84,12 +84,28 @@ _CONFIG_INTS = {
     "block_width": ("block_width", 1),
 }
 
+# every top-level config key; any other is a typo and a config error
+_CONFIG_KEYS = frozenset({
+    "model", "prior", "observation", "localization", "ensemble_size", "schedule",
+    "runs", "reference", "output_dir", "save_posterior", "emit_nv_field", "block_width",
+})
+
+# the integer keys of each model kind, with their defaults
+_MODEL_INTS = {
+    "linear": {"structure_seed": 0, "n_params": 4, "n_data": 6},
+    "scalar_toy": {
+        "n_active": 15, "n_dummy": 5, "n_series": 6, "n_times": 50, "structure_seed": 0,
+    },
+    "grid_proxy": {"nx": 60, "ny": 60, "n_layers": 1, "prod_grid": 3, "n_times": 24},
+}
+
 
 @dataclass
 class ExperimentConfig:
     """One experiment. Construction, dataclasses.replace included, checks the
-    integer fields and the reference block (seed default: base_seed - 1).
-    localization maps each setting's name to its policy, in config order."""
+    integer fields, the boolean flags, output_dir and the reference block
+    (seed default: base_seed - 1). localization maps each setting's name to
+    its policy, in config order."""
 
     model: dict[str, Any]
     prior: dict[str, Any]
@@ -108,6 +124,11 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, (key, minimum) in _CONFIG_INTS.items():
             setattr(self, name, _config_int(getattr(self, name), key, minimum))
+        for name in ("save_posterior", "emit_nv_field"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ConfigError(f"output_dir must be a non-empty string, got {self.output_dir!r}")
         if self.reference is not None:
             ref = _section(self.reference, "reference")
             if ref:  # an empty block asks for no reference run
@@ -182,6 +203,9 @@ def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
     """Validate a parsed JSON config; any malformed value raises ConfigError."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(map(repr, unknown))}")
     try:
         model = _section(raw["model"], "model")
         observation = _section(raw["observation"], "observation")
@@ -230,7 +254,7 @@ def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
         raise ConfigError(f"bad schedule: {exc}") from exc
 
     runs_raw = _section(raw.get("runs", {}), "runs")
-    # ExperimentConfig checks the integers and the reference block
+    # ExperimentConfig checks the integers, the flags, output_dir and the reference
     return ExperimentConfig(
         model=model,
         prior=prior,
@@ -241,9 +265,9 @@ def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
         run_count=runs_raw.get("count", 1),
         base_seed=runs_raw.get("base_seed", 1000),
         reference=raw.get("reference"),
-        output_dir=str(raw.get("output_dir", "out")),
-        save_posterior=bool(raw.get("save_posterior", False)),
-        emit_nv_field=bool(raw.get("emit_nv_field", True)),
+        output_dir=raw.get("output_dir", "out"),
+        save_posterior=raw.get("save_posterior", False),
+        emit_nv_field=raw.get("emit_nv_field", True),
         block_width=raw.get("block_width", DEFAULT_BLOCK_WIDTH),
     )
 
@@ -256,8 +280,10 @@ def _section(value: Any, key: str) -> dict[str, Any]:
 
 
 def _config_int(value: Any, key: str, minimum: int) -> int:
-    """A whole-number config value, at least minimum."""
+    """A whole-number config value, at least minimum; a JSON boolean is none."""
     try:
+        if isinstance(value, bool):
+            raise TypeError("a boolean")
         out = int(value)
         if out != value and not isinstance(value, str):
             raise ValueError("not a whole number")
@@ -304,27 +330,17 @@ def _parse_localization(entry: Any) -> tuple[str, LocalizationPolicy]:
 def build_model(cfg: ExperimentConfig) -> ForwardModel:
     m = cfg.model
     kind = m["kind"]
+    if kind == "linear" and "matrix" in m:
+        return LinearModel(np.asarray(m["matrix"], dtype=float))
+    # the models check their own lower bounds
+    ints = {k: _config_int(m.get(k, v), f"model.{k}", 0) for k, v in _MODEL_INTS[kind].items()}
     if kind == "linear":
-        if "matrix" in m:
-            return LinearModel(np.asarray(m["matrix"], dtype=float))
-        rng = np.random.default_rng(int(m.get("structure_seed", 0)))
-        n_params = int(m.get("n_params", 4))
-        n_data = int(m.get("n_data", 6))
-        return LinearModel(rng.standard_normal((n_data, n_params)))
+        rng = np.random.default_rng(ints["structure_seed"])
+        return LinearModel(rng.standard_normal((ints["n_data"], ints["n_params"])))
     if kind == "scalar_toy":
-        return ScalarToyModel(
-            n_active=int(m.get("n_active", 15)),
-            n_dummy=int(m.get("n_dummy", 5)),
-            n_series=int(m.get("n_series", 6)),
-            n_times=int(m.get("n_times", 50)),
-            structure_seed=int(m.get("structure_seed", 0)),
-        )
+        return ScalarToyModel(**ints)
     return GridFlowProxy(
-        nx=int(m.get("nx", 60)),
-        ny=int(m.get("ny", 60)),
-        n_layers=int(m.get("n_layers", 1)),
-        prod_grid=int(m.get("prod_grid", 3)),
-        n_times=int(m.get("n_times", 24)),
+        **ints,
         t_ref=float(m.get("t_ref", 4.0)),
         ramp_width=float(m.get("ramp_width", 2.0)),
     )
@@ -482,8 +498,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     thread; each update spreads its own blocks over the process's CPUs. The
     report and every CSV keep the setting-major order.
     """
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         model = build_model(cfg)
         sampler = build_prior_sampler(cfg, model)
@@ -492,6 +506,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad model, prior or observation settings: {exc}") from exc
+    out = Path(out_dir if out_dir is not None else cfg.output_dir)  # made once the config holds
+    out.mkdir(parents=True, exist_ok=True)
 
     jobs = [
         (cfg.localization, r, cfg.ensemble_size, cfg.base_seed + r) for r in range(cfg.run_count)

@@ -1,8 +1,9 @@
 """Evaluation metrics: data mismatch, variance retention, update footprint.
 
 NV is the mean per-row ratio var(forecast) / var(prior): run_esmda takes the
-prior's row variance once per run and each forecast's ratios from it, by the
-two helpers that normalized_variance() uses, and returns the final ratios.
+prior's row variance once per run (_prior_variance, which rejects a
+zero-variance row) and each forecast's ratios from it (_variance_ratios),
+and returns the final ratios.
 
 The taper-dependent aggregates (effective updated-parameter count and
 taper histogram) are tallied block by block, so the full taper matrix is
@@ -20,7 +21,7 @@ import math
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .ensemble import ensemble_variance_per_row
 __all__ = [
     "MetricReport",
     "objective_function",
-    "normalized_variance",
     "mean_offset",
     "footprint",
     "chi",
@@ -68,22 +68,6 @@ def objective_function(pred: PredictedEnsemble, obs) -> float:
     """
     resid = (obs.d_obs[:, None] - pred.values) / obs.sigma_e[:, None]
     return float(np.mean(np.sum(resid * resid, axis=0) / (2.0 * pred.n_data)))
-
-
-def normalized_variance(
-    prior: Ensemble, posterior: Ensemble, subset: Sequence[int] | None = None
-) -> float:
-    """Mean posterior/prior variance ratio over a parameter subset.
-
-    1 means no uncertainty reduction; 0 means ensemble collapse. Raises if
-    any prior variance in the subset is zero.
-    """
-    if prior.values.shape[0] != posterior.values.shape[0]:
-        raise ValueError("prior and posterior must have the same parameter count")
-    if subset is not None:
-        idx = np.asarray(subset, dtype=int)
-        prior, posterior = Ensemble(prior.values[idx]), Ensemble(posterior.values[idx])
-    return float(np.mean(_variance_ratios(_prior_variance(prior), posterior)))
 
 
 def _prior_variance(prior: Ensemble) -> np.ndarray:

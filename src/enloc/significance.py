@@ -17,13 +17,12 @@ from typing import Sequence, Union
 import numpy as np
 from scipy.special import stdtrit
 
-from .errors import DegenerateStatisticError, InvalidEnsembleSizeError
+from .errors import InvalidEnsembleSizeError
 
 __all__ = [
     "student_t_quantile",
     "critical_t0",
     "critical_rho",
-    "t_statistic",
     "adaptive_t0",
     "StudentT0",
     "PercentileT0",
@@ -59,16 +58,6 @@ def critical_rho(n_e: int, phi: float) -> float:
     """
     t = critical_t0(n_e, phi)
     return t / math.sqrt(t * t + (n_e - 2))
-
-
-def t_statistic(rho_hat: float, n_e: int) -> float:
-    """Zero-correlation test statistic |rho| sqrt(n_e - 2) / sqrt(1 - rho^2)."""
-    if n_e < 4:
-        raise InvalidEnsembleSizeError(f"ensemble size must be >= 4, got {n_e}")
-    r = abs(float(rho_hat))
-    if r >= 1.0:
-        raise DegenerateStatisticError("t statistic undefined at |rho| = 1")
-    return r * math.sqrt(n_e - 2) / math.sqrt(1.0 - r * r)
 
 
 def adaptive_t0(t_values: Sequence[float], p: float = 0.9) -> float:

@@ -146,3 +146,43 @@ def per_layer_grid_prior(model, poro_prior, logk_prior, count, seed):
             seed_k = int(layer_seeds[f * model.n_layers + k])
             blocks.append(sample_grf(prior, count, seed_k).values)
     return np.vstack(blocks)
+
+
+def correlation(m_row, d_row):
+    """Sample correlation of two rows, clamped to [-1, 1] against round-off.
+
+    NaN when either row has exactly zero spread, as correlation_block marks
+    an undefined pair.
+    """
+    am = np.asarray(m_row, dtype=float) - np.mean(m_row)
+    ad = np.asarray(d_row, dtype=float) - np.mean(d_row)
+    nm, nd = math.sqrt(am @ am), math.sqrt(ad @ ad)
+    if nm == 0.0 or nd == 0.0:
+        return math.nan
+    return float(np.clip(am @ ad / (nm * nd), -1.0, 1.0))
+
+
+def normalized_variance(prior, posterior):
+    """Mean per-row var(posterior) / var(prior), by np.var over whole arrays."""
+    var_prior = np.var(prior.values, axis=1, ddof=1)
+    return float(np.mean(np.var(posterior.values, axis=1, ddof=1) / var_prior))
+
+
+def t_statistic(rho, n_e):
+    """Zero-correlation test statistic |rho| sqrt(n_e - 2) / sqrt(1 - rho^2)."""
+    return abs(rho) * math.sqrt(n_e - 2) / math.sqrt(1.0 - rho * rho)
+
+
+def read_ensemble_csv(path):
+    """Read an ensemble CSV (header param_id,e1,...,eNe) with the csv module."""
+    import csv
+
+    from enloc.ensemble import Ensemble
+
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        assert next(reader)[0] == "param_id"
+        rows = list(reader)
+    return Ensemble(
+        values=np.array([[float(v) for v in r[1:]] for r in rows]), names=[r[0] for r in rows]
+    )

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import read_ensemble_csv
 
 import enloc.harness as hn
 from enloc import cli
@@ -187,11 +188,12 @@ _JSON = st.recursive(
     | st.dictionaries(st.text(max_size=8), inner, max_size=4),
     max_leaves=12,
 )
-_KEYS = st.sampled_from([
+_TOP_KEYS = (
     "model", "prior", "observation", "localization", "ensemble_size", "schedule",
     "runs", "reference", "output_dir", "save_posterior", "emit_nv_field",
     "block_width",
-])
+)
+_KEYS = st.sampled_from(_TOP_KEYS)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -232,6 +234,9 @@ def test_config_parser_raises_only_config_error(top, nested, localization):
     assert isinstance(cfg, hn.ExperimentConfig)
     assert cfg.ensemble_size >= 3 and cfg.run_count >= 1
     assert cfg.block_width >= 1
+    assert set(raw) <= set(_TOP_KEYS)  # an unknown key is a typo
+    assert isinstance(cfg.save_posterior, bool) and isinstance(cfg.emit_nv_field, bool)
+    assert isinstance(cfg.output_dir, str) and cfg.output_dir
     for name in cfg.localization:  # each names one directory under runs/
         assert name not in ("", ".", "..") and not set(name) & set("/\\\0"), name
 
@@ -333,8 +338,6 @@ def test_run_experiment_artifacts(tmp_path):
     metrics_seen = {r["metric"] for r in diag}
     assert {"objective", "nv", "n_eff", "chi"} <= metrics_seen
     assert any(m.startswith("taper_hist_") for m in metrics_seen)
-
-    from enloc.ensemble import read_ensemble_csv
 
     post = read_ensemble_csv(run_dir / "posterior.csv")
     assert post.values.shape == (7, 40)
@@ -810,6 +813,43 @@ def test_run_time_config_values_exit_2(tmp_path):
                 hn.run_experiment(cfg)
         extra = ["--layers", "0"] if command == "sweep-layers" else []
         assert cli.main([command, str(path), *extra]) == 2, raw
+
+
+_TOY = tiny_config("out")["model"]
+_LINEAR = {"kind": "linear", "n_params": 4, "n_data": 6, "structure_seed": 3}
+
+
+@pytest.mark.parametrize(
+    "edit, extra, named",
+    [
+        ({"ensemble_sise": 7}, [], "'ensemble_sise'"),
+        ({"save_posterior": "false"}, [], "save_posterior"),
+        ({"emit_nv_field": 1}, [], "emit_nv_field"),
+        ({"output_dir": None}, [], "output_dir"),
+        ({"output_dir": ""}, [], "output_dir"),
+        ({}, ["--out", ""], "output_dir"),
+        ({"runs": {"count": True, "base_seed": 500}}, [], "runs.count"),
+        ({"block_width": True}, [], "block_width"),
+        ({"model": dict(_LINEAR, n_data=True)}, [], "model.n_data"),
+        ({"model": dict(_LINEAR, n_params=4.5)}, [], "model.n_params"),
+        ({"model": dict(_TOY, n_active=5.5)}, [], "model.n_active"),
+        ({"model": dict(_TOY, structure_seed=False)}, [], "model.structure_seed"),
+        ({"model": dict(GRID30["model"], nx=12.9), "prior": GRID30["prior"]}, [], "model.nx"),
+        ({"model": dict(GRID30["model"], n_layers=True), "prior": GRID30["prior"]}, [],
+         "model.n_layers"),
+    ],
+)
+def test_bad_config_value_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, edit,
+                                                     extra, named):
+    """Unknown keys, non-boolean flags, an empty or non-string output_dir
+    and booleans or fractions for integers are config errors that name the
+    key, raised before any file is written."""
+    monkeypatch.chdir(tmp_path)  # a relative or empty output_dir would land here
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(tiny_config("out", reference=None), **edit)))
+    assert cli.main(["run", str(path), *extra]) == 2
+    assert named in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_non_finite_values_exit_2(tmp_path, capsys):

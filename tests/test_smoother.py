@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import normalized_variance
 
 from enloc import cli, metrics
 from enloc import smoother as sm
@@ -27,7 +28,6 @@ from enloc.ensemble import (
     iter_blocks,
 )
 from enloc.errors import AssimilationError, BlockError, ForwardModelError
-from enloc.metrics import normalized_variance
 from enloc.models import (
     ForwardModel,
     GrfPrior,
