@@ -35,6 +35,12 @@ def _int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v.strip()]
 
 
+def _sweep_list(text: str) -> list[int]:
+    if not (values := _int_list(text)):
+        raise argparse.ArgumentTypeError("a sweep needs at least one value")
+    return values
+
+
 def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
@@ -53,11 +59,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ne = sub.add_parser("sweep-ne", help="repeat the experiment over ensemble sizes")
     add_common(p_ne)
-    p_ne.add_argument("--sizes", type=_int_list, required=True, help="e.g. 50,100,200")
+    p_ne.add_argument("--sizes", type=_sweep_list, required=True, help="e.g. 50,100,200")
 
     p_layers = sub.add_parser("sweep-layers", help="repeat over grid layer counts")
     add_common(p_layers)
-    p_layers.add_argument("--layers", type=_int_list, required=True, help="e.g. 1,4,8")
+    p_layers.add_argument("--layers", type=_sweep_list, required=True, help="e.g. 1,4,8")
 
     p_t0 = sub.add_parser("t0-table", help="emit the significance-threshold table")
     p_t0.add_argument("--ne", type=_int_list, default=[50, 100, 200, 1000])

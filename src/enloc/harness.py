@@ -76,36 +76,67 @@ AGGREGATE_METRICS = ("obj_mean", "nv", "nv_dummy", "mean_offset", "n_eff", "chi"
 
 _REFERENCE = {"reference": LocalizationPolicy(spec=None)}  # the large-ensemble run
 
-# Integer fields of ExperimentConfig: their config key and least accepted value
-_CONFIG_INTS = {
-    "ensemble_size": ("ensemble_size", 3),
-    "run_count": ("runs.count", 1),
-    "base_seed": ("runs.base_seed", 0),
-    "block_width": ("block_width", 1),
-}
-
-# every top-level config key; any other is a typo and a config error
-_CONFIG_KEYS = frozenset({
-    "model", "prior", "observation", "localization", "ensemble_size", "schedule",
-    "runs", "reference", "output_dir", "save_posterior", "emit_nv_field", "block_width",
-})
-
-# the integer keys of each model kind, with their defaults
-_MODEL_INTS = {
-    "linear": {"structure_seed": 0, "n_params": 4, "n_data": 6},
-    "scalar_toy": {
-        "n_active": 15, "n_dummy": 5, "n_series": 6, "n_times": 50, "structure_seed": 0,
+# The config schema. Each section's table maps a key to (type, default,
+# least); a key outside its table is a typo. _REQUIRED marks a key with no
+# default, and a key whose default is None may be absent or null. An int
+# takes a whole-valued float (4.0 reads as 4) and a float takes an int;
+# neither takes a boolean or a string. A tuple of strings as the type lists
+# the accepted values, a table as the type is a block read through it, and
+# object takes any value. The least of a string or a list is its length.
+# The models, GrfPrior, MdaSchedule and parse_taper check the rest.
+_REQUIRED = object()
+_KINDS = ("linear", "scalar_toy", "grid_proxy")
+_KIND = (_KINDS, _REQUIRED, None)
+_RUNS = {"count": (int, 1, 1), "base_seed": (int, 1000, 0)}
+_GRF = {"kind": (str, "exponential", None), "range_major": (float, 20.0, None),
+        "range_minor": (float, 10.0, None), "angle_deg": (float, 0.0, None),
+        "mean": (float, 0.0, None), "std": (float, 1.0, None)}
+_SCHEMA = {
+    "config": {  # model, prior, observation and reference are read by ExperimentConfig
+        "model": (dict, _REQUIRED, None),
+        "prior": (dict, {}, None),
+        "observation": (dict, _REQUIRED, None),
+        "localization": (list, _REQUIRED, 1),
+        "ensemble_size": (int, 100, 3),
+        "schedule": ({"n_steps": (int, 4, 1), "alphas": (list, None, None)}, {}, None),
+        "runs": (_RUNS, {}, None),
+        "reference": (dict, None, None),
+        "output_dir": (str, "out", 1),
+        "save_posterior": (bool, False, None),
+        "emit_nv_field": (bool, True, None),
+        "block_width": (int, DEFAULT_BLOCK_WIDTH, 1),
     },
-    "grid_proxy": {"nx": 60, "ny": 60, "n_layers": 1, "prod_grid": 3, "n_times": 24},
+    # one table per model kind ("model" when the kind is missing or unknown);
+    # the models check their own lower bounds
+    "model": {"kind": _KIND},
+    "linear": {"kind": _KIND, "n_params": (int, 4, 0), "n_data": (int, 6, 0),
+               "structure_seed": (int, 0, 0), "matrix": (list, None, None)},
+    "scalar_toy": {"kind": _KIND, "n_active": (int, 15, 0), "n_dummy": (int, 5, 0),
+                   "n_series": (int, 6, 0), "n_times": (int, 50, 0), "structure_seed": (int, 0, 0)},
+    "grid_proxy": {"kind": _KIND, "nx": (int, 60, 0), "ny": (int, 60, 0), "n_layers": (int, 1, 0),
+                   "prod_grid": (int, 3, 0), "n_times": (int, 24, 0), "t_ref": (float, 4.0, None),
+                   "ramp_width": (float, 2.0, None)},
+    "prior": {"kind": (("standard_normal",), "standard_normal", None)},
+    "grid_prior": {"porosity": (_GRF, _REQUIRED, None), "log_perm": (_GRF, _REQUIRED, None)},
+    # build_observations checks floor > 0
+    "observation": {"truth_seed": (int, _REQUIRED, 0), "noise_seed": (int, _REQUIRED, 0),
+                    "rel_std": (float, 0.10, 0.0), "floor": (float, 0.01, None)},
+    "reference": {"ensemble_size": (int, 1000, 3), "seed": (int, None, 0)},
+    # a bare string is {"taper": <string>}; the name is checked as a path component
+    "localization": {"taper": (str, _REQUIRED, None), "t0": (str, None, None),
+                     "name": (object, None, None)},
 }
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
+               dict: "a JSON object", list: "a list"}
 
 
 @dataclass
 class ExperimentConfig:
-    """One experiment. Construction, dataclasses.replace included, checks the
-    integer fields, the boolean flags, output_dir and the reference block
-    (seed default: base_seed - 1). localization maps each setting's name to
-    its policy, in config order."""
+    """One experiment. Construction, dataclasses.replace included, reads the
+    scalar fields and the model, prior, observation and reference blocks
+    through the config schema; reference.seed defaults to base_seed - 1 at
+    run time. localization maps each setting's name to its policy, in config
+    order."""
 
     model: dict[str, Any]
     prior: dict[str, Any]
@@ -122,23 +153,22 @@ class ExperimentConfig:
     block_width: int = DEFAULT_BLOCK_WIDTH
 
     def __post_init__(self):
-        for name, (key, minimum) in _CONFIG_INTS.items():
-            setattr(self, name, _config_int(getattr(self, name), key, minimum))
-        for name in ("save_posterior", "emit_nv_field"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        if not isinstance(self.output_dir, str) or not self.output_dir:
-            raise ConfigError(f"output_dir must be a non-empty string, got {self.output_dir!r}")
-        if self.reference is not None:
-            ref = _section(self.reference, "reference")
-            if ref:  # an empty block asks for no reference run
-                size = ref.get("ensemble_size", 1000)
-                ref["ensemble_size"] = _config_int(size, "reference.ensemble_size", 3)
-                if "seed" in ref:
-                    ref["seed"] = _config_int(ref["seed"], "reference.seed", 0)
-                elif self.base_seed < 1:
-                    raise ConfigError("reference.seed defaults to runs.base_seed - 1, here -1")
-            self.reference = ref or None
+        for name in ("ensemble_size", "output_dir", "save_posterior", "emit_nv_field",
+                     "block_width"):
+            setattr(self, name, _value(getattr(self, name), _SCHEMA["config"][name], name))
+        self.run_count = _value(self.run_count, _RUNS["count"], "runs.count")
+        self.base_seed = _value(self.base_seed, _RUNS["base_seed"], "runs.base_seed")
+        kind = self.model.get("kind") if isinstance(self.model, dict) else None
+        self.model = _read(self.model, _SCHEMA[kind if kind in _KINDS else "model"], "model.")
+        prior = "grid_prior" if kind == "grid_proxy" else "prior"
+        self.prior = _read(self.prior, _SCHEMA[prior], "prior.")
+        self.observation = _read(self.observation, _SCHEMA["observation"], "observation.")
+        if self.reference:  # an empty block asks for no reference run
+            self.reference = _read(self.reference, _SCHEMA["reference"], "reference.")
+            if self.reference["seed"] is None and self.base_seed < 1:
+                raise ConfigError("reference.seed defaults to runs.base_seed - 1, here -1")
+        else:
+            self.reference = None
 
 
 @dataclass
@@ -200,33 +230,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
-    """Validate a parsed JSON config; any malformed value raises ConfigError."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = sorted(set(raw) - _CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(map(repr, unknown))}")
-    try:
-        model = _section(raw["model"], "model")
-        observation = _section(raw["observation"], "observation")
-        loc_raw = raw["localization"]
-    except KeyError as exc:
-        raise ConfigError(f"config missing required key {exc}") from exc
-    prior = _section(raw.get("prior", {"kind": "standard_normal"}), "prior")
-
-    if model.get("kind") not in ("linear", "scalar_toy", "grid_proxy"):
-        raise ConfigError(f"unknown model kind {model.get('kind')!r}")
-    for key in ("truth_seed", "noise_seed"):
-        if key not in observation:
-            raise ConfigError(f"observation block needs explicit {key}")
-
+    """Read a parsed JSON config through the schema; any malformed value
+    raises ConfigError naming its key."""
+    top = _read(raw, _SCHEMA["config"], "")
     settings = []
-    if not isinstance(loc_raw, list) or not loc_raw:
-        raise ConfigError("localization must be a non-empty list")
-    for entry in loc_raw:
+    for entry in top.pop("localization"):
         try:
             settings.append(_parse_localization(entry))
-        except (KeyError, ValueError, TypeError) as exc:
+        except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad localization entry {entry!r}: {exc}") from exc
     names = [name for name, _policy in settings]
     if len(set(names)) != len(names):
@@ -234,76 +245,78 @@ def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
     if "reference" in names:
         raise ConfigError('"reference" is reserved for the large-ensemble run')
 
-    sched_raw = _section(raw.get("schedule", {"n_steps": 4}), "schedule")
-    if "alphas" in sched_raw:
-        alphas = sched_raw["alphas"]
-        if not isinstance(alphas, list):
-            raise ConfigError("schedule.alphas must be a list")
-        n_steps = len(alphas)
-    else:
-        alphas = None
-        n_steps = _config_int(sched_raw.get("n_steps", 4), "schedule.n_steps", 1)
+    sched, runs = top.pop("schedule"), top.pop("runs")
+    alphas = sched["alphas"]
+    n_steps = sched["n_steps"] if alphas is None else len(alphas)
     if n_steps > MAX_SCHEDULE_STEPS:
         raise ConfigError(f"a schedule has at most {MAX_SCHEDULE_STEPS} steps, got {n_steps}")
-    try:
-        if alphas is None:
-            schedule = MdaSchedule.uniform(n_steps)
-        else:
-            schedule = MdaSchedule(alphas=tuple(float(a) for a in alphas))
-    except (TypeError, ValueError, OverflowError) as exc:
+    number = (float, _REQUIRED, None)
+    try:  # no alphas: alpha = n_steps at every step, as MdaSchedule.uniform
+        alphas = tuple(_value(a, number, "schedule.alphas") for a in alphas or [n_steps] * n_steps)
+        schedule = MdaSchedule(alphas)
+    except ValueError as exc:
         raise ConfigError(f"bad schedule: {exc}") from exc
-
-    runs_raw = _section(raw.get("runs", {}), "runs")
-    # ExperimentConfig checks the integers, the flags, output_dir and the reference
+    # ExperimentConfig reads the model, prior, observation and reference blocks
     return ExperimentConfig(
-        model=model,
-        prior=prior,
-        observation=observation,
         localization=dict(settings),
-        ensemble_size=raw.get("ensemble_size", 100),
         schedule=schedule,
-        run_count=runs_raw.get("count", 1),
-        base_seed=runs_raw.get("base_seed", 1000),
-        reference=raw.get("reference"),
-        output_dir=raw.get("output_dir", "out"),
-        save_posterior=raw.get("save_posterior", False),
-        emit_nv_field=raw.get("emit_nv_field", True),
-        block_width=raw.get("block_width", DEFAULT_BLOCK_WIDTH),
+        run_count=runs["count"],
+        base_seed=runs["base_seed"],
+        **top,
     )
 
 
-def _section(value: Any, key: str) -> dict[str, Any]:
-    """A copy of one JSON-object block of the config."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be a JSON object, got {value!r}")
-    return dict(value)
-
-
-def _config_int(value: Any, key: str, minimum: int) -> int:
-    """A whole-number config value, at least minimum; a JSON boolean is none."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError("a boolean")
-        out = int(value)
-        if out != value and not isinstance(value, str):
-            raise ValueError("not a whole number")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from exc
-    if out < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}")
+def _read(section: Any, table: dict[str, tuple], prefix: str) -> dict[str, Any]:
+    """Every key of table, read from one JSON-object block of the config."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{prefix[:-1] or 'config'} must be a JSON object, got {section!r}")
+    out = {key: _value(section.get(key, _REQUIRED), spec, prefix + key)
+           for key, spec in table.items()}
+    unknown = sorted(set(section) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(repr(prefix + k) for k in unknown)}")
     return out
+
+
+def _value(value: Any, spec: tuple, key: str) -> Any:
+    """One config value (_REQUIRED if absent) read through its (type,
+    default, least) spec."""
+    typ, default, least = spec
+    if value is _REQUIRED:
+        if default is _REQUIRED:
+            raise ConfigError(f"{key} is required")
+        value = default
+    if value is None and default is None:
+        return None
+    if isinstance(typ, dict):
+        return _read(value, typ, key + ".")
+    if isinstance(typ, tuple):
+        if value not in typ:
+            raise ConfigError(f"{key} must be one of {', '.join(map(repr, typ))}, got {value!r}")
+        return value
+    if typ is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    elif typ is float and type(value) is int:  # too large for a float: infinite, as 1e400 is
+        value = float(value) if abs(value) < 1e308 else math.copysign(math.inf, value)
+    if not isinstance(value, typ) or (typ is int and isinstance(value, bool)):
+        raise ConfigError(f"{key} must be {_TYPE_NAMES[typ]}, got {value!r}")
+    sized = isinstance(value, (str, list))
+    if least is not None and (len(value) if sized else value) < least:
+        long = " long" if sized else ""
+        raise ConfigError(f"{key} must be at least {least}{long}, got {value!r}")
+    return value
 
 
 def _parse_localization(entry: Any) -> tuple[str, LocalizationPolicy]:
     if isinstance(entry, str):
         entry = {"taper": entry}
-    taper_text = str(entry["taper"]).strip()
+    entry = _read(entry, _SCHEMA["localization"], "localization.")
+    taper_text = entry["taper"].strip()
     spec = None if taper_text.lower() == "none" else parse_taper(taper_text)
-    strategy = None
-    if "t0" in entry and entry["t0"] is not None:
-        strategy = significance.parse_t0_strategy(str(entry["t0"]))
+    t0 = entry["t0"]
+    strategy = None if t0 is None else significance.parse_t0_strategy(t0)
     policy = LocalizationPolicy(spec=spec, t0_strategy=strategy)
-    name = entry.get("name")
+    name = entry["name"]
     if name is None:
         name = "none" if spec is None else format_taper(spec).split(":")[0]
         if strategy is not None:
@@ -328,35 +341,14 @@ def _parse_localization(entry: Any) -> tuple[str, LocalizationPolicy]:
 
 
 def build_model(cfg: ExperimentConfig) -> ForwardModel:
-    m = cfg.model
-    kind = m["kind"]
-    if kind == "linear" and "matrix" in m:
-        return LinearModel(np.asarray(m["matrix"], dtype=float))
-    # the models check their own lower bounds
-    ints = {k: _config_int(m.get(k, v), f"model.{k}", 0) for k, v in _MODEL_INTS[kind].items()}
+    m = dict(cfg.model)
+    kind = m.pop("kind")
     if kind == "linear":
-        rng = np.random.default_rng(ints["structure_seed"])
-        return LinearModel(rng.standard_normal((ints["n_data"], ints["n_params"])))
-    if kind == "scalar_toy":
-        return ScalarToyModel(**ints)
-    return GridFlowProxy(
-        **ints,
-        t_ref=float(m.get("t_ref", 4.0)),
-        ramp_width=float(m.get("ramp_width", 2.0)),
-    )
-
-
-def _grf_from_dict(model: GridFlowProxy, d: dict[str, Any]) -> GrfPrior:
-    return GrfPrior(
-        nx=model.nx,
-        ny=model.ny,
-        kind=str(d.get("kind", "exponential")),
-        range_major=float(d.get("range_major", 20.0)),
-        range_minor=float(d.get("range_minor", 10.0)),
-        angle_deg=float(d.get("angle_deg", 0.0)),
-        mean=float(d.get("mean", 0.0)),
-        std=float(d.get("std", 1.0)),
-    )
+        if m["matrix"] is not None:
+            return LinearModel(np.asarray(m["matrix"], dtype=float))
+        rng = np.random.default_rng(m["structure_seed"])
+        return LinearModel(rng.standard_normal((m["n_data"], m["n_params"])))
+    return (ScalarToyModel if kind == "scalar_toy" else GridFlowProxy)(**m)
 
 
 def build_prior_sampler(
@@ -364,11 +356,8 @@ def build_prior_sampler(
 ) -> Callable[[int, int], Ensemble]:
     """Return sampler(count, seed) -> Ensemble for the configured prior."""
     if isinstance(model, GridFlowProxy):
-        try:
-            poro = _grf_from_dict(model, _section(cfg.prior["porosity"], "prior.porosity"))
-            logk = _grf_from_dict(model, _section(cfg.prior["log_perm"], "prior.log_perm"))
-        except KeyError as exc:
-            raise ConfigError(f"grid prior needs block {exc}") from exc
+        poro = GrfPrior(model.nx, model.ny, **cfg.prior["porosity"])
+        logk = GrfPrior(model.nx, model.ny, **cfg.prior["log_perm"])
         return lambda count, seed: sample_grid_prior(model, poro, logk, count, seed)
     if isinstance(model, ScalarToyModel):
         return lambda count, seed: model.sample_prior(count, seed)
@@ -392,16 +381,12 @@ def build_observations(
     near-zero data. Returns the observation set and the truth parameters.
     """
     ob = cfg.observation
-    truth_seed = int(ob["truth_seed"])
-    noise_seed = int(ob["noise_seed"])
-    rel = float(ob.get("rel_std", 0.10))
-    floor = float(ob.get("floor", 0.01))
-    if rel < 0 or floor <= 0:
-        raise ConfigError("need rel_std >= 0 and floor > 0")
-    truth_m = sampler(2, truth_seed).values[:, 0]
+    if not ob["floor"] > 0:
+        raise ConfigError(f"observation.floor must be > 0, got {ob['floor']!r}")
+    truth_m = sampler(2, ob["truth_seed"]).values[:, 0]
     truth_d = evaluate_members(model, truth_m[:, None])[:, 0]
-    sigma_e = np.maximum(rel * np.abs(truth_d), floor)
-    rng = np.random.default_rng(noise_seed)
+    sigma_e = np.maximum(ob["rel_std"] * np.abs(truth_d), ob["floor"])
+    rng = np.random.default_rng(ob["noise_seed"])
     d_obs = truth_d + sigma_e * rng.standard_normal(truth_d.size)
     return ObservationSet(d_obs=d_obs, sigma_e=sigma_e), truth_m
 
@@ -487,6 +472,21 @@ def _final_report(
     )
 
 
+def _build(
+    cfg: ExperimentConfig,
+) -> tuple[ForwardModel, Callable[[int, int], Ensemble], ObservationSet]:
+    """The model, prior sampler and observations of cfg; a value they reject
+    is a config error."""
+    try:
+        model = build_model(cfg)
+        sampler = build_prior_sampler(cfg, model)
+        return model, sampler, build_observations(cfg, model, sampler)[0]
+    except EnlocError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad model, prior or observation settings: {exc}") from exc
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentReport:
     """Run the full (taper x run) matrix and write all CSV artifacts.
 
@@ -498,14 +498,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     thread; each update spreads its own blocks over the process's CPUs. The
     report and every CSV keep the setting-major order.
     """
-    try:
-        model = build_model(cfg)
-        sampler = build_prior_sampler(cfg, model)
-        obs, _truth = build_observations(cfg, model, sampler)
-    except EnlocError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model, prior or observation settings: {exc}") from exc
+    model, sampler, obs = _build(cfg)
     out = Path(out_dir if out_dir is not None else cfg.output_dir)  # made once the config holds
     out.mkdir(parents=True, exist_ok=True)
 
@@ -513,7 +506,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         (cfg.localization, r, cfg.ensemble_size, cfg.base_seed + r) for r in range(cfg.run_count)
     ]
     if cfg.reference:
-        seed = cfg.reference.get("seed", cfg.base_seed - 1)
+        seed = cfg.reference["seed"]
+        seed = cfg.base_seed - 1 if seed is None else seed
         jobs.append((_REFERENCE, 0, cfg.reference["ensemble_size"], seed))
 
     by_seed = [_run_seed(cfg, model, sampler, obs, out, *job) for job in jobs]
@@ -580,54 +574,51 @@ def _write_nv_field(model: GridFlowProxy, report: ExperimentReport, path: Path) 
 # --- sweeps and tables ---
 
 
+def _sweep(
+    cfg: ExperimentConfig,
+    subs: list[tuple[int, ExperimentConfig]],
+    out_dir: str | Path | None,
+    prefix: str,
+) -> tuple[list[tuple[int, ExperimentReport]], Path]:
+    """Run each (key, sub-config) into <out>/<prefix>_<key>; out is made once
+    every sub-config has built. Returns the (key, report) pairs and out."""
+    for _key, sub in subs:
+        _build(sub)
+    out = Path(out_dir if out_dir is not None else cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return [(key, run_experiment(sub, out / f"{prefix}_{key}")) for key, sub in subs], out
+
+
 def sweep_ensemble_size(
     cfg: ExperimentConfig, sizes: Sequence[int], out_dir: str | Path | None = None
 ) -> dict[int, ExperimentReport]:
     """Repeat the experiment for each ensemble size; emit a trend CSV."""
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    reports: dict[int, ExperimentReport] = {}
-    rows = []
-    for size in sizes:
-        sub = replace(cfg, ensemble_size=size)
-        reports[size] = run_experiment(sub, out / f"ne_{size}")
-        for taper, metric, mean, _half, _n in reports[size].aggregates():
-            if metric in ("obj_mean", "nv"):
-                rows.append([size, taper, metric, repr(mean)])
+    runs, out = _sweep(cfg, [(n, replace(cfg, ensemble_size=n)) for n in sizes], out_dir, "ne")
+    rows = [
+        [size, taper, metric, repr(mean)]
+        for size, report in runs
+        for taper, metric, mean, _half, _n in report.aggregates()
+        if metric in ("obj_mean", "nv")
+    ]
     write_csv(out / "ne_trend.csv", ["ensemble_size", "taper", "metric", "mean"], rows)
-    return reports
+    return dict(runs)
 
 
 def sweep_layers(
     cfg: ExperimentConfig, layer_counts: Sequence[int], out_dir: str | Path | None = None
 ) -> dict[int, ExperimentReport]:
     """Repeat the grid experiment per layer count; emit the footprint table."""
-    if cfg.model.get("kind") != "grid_proxy":
+    if cfg.model["kind"] != "grid_proxy":
         raise ConfigError("layer sweep requires a grid_proxy model")
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    reports: dict[int, ExperimentReport] = {}
+    subs = [(n, replace(cfg, model=dict(cfg.model, n_layers=n))) for n in layer_counts]
+    runs, out = _sweep(cfg, subs, out_dir, "layers")
     rows = []
-    for layers in layer_counts:
-        model_cfg = dict(cfg.model, n_layers=layers)
-        sub = replace(cfg, model=model_cfg)
-        reports[layers] = run_experiment(sub, out / f"layers_{layers}")
-        agg = {
-            (taper, metric): mean
-            for taper, metric, mean, _h, _n in reports[layers].aggregates()
-        }
-        tapers = sorted({r.taper for r in reports[layers].runs})
-        for taper in tapers:
-            rows.append(
-                [
-                    taper,
-                    int(layers),
-                    repr(agg[(taper, "n_eff")]),
-                    repr(agg[(taper, "chi")]),
-                ]
-            )
+    for layers, report in runs:
+        agg = {(taper, metric): mean for taper, metric, mean, _h, _n in report.aggregates()}
+        for taper in sorted({r.taper for r in report.runs}):
+            rows.append([taper, int(layers), repr(agg[taper, "n_eff"]), repr(agg[taper, "chi"])])
     write_csv(out / "neff_table.csv", ["taper", "layers", "n_eff", "chi"], rows)
-    return reports
+    return dict(runs)
 
 
 def t0_table_rows(
@@ -644,11 +635,13 @@ def t0_table_rows(
 def emit_t0_table(
     ne_list: Sequence[int], phi_list: Sequence[float], path: str | Path
 ) -> None:
-    """Write the significance-threshold table as CSV."""
+    """Write the significance-threshold table as CSV. An ensemble size or
+    level it cannot take is a config error, raised before anything is made."""
+    try:
+        table = t0_table_rows(ne_list, phi_list)
+    except ValueError as exc:  # InvalidEnsembleSizeError too
+        raise ConfigError(f"bad t0-table argument: {exc}") from exc
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    rows = [
-        [ne, repr(float(phi)), f"{t0:.6f}", f"{rho0:.6f}"]
-        for ne, phi, t0, rho0 in t0_table_rows(ne_list, phi_list)
-    ]
+    rows = [[ne, repr(float(phi)), f"{t0:.6f}", f"{rho0:.6f}"] for ne, phi, t0, rho0 in table]
     write_csv(path, ["ne", "phi", "t0", "rho0"], rows)

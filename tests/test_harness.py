@@ -3,6 +3,7 @@
 import argparse
 import csv
 import gc
+import importlib.util
 import io
 import json
 import re
@@ -56,13 +57,22 @@ def read_csv(path):
 
 
 def test_shipped_configs_parse():
-    """Every shipped config loads, and every python example of the README runs."""
+    """Every shipped config and every benchmark workload's config loads, and
+    every python example of the README runs."""
     paths = sorted(CONFIG_DIR.glob("*.json"))
     assert {p.name for p in paths} >= {"scalar_toy.json", "grid_proxy.json", "linear_smoke.json"}
     for path in paths:
         cfg = hn.load_config(path)
         assert cfg.run_count >= 1
         assert cfg.localization
+    spec = importlib.util.spec_from_file_location(
+        "workloads", CONFIG_DIR.parent / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS:
+        for small in (True, False):
+            assert hn.config_from_dict(workloads.make_config(workload, 1, 0, small)).localization
     readme = (CONFIG_DIR.parent / "README.md").read_text()
     blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
     assert len(blocks) >= 2
@@ -188,30 +198,56 @@ _JSON = st.recursive(
     | st.dictionaries(st.text(max_size=8), inner, max_size=4),
     max_leaves=12,
 )
-_TOP_KEYS = (
-    "model", "prior", "observation", "localization", "ensemble_size", "schedule",
-    "runs", "reference", "output_dir", "save_posterior", "emit_nv_field",
-    "block_width",
-)
+_TOP_KEYS = tuple(hn._SCHEMA["config"])
 _KEYS = st.sampled_from(_TOP_KEYS)
+
+
+def _schema_keys(tables):
+    """Every key of the tables and of the tables nested in them."""
+    keys = set()
+    for table in tables:
+        keys |= set(table) | _schema_keys(t for t, _d, _l in table.values() if isinstance(t, dict))
+    return keys
+
+
+_SCHEMA_KEYS = sorted(_schema_keys(hn._SCHEMA.values()))
+_SECTIONS = ["model", "prior", "prior.porosity", "prior.log_perm", "observation", "runs",
+             "schedule", "reference"]
+
+
+def _edit(raw, where, edits):
+    """raw with the block at where ("section" or "section.block") updated by edits."""
+    section, _, block = where.partition(".")
+    target = raw.setdefault(section, {})
+    if block and isinstance(target, dict):
+        target = target.setdefault(block, {})
+    if isinstance(target, dict):
+        target.update(edits)
+
+
+def _assert_read(block, table):
+    """block holds exactly the keys of table, each of the table's type."""
+    assert set(block) == set(table)
+    for key, (kind, _default, _least) in table.items():
+        if isinstance(kind, dict):
+            _assert_read(block[key], kind)
+        elif kind in (int, float) and block[key] is not None:
+            assert type(block[key]) is kind, (key, block[key])
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
+    grid=st.booleans(),
     top=st.dictionaries(_KEYS | st.text(max_size=8), _JSON, max_size=3),
     nested=st.dictionaries(
-        st.sampled_from(["model", "observation", "runs", "schedule", "reference"]),
-        st.dictionaries(
-            st.sampled_from(["kind", "truth_seed", "count", "base_seed", "n_steps",
-                             "alphas", "ensemble_size"]) | st.text(max_size=8),
-            _JSON,
-            max_size=3,
-        ),
-        max_size=2,
+        st.sampled_from(_SECTIONS),
+        st.dictionaries(st.sampled_from(_SCHEMA_KEYS) | st.text(max_size=8), _JSON, max_size=3),
+        max_size=3,
     ),
     localization=st.none() | st.lists(
         st.text(max_size=12)
-        | st.dictionaries(st.sampled_from(["taper", "t0", "name"]), _JSON, max_size=3)
+        | st.dictionaries(st.sampled_from(["taper", "t0", "name"]) | st.text(max_size=4), _JSON,
+                          max_size=3)
         | st.fixed_dictionaries(
             {"taper": st.sampled_from(["mse", "power:beta=3", "logistic:gamma=1.5", "none"])},
             optional={"t0": st.text(max_size=8) | _JSON, "name": _JSON},
@@ -219,11 +255,15 @@ _KEYS = st.sampled_from(_TOP_KEYS)
         max_size=3,
     ),
 )
-def test_config_parser_raises_only_config_error(top, nested, localization):
-    """Any JSON edit of a valid config parses or raises ConfigError."""
+def test_config_parser_raises_only_config_error(grid, top, nested, localization):
+    """Any JSON edit of a valid config, of a toy or a grid model, parses or
+    raises ConfigError; a parsed config holds only the schema's keys, with
+    every integer an int."""
     raw = tiny_config("out")
-    for key, edits in nested.items():
-        raw[key] = {**raw[key], **edits}
+    if grid:
+        raw.update(model=dict(GRID30["model"]), prior=json.loads(json.dumps(GRID30["prior"])))
+    for where, edits in nested.items():
+        _edit(raw, where, edits)
     if localization is not None:
         raw["localization"] = localization
     raw.update(top)
@@ -235,8 +275,19 @@ def test_config_parser_raises_only_config_error(top, nested, localization):
     assert cfg.ensemble_size >= 3 and cfg.run_count >= 1
     assert cfg.block_width >= 1
     assert set(raw) <= set(_TOP_KEYS)  # an unknown key is a typo
+    for name in ("ensemble_size", "run_count", "base_seed", "block_width"):
+        assert type(getattr(cfg, name)) is int, name
+    assert all(type(a) is float for a in cfg.schedule.alphas)
     assert isinstance(cfg.save_posterior, bool) and isinstance(cfg.emit_nv_field, bool)
     assert isinstance(cfg.output_dir, str) and cfg.output_dir
+    kind = cfg.model["kind"]
+    _assert_read(cfg.model, hn._SCHEMA[kind])
+    _assert_read(cfg.prior, hn._SCHEMA["grid_prior" if kind == "grid_proxy" else "prior"])
+    _assert_read(cfg.observation, hn._SCHEMA["observation"])
+    if cfg.reference is not None:
+        _assert_read(cfg.reference, hn._SCHEMA["reference"])
+    for entry in raw["localization"]:
+        assert isinstance(entry, str) or set(entry) <= set(hn._SCHEMA["localization"])
     for name in cfg.localization:  # each names one directory under runs/
         assert name not in ("", ".", "..") and not set(name) & set("/\\\0"), name
 
@@ -780,8 +831,43 @@ def test_cli_docs_name_what_the_parser_accepts():
     assert _synopsis_flags(cli.__doc__) == accepted
 
 
+def test_readme_schema_names_every_config_key():
+    """The README's config schema names every key of every schema table, and
+    each key it gives a value is one."""
+    readme = (CONFIG_DIR.parent / "README.md").read_text()
+    block = re.search(r"### Config schema\n\n```jsonc\n(.*?)^```", readme, flags=re.M | re.S)[1]
+    assert [key for key in _SCHEMA_KEYS if not re.search(rf"\b{key}\b", block)] == []
+    assert set(re.findall(r'"(\w+)":', block)) <= set(_SCHEMA_KEYS)
+
+
+def test_bad_sweep_and_table_arguments_exit_2_and_write_nothing(tmp_path, monkeypatch, capsys):
+    """An empty sweep list is a usage error; a sweep with one bad size or
+    layer count, and a t0-table level or ensemble size the table cannot
+    take, are config errors. None of them writes anything."""
+    monkeypatch.chdir(tmp_path)
+    toy, grid = tmp_path / "toy.json", tmp_path / "grid.json"
+    toy.write_text(json.dumps(tiny_config("out", reference=None)))
+    grid.write_text(json.dumps(dict(GRID30, localization=["mse"], output_dir="out")))
+    for args in (["sweep-ne", str(toy), "--sizes", ","],
+                 ["sweep-layers", str(grid), "--layers", ""]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+    for args, named in (
+        (["sweep-ne", str(toy), "--sizes", "20,2"], "ensemble_size"),
+        (["sweep-layers", str(grid), "--layers", "1,0"], "grid too small"),
+        (["t0-table", "--phi", "1.5", "--out", "t0/t0.csv"], "significance level"),
+        (["t0-table", "--ne", "50,3", "--out", "t0/t0.csv"], "ensemble size"),
+    ):
+        capsys.readouterr()
+        assert cli.main(args) == 2, args
+        assert named in capsys.readouterr().err, args
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.json", "toy.json"], args
+
+
 def test_run_time_config_values_exit_2(tmp_path):
-    """Values the config parser passes through fail as config errors when used."""
+    """Values the config parser rejects fail when parsed; values it passes
+    through fail as config errors when used."""
     grid = dict(GRID30, localization=[{"taper": "mse"}], output_dir=str(tmp_path / "g"))
     cases = []
     for section, key, value in (
@@ -792,31 +878,39 @@ def test_run_time_config_values_exit_2(tmp_path):
         raw = tiny_config(tmp_path / "t")
         raw["model"] = {"kind": "linear", "n_params": 4, "n_data": 6}
         raw[section] = dict(raw[section], **{key: value})
-        cases.append((raw, "run"))
+        cases.append((raw, "parse"))
+    cases.append((dict(grid, prior=dict(grid["prior"], porosity=5)), "parse"))
+    cases.append((dict(grid, prior=dict(grid["prior"], log_perm={"std": "wide"})), "parse"))
     toy = tiny_config(tmp_path / "t")["model"]
     for model in ({"kind": "linear", "n_params": 4, "n_data": 0}, dict(toy, n_times=0),
                   dict(toy, n_series=0)):  # no data
         cases.append((tiny_config(tmp_path / "t", model=model), "run"))
     cases.append((dict(grid, model=dict(grid["model"], n_times=0)), "run"))
     cases.append((dict(grid, model=dict(grid["model"], nx=4)), "run"))
-    cases.append((dict(grid, prior=dict(grid["prior"], porosity=5)), "run"))
-    cases.append((dict(grid, prior=dict(grid["prior"], log_perm={"std": "wide"})), "run"))
     cases.append((grid, "sweep-layers"))
     for i, (raw, command) in enumerate(cases):
         path = tmp_path / f"case{i}.json"
         path.write_text(json.dumps(raw))
-        cfg = hn.load_config(path)
-        with pytest.raises(ConfigError):
-            if command == "sweep-layers":
-                hn.sweep_layers(cfg, [0])
-            else:
-                hn.run_experiment(cfg)
+        if command == "parse":
+            with pytest.raises(ConfigError):
+                hn.load_config(path)
+            command = "run"
+        else:
+            cfg = hn.load_config(path)
+            with pytest.raises(ConfigError):
+                if command == "sweep-layers":
+                    hn.sweep_layers(cfg, [0])
+                else:
+                    hn.run_experiment(cfg)
         extra = ["--layers", "0"] if command == "sweep-layers" else []
         assert cli.main([command, str(path), *extra]) == 2, raw
 
 
 _TOY = tiny_config("out")["model"]
 _LINEAR = {"kind": "linear", "n_params": 4, "n_data": 6, "structure_seed": 3}
+_OBSERVATION = tiny_config("out")["observation"]
+_MISSPELT_POROSITY = dict(GRID30["prior"]["porosity"], angel_deg=45)
+_SWEEPS = {"sweep-ne": ["--sizes", "20"], "sweep-layers": ["--layers", "1"]}
 
 
 @pytest.mark.parametrize(
@@ -837,19 +931,39 @@ _LINEAR = {"kind": "linear", "n_params": 4, "n_data": 6, "structure_seed": 3}
         ({"model": dict(GRID30["model"], nx=12.9), "prior": GRID30["prior"]}, [], "model.nx"),
         ({"model": dict(GRID30["model"], n_layers=True), "prior": GRID30["prior"]}, [],
          "model.n_layers"),
+        # misspelt nested keys, and strings, fractions and booleans for numbers
+        ({"model": {"kind": "linear", "n_param": 9, "n_data": 6}}, [], "'model.n_param'"),
+        ({"observation": dict(_OBSERVATION, truth_sed=5)}, [], "'observation.truth_sed'"),
+        ({"observation": dict(_OBSERVATION, truth_seed=5.7)}, [], "observation.truth_seed"),
+        ({"observation": dict(_OBSERVATION, truth_seed=True)}, [], "observation.truth_seed"),
+        ({"ensemble_size": "40"}, [], "ensemble_size"),
+        ({"runs": {"count": "2", "base_seed": 500}}, [], "runs.count"),
+        ({"observation": dict(_OBSERVATION, rel_std="0.1")}, [], "observation.rel_std"),
+        ({"prior": {"kind": "bogus"}}, [], "prior.kind"),
+        ({"schedule": {"n_step": 2}}, [], "'schedule.n_step'"),
+        ({"localization": [{"taper": "mse"}, {"taper": "power:beta=3,t0=2", "tO": "p90"}]}, [],
+         "'localization.tO'"),
+        ({"model": GRID30["model"], "prior": dict(GRID30["prior"], porosity=_MISSPELT_POROSITY)},
+         [], "'prior.porosity.angel_deg'"),
     ],
 )
 def test_bad_config_value_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, edit,
                                                      extra, named):
-    """Unknown keys, non-boolean flags, an empty or non-string output_dir
-    and booleans or fractions for integers are config errors that name the
-    key, raised before any file is written."""
+    """Unknown keys at any depth, non-boolean flags, an empty or non-string
+    output_dir, and booleans, strings or fractions for numbers are config
+    errors that name the key, raised before any file is written: under run,
+    sweep-ne and, for a grid model, sweep-layers."""
     monkeypatch.chdir(tmp_path)  # a relative or empty output_dir would land here
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(dict(tiny_config("out", reference=None), **edit)))
-    assert cli.main(["run", str(path), *extra]) == 2
-    assert named in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == [path]
+    raw = dict(tiny_config("out", reference=None), **edit)
+    path.write_text(json.dumps(raw))
+    commands = {"run": [], **_SWEEPS}
+    if raw["model"]["kind"] != "grid_proxy":
+        del commands["sweep-layers"]
+    for command, args in commands.items():
+        assert cli.main([command, str(path), *args, *extra]) == 2, command
+        assert named in capsys.readouterr().err, command
+        assert list(tmp_path.iterdir()) == [path], command
 
 
 def test_non_finite_values_exit_2(tmp_path, capsys):
