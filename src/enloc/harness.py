@@ -81,12 +81,14 @@ _REFERENCE = {"reference": LocalizationPolicy(spec=None)}  # the large-ensemble 
 # default, and a key whose default is None may be absent or null. An int
 # takes a whole-valued float (4.0 reads as 4) and a float takes an int;
 # neither takes a boolean or a string. A tuple of strings as the type lists
-# the accepted values, a table as the type is a block read through it, and
-# object takes any value. The least of a string or a list is its length.
+# the accepted values, a table as the type is a block read through it, [spec]
+# is a list whose items are read through spec, and object takes any value.
+# The least of a string or a list is its length.
 # The models, GrfPrior, MdaSchedule and parse_taper check the rest.
 _REQUIRED = object()
 _KINDS = ("linear", "scalar_toy", "grid_proxy")
 _KIND = (_KINDS, _REQUIRED, None)
+_NUMBER = (float, _REQUIRED, None)
 _RUNS = {"count": (int, 1, 1), "base_seed": (int, 1000, 0)}
 _GRF = {"kind": (str, "exponential", None), "range_major": (float, 20.0, None),
         "range_minor": (float, 10.0, None), "angle_deg": (float, 0.0, None),
@@ -98,7 +100,7 @@ _SCHEMA = {
         "observation": (dict, _REQUIRED, None),
         "localization": (list, _REQUIRED, 1),
         "ensemble_size": (int, 100, 3),
-        "schedule": ({"n_steps": (int, 4, 1), "alphas": (list, None, None)}, {}, None),
+        "schedule": ({"n_steps": (int, 4, 1), "alphas": ([_NUMBER], None, 1)}, {}, None),
         "runs": (_RUNS, {}, None),
         "reference": (dict, None, None),
         "output_dir": (str, "out", 1),
@@ -106,11 +108,13 @@ _SCHEMA = {
         "emit_nv_field": (bool, True, None),
         "block_width": (int, DEFAULT_BLOCK_WIDTH, 1),
     },
-    # one table per model kind ("model" when the kind is missing or unknown);
-    # the models check their own lower bounds
+    # one table per model kind ("model" when the kind is missing or unknown,
+    # "linear_matrix" for a linear model given its rows); the models check
+    # their own lower bounds
     "model": {"kind": _KIND},
     "linear": {"kind": _KIND, "n_params": (int, 4, 0), "n_data": (int, 6, 0),
-               "structure_seed": (int, 0, 0), "matrix": (list, None, None)},
+               "structure_seed": (int, 0, 0)},
+    "linear_matrix": {"kind": _KIND, "matrix": ([([_NUMBER], _REQUIRED, 1)], _REQUIRED, 1)},
     "scalar_toy": {"kind": _KIND, "n_active": (int, 15, 0), "n_dummy": (int, 5, 0),
                    "n_series": (int, 6, 0), "n_times": (int, 50, 0), "structure_seed": (int, 0, 0)},
     "grid_proxy": {"kind": _KIND, "nx": (int, 60, 0), "ny": (int, 60, 0), "n_layers": (int, 1, 0),
@@ -159,7 +163,8 @@ class ExperimentConfig:
         self.run_count = _value(self.run_count, _RUNS["count"], "runs.count")
         self.base_seed = _value(self.base_seed, _RUNS["base_seed"], "runs.base_seed")
         kind = self.model.get("kind") if isinstance(self.model, dict) else None
-        self.model = _read(self.model, _SCHEMA[kind if kind in _KINDS else "model"], "model.")
+        table = "linear_matrix" if kind == "linear" and "matrix" in self.model else kind
+        self.model = _read(self.model, _SCHEMA[table if kind in _KINDS else "model"], "model.")
         prior = "grid_prior" if kind == "grid_proxy" else "prior"
         self.prior = _read(self.prior, _SCHEMA[prior], "prior.")
         self.observation = _read(self.observation, _SCHEMA["observation"], "observation.")
@@ -248,12 +253,12 @@ def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
     sched, runs = top.pop("schedule"), top.pop("runs")
     alphas = sched["alphas"]
     n_steps = sched["n_steps"] if alphas is None else len(alphas)
+    if n_steps != sched["n_steps"] and "n_steps" in raw["schedule"]:  # alphas disagree
+        raise ConfigError(f"schedule.n_steps is {sched['n_steps']}, but alphas has {n_steps} steps")
     if n_steps > MAX_SCHEDULE_STEPS:
         raise ConfigError(f"a schedule has at most {MAX_SCHEDULE_STEPS} steps, got {n_steps}")
-    number = (float, _REQUIRED, None)
     try:  # no alphas: alpha = n_steps at every step, as MdaSchedule.uniform
-        alphas = tuple(_value(a, number, "schedule.alphas") for a in alphas or [n_steps] * n_steps)
-        schedule = MdaSchedule(alphas)
+        schedule = MdaSchedule(tuple(alphas or [float(n_steps)] * n_steps))
     except ValueError as exc:
         raise ConfigError(f"bad schedule: {exc}") from exc
     # ExperimentConfig reads the model, prior, observation and reference blocks
@@ -290,6 +295,8 @@ def _value(value: Any, spec: tuple, key: str) -> Any:
         return None
     if isinstance(typ, dict):
         return _read(value, typ, key + ".")
+    if isinstance(typ, list):
+        return [_value(item, typ[0], key) for item in _value(value, (list, _REQUIRED, least), key)]
     if isinstance(typ, tuple):
         if value not in typ:
             raise ConfigError(f"{key} must be one of {', '.join(map(repr, typ))}, got {value!r}")
@@ -344,8 +351,8 @@ def build_model(cfg: ExperimentConfig) -> ForwardModel:
     m = dict(cfg.model)
     kind = m.pop("kind")
     if kind == "linear":
-        if m["matrix"] is not None:
-            return LinearModel(np.asarray(m["matrix"], dtype=float))
+        if "matrix" in m:
+            return LinearModel(np.asarray(m["matrix"]))
         rng = np.random.default_rng(m["structure_seed"])
         return LinearModel(rng.standard_normal((m["n_data"], m["n_params"])))
     return (ScalarToyModel if kind == "scalar_toy" else GridFlowProxy)(**m)

@@ -2,8 +2,9 @@
 
 NV is the mean per-row ratio var(forecast) / var(prior): run_esmda takes the
 prior's row variance once per run (_prior_variance, which rejects a
-zero-variance row) and each forecast's ratios from it (_variance_ratios),
-and returns the final ratios.
+zero-variance row), each forecast's variance from the update pass that
+reads it or, for the final one, _variance_ratios, and returns the final
+ratios.
 
 The taper-dependent aggregates (effective updated-parameter count and
 taper histogram) are tallied block by block, so the full taper matrix is
@@ -114,16 +115,16 @@ class _RunTaper:
     block is the field's block method (a callable RowBlock -> width x Nd
     taper array that takes an out= array), or None without localization.
     rows(blk) returns a block, keeping it read-only for later reads when its
-    rows end within the first keep_rows rows, so which blocks are kept
-    depends on their rows alone, not on the order in which threads first
-    read them. Until footprint() closes the tally, rows() also tallies
-    every block it returns, so the caller reads each block exactly once
-    before that. Blocks may be read from several threads at once, in any
-    order: each block's partial sum and counts are combined under a lock,
-    and the compensated sum does not depend on their order. The object
-    keeps no closure or bound method of itself, so it forms no reference
-    cycle and reference counting frees the field and the kept blocks with
-    it.
+    rows end within the first keep_rows rows, so which blocks are kept depends
+    on their rows alone, not on the order in which threads first read them. A
+    kept block is checked against [0, 1] once, when it is evaluated; kept(blk)
+    tells whether rows(blk) returns such a block. Until footprint() closes the
+    tally, rows() also tallies every block it returns, so the caller reads each
+    block exactly once before that. Blocks may be read from several threads at
+    once, in any order: each block's partial sum and counts are combined under
+    a lock, and the compensated sum does not depend on their order. The object
+    keeps no closure or bound method of itself, so it forms no reference cycle
+    and reference counting frees the field and the kept blocks with it.
     """
 
     def __init__(
@@ -157,7 +158,7 @@ class _RunTaper:
             if slot is None:
                 r = self._block(blk)
             else:
-                r = self._kept[blk] = self._block(blk, out=slot)
+                r = self._kept[blk] = _unit_range(self._block(blk, out=slot))
                 r.flags.writeable = False
         if self._partials is not None:
             partial = float(np.sum(r))
@@ -166,6 +167,11 @@ class _RunTaper:
                 self._partials.append(partial)
                 self._counts += counts
         return r
+
+    __call__ = rows
+
+    def kept(self, blk: RowBlock) -> bool:
+        return blk in self._kept
 
     def footprint(self) -> tuple[float, np.ndarray]:
         """(n_eff, histogram counts), see footprint(); the first call closes
@@ -182,6 +188,13 @@ class _RunTaper:
                 self._n_eff = math.fsum(self._partials) / self.n_data
             self._partials = None
         return self._n_eff, self._counts
+
+
+def _unit_range(r: np.ndarray) -> np.ndarray:
+    """r, after checking that every taper value lies in [0, 1]."""
+    if not (r.min() >= 0.0 and r.max() <= 1.0):  # NaN fails too
+        raise ValueError("taper values outside [0, 1]")
+    return r
 
 
 def footprint(

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .errors import InvalidEnsembleSizeError
 
@@ -34,6 +33,7 @@ __all__ = [
 
 def student_t_quantile(nu: float, p: float) -> float:
     """Inverse CDF of the Student-t distribution with nu degrees of freedom."""
+    from scipy.special import stdtrit  # imported here: no run reads it, and it slows import
     if nu < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {nu}")
     if not 0.0 < p < 1.0:

@@ -33,14 +33,16 @@ refers back to it, so reference counting frees the field, its prior and
 its kept blocks as soon as the run returns.
 
 An update spreads its row blocks over the CPUs the process may run on: the
-calling thread and one helper thread per further CPU take blocks in row
-order, the helpers from a pool that lives for that update alone, so no
-thread outlives it. This is the package's only parallelism. Each block
-writes only its own rows, whether a taper block is kept depends only on
-where its rows end, and the footprint's partial sums are combined exactly,
-so a run's results do not depend on the CPU count. One thread at a time
-holds both a block's taper and its gain; every other holds one block-sized
-array, so each helper adds about one block to the memory an update needs.
+calling thread and one helper thread per further CPU take blocks in row order,
+the helpers from a pool that lives for that update alone, so no thread
+outlives it. This is the package's only parallelism. Each block writes only
+its own rows, whether a taper block is kept depends only on where its rows
+end, and the footprint's partial sums are combined exactly, so a run's results
+do not depend on the CPU count. Only a freshly evaluated taper block is held
+with its gain, by one thread at a time, so each helper adds about one block to
+an update's memory; kept blocks, checked once when evaluated, and updates
+without a taper run on all threads at once. Each block takes its rows'
+forecast variance before it writes them, so NV needs no pass of its own.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -410,19 +412,20 @@ def _tapered_gain_block(
     """K_blk o R_blk, or K_blk without a taper.
 
     The taper block is evaluated before the gain block, so its temporaries
-    never coexist with the gain. pair_lock is held from the gain block's
-    creation until the taper block is let go, so of the threads sharing it
-    one at most holds both; every other holds one width x Nd array.
+    never coexist with the gain. A fresh taper block is checked against
+    [0, 1], and pair_lock is held from the gain block's creation until it is
+    let go, so of the threads sharing it one at most holds both; every other
+    holds one width x Nd array. A block a metrics._RunTaper keeps was
+    checked once and belongs to no thread, so it needs neither.
     """
     r = None if taper_rows is None else taper_rows(blk)
-    with pair_lock:
+    kept = isinstance(taper_rows, metrics._RunTaper) and taper_rows.kept(blk)
+    with nullcontext() if r is None or kept else pair_lock:
         gain = kalman_gain_block(ens, blk, operator)
         if r is not None:
             if r.shape != gain.shape:
                 raise ValueError("taper block shape does not match gain block")
-            if not (r.min() >= 0.0 and r.max() <= 1.0):  # NaN fails too
-                raise ValueError("taper values outside [0, 1]")
-            gain *= r
+            gain *= r if kept else metrics._unit_range(r)
         del r
     return gain
 
@@ -435,36 +438,39 @@ def localized_update_step(
     taper_rows: Callable[[RowBlock], np.ndarray] | None,
     perturbed: np.ndarray,
     block_width: int = DEFAULT_BLOCK_WIDTH,
-) -> None:
+) -> np.ndarray:
     """One update pass over all parameter rows of ens, in place; taper_rows=None
-    is unlocalized.
+    is unlocalized. Returns the per-row variance of ens before the update.
 
-    The gain (tapered entrywise when taper_rows is given) is formed per
-    block and applied to the innovation columns as (K_blk o R_blk) resid;
-    the caller supplies the perturbed-data matrix from
-    perturb_observations(). Each block's rows are written after its gain
-    block has read them, so no Nm x Ne array is allocated. Blocks run as
-    _each_block spreads them, so taper_rows may be called from several
-    threads at once, each time for another block. A block whose update
-    raises an EnlocError or ValueError, or whose updated rows are not
-    finite, fails the step with a BlockError naming its rows. Returns None,
-    like list.sort.
+    The gain (tapered entrywise when taper_rows is given) is formed per block
+    and applied to the innovation columns as (K_blk o R_blk) resid; the caller
+    supplies the perturbed-data matrix from perturb_observations(). Each block
+    takes its rows' variance, as ensemble_variance_per_row does, and writes its
+    rows after its gain block has read them, so no Nm x Ne array is allocated.
+    Blocks run as _each_block spreads them, so taper_rows may be called from
+    several threads at once, each time for another block; it may be a
+    metrics._RunTaper, whose kept blocks are not checked again. A block whose
+    update raises an EnlocError or ValueError, or whose updated rows are not
+    finite, fails the step with a BlockError naming its rows.
     """
     if perturbed.shape != (obs.n_data, ens.n_members):
         raise ValueError("perturbed-data matrix has wrong shape")
     resid = perturbed - pred.values
     operator = gain_operator(pred, obs, alpha)
     pair_lock = threading.Lock()
+    var = np.empty(ens.n_params)
 
     def update(blk: RowBlock) -> None:
-        gain = _tapered_gain_block(ens, blk, operator, taper_rows, pair_lock)
         rows = ens.values[blk.slice()]
+        var[blk.slice()] = np.var(rows, axis=1, ddof=1)
+        gain = _tapered_gain_block(ens, blk, operator, taper_rows, pair_lock)
         with np.errstate(over="ignore", invalid="ignore"):  # checked just below
             rows += gain @ resid
         if not np.all(np.isfinite(rows)):
             raise ValueError("updated ensemble rows must be finite")
 
     _each_block(ens.n_params, block_width, update)
+    return var
 
 
 def _each_block(n_rows: int, block_width: int, work: Callable[[RowBlock], None]) -> None:
@@ -645,11 +651,11 @@ def run_esmda(
                     None if taper_field is None else taper_field.block,
                     ens.n_params, obs.n_data, keep_bytes // (8 * obs.n_data), block_width,
                 )
-                taper_rows = None if taper_field is None else taper.rows
-            nv_rows = metrics._variance_ratios(prior_var, ens)
+                taper_rows = None if taper_field is None else taper
             perturbed = perturb_observations(obs, alpha, seed, step, ens.n_members)
-            localized_update_step(ens, pred, obs, alpha, taper_rows, perturbed, block_width)
-            diagnostics.append(_diagnostics(step, alpha, pred, obs, nv_rows, taper.footprint()))
+            var = localized_update_step(ens, pred, obs, alpha, taper_rows, perturbed, block_width)
+            var /= prior_var  # in place: no step keeps a second Nm array through the next
+            diagnostics.append(_diagnostics(step, alpha, pred, obs, var, taper.footprint()))
 
     with _failures_name_step(schedule.n_steps + 1):
         pred = PredictedEnsemble(

@@ -199,7 +199,6 @@ _JSON = st.recursive(
     max_leaves=12,
 )
 _TOP_KEYS = tuple(hn._SCHEMA["config"])
-_KEYS = st.sampled_from(_TOP_KEYS)
 
 
 def _schema_keys(tables):
@@ -211,8 +210,6 @@ def _schema_keys(tables):
 
 
 _SCHEMA_KEYS = sorted(_schema_keys(hn._SCHEMA.values()))
-_SECTIONS = ["model", "prior", "prior.porosity", "prior.log_perm", "observation", "runs",
-             "schedule", "reference"]
 
 
 def _edit(raw, where, edits):
@@ -235,61 +232,120 @@ def _assert_read(block, table):
             assert type(block[key]) is kind, (key, block[key])
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    grid=st.booleans(),
-    top=st.dictionaries(_KEYS | st.text(max_size=8), _JSON, max_size=3),
-    nested=st.dictionaries(
-        st.sampled_from(_SECTIONS),
-        st.dictionaries(st.sampled_from(_SCHEMA_KEYS) | st.text(max_size=8), _JSON, max_size=3),
-        max_size=3,
-    ),
-    localization=st.none() | st.lists(
-        st.text(max_size=12)
-        | st.dictionaries(st.sampled_from(["taper", "t0", "name"]) | st.text(max_size=4), _JSON,
-                          max_size=3)
-        | st.fixed_dictionaries(
-            {"taper": st.sampled_from(["mse", "power:beta=3", "logistic:gamma=1.5", "none"])},
-            optional={"t0": st.text(max_size=8) | _JSON, "name": _JSON},
-        ),
-        max_size=3,
-    ),
+def _typed(spec):
+    """Values of the type a (type, default, least) spec reads, at or above
+    its least; a block gets a subset of its keys."""
+    typ, _default, least = spec
+    lo = least or 0
+    if isinstance(typ, tuple):
+        return st.sampled_from(typ)
+    if isinstance(typ, dict):
+        return st.fixed_dictionaries({}, optional={k: _typed(v) for k, v in typ.items()})
+    return {
+        int: st.integers(lo, lo + 50),
+        float: st.floats(lo, lo + 50) if least is not None else st.floats(-50, 50),
+        bool: st.booleans(),
+        str: st.text(min_size=max(lo, 1), max_size=8),
+    }[typ]
+
+
+def _junk(keys):
+    """Up to three of keys or any text, each with any JSON value."""
+    return st.dictionaries(st.sampled_from(keys) | st.text(max_size=8), _JSON, max_size=3)
+
+
+def _mostly(typed, junk):
+    """typed seven times in eight, else junk (one_of would draw each half the time)."""
+    return st.sampled_from(range(8)).flatmap(lambda i: typed if i < 7 else junk)
+
+
+def _edits(table):
+    """Edits of a block: mostly a subset of its own keys with values of
+    their types, else schema keys or any text with any JSON."""
+    return _mostly(_typed((table, None, None)), _junk(_SCHEMA_KEYS))
+
+
+_SCHEDULES = st.integers(1, 6).flatmap(lambda n: st.fixed_dictionaries(
+    {}, optional={"n_steps": st.just(n), "alphas": st.just([float(n)] * n)}))
+_BLOCKS = {"observation": _edits(hn._SCHEMA["observation"]), "runs": _edits(hn._RUNS),
+           "schedule": _mostly(_SCHEDULES, _junk(_SCHEMA_KEYS)),
+           "reference": _edits(hn._SCHEMA["reference"])}
+_MODEL_BLOCKS = {  # the kind stays: another kind's keys are unknown to it
+    kind: _edits({k: v for k, v in hn._SCHEMA[kind].items() if k != "kind"})
+    for kind in ("scalar_toy", "grid_proxy")
+}
+_PRIOR_BLOCKS = {False: {"prior": _edits(hn._SCHEMA["prior"])},
+                 True: {"prior": _edits(hn._SCHEMA["grid_prior"]),
+                        "prior.porosity": _edits(hn._GRF), "prior.log_perm": _edits(hn._GRF)}}
+_TOP = {k: v for k, v in hn._SCHEMA["config"].items() if v[0] in (int, str, bool)}
+_ENTRY = st.sampled_from(["mse", "none", "power:beta=3,t0=2"]) | st.fixed_dictionaries(
+    {"taper": st.sampled_from(["power:beta=3", "logistic:gamma=1.5"]),
+     "t0": st.sampled_from(["p90", "student:phi=0.05"])},
+    optional={"name": st.text(min_size=1, max_size=8)},
 )
-def test_config_parser_raises_only_config_error(grid, top, nested, localization):
+_LOCALIZATION = st.none() | st.lists(
+    _mostly(_ENTRY, st.text(max_size=12)
+            | st.dictionaries(st.sampled_from(["taper", "t0", "name"]) | st.text(max_size=4),
+                              _JSON, max_size=3)
+            | st.fixed_dictionaries(
+                {"taper": st.sampled_from(["mse", "power:beta=3", "logistic:gamma=1.5", "none"])},
+                optional={"t0": st.text(max_size=8) | _JSON, "name": _JSON})),
+    min_size=1, max_size=3, unique_by=repr,
+)
+
+
+def test_config_parser_raises_only_config_error():
     """Any JSON edit of a valid config, of a toy or a grid model, parses or
     raises ConfigError; a parsed config holds only the schema's keys, with
-    every integer an int."""
-    raw = tiny_config("out")
-    if grid:
-        raw.update(model=dict(GRID30["model"]), prior=json.loads(json.dumps(GRID30["prior"])))
-    for where, edits in nested.items():
-        _edit(raw, where, edits)
-    if localization is not None:
-        raw["localization"] = localization
-    raw.update(top)
-    try:
-        cfg = hn.config_from_dict(raw)
-    except ConfigError:
-        return
-    assert isinstance(cfg, hn.ExperimentConfig)
-    assert cfg.ensemble_size >= 3 and cfg.run_count >= 1
-    assert cfg.block_width >= 1
-    assert set(raw) <= set(_TOP_KEYS)  # an unknown key is a typo
-    for name in ("ensemble_size", "run_count", "base_seed", "block_width"):
-        assert type(getattr(cfg, name)) is int, name
-    assert all(type(a) is float for a in cfg.schedule.alphas)
-    assert isinstance(cfg.save_posterior, bool) and isinstance(cfg.emit_nv_field, bool)
-    assert isinstance(cfg.output_dir, str) and cfg.output_dir
-    kind = cfg.model["kind"]
-    _assert_read(cfg.model, hn._SCHEMA[kind])
-    _assert_read(cfg.prior, hn._SCHEMA["grid_prior" if kind == "grid_proxy" else "prior"])
-    _assert_read(cfg.observation, hn._SCHEMA["observation"])
-    if cfg.reference is not None:
-        _assert_read(cfg.reference, hn._SCHEMA["reference"])
-    for entry in raw["localization"]:
-        assert isinstance(entry, str) or set(entry) <= set(hn._SCHEMA["localization"])
-    for name in cfg.localization:  # each names one directory under runs/
-        assert name not in ("", ".", "..") and not set(name) & set("/\\\0"), name
+    every integer an int. Edits are mostly well typed, so at least half of
+    the drawn configs parse."""
+    parsed = []
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(grid=st.booleans(), data=st.data())
+    def check(grid, data):
+        kind = "grid_proxy" if grid else "scalar_toy"
+        blocks = dict(_BLOCKS, model=_MODEL_BLOCKS[kind], **_PRIOR_BLOCKS[grid])
+        top = data.draw(_mostly(_typed((_TOP, None, None)), _junk(_TOP_KEYS)), "top")
+        nested = dict(data.draw(st.lists(st.sampled_from(sorted(blocks)).flatmap(
+            lambda where: st.tuples(st.just(where), blocks[where])), max_size=3), "nested"))
+        localization = data.draw(_LOCALIZATION, "localization")
+        raw = tiny_config("out")
+        if grid:
+            raw.update(model=dict(GRID30["model"]), prior=json.loads(json.dumps(GRID30["prior"])))
+        for where, edits in nested.items():
+            _edit(raw, where, edits)
+        if localization is not None:
+            raw["localization"] = localization
+        raw.update(top)
+        try:
+            cfg = hn.config_from_dict(raw)
+        except ConfigError:
+            parsed.append(False)
+            return
+        parsed.append(True)
+        assert isinstance(cfg, hn.ExperimentConfig)
+        assert cfg.ensemble_size >= 3 and cfg.run_count >= 1
+        assert cfg.block_width >= 1
+        assert set(raw) <= set(_TOP_KEYS)  # an unknown key is a typo
+        for name in ("ensemble_size", "run_count", "base_seed", "block_width"):
+            assert type(getattr(cfg, name)) is int, name
+        assert all(type(a) is float for a in cfg.schedule.alphas)
+        assert isinstance(cfg.save_posterior, bool) and isinstance(cfg.emit_nv_field, bool)
+        assert isinstance(cfg.output_dir, str) and cfg.output_dir
+        kind = cfg.model["kind"]
+        _assert_read(cfg.model, hn._SCHEMA["linear_matrix" if "matrix" in cfg.model else kind])
+        _assert_read(cfg.prior, hn._SCHEMA["grid_prior" if kind == "grid_proxy" else "prior"])
+        _assert_read(cfg.observation, hn._SCHEMA["observation"])
+        if cfg.reference is not None:
+            _assert_read(cfg.reference, hn._SCHEMA["reference"])
+        for entry in raw["localization"]:
+            assert isinstance(entry, str) or set(entry) <= set(hn._SCHEMA["localization"])
+        for name in cfg.localization:  # each names one directory under runs/
+            assert name not in ("", ".", "..") and not set(name) & set("/\\\0"), name
+
+    check()
+    assert 2 * sum(parsed) >= len(parsed), f"{sum(parsed)} of {len(parsed)} configs parse"
 
 
 def test_localization_parsing():
@@ -911,6 +967,7 @@ _LINEAR = {"kind": "linear", "n_params": 4, "n_data": 6, "structure_seed": 3}
 _OBSERVATION = tiny_config("out")["observation"]
 _MISSPELT_POROSITY = dict(GRID30["prior"]["porosity"], angel_deg=45)
 _SWEEPS = {"sweep-ne": ["--sizes", "20"], "sweep-layers": ["--layers", "1"]}
+_MATRIX = [[1.0, 0.5], [0.0, 2.0], [1.0, 1.0]]
 
 
 @pytest.mark.parametrize(
@@ -945,12 +1002,24 @@ _SWEEPS = {"sweep-ne": ["--sizes", "20"], "sweep-layers": ["--layers", "1"]}
          "'localization.tO'"),
         ({"model": GRID30["model"], "prior": dict(GRID30["prior"], porosity=_MISSPELT_POROSITY)},
          [], "'prior.porosity.angel_deg'"),
+        # schedule keys that disagree, a matrix entry that is no number, and a
+        # size or seed beside a matrix
+        ({"schedule": {"n_steps": 8, "alphas": [4, 4, 4, 4]}}, [], "schedule.n_steps"),
+        ({"schedule": {"n_steps": 1, "alphas": [2, 2]}}, [], "schedule.n_steps"),
+        ({"model": {"kind": "linear", "matrix": [[True, "2"], [1, 0]]}}, [], "model.matrix"),
+        ({"model": {"kind": "linear", "matrix": [[1, 0], ["2", 1]]}}, [], "model.matrix"),
+        ({"model": {"kind": "linear", "matrix": [1, 2]}}, [], "model.matrix"),
+        ({"model": {"kind": "linear", "matrix": _MATRIX, "n_params": 2}}, [], "'model.n_params'"),
+        ({"model": {"kind": "linear", "matrix": _MATRIX, "n_data": 3}}, [], "'model.n_data'"),
+        ({"model": {"kind": "linear", "matrix": _MATRIX, "structure_seed": 0}}, [],
+         "'model.structure_seed'"),
     ],
 )
 def test_bad_config_value_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, edit,
                                                      extra, named):
     """Unknown keys at any depth, non-boolean flags, an empty or non-string
-    output_dir, and booleans, strings or fractions for numbers are config
+    output_dir, booleans, strings or fractions for numbers, n_steps beside
+    alphas of another length and a size or seed beside a matrix are config
     errors that name the key, raised before any file is written: under run,
     sweep-ne and, for a grid model, sweep-layers."""
     monkeypatch.chdir(tmp_path)  # a relative or empty output_dir would land here
@@ -964,6 +1033,19 @@ def test_bad_config_value_exits_2_and_writes_nothing(tmp_path, monkeypatch, caps
         assert cli.main([command, str(path), *args, *extra]) == 2, command
         assert named in capsys.readouterr().err, command
         assert list(tmp_path.iterdir()) == [path], command
+
+
+def test_matching_schedule_keys_and_a_matrix_parse():
+    """n_steps equal to the number of alphas is accepted, and a matrix's
+    entries are read as floats."""
+    raw = tiny_config("out", schedule={"n_steps": 3, "alphas": [3, 3.0, 3]},
+                      model={"kind": "linear", "matrix": [[1, 0.5], [0, 2], [1, 1]]})
+    cfg = hn.config_from_dict(raw)
+    assert cfg.schedule.alphas == (3.0, 3.0, 3.0)
+    assert cfg.model == {"kind": "linear", "matrix": _MATRIX}
+    assert all(type(x) is float for row in cfg.model["matrix"] for x in row)
+    assert replace(cfg, ensemble_size=50).model == cfg.model
+    assert np.array_equal(hn.build_model(cfg).G, np.array(_MATRIX))
 
 
 def test_non_finite_values_exit_2(tmp_path, capsys):

@@ -232,10 +232,11 @@ def test_update_in_place_allocates_no_ensemble(monkeypatch, tapered):
         copied[blk.slice()] = before.values[blk.slice()] + gain @ (pert - pred.values)
     tracemalloc.start()
     try:
-        assert sm.localized_update_step(ens, pred, obs, 4.0, taper, pert) is None
+        var = sm.localized_update_step(ens, pred, obs, 4.0, taper, pert)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert np.array_equal(var, ensemble_variance_per_row(before))
     assert np.array_equal(ens.values, copied)
     assert peak < ens.values.nbytes, peak
 
@@ -592,6 +593,127 @@ def test_failure_names_the_lowest_failing_block(monkeypatch, helpers):
         sm.localized_update_step(ens, pred, obs, 4.0, taper, pert, block_width=8)
     assert err.value.rows == slice(8, 16)
     assert {0, 8} <= set(finished)
+
+
+def test_kept_blocks_form_their_gains_at_once(monkeypatch):
+    """The caller and a helper form the gains of kept taper blocks at the
+    same time: neither waits for the other to apply its block."""
+    monkeypatch.setattr(sm, "_helper_count", lambda: 1)
+    toy, prior, obs = _toy_problem()
+    barrier, calls = threading.Barrier(2, timeout=5), []
+    gain_block = sm.kalman_gain_block
+
+    def meeting(ens, blk, operator):
+        calls.append(blk)
+        if len(calls) <= 2:  # the first two blocks meet inside the gain
+            barrier.wait()
+        return gain_block(ens, blk, operator)
+
+    monkeypatch.setattr(sm, "kalman_gain_block", meeting)
+    policy = sm.LocalizationPolicy(spec=tp.Mse())
+    sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(2), policy, sm.RunSeed(4), 4)
+    assert len(calls) == 2 * len(list(iter_blocks(toy.n_params, 4)))
+
+
+def test_fresh_taper_blocks_form_their_gains_one_at_a_time(monkeypatch):
+    """Past the budget, a thread holds a taper block with its gain only
+    while no other thread does."""
+    monkeypatch.setattr(sm, "_helper_count", lambda: 3)
+    toy, prior, obs = _toy_problem()
+    monkeypatch.setattr(sm, "TAPER_CACHE_BYTES", _budget_keeping(0, toy, prior))
+    active, most = [], []
+    gain_block = sm.kalman_gain_block
+
+    def tracked(ens, blk, operator):
+        active.append(blk)
+        most.append(len(active))
+        time.sleep(0.002)
+        active.remove(blk)
+        return gain_block(ens, blk, operator)
+
+    monkeypatch.setattr(sm, "kalman_gain_block", tracked)
+    policy = sm.LocalizationPolicy(spec=tp.Mse())
+    sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(2), policy, sm.RunSeed(4), 4)
+    assert max(most) == 1 and len(most) == 2 * len(list(iter_blocks(toy.n_params, 4)))
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.5, np.nan])
+@pytest.mark.parametrize("helpers", [0, 1, 3])
+def test_kept_block_out_of_range_fails_step_1(monkeypatch, helpers, bad):
+    """A kept block is checked once, when it is evaluated: one value outside
+    [0, 1] fails step 1 naming the block's rows, and no gain is formed for
+    them."""
+    monkeypatch.setattr(sm, "_helper_count", lambda: helpers)
+    toy, prior, obs = _toy_problem()
+    block = sm.TaperField.block
+
+    def spoiled(field, blk, out=None):
+        r = block(field, blk, out)
+        if blk.start == 8:
+            r[1, 0] = bad
+        return r
+
+    monkeypatch.setattr(sm.TaperField, "block", spoiled)
+    field = sm.TaperField(tp.Mse(), prior, PredictedEnsemble(toy.evaluate_ensemble(prior.values)))
+    run_taper = metrics._RunTaper(field.block, toy.n_params, toy.n_data, toy.n_params, 4)
+    with pytest.raises(ValueError, match=r"^taper values outside \[0, 1\]$"):
+        run_taper.rows(RowBlock(8, 4))
+    gains = []
+    gain_block = sm.kalman_gain_block
+    monkeypatch.setattr(sm, "kalman_gain_block",
+                        lambda ens, blk, w: gains.append(blk.start) or gain_block(ens, blk, w))
+    policy = sm.LocalizationPolicy(spec=tp.Mse())
+    with pytest.raises(
+        AssimilationError, match=r"^step 1: rows 8:12: taper values outside \[0, 1\]$"
+    ) as err:
+        sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(2), policy, sm.RunSeed(4), 4)
+    assert err.value.rows == slice(8, 12)
+    assert 8 not in gains
+
+
+@pytest.mark.parametrize("writeable", [True, False])
+def test_blocks_not_kept_are_checked_at_every_read(monkeypatch, writeable):
+    """A caller's taper block, and a run's block past its budget, is checked
+    at every update that reads it, whether the array is writeable or not."""
+    monkeypatch.setattr(sm, "_helper_count", lambda: 1)
+    rng = np.random.default_rng(7)
+    ens = Ensemble(values=rng.standard_normal((48, 12)))
+    pred = PredictedEnsemble(values=rng.standard_normal((3, 12)))
+    obs = _obs(3)
+    pert = sm.perturb_observations(obs, 4.0, sm.RunSeed(1), 1, 12)
+    taper = np.full((48, 3), 0.5)
+    caller = lambda blk: taper[blk.slice()]
+    run_taper = metrics._RunTaper(caller, 48, 3)  # keeps no block
+    for provider in (caller, run_taper):
+        taper[9, 1] = 0.5
+        taper.flags.writeable = writeable
+        sm.localized_update_step(ens, pred, obs, 4.0, provider, pert, block_width=8)
+        taper.flags.writeable = True
+        taper[9, 1] = 1.5
+        taper.flags.writeable = writeable
+        for _ in range(2):
+            with pytest.raises(BlockError, match=r"^rows 8:16: taper values outside \[0, 1\]$"):
+                sm.localized_update_step(ens, pred, obs, 4.0, provider, pert, block_width=8)
+        taper.flags.writeable = True
+    assert not any(run_taper.kept(blk) for blk in iter_blocks(48, 8))
+
+
+@pytest.mark.parametrize("width", [1, 5, 37])
+def test_update_returns_the_forecast_variance(monkeypatch, width):
+    """The update pass returns its input's row variance, bit for bit the
+    variance a separate pass takes, at any block width and helper count."""
+    rng = np.random.default_rng(16)
+    before = Ensemble(values=rng.standard_normal((101, 25)) * rng.uniform(0.1, 9.0, (101, 1)))
+    pred = PredictedEnsemble(values=rng.standard_normal((4, 25)))
+    obs = _obs(4)
+    pert = sm.perturb_observations(obs, 4.0, sm.RunSeed(5), 1, 25)
+    for helpers in (0, 1, 3):
+        monkeypatch.setattr(sm, "_helper_count", lambda helpers=helpers: helpers)
+        ens = Ensemble(before.values.copy())
+        taper = lambda blk: np.full((blk.width, 4), 0.25)
+        var = sm.localized_update_step(ens, pred, obs, 4.0, taper, pert, block_width=width)
+        assert np.array_equal(var, ensemble_variance_per_row(before))
+        assert not np.array_equal(ens.values, before.values)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
