@@ -113,12 +113,15 @@ class _RunTaper:
     """The taper blocks one run reads, and the field's footprint.
 
     block is the field's block method (a callable RowBlock -> width x Nd
-    taper array that takes an out= array), or None without localization.
-    rows(blk) returns a block, keeping it read-only for later reads when its
-    rows end within the first keep_rows rows, so which blocks are kept depends
-    on their rows alone, not on the order in which threads first read them. A
-    kept block is checked against [0, 1] once, when it is evaluated; kept(blk)
-    tells whether rows(blk) returns such a block. Until footprint() closes the
+    taper array that takes an out= array), or None without localization; a
+    caller may set it after construction, before the first read. rows(blk)
+    returns a block, keeping it read-only for later reads when its rows end
+    within the first keep_rows rows, so which blocks are kept depends on their
+    rows alone, not on the order in which threads first read them. slots maps
+    each such block to the array it is evaluated into, until its first read: a
+    field may fill it earlier (TaperField's keep). A kept block is checked
+    against [0, 1] once, when it is evaluated; kept(blk) tells whether
+    rows(blk) returns such a block. Until footprint() closes the
     tally, rows() also tallies every block it returns, so the caller reads each
     block exactly once before that. Blocks may be read from several threads at
     once, in any order: each block's partial sum and counts are combined under
@@ -135,15 +138,15 @@ class _RunTaper:
         keep_rows: int = 0,
         block_width: int = DEFAULT_BLOCK_WIDTH,
     ):
-        self._block, self.n_params, self.n_data = block, n_params, n_data
+        self.block, self.n_params, self.n_data = block, n_params, n_data
         self._kept: dict[RowBlock, np.ndarray] = {}
         # the arrays the kept blocks are evaluated into are allocated here, on
         # the caller's thread: kept blocks that helper threads allocated pinned
         # memory in the helpers' malloc arenas, which raised the 8-layer grid's
         # peak RSS from 368 to 412 MB (glibc, 2 CPUs)
-        self._slots = {
+        self.slots = {
             blk: np.empty((blk.width, n_data))
-            for blk in iter_blocks(n_params if block else 0, block_width)
+            for blk in iter_blocks(n_params, block_width)
             if blk.stop <= keep_rows
         }
         self._counts = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
@@ -154,11 +157,11 @@ class _RunTaper:
     def rows(self, blk: RowBlock) -> np.ndarray:
         r = self._kept.get(blk)
         if r is None:
-            slot = self._slots.pop(blk, None)
+            slot = self.slots.pop(blk, None)
             if slot is None:
-                r = self._block(blk)
+                r = self.block(blk)
             else:
-                r = self._kept[blk] = _unit_range(self._block(blk, out=slot))
+                r = self._kept[blk] = _unit_range(self.block(blk, out=slot))
                 r.flags.writeable = False
         if self._partials is not None:
             partial = float(np.sum(r))
@@ -178,7 +181,7 @@ class _RunTaper:
         the tally and later calls return the same result."""
         if self._partials is not None:
             total = self.n_params * self.n_data
-            if self._block is None:
+            if self.block is None:
                 self._counts[-1] = total
                 self._n_eff = float(self.n_params)
             else:

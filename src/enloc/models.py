@@ -514,7 +514,12 @@ def _correlation_factor(geometry: GrfPrior) -> np.ndarray:
 
 
 def sample_grf(
-    prior: GrfPrior, count: int, seed: int | Sequence[int], *, labels: bool = True
+    prior: GrfPrior,
+    count: int,
+    seed: int | Sequence[int],
+    *,
+    labels: bool = True,
+    out: np.ndarray | None = None,
 ) -> Ensemble:
     """Draw `count` independent field realizations as an Ensemble.
 
@@ -534,7 +539,9 @@ def sample_grf(
     two differ in the last bits.
 
     labels=False leaves out the names and coords, for a caller that
-    labels the rows itself.
+    labels the rows itself. out, a C-contiguous (layers x cells) x count
+    array, receives the values when given (a caller's slice of a larger
+    ensemble); the one copy out of the product's layout writes it.
     """
     if count < 2:
         raise ValueError("need at least 2 realizations")
@@ -542,13 +549,16 @@ def sample_grf(
     seeds = list(seed) if layered else [seed]
     factor = _correlation_factor(replace(prior, mean=0.0, std=1.0))
     n = factor.shape[0]
-    z = np.hstack([np.random.default_rng(s).standard_normal((n, count)) for s in seeds])
+    z = np.empty((n, len(seeds) * count))
+    for k, s in enumerate(seeds):  # a generator fills only contiguous arrays
+        z[:, k * count : (k + 1) * count] = np.random.default_rng(s).standard_normal((n, count))
     # x = factor @ z as x^T = z^T factor^T, the BLAS triangular product (half
     # the work of a full one) written over z; the transposes are free views
     x = scipy.linalg.blas.dtrmm(1.0, factor.T, z.T, side=1, overwrite_b=1).T
-    x *= prior.std
-    x += prior.mean
-    values = x.reshape(n, len(seeds), count).transpose(1, 0, 2).reshape(-1, count)
+    values = np.empty((len(seeds) * n, count)) if out is None else out
+    layers = values.reshape(len(seeds), n, count)  # a view: values is contiguous
+    np.multiply(x.reshape(n, len(seeds), count).transpose(1, 0, 2), prior.std, out=layers)
+    layers += prior.mean
     if not labels:
         return Ensemble(values=values)
     k, j, i = np.indices((len(seeds), prior.ny, prior.nx)).reshape(3, -1)
@@ -568,23 +578,18 @@ def sample_grid_prior(
 
     Layers are independent draws from the same 2-D prior, one seed per
     layer from SeedSequence(seed); each field is one unlabelled sample_grf
-    call over its layers' seeds, and the model supplies names and coords.
-    The porosity block precedes the log-permeability block, matching the
-    model's parameter ordering.
+    call over its layers' seeds, written straight into its rows of the
+    ensemble, and the model supplies names and coords. The porosity block
+    precedes the log-permeability block, matching the model's parameter
+    ordering.
     """
     for prior, label in ((poro_prior, "porosity"), (logk_prior, "log-permeability")):
         if (prior.nx, prior.ny) != (model.nx, model.ny):
             raise ValueError(f"{label} prior grid does not match the model grid")
     layer_seeds = np.random.SeedSequence(seed).generate_state(2 * model.n_layers).tolist()
-    n_layers = model.n_layers
-    fields = [
-        sample_grf(
-            prior, count, layer_seeds[f * n_layers : (f + 1) * n_layers], labels=False
-        ).values
-        for f, prior in enumerate((poro_prior, logk_prior))
-    ]
-    return Ensemble(
-        values=np.vstack(fields),
-        names=model.param_names,
-        coords=model.coords,
-    )
+    n_layers, rows = model.n_layers, model.n_layers * model.nx * model.ny
+    values = np.empty((2 * rows, count))
+    for f, prior in enumerate((poro_prior, logk_prior)):
+        seeds = layer_seeds[f * n_layers : (f + 1) * n_layers]
+        sample_grf(prior, count, seeds, labels=False, out=values[f * rows : (f + 1) * rows])
+    return Ensemble(values=values, names=model.param_names, coords=model.coords)

@@ -25,24 +25,28 @@ evaluated in slabs of rows, so memory stays bounded however large R is.
 A field's kernel comes from the tapers module, picked and validated once
 per field: MSE, power-law and logistic run their public taper's own body in
 place on a slab of correlations, and the other families evaluate their
-public taper on the slab. This module keeps only the blocks and slabs. A
-run reads its field through one metrics._RunTaper, which keeps the blocks
-and tallies the field's footprint metrics from the blocks the first update
-reads, so no separate pass reads them. That object refers to nothing that
-refers back to it, so reference counting frees the field, its prior and
-its kept blocks as soon as the run returns.
+public taper on the slab. A percentile threshold correlates each block
+once, over the CPUs, leaving a kept block's t where the run keeps it; a
+distance field evaluates one column per distinct well position. This
+module keeps only the blocks and slabs. A run reads its field through one
+metrics._RunTaper, which keeps the blocks and tallies the field's footprint
+metrics from the blocks the first update reads, so no separate pass reads
+them. That object refers to nothing that refers back to it, so reference
+counting frees the field, its prior and its kept blocks as soon as the run
+returns.
 
 An update spreads its row blocks over the CPUs the process may run on: the
 calling thread and one helper thread per further CPU take blocks in row order,
 the helpers from a pool that lives for that update alone, so no thread
-outlives it. This is the package's only parallelism. Each block writes only
-its own rows, whether a taper block is kept depends only on where its rows
-end, and the footprint's partial sums are combined exactly, so a run's results
-do not depend on the CPU count. Only a freshly evaluated taper block is held
-with its gain, by one thread at a time, so each helper adds about one block to
-an update's memory; kept blocks, checked once when evaluated, and updates
-without a taper run on all threads at once. Each block takes its rows'
-forecast variance before it writes them, so NV needs no pass of its own.
+outlives it. A percentile pass runs the same way; the package has no other
+parallelism. Each block writes only its own rows, whether a taper block is
+kept depends only on where its rows end, and the footprint's partial sums are
+combined exactly, so a run's results do not depend on the CPU count. Only a
+freshly evaluated taper block is held with its gain, by one thread at a time,
+so each helper adds about one block to an update's memory; kept blocks,
+checked once when evaluated, and updates without a taper run on all threads at
+once. Each block takes its rows' forecast variance before it writes them, so
+NV needs no pass of its own.
 """
 
 from __future__ import annotations
@@ -109,6 +113,8 @@ TAPER_CACHE_BYTES = 32 * 2**20
 # temporary of the taper arithmetic is then at most 512 KiB, so evaluating a
 # block costs little more than the block itself.
 TAPER_SLAB_ENTRIES = 2**16
+
+_Slots = dict[RowBlock, np.ndarray]  # the arrays a run keeps its taper blocks in
 
 
 @dataclass(frozen=True)
@@ -212,9 +218,12 @@ class TaperField:
     on demand and map them, one slab of rows at a time, through the
     family's kernel from the tapers module. Undefined correlations
     (zero-variance rows) map to taper zero. The kernel is picked, and the
-    spec, threshold and ensemble size are checked, once per field. The
-    distance family uses parameter coordinates and datum well positions
-    instead.
+    spec, threshold and ensemble size are checked, once per field. keep maps
+    the blocks a run keeps to the arrays it keeps them in: a percentile
+    threshold's correlation pass leaves each such block's t there, and the
+    first block(blk, out=keep[blk]) maps that t without computing it again.
+    The distance family uses parameter coordinates and one taper column per
+    distinct well position instead.
     """
 
     def __init__(
@@ -224,6 +233,7 @@ class TaperField:
         pred: PredictedEnsemble,
         t0_strategy: significance.T0Strategy | None = None,
         block_width: int = DEFAULT_BLOCK_WIDTH,
+        keep: _Slots | None = None,
     ):
         LocalizationPolicy(spec, t0_strategy)  # rejects a threshold the taper cannot use
         self.spec = spec
@@ -231,6 +241,7 @@ class TaperField:
         self._ens = ens
         self._pred = pred
         self._n_e = ens.n_members
+        self._standardized: _Slots = {}  # kept blocks that hold t
 
         if isinstance(spec, DistanceGC):
             if ens.coords is None:
@@ -241,14 +252,15 @@ class TaperField:
                 raise WrongTaperKindError(
                     "distance taper requires datum well positions"
                 )
-            self._well_x = np.array([m.well_xy[0] for m in pred.meta], dtype=float)
-            self._well_y = np.array([m.well_xy[1] for m in pred.meta], dtype=float)
+            xy = np.array([m.well_xy for m in pred.meta], dtype=float)
+            self._wells, well_of = np.unique(xy, axis=0, return_inverse=True)
+            self._well_of = well_of.reshape(-1)  # numpy 2.0.0 returns a column
             self._pred_anoms = None
             self._t0 = None
             return
 
         self._pred_anoms = row_anomalies(pred.values)
-        self._t0 = self._resolve_t0(spec, t0_strategy, block_width)
+        self._t0 = self._resolve_t0(spec, t0_strategy, block_width, keep or {})
         self._kernel = _taper_kernel(spec, self._n_e, self._t0)
 
     def _resolve_t0(
@@ -256,6 +268,7 @@ class TaperField:
         spec: TaperSpec,
         strategy: significance.T0Strategy | None,
         block_width: int,
+        keep: _Slots,
     ) -> float | np.ndarray | None:
         """Threshold for power-law/logistic tapers: scalar or per-datum vector."""
         if not isinstance(spec, (PowerLaw, Logistic)):
@@ -264,15 +277,19 @@ class TaperField:
             return spec.t0
         if isinstance(strategy, significance.StudentT0):
             return significance.critical_t0(self._n_e, strategy.phi)
-        return self._percentile_t0(strategy.p, block_width)
+        return self._percentile_t0(strategy.p, block_width, keep)
 
-    def _percentile_t0(self, p: float, block_width: int) -> np.ndarray:
+    def _percentile_t0(self, p: float, block_width: int, keep: _Slots) -> np.ndarray:
         """Per-datum thresholds: the p-quantile of t values per data source.
 
-        t is taken one slab of rows at a time; undefined and t = inf pairs
-        stay out of the pool. A source whose pool is empty gets the
-        placeholder t0 = 1: none of its coefficients reads t0, since an
-        undefined pair maps to 0 and t = inf maps to 1 under both families.
+        One pass over the CPUs, as an update's, standardizes each block's
+        correlations to t in place: a block of keep in its array there, for
+        block() to map, any other in its own array, whose finite t are pooled
+        per source. Each source's quantile then reads its finite t in row
+        order, one source per thread; undefined and t = inf pairs stay out.
+        A source whose pool is empty gets the placeholder t0 = 1: none of
+        its coefficients reads t0, since an undefined pair maps to 0 and
+        t = inf maps to 1 under both families.
         """
         sources = [m.source for m in self._pred.meta] if self._pred.meta else [
             str(j) for j in range(self.n_data)
@@ -280,20 +297,35 @@ class TaperField:
         groups: dict[str, list[int]] = {}
         for j, s in enumerate(sources):
             groups.setdefault(s, []).append(j)
-        samples: dict[str, list[np.ndarray]] = {s: [] for s in groups}
+        columns = list(groups.values())
+        blocks = list(iter_blocks(self._ens.n_params, block_width))
+        pooled: dict[RowBlock, list[np.ndarray]] = {}
         root = math.sqrt(self._n_e - 1)
-        for blk in iter_blocks(self._ens.n_params, block_width):
-            corr = correlation_block(self._ens, self._pred, blk, self._pred_anoms)
-            for rows in _slabs(corr.shape):
-                t = _standardize(corr[rows], root)
-                for s, cols in groups.items():
-                    vals = t[:, cols].ravel()
-                    samples[s].append(vals[np.isfinite(vals)])
+
+        def finite(t: np.ndarray, cols: list[int]) -> np.ndarray:
+            vals = t[:, cols]
+            return vals[np.isfinite(vals)]
+
+        def standardize(blk: RowBlock) -> None:
+            t = correlation_block(self._ens, self._pred, blk, self._pred_anoms, keep.get(blk))
+            for rows in _slabs(t.shape):
+                _standardize(t[rows], root)
+            if blk not in keep:
+                pooled[blk] = [finite(t, cols) for cols in columns]
+
+        _each_block(self._ens.n_params, block_width, standardize)
+        self._standardized = dict(keep)
         t0_vec = np.ones(self.n_data)
-        for s, cols in groups.items():
-            pooled = np.concatenate(samples[s])
-            if pooled.size:
-                t0_vec[cols] = significance.adaptive_t0(pooled, p)
+
+        def threshold(source: RowBlock) -> None:  # "row" i is the i-th source
+            cols = columns[source.start]
+            pool = np.concatenate(
+                [finite(keep[b], cols) if b in keep else pooled[b][source.start] for b in blocks]
+            )
+            if pool.size:
+                t0_vec[cols] = significance.adaptive_t0(pool, p)
+
+        _each_block(len(columns), 1, threshold)
         return t0_vec
 
     def block(self, blk: RowBlock, out: np.ndarray | None = None) -> np.ndarray:
@@ -304,25 +336,21 @@ class TaperField:
         at a time: the temporaries of the taper arithmetic scale with
         TAPER_SLAB_ENTRIES, not with the block width.
         """
-        distance = isinstance(self.spec, DistanceGC)
-        if distance:
-            coords = self._ens.coords[blk.slice()]
-            out = np.empty((len(coords), self.n_data)) if out is None else out
-        else:
+        if isinstance(self.spec, DistanceGC):  # one column per well, taken to its data
+            coords, spec = self._ens.coords[blk.slice()], self.spec
+            out = np.empty((blk.width, self.n_data)) if out is None else out
+            for rows in _slabs((blk.width, len(self._wells))):
+                dx = coords[rows, 0][:, None] - self._wells[:, 0]
+                dy = coords[rows, 1][:, None] - self._wells[:, 1]
+                r = taper_distance(dx, dy, spec.len_major, spec.len_minor, spec.angle_deg)
+                np.take(r, self._well_of, axis=1, out=out[rows], mode="clip")  # unbuffered
+            return out
+        standardized = out is not None and self._standardized.pop(blk, None) is out
+        if not standardized:
             out = correlation_block(self._ens, self._pred, blk, self._pred_anoms, out)
         for rows in _slabs(out.shape):
-            if distance:
-                out[rows] = self._distance_taper(coords[rows])
-            else:
-                self._kernel(out[rows])
+            self._kernel(out[rows], standardized)
         return out
-
-    def _distance_taper(self, coords: np.ndarray) -> np.ndarray:
-        dx = coords[:, 0][:, None] - self._well_x[None, :]
-        dy = coords[:, 1][:, None] - self._well_y[None, :]
-        return taper_distance(
-            dx, dy, self.spec.len_major, self.spec.len_minor, self.spec.angle_deg
-        )
 
 
 def _slabs(shape: tuple[int, int]) -> Iterator[slice]:
@@ -337,11 +365,12 @@ def make_taper_field(
     ens: Ensemble,
     pred: PredictedEnsemble,
     block_width: int = DEFAULT_BLOCK_WIDTH,
+    keep: _Slots | None = None,
 ) -> TaperField | None:
     """Build the taper field for one ensemble snapshot (None when disabled)."""
     if policy.spec is None:
         return None
-    return TaperField(policy.spec, ens, pred, policy.t0_strategy, block_width)
+    return TaperField(policy.spec, ens, pred, policy.t0_strategy, block_width, keep)
 
 
 def perturb_observations(
@@ -618,11 +647,13 @@ def run_esmda(
     is evaluated once and kept when its rows end within the first
     (TAPER_CACHE_BYTES + Nm Ne 8) // (8 Nd) rows, so the bytes of the copy
     each update would otherwise make go to kept blocks; later blocks are
-    recomputed on every read. The field's footprint (n_eff and
-    histogram) is tallied from the blocks the first update reads, so no
-    separate pass reads them. Runs in flight together each keep their own
-    blocks. The field and its kept blocks form no reference cycle, so they
-    are freed on return without a garbage-collector pass.
+    recomputed on every read. The kept blocks' arrays are made first, on
+    this thread, for a percentile pass to fill (TaperField's keep). The
+    field's footprint (n_eff and histogram) is tallied from the blocks the
+    first update reads, so no separate pass reads them. Runs in flight
+    together each keep their own blocks. The field and its kept blocks form
+    no reference cycle, so they are freed on return without a
+    garbage-collector pass.
 
     A prior row with zero variance fails step 1. Each forecast's NV is the
     mean of its row variances over the prior's; the result keeps the final
@@ -645,13 +676,13 @@ def run_esmda(
             )
             if step == 1:  # the prior's row variance and the run's one taper field
                 prior_var = metrics._prior_variance(prior)
-                taper_field = make_taper_field(policy, prior, pred, block_width)
                 keep_bytes = TAPER_CACHE_BYTES + prior.values.nbytes
-                taper = metrics._RunTaper(
-                    None if taper_field is None else taper_field.block,
-                    ens.n_params, obs.n_data, keep_bytes // (8 * obs.n_data), block_width,
-                )
-                taper_rows = None if taper_field is None else taper
+                keep_rows = 0 if policy.spec is None else keep_bytes // (8 * obs.n_data)
+                # the kept blocks' arrays come first: a percentile pass fills them
+                taper = metrics._RunTaper(None, ens.n_params, obs.n_data, keep_rows, block_width)
+                taper_field = make_taper_field(policy, prior, pred, block_width, taper.slots)
+                if taper_field is not None:
+                    taper.block, taper_rows = taper_field.block, taper
             perturbed = perturb_observations(obs, alpha, seed, step, ens.n_members)
             var = localized_update_step(ens, pred, obs, alpha, taper_rows, perturbed, block_width)
             var /= prior_var  # in place: no step keeps a second Nm array through the next

@@ -479,21 +479,22 @@ def _taper_kernel(
     same body as their public taper, so their coefficients are bit-identical
     to it. Every other family evaluates its public taper on the slab.
     Undefined (NaN) pairs map to 0. Correlations must lie in [-1, 1], as
-    correlation_block clips them. The public taper checks spec, t0 and n_e
-    here, once per kernel.
+    correlation_block clips them; kernel(slab, standardized=True) takes a
+    slab that _standardize already mapped to t, for a family with a body.
+    The public taper checks spec, t0 and n_e here, once per kernel.
     """
     evaluate_taper(spec, CorrelationStats.from_rho(0.0, n_e), t0)
     in_place = _in_place(spec, t0)
     root = math.sqrt(n_e - 1)
 
-    def kernel(slab: np.ndarray) -> None:
+    def kernel(slab: np.ndarray, standardized: bool = False) -> None:
         undefined = np.isnan(slab)
         if in_place is None:
             stats = CorrelationStats.from_rho(np.nan_to_num(slab), n_e)
             slab[...] = evaluate_taper(spec, stats, t0)
         else:
             body, args = in_place
-            body(_standardize(slab, root), *args)
+            body(slab if standardized else _standardize(slab, root), *args)
         np.copyto(slab, 0.0, where=undefined)
 
     return kernel

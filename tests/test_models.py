@@ -483,6 +483,24 @@ def test_grid_prior_equals_per_layer_oracle(n_layers, count):
     assert np.array_equal(ens.values, oracle)
 
 
+def test_grid_prior_draws_without_full_size_copies():
+    """Each field's draw is written straight into its rows of the ensemble:
+    besides the result, one field's normals and one layer's draw are alive."""
+    proxy = md.GridFlowProxy(nx=30, ny=30, n_layers=4, prod_grid=2, n_times=4)
+    count = 40
+    md.sample_grid_prior(proxy, _POROSITY, _LOG_PERM, count, 31)  # both factors cached
+    tracemalloc.start()
+    try:
+        ens = md.sample_grid_prior(proxy, _POROSITY, _LOG_PERM, count, 31)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    layer = 30 * 30 * count * 8
+    field = proxy.n_layers * layer
+    # the finiteness check of a field adds a byte per value
+    assert peak <= ens.values.nbytes + field + layer + field // 8 + 2**16, peak
+
+
 def test_grf_seed_sequence_rounding():
     """Where the BLAS rounds by product width, layers still agree to rounding."""
     prior = md.GrfPrior(nx=9, ny=9, range_major=4, range_minor=2)

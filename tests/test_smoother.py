@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import normalized_variance
+from oracles import correlation_taper, normalized_variance
 
 from enloc import cli, metrics
 from enloc import smoother as sm
@@ -785,8 +785,24 @@ def test_taper_block_same_in_any_slab(monkeypatch, problem, spec, t0_strategy):
     assert np.array_equal(field.block(blk), whole)
 
 
+def _percentile_oracle(ens, pred, sources, spec):
+    """Per-source 0.9-quantile thresholds of the whole matrix's finite t, by
+    the public standardization, and the oracle's taper of it at them."""
+    corr = correlation_block(ens, pred, RowBlock(0, ens.n_params))
+    undefined = np.isnan(corr)  # the public tapers reject NaN: evaluate at 0, then mark
+    rho = np.where(undefined, 0.0, corr)
+    t = np.where(undefined, np.nan, tp.standardize(rho, tp.sampling_std(rho, ens.n_members)))
+    t0 = np.empty(pred.n_data)
+    for cols in sources:
+        pool = t[:, cols].ravel()
+        t0[cols] = adaptive_t0(pool[np.isfinite(pool)], 0.9)
+    return t0, correlation_taper(spec, corr, ens.n_members, t0)
+
+
 def test_percentile_t0_equals_whole_block_oracle(monkeypatch):
-    """Slab-wise t pools the same values as standardizing the whole matrix."""
+    """Slab-wise t pools the same values as standardizing the whole matrix,
+    at any helper count; in a run that keeps some blocks and recomputes the
+    others, the thresholds and every block equal the oracle's, bit for bit."""
     rng = np.random.default_rng(12)
     values = rng.standard_normal((50, 40))
     data = rng.standard_normal((6, 40))
@@ -796,16 +812,117 @@ def test_percentile_t0_equals_whole_block_oracle(monkeypatch):
     ens = Ensemble(values=values)
     pred = PredictedEnsemble(values=data, meta=[DatumMeta(source=f"w{j // 3}") for j in range(6)])
     monkeypatch.setattr(sm, "TAPER_SLAB_ENTRIES", 4 * 6)  # partial last slab of each block
-    field = sm.TaperField(tp.Logistic(1.5), ens, pred, PercentileT0(0.9), block_width=16)
-    corr = correlation_block(ens, pred, RowBlock(0, 50))
-    undefined = np.isnan(corr)  # the public tapers reject NaN: evaluate at 0, then mark
-    rho = np.where(undefined, 0.0, corr)
-    t = np.where(undefined, np.nan, tp.standardize(rho, tp.sampling_std(rho, 40)))
-    expected = np.empty(6)
-    for cols in ([0, 1, 2], [3, 4, 5]):
-        pool = t[:, cols].ravel()
-        expected[cols] = adaptive_t0(pool[np.isfinite(pool)], 0.9)
-    assert np.array_equal(field._t0, expected)
+    spec = tp.Logistic(1.5)
+    expected, _ = _percentile_oracle(ens, pred, ([0, 1, 2], [3, 4, 5]), spec)
+    # a linear model whose datum 1 is parameter 7 (t = inf) and datum 3 constant
+    g = rng.standard_normal((6, 40))
+    g[1], g[3] = np.eye(40)[7], 0.0
+    model = LinearModel(g)
+    model.datum_meta = pred.meta
+    prior = Ensemble(values=rng.standard_normal((40, 30)))
+    forecast = PredictedEnsemble(model.evaluate_ensemble(prior.values), meta=model.datum_meta)
+    t0, taper = _percentile_oracle(prior, forecast, ([0, 1, 2], [3, 4, 5]), spec)
+    monkeypatch.setattr(sm, "TAPER_CACHE_BYTES", _budget_keeping(16, model, prior))
+    fields, run_tapers = [], []
+    make, update = sm.make_taper_field, sm.localized_update_step
+    monkeypatch.setattr(sm, "make_taper_field", lambda *a: fields.append(make(*a)) or fields[-1])
+    monkeypatch.setattr(sm, "localized_update_step",
+                        lambda *a, **k: run_tapers.append(a[4]) or update(*a, **k))
+    policy = sm.LocalizationPolicy(spec, PercentileT0(0.9))
+    for helpers in (0, 1, 3):
+        monkeypatch.setattr(sm, "_helper_count", lambda helpers=helpers: helpers)
+        field = sm.TaperField(spec, ens, pred, PercentileT0(0.9), block_width=16)
+        assert np.array_equal(field._t0, expected)
+        sm.run_esmda(prior, model, _obs(6, 0.3, 0.5), sm.MdaSchedule.uniform(2), policy,
+                     sm.RunSeed(3), 8)
+        assert np.array_equal(fields[-1]._t0, t0)
+        for blk in iter_blocks(40, 8):  # the first two blocks kept, the other three not
+            assert run_tapers[-1].kept(blk) is (blk.stop <= 16)
+            assert np.array_equal(run_tapers[-1](blk), taper[blk.slice()])
+
+
+def test_percentile_run_computes_each_correlation_block_once(monkeypatch):
+    """A percentile field that fits the budget takes every block's
+    correlations once, for its thresholds and its kept blocks alike."""
+    toy, prior, obs = _toy_problem()  # 24 parameters: blocks of 8, 8 and 8
+    calls = []
+    corr = sm.correlation_block
+
+    def counting(ens, pred, blk, *args):
+        calls.append(blk.start)
+        return corr(ens, pred, blk, *args)
+
+    monkeypatch.setattr(sm, "correlation_block", counting)
+    policy = sm.LocalizationPolicy(tp.PowerLaw(3.0), PercentileT0(0.9))
+    sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(3), policy, sm.RunSeed(4), 8)
+    assert sorted(calls) == [0, 8, 16]
+
+
+@pytest.mark.parametrize("helpers", [0, 1, 3])
+def test_percentile_pass_failure_names_its_rows(monkeypatch, helpers):
+    monkeypatch.setattr(sm, "_helper_count", lambda: helpers)
+    toy, prior, obs = _toy_problem()
+    corr = sm.correlation_block
+
+    def failing(ens, pred, blk, *args):
+        if blk.start == 8:
+            raise ValueError("no correlations here")
+        return corr(ens, pred, blk, *args)
+
+    monkeypatch.setattr(sm, "correlation_block", failing)
+    policy = sm.LocalizationPolicy(tp.PowerLaw(3.0), PercentileT0(0.9))
+    with pytest.raises(AssimilationError, match=r"^step 1: rows 8:16: no correlations") as err:
+        sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(2), policy, sm.RunSeed(4), 8)
+    assert (err.value.step, err.value.rows) == (1, slice(8, 16))
+
+
+def test_percentile_run_memory_holds_no_second_field(monkeypatch):
+    """A percentile run that keeps its whole field stays within the same run
+    at a fixed t0, plus one block and two of its widest source's pools: the
+    pass writes t into the kept blocks and holds no copy of it."""
+    monkeypatch.setattr(sm, "_helper_count", lambda: 1)
+    nm, nd, ne, width = 8_000, 400, 20, 1024
+    model = _EveryKthParameter(nm, nm // nd)
+    model.datum_meta = [DatumMeta(source=f"w{j // 50}") for j in range(nd)]  # 8 sources of 50
+    prior = Ensemble(values=np.random.default_rng(15).standard_normal((nm, ne)))
+    obs = _obs(nd)
+    assert nm * nd * 8 < sm.TAPER_CACHE_BYTES + prior.values.nbytes  # the whole field is kept
+    peaks = []
+    for policy in (sm.LocalizationPolicy(tp.PowerLaw(3.0, 2.0)),
+                   sm.LocalizationPolicy(tp.PowerLaw(3.0), PercentileT0(0.9))):
+        tracemalloc.start()
+        try:
+            sm.run_esmda(prior, model, obs, sm.MdaSchedule.uniform(2), policy, sm.RunSeed(2))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    fixed, percentile = peaks
+    assert percentile <= fixed + width * nd * 8 + 2 * nm * 50 * 8, (fixed, percentile)
+
+
+@pytest.mark.parametrize("width", [1, 5, 37])
+@pytest.mark.parametrize("repeated", [True, False])
+def test_distance_field_equals_per_pair_taper(width, repeated):
+    """One taper column per distinct well position, taken into the data's
+    columns, gives each pair the coefficient of its own offset."""
+    coords = np.array([(i, j, k) for k in range(2) for j in range(7) for i in range(9)])
+    ens = Ensemble(values=np.random.default_rng(3).standard_normal((len(coords), 5)), coords=coords)
+    spots = [(0.0, 0.0), (8.0, 6.0), (3.5, 2.25), (4.0, 6.0)]
+    if repeated:  # each well's data interleaved with the others'
+        wells = [spots[j % 4] for j in range(12)]
+    else:
+        wells = [(0.5 * j, 6.0 - 0.4 * j) for j in range(12)]
+    meta = [DatumMeta(source=f"w{j}", well_xy=xy) for j, xy in enumerate(wells)]
+    pred = PredictedEnsemble(values=np.random.default_rng(4).standard_normal((12, 5)), meta=meta)
+    spec = tp.DistanceGC(4.0, 2.0, 30.0)
+    field = sm.TaperField(spec, ens, pred)
+    got = np.vstack([field.block(blk) for blk in iter_blocks(len(coords), width)])
+    want = np.array([
+        [tp.taper_distance(x - wx, y - wy, 4.0, 2.0, 30.0) for wx, wy in wells]
+        for x, y, _ in coords
+    ])
+    assert np.array_equal(got, want)
+    assert want.max() == 1.0 and want.min() == 0.0 and np.any((want > 0.0) & (want < 1.0))
 
 
 def test_percentile_threshold_of_a_constant_datum():
