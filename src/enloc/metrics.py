@@ -8,12 +8,11 @@ ratios.
 
 The taper-dependent aggregates (effective updated-parameter count and
 taper histogram) are tallied block by block, so the full taper matrix is
-never held. A run reads its frozen taper through one _RunTaper, which keeps
-the run's first blocks and tallies the footprint from the blocks the first
-update reads. footprint() runs the same tally over every block of a block
-provider (a callable RowBlock -> (width x Nd) taper array), keeping none.
-Without localization (no provider) the taper is one everywhere and no
-block is read.
+never held. This module keeps only how: one _Tally, which a run's
+smoother.TaperField fills from the blocks its first update reads, and
+which footprint() fills from every block of a block provider (a callable
+RowBlock -> (width x Nd) taper array), keeping none. Without localization
+(no provider) the taper is one everywhere and no block is read.
 """
 
 from __future__ import annotations
@@ -109,95 +108,40 @@ def mean_offset(prior: Ensemble, posterior: Ensemble) -> float:
     return float(np.mean(shift / std_prior))
 
 
-class _RunTaper:
-    """The taper blocks one run reads, and the field's footprint.
+class _Tally:
+    """A footprint tallied block by block: add(r) for each taper block of a
+    field, then close() for (n_eff, histogram counts).
 
-    block is the field's block method (a callable RowBlock -> width x Nd
-    taper array that takes an out= array), or None without localization; a
-    caller may set it after construction, before the first read. rows(blk)
-    returns a block, keeping it read-only for later reads when its rows end
-    within the first keep_rows rows, so which blocks are kept depends on their
-    rows alone, not on the order in which threads first read them. slots maps
-    each such block to the array it is evaluated into, until its first read: a
-    field may fill it earlier (TaperField's keep). A kept block is checked
-    against [0, 1] once, when it is evaluated; kept(blk) tells whether
-    rows(blk) returns such a block. Until footprint() closes the
-    tally, rows() also tallies every block it returns, so the caller reads each
-    block exactly once before that. Blocks may be read from several threads at
-    once, in any order: each block's partial sum and counts are combined under
-    a lock, and the compensated sum does not depend on their order. The object
-    keeps no closure or bound method of itself, so it forms no reference cycle
-    and reference counting frees the field and the kept blocks with it.
+    Blocks may be added from several threads at once, in any order: each
+    block's partial sum and counts are combined under a lock, and the
+    compensated sum does not depend on their order. The first close()
+    checks that every pair was binned; after it, add() does nothing and
+    close() returns the same result.
     """
 
-    def __init__(
-        self,
-        block: Callable[..., np.ndarray] | None,
-        n_params: int,
-        n_data: int,
-        keep_rows: int = 0,
-        block_width: int = DEFAULT_BLOCK_WIDTH,
-    ):
-        self.block, self.n_params, self.n_data = block, n_params, n_data
-        self._kept: dict[RowBlock, np.ndarray] = {}
-        # the arrays the kept blocks are evaluated into are allocated here, on
-        # the caller's thread: kept blocks that helper threads allocated pinned
-        # memory in the helpers' malloc arenas, which raised the 8-layer grid's
-        # peak RSS from 368 to 412 MB (glibc, 2 CPUs)
-        self.slots = {
-            blk: np.empty((blk.width, n_data))
-            for blk in iter_blocks(n_params, block_width)
-            if blk.stop <= keep_rows
-        }
+    def __init__(self, n_params: int, n_data: int):
+        self._pairs, self._n_data = n_params * n_data, n_data
         self._counts = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
         self._partials: list[float] | None = []  # None once the tally is closed
         self._n_eff = math.nan
         self._lock = threading.Lock()
 
-    def rows(self, blk: RowBlock) -> np.ndarray:
-        r = self._kept.get(blk)
-        if r is None:
-            slot = self.slots.pop(blk, None)
-            if slot is None:
-                r = self.block(blk)
-            else:
-                r = self._kept[blk] = _unit_range(self.block(blk, out=slot))
-                r.flags.writeable = False
+    def add(self, r: np.ndarray) -> None:
         if self._partials is not None:
             partial = float(np.sum(r))
             counts = np.histogram(r, bins=_HISTOGRAM_EDGES)[0]
             with self._lock:
                 self._partials.append(partial)
                 self._counts += counts
-        return r
 
-    __call__ = rows
-
-    def kept(self, blk: RowBlock) -> bool:
-        return blk in self._kept
-
-    def footprint(self) -> tuple[float, np.ndarray]:
-        """(n_eff, histogram counts), see footprint(); the first call closes
-        the tally and later calls return the same result."""
+    def close(self) -> tuple[float, np.ndarray]:
         if self._partials is not None:
-            total = self.n_params * self.n_data
-            if self.block is None:
-                self._counts[-1] = total
-                self._n_eff = float(self.n_params)
-            else:
-                binned = int(self._counts.sum())
-                if binned != total:
-                    raise ValueError(f"taper values outside [0, 1]: binned {binned} of {total}")
-                self._n_eff = math.fsum(self._partials) / self.n_data
+            binned = int(self._counts.sum())
+            if binned != self._pairs:
+                raise ValueError(f"taper values outside [0, 1]: binned {binned} of {self._pairs}")
+            self._n_eff = math.fsum(self._partials) / self._n_data
             self._partials = None
         return self._n_eff, self._counts
-
-
-def _unit_range(r: np.ndarray) -> np.ndarray:
-    """r, after checking that every taper value lies in [0, 1]."""
-    if not (r.min() >= 0.0 and r.max() <= 1.0):  # NaN fails too
-        raise ValueError("taper values outside [0, 1]")
-    return r
 
 
 def footprint(
@@ -217,11 +161,14 @@ def footprint(
     taper is one everywhere, so n_eff = n_params exactly, every pair falls
     in the last bin, and no block is read.
     """
-    taper = _RunTaper(taper_provider, n_params, n_data)
-    if taper_provider is not None:
-        for blk in iter_blocks(n_params, block_width):
-            taper.rows(blk)
-    return taper.footprint()
+    if taper_provider is None:
+        counts = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
+        counts[-1] = n_params * n_data
+        return float(n_params), counts
+    tally = _Tally(n_params, n_data)
+    for blk in iter_blocks(n_params, block_width):
+        tally.add(taper_provider(blk))
+    return tally.close()
 
 
 def chi(n_eff_value: float, n_params: int) -> float:

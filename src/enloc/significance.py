@@ -33,7 +33,8 @@ __all__ = [
 
 def student_t_quantile(nu: float, p: float) -> float:
     """Inverse CDF of the Student-t distribution with nu degrees of freedom."""
-    from scipy.special import stdtrit  # imported here: no run reads it, and it slows import
+    # imported here, as it slows import: no shipped config or benchmark workload reads it
+    from scipy.special import stdtrit
     if nu < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {nu}")
     if not 0.0 < p < 1.0:

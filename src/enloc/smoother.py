@@ -27,13 +27,12 @@ per field: MSE, power-law and logistic run their public taper's own body in
 place on a slab of correlations, and the other families evaluate their
 public taper on the slab. A percentile threshold correlates each block
 once, over the CPUs, leaving a kept block's t where the run keeps it; a
-distance field evaluates one column per distinct well position. This
-module keeps only the blocks and slabs. A run reads its field through one
-metrics._RunTaper, which keeps the blocks and tallies the field's footprint
-metrics from the blocks the first update reads, so no separate pass reads
-them. That object refers to nothing that refers back to it, so reference
-counting frees the field, its prior and its kept blocks as soon as the run
-returns.
+distance field evaluates one column per distinct well position. A run's
+field owns its kept blocks: it evaluates, checks and keeps them, and
+tallies its footprint metrics (through metrics._Tally) from the blocks the
+first update reads, so no separate pass reads them. The field refers to
+nothing that refers back to it, so reference counting frees it, its prior
+and its kept blocks as soon as the run returns.
 
 An update spreads its row blocks over the CPUs the process may run on: the
 calling thread and one helper thread per further CPU take blocks in row order,
@@ -113,8 +112,6 @@ TAPER_CACHE_BYTES = 32 * 2**20
 # temporary of the taper arithmetic is then at most 512 KiB, so evaluating a
 # block costs little more than the block itself.
 TAPER_SLAB_ENTRIES = 2**16
-
-_Slots = dict[RowBlock, np.ndarray]  # the arrays a run keeps its taper blocks in
 
 
 @dataclass(frozen=True)
@@ -218,12 +215,20 @@ class TaperField:
     on demand and map them, one slab of rows at a time, through the
     family's kernel from the tapers module. Undefined correlations
     (zero-variance rows) map to taper zero. The kernel is picked, and the
-    spec, threshold and ensemble size are checked, once per field. keep maps
-    the blocks a run keeps to the arrays it keeps them in: a percentile
-    threshold's correlation pass leaves each such block's t there, and the
-    first block(blk, out=keep[blk]) maps that t without computing it again.
-    The distance family uses parameter coordinates and one taper column per
+    spec, threshold and ensemble size are checked, once per field. The
+    distance family uses parameter coordinates and one taper column per
     distinct well position instead.
+
+    A run reads the field through rows(blk). The blocks whose rows end
+    within the first keep_rows rows are kept: each is evaluated once, into
+    an array made with the field, checked against [0, 1] and made read-only
+    (a percentile pass leaves its t there, for that read to map). Any other
+    block is evaluated and checked at every read; kept(blk) tells the two
+    apart. rows() tallies every block it returns until footprint() closes
+    the tally, so the caller reads each block once before that. Blocks may
+    be read from several threads at once, each by one thread. The field
+    holds no bound method of itself, so reference counting alone frees it,
+    its ensembles and its kept blocks.
     """
 
     def __init__(
@@ -233,7 +238,7 @@ class TaperField:
         pred: PredictedEnsemble,
         t0_strategy: significance.T0Strategy | None = None,
         block_width: int = DEFAULT_BLOCK_WIDTH,
-        keep: _Slots | None = None,
+        keep_rows: int = 0,
     ):
         LocalizationPolicy(spec, t0_strategy)  # rejects a threshold the taper cannot use
         self.spec = spec
@@ -241,7 +246,18 @@ class TaperField:
         self._ens = ens
         self._pred = pred
         self._n_e = ens.n_members
-        self._standardized: _Slots = {}  # kept blocks that hold t
+        # the arrays the kept blocks are evaluated into are allocated here, on
+        # the caller's thread: kept blocks that helper threads allocated pinned
+        # memory in the helpers' malloc arenas, which raised the 8-layer grid's
+        # peak RSS from 368 to 412 MB (glibc, 2 CPUs)
+        self._slots = {
+            blk: np.empty((blk.width, self.n_data))
+            for blk in iter_blocks(ens.n_params, block_width)
+            if blk.stop <= keep_rows
+        }
+        self._t_in_slots = False  # whether a percentile pass left t in them
+        self._kept: dict[RowBlock, np.ndarray] = {}  # evaluated, checked, read-only
+        self._tally = metrics._Tally(ens.n_params, self.n_data)
 
         if isinstance(spec, DistanceGC):
             if ens.coords is None:
@@ -260,15 +276,11 @@ class TaperField:
             return
 
         self._pred_anoms = row_anomalies(pred.values)
-        self._t0 = self._resolve_t0(spec, t0_strategy, block_width, keep or {})
+        self._t0 = self._resolve_t0(spec, t0_strategy, block_width)
         self._kernel = _taper_kernel(spec, self._n_e, self._t0)
 
     def _resolve_t0(
-        self,
-        spec: TaperSpec,
-        strategy: significance.T0Strategy | None,
-        block_width: int,
-        keep: _Slots,
+        self, spec: TaperSpec, strategy: significance.T0Strategy | None, block_width: int
     ) -> float | np.ndarray | None:
         """Threshold for power-law/logistic tapers: scalar or per-datum vector."""
         if not isinstance(spec, (PowerLaw, Logistic)):
@@ -277,16 +289,17 @@ class TaperField:
             return spec.t0
         if isinstance(strategy, significance.StudentT0):
             return significance.critical_t0(self._n_e, strategy.phi)
-        return self._percentile_t0(strategy.p, block_width, keep)
+        return self._percentile_t0(strategy.p, block_width)
 
-    def _percentile_t0(self, p: float, block_width: int, keep: _Slots) -> np.ndarray:
+    def _percentile_t0(self, p: float, block_width: int) -> np.ndarray:
         """Per-datum thresholds: the p-quantile of t values per data source.
 
         One pass over the CPUs, as an update's, standardizes each block's
-        correlations to t in place: a block of keep in its array there, for
-        block() to map, any other in its own array, whose finite t are pooled
-        per source. Each source's quantile then reads its finite t in row
-        order, one source per thread; undefined and t = inf pairs stay out.
+        correlations to t in place: a kept block in the array it is kept
+        in, for its first read to map, any other in its own array, whose
+        finite t are pooled per source. Each source's quantile then reads
+        its finite t in row order, one source per thread; undefined and
+        t = inf pairs stay out.
         A source whose pool is empty gets the placeholder t0 = 1: none of
         its coefficients reads t0, since an undefined pair maps to 0 and
         t = inf maps to 1 under both families.
@@ -299,6 +312,7 @@ class TaperField:
             groups.setdefault(s, []).append(j)
         columns = list(groups.values())
         blocks = list(iter_blocks(self._ens.n_params, block_width))
+        keep = self._slots
         pooled: dict[RowBlock, list[np.ndarray]] = {}
         root = math.sqrt(self._n_e - 1)
 
@@ -314,7 +328,7 @@ class TaperField:
                 pooled[blk] = [finite(t, cols) for cols in columns]
 
         _each_block(self._ens.n_params, block_width, standardize)
-        self._standardized = dict(keep)
+        self._t_in_slots = True
         t0_vec = np.ones(self.n_data)
 
         def threshold(source: RowBlock) -> None:  # "row" i is the i-th source
@@ -345,12 +359,46 @@ class TaperField:
                 r = taper_distance(dx, dy, spec.len_major, spec.len_minor, spec.angle_deg)
                 np.take(r, self._well_of, axis=1, out=out[rows], mode="clip")  # unbuffered
             return out
-        standardized = out is not None and self._standardized.pop(blk, None) is out
+        standardized = self._t_in_slots and out is not None and self._slots.get(blk) is out
         if not standardized:
             out = correlation_block(self._ens, self._pred, blk, self._pred_anoms, out)
         for rows in _slabs(out.shape):
             self._kernel(out[rows], standardized)
         return out
+
+    def rows(self, blk: RowBlock) -> np.ndarray:
+        """The checked taper block blk, kept or evaluated afresh (see the
+        class docstring); tallied until footprint() is called."""
+        r = self._kept.get(blk)
+        if r is None:
+            slot = self._slots.get(blk)
+            if slot is None:
+                r = _unit_range(self.block(blk))
+            else:
+                try:
+                    r = self._kept[blk] = _unit_range(self.block(blk, out=slot))
+                finally:
+                    del self._slots[blk]  # mapped, whether or not it passed: no t left
+                r.flags.writeable = False
+        self._tally.add(r)
+        return r
+
+    def kept(self, blk: RowBlock) -> bool:
+        """Whether rows(blk) returns a kept block, checked when evaluated."""
+        return blk in self._kept
+
+    def footprint(self) -> tuple[float, np.ndarray]:
+        """(n_eff, histogram counts), as metrics.footprint gives them, of the
+        blocks rows() has returned; the first call closes the tally and
+        later calls return the same result."""
+        return self._tally.close()
+
+
+def _unit_range(r: np.ndarray) -> np.ndarray:
+    """r, after checking that every taper value lies in [0, 1]."""
+    if not (r.min() >= 0.0 and r.max() <= 1.0):  # NaN fails too
+        raise ValueError("taper values outside [0, 1]")
+    return r
 
 
 def _slabs(shape: tuple[int, int]) -> Iterator[slice]:
@@ -365,12 +413,12 @@ def make_taper_field(
     ens: Ensemble,
     pred: PredictedEnsemble,
     block_width: int = DEFAULT_BLOCK_WIDTH,
-    keep: _Slots | None = None,
+    keep_rows: int = 0,
 ) -> TaperField | None:
     """Build the taper field for one ensemble snapshot (None when disabled)."""
     if policy.spec is None:
         return None
-    return TaperField(policy.spec, ens, pred, policy.t0_strategy, block_width, keep)
+    return TaperField(policy.spec, ens, pred, policy.t0_strategy, block_width, keep_rows)
 
 
 def perturb_observations(
@@ -435,26 +483,26 @@ def _tapered_gain_block(
     ens: Ensemble,
     blk: RowBlock,
     operator: np.ndarray,
-    taper_rows: Callable[[RowBlock], np.ndarray] | None,
+    taper: TaperField | None,
     pair_lock: threading.Lock,
 ) -> np.ndarray:
     """K_blk o R_blk, or K_blk without a taper.
 
-    The taper block is evaluated before the gain block, so its temporaries
-    never coexist with the gain. A fresh taper block is checked against
-    [0, 1], and pair_lock is held from the gain block's creation until it is
-    let go, so of the threads sharing it one at most holds both; every other
-    holds one width x Nd array. A block a metrics._RunTaper keeps was
-    checked once and belongs to no thread, so it needs neither.
+    The taper block is read, and checked, before the gain block is formed,
+    so its temporaries never coexist with the gain. For a fresh taper block
+    pair_lock is held from the gain block's creation until both are let go,
+    so of the threads sharing it one at most holds both; every other holds
+    one width x Nd array. A block the field keeps belongs to no thread, so
+    it needs no lock.
     """
-    r = None if taper_rows is None else taper_rows(blk)
-    kept = isinstance(taper_rows, metrics._RunTaper) and taper_rows.kept(blk)
-    with nullcontext() if r is None or kept else pair_lock:
+    r = None if taper is None else taper.rows(blk)
+    fresh = r is not None and not taper.kept(blk)
+    with pair_lock if fresh else nullcontext():
         gain = kalman_gain_block(ens, blk, operator)
         if r is not None:
             if r.shape != gain.shape:
                 raise ValueError("taper block shape does not match gain block")
-            gain *= r if kept else metrics._unit_range(r)
+            gain *= r
         del r
     return gain
 
@@ -464,23 +512,24 @@ def localized_update_step(
     pred: PredictedEnsemble,
     obs: ObservationSet,
     alpha: float,
-    taper_rows: Callable[[RowBlock], np.ndarray] | None,
+    taper: TaperField | None,
     perturbed: np.ndarray,
     block_width: int = DEFAULT_BLOCK_WIDTH,
 ) -> np.ndarray:
-    """One update pass over all parameter rows of ens, in place; taper_rows=None
+    """One update pass over all parameter rows of ens, in place; taper=None
     is unlocalized. Returns the per-row variance of ens before the update.
 
-    The gain (tapered entrywise when taper_rows is given) is formed per block
-    and applied to the innovation columns as (K_blk o R_blk) resid; the caller
-    supplies the perturbed-data matrix from perturb_observations(). Each block
-    takes its rows' variance, as ensemble_variance_per_row does, and writes its
-    rows after its gain block has read them, so no Nm x Ne array is allocated.
-    Blocks run as _each_block spreads them, so taper_rows may be called from
-    several threads at once, each time for another block; it may be a
-    metrics._RunTaper, whose kept blocks are not checked again. A block whose
-    update raises an EnlocError or ValueError, or whose updated rows are not
-    finite, fails the step with a BlockError naming its rows.
+    The gain (tapered entrywise by taper.rows when a field is given) is
+    formed per block and applied to the innovation columns as
+    (K_blk o R_blk) resid; the caller supplies the perturbed-data matrix from
+    perturb_observations(). Each block takes its rows' variance, as
+    ensemble_variance_per_row does, and writes its rows after its gain block
+    has read them, so no Nm x Ne array is allocated. Blocks run as
+    _each_block spreads them, so the field's blocks are read from several
+    threads at once, each block by one thread; a kept block is not checked
+    again, a fresh one at every read. A block whose update raises an
+    EnlocError or ValueError, or whose updated rows are not finite, fails
+    the step with a BlockError naming its rows.
     """
     if perturbed.shape != (obs.n_data, ens.n_members):
         raise ValueError("perturbed-data matrix has wrong shape")
@@ -492,7 +541,7 @@ def localized_update_step(
     def update(blk: RowBlock) -> None:
         rows = ens.values[blk.slice()]
         var[blk.slice()] = np.var(rows, axis=1, ddof=1)
-        gain = _tapered_gain_block(ens, blk, operator, taper_rows, pair_lock)
+        gain = _tapered_gain_block(ens, blk, operator, taper, pair_lock)
         with np.errstate(over="ignore", invalid="ignore"):  # checked just below
             rows += gain @ resid
         if not np.all(np.isfinite(rows)):
@@ -643,17 +692,15 @@ def run_esmda(
     evaluation after the last update provides the posterior diagnostics
     entry.
 
-    The updates read the field through one metrics._RunTaper: a taper block
-    is evaluated once and kept when its rows end within the first
-    (TAPER_CACHE_BYTES + Nm Ne 8) // (8 Nd) rows, so the bytes of the copy
-    each update would otherwise make go to kept blocks; later blocks are
-    recomputed on every read. The kept blocks' arrays are made first, on
-    this thread, for a percentile pass to fill (TaperField's keep). The
-    field's footprint (n_eff and histogram) is tallied from the blocks the
-    first update reads, so no separate pass reads them. Runs in flight
-    together each keep their own blocks. The field and its kept blocks form
-    no reference cycle, so they are freed on return without a
-    garbage-collector pass.
+    The field keeps the taper blocks whose rows end within the first
+    (TAPER_CACHE_BYTES + Nm Ne 8) // (8 Nd) rows (TaperField's keep_rows),
+    so the bytes of the copy each update would otherwise make go to kept
+    blocks; later blocks are recomputed on every read. The field's footprint
+    (n_eff and histogram) is tallied from the blocks the first update
+    reads, so no separate pass reads them; a run without a taper takes
+    metrics.footprint(None, Nm, Nd). Runs in flight together each keep
+    their own blocks. The field and its kept blocks form no reference
+    cycle, so they are freed on return without a garbage-collector pass.
 
     A prior row with zero variance fails step 1. Each forecast's NV is the
     mean of its row variances over the prior's; the result keeps the final
@@ -666,7 +713,7 @@ def run_esmda(
     if obs.n_data != model.n_data:
         raise ValueError("observation set size does not match the model")
     ens = Ensemble(prior.values.copy(), prior.names, prior.coords)
-    prior_var = taper = taper_rows = None
+    prior_var = taper = footprint = None
     diagnostics: list[StepDiagnostics] = []
 
     for step, alpha in enumerate(schedule.alphas, start=1):
@@ -676,17 +723,15 @@ def run_esmda(
             )
             if step == 1:  # the prior's row variance and the run's one taper field
                 prior_var = metrics._prior_variance(prior)
-                keep_bytes = TAPER_CACHE_BYTES + prior.values.nbytes
-                keep_rows = 0 if policy.spec is None else keep_bytes // (8 * obs.n_data)
-                # the kept blocks' arrays come first: a percentile pass fills them
-                taper = metrics._RunTaper(None, ens.n_params, obs.n_data, keep_rows, block_width)
-                taper_field = make_taper_field(policy, prior, pred, block_width, taper.slots)
-                if taper_field is not None:
-                    taper.block, taper_rows = taper_field.block, taper
+                keep_rows = (TAPER_CACHE_BYTES + prior.values.nbytes) // (8 * obs.n_data)
+                taper = make_taper_field(policy, prior, pred, block_width, keep_rows)
             perturbed = perturb_observations(obs, alpha, seed, step, ens.n_members)
-            var = localized_update_step(ens, pred, obs, alpha, taper_rows, perturbed, block_width)
+            var = localized_update_step(ens, pred, obs, alpha, taper, perturbed, block_width)
             var /= prior_var  # in place: no step keeps a second Nm array through the next
-            diagnostics.append(_diagnostics(step, alpha, pred, obs, var, taper.footprint()))
+            if footprint is None:  # the field's tally of the blocks step 1 read
+                footprint = (metrics.footprint(None, ens.n_params, obs.n_data)
+                             if taper is None else taper.footprint())
+            diagnostics.append(_diagnostics(step, alpha, pred, obs, var, footprint))
 
     with _failures_name_step(schedule.n_steps + 1):
         pred = PredictedEnsemble(
@@ -694,7 +739,7 @@ def run_esmda(
         )
     nv_rows = metrics._variance_ratios(prior_var, ens)
     diagnostics.append(
-        _diagnostics(schedule.n_steps + 1, None, pred, obs, nv_rows, taper.footprint())
+        _diagnostics(schedule.n_steps + 1, None, pred, obs, nv_rows, footprint)
     )
     return EsmdaResult(ens, diagnostics, nv_rows)
 

@@ -140,6 +140,22 @@ def test_gain_scaling_invariance():
     assert np.allclose(base, scaled3, rtol=1e-12)
 
 
+class _GivenField(sm.TaperField):
+    """A run's taper field over ens and pred whose blocks are given(blk), so a
+    test chooses the coefficients; it keeps, checks and tallies blocks as
+    every field does."""
+
+    def __init__(self, given, ens, pred, keep_rows=0, block_width=sm.DEFAULT_BLOCK_WIDTH):
+        super().__init__(tp.Mse(), ens, pred, block_width=block_width, keep_rows=keep_rows)
+        self._given = given
+
+    def block(self, blk, out=None):
+        if out is None:
+            return self._given(blk)
+        out[...] = self._given(blk)
+        return out
+
+
 def _updated(ens, *args, **kwargs):
     """A copy of ens after localized_update_step updates it in place; ens
     itself is not written."""
@@ -156,11 +172,11 @@ def test_update_with_zero_and_unit_taper():
     obs = _obs(3)
     pert = sm.perturb_observations(obs, 4.0, sm.RunSeed(9), 1, 40)
 
-    zero = lambda blk: np.zeros((blk.width, 3))
+    zero = _GivenField(lambda blk: np.zeros((blk.width, 3)), ens, pred)
     unchanged = _updated(ens, pred, obs, 4.0, zero, pert)
     assert np.array_equal(unchanged.values, ens.values)
 
-    ones = lambda blk: np.ones((blk.width, 3))
+    ones = _GivenField(lambda blk: np.ones((blk.width, 3)), ens, pred)
     full = _updated(ens, pred, obs, 4.0, ones, pert)
     gain = sm.kalman_gain_block(ens, RowBlock(0, 6), sm.gain_operator(pred, obs, 4.0))
     expected = ens.values + gain @ (pert - pred.values)
@@ -169,7 +185,7 @@ def test_update_with_zero_and_unit_taper():
     assert np.allclose(unlocalized.values, expected, atol=1e-12)
 
     for value in (1.5, np.nan):  # the failure names the block
-        bad = lambda blk: np.full((blk.width, 3), value)
+        bad = _GivenField(lambda blk: np.full((blk.width, 3), value), ens, pred)
         with pytest.raises(BlockError, match=r"^rows 0:6: taper values outside \[0, 1\]$") as err:
             _updated(ens, pred, obs, 4.0, bad, pert)
         assert err.value.rows == slice(0, 6)
@@ -182,7 +198,7 @@ def test_update_block_schedule_independence():
     pred = PredictedEnsemble(values=model.evaluate_ensemble(ens.values))
     obs = _obs(8)
     pert = sm.perturb_observations(obs, 2.0, sm.RunSeed(5), 1, 25)
-    taper = lambda blk: np.full((blk.width, 8), 0.6)
+    taper = _GivenField(lambda blk: np.full((blk.width, 8), 0.6), ens, pred)
     results = [
         _updated(ens, pred, obs, 2.0, taper, pert, block_width=w)
         for w in (1, 5, 16, 37)
@@ -200,10 +216,10 @@ def test_update_memory_stays_blockwise():
     obs = _obs(nd)
     pert = sm.perturb_observations(obs, 4.0, sm.RunSeed(3), 1, ne)
     field = sm.TaperField(tp.Mse(), ens, pred)
-    for taper_rows in (None, field.block):
+    for taper in (None, field):
         tracemalloc.start()
         try:
-            sm.localized_update_step(ens, pred, obs, 4.0, taper_rows, pert, block_width=256)
+            sm.localized_update_step(ens, pred, obs, 4.0, taper, pert, block_width=256)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -221,14 +237,15 @@ def test_update_in_place_allocates_no_ensemble(monkeypatch, tapered):
     pred = PredictedEnsemble(values=rng.standard_normal((nd, ne)))
     obs = _obs(nd)
     pert = sm.perturb_observations(obs, 4.0, sm.RunSeed(3), 1, ne)
-    taper = (lambda blk: np.full((blk.width, nd), 0.5)) if tapered else None
+    half = lambda blk: np.full((blk.width, nd), 0.5)
+    taper = _GivenField(half, ens, pred) if tapered else None
     before = Ensemble(ens.values.copy())
     operator = sm.gain_operator(pred, obs, 4.0)
     copied = np.empty_like(before.values)
     for blk in iter_blocks(nm, sm.DEFAULT_BLOCK_WIDTH):
         gain = sm.kalman_gain_block(before, blk, operator)
         if tapered:
-            gain *= taper(blk)
+            gain *= half(blk)
         copied[blk.slice()] = before.values[blk.slice()] + gain @ (pert - pred.values)
     tracemalloc.start()
     try:
@@ -270,8 +287,10 @@ def test_localization_monotonicity_single_datum():
     pert = sm.perturb_observations(obs, 4.0, sm.RunSeed(7), 1, 50)
     r_b = rng.uniform(0.0, 1.0, size=(30, 1))
     r_a = r_b * rng.uniform(0.0, 1.0, size=(30, 1))
-    upd_a = _updated(ens, pred, obs, 4.0, lambda blk: r_a[blk.slice()], pert)
-    upd_b = _updated(ens, pred, obs, 4.0, lambda blk: r_b[blk.slice()], pert)
+    field_a = _GivenField(lambda blk: r_a[blk.slice()], ens, pred)
+    field_b = _GivenField(lambda blk: r_b[blk.slice()], ens, pred)
+    upd_a = _updated(ens, pred, obs, 4.0, field_a, pert)
+    upd_b = _updated(ens, pred, obs, 4.0, field_b, pert)
     da = np.abs(upd_a.values - ens.values)
     db = np.abs(upd_b.values - ens.values)
     assert np.all(da <= db + 1e-15)
@@ -487,7 +506,7 @@ def test_kept_taper_blocks_match_recomputed(monkeypatch, problem, policy):
         monkeypatch.setattr(sm, "TAPER_CACHE_BYTES", budget)
         res = sm.run_esmda(prior, model, obs, sm.MdaSchedule.uniform(3), policy,
                            sm.RunSeed(12), 8)
-        first = tapers[-1](RowBlock(0, 8))
+        first = tapers[-1].rows(RowBlock(0, 8))
         runs.append((res, first.flags.writeable))
     (kept, kept_writeable), (fresh, fresh_writeable) = runs
     assert not kept_writeable and fresh_writeable
@@ -554,18 +573,20 @@ def test_no_helper_thread_outlives_an_update(monkeypatch):
 
 
 def test_footprint_tally_under_thread_contention(monkeypatch):
-    """More threads than cores and a short switch interval lose no count."""
+    """More threads than cores and a short switch interval lose no count,
+    whether a field's blocks are kept (the first half) or not."""
     monkeypatch.setattr(sm, "_helper_count", lambda: 3)
     rng = np.random.default_rng(21)
     taper = rng.uniform(0.0, 1.0, (400, 5))
     rows = lambda blk: taper[blk.slice()]
     serial = metrics.footprint(rows, 400, 5, block_width=2)
+    ens = Ensemble(values=rng.standard_normal((400, 6)))
+    field = _GivenField(rows, ens, PredictedEnsemble(rng.standard_normal((5, 6))), 200, 2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        run_taper = metrics._RunTaper(rows, 400, 5)
-        sm._each_block(400, 2, run_taper.rows)
-        n_eff, hist = run_taper.footprint()
+        sm._each_block(400, 2, field.rows)
+        n_eff, hist = field.footprint()
     finally:
         sys.setswitchinterval(interval)
     assert n_eff == serial[0]
@@ -589,8 +610,9 @@ def test_failure_names_the_lowest_failing_block(monkeypatch, helpers):
         finished.append(blk.start)
         return np.full((blk.width, 3), 1.5 if blk.start in (8, 24) else 0.5)
 
+    field = _GivenField(taper, ens, pred)
     with pytest.raises(BlockError, match=r"^rows 8:16: taper values outside \[0, 1\]$") as err:
-        sm.localized_update_step(ens, pred, obs, 4.0, taper, pert, block_width=8)
+        sm.localized_update_step(ens, pred, obs, 4.0, field, pert, block_width=8)
     assert err.value.rows == slice(8, 16)
     assert {0, 8} <= set(finished)
 
@@ -647,17 +669,18 @@ def test_kept_block_out_of_range_fails_step_1(monkeypatch, helpers, bad):
     toy, prior, obs = _toy_problem()
     block = sm.TaperField.block
 
-    def spoiled(field, blk, out=None):
-        r = block(field, blk, out)
+    def spoiled(field, blk, **kwargs):  # kwargs: a kept block's out=
+        r = block(field, blk, **kwargs)
         if blk.start == 8:
             r[1, 0] = bad
         return r
 
     monkeypatch.setattr(sm.TaperField, "block", spoiled)
-    field = sm.TaperField(tp.Mse(), prior, PredictedEnsemble(toy.evaluate_ensemble(prior.values)))
-    run_taper = metrics._RunTaper(field.block, toy.n_params, toy.n_data, toy.n_params, 4)
+    pred = PredictedEnsemble(toy.evaluate_ensemble(prior.values))
+    field = sm.TaperField(tp.Mse(), prior, pred, block_width=4, keep_rows=toy.n_params)
     with pytest.raises(ValueError, match=r"^taper values outside \[0, 1\]$"):
-        run_taper.rows(RowBlock(8, 4))
+        field.rows(RowBlock(8, 4))
+    assert not field.kept(RowBlock(8, 4))
     gains = []
     gain_block = sm.kalman_gain_block
     monkeypatch.setattr(sm, "kalman_gain_block",
@@ -673,8 +696,8 @@ def test_kept_block_out_of_range_fails_step_1(monkeypatch, helpers, bad):
 
 @pytest.mark.parametrize("writeable", [True, False])
 def test_blocks_not_kept_are_checked_at_every_read(monkeypatch, writeable):
-    """A caller's taper block, and a run's block past its budget, is checked
-    at every update that reads it, whether the array is writeable or not."""
+    """A field's block past its budget is checked at every update that reads
+    it, whether the array is writeable or not."""
     monkeypatch.setattr(sm, "_helper_count", lambda: 1)
     rng = np.random.default_rng(7)
     ens = Ensemble(values=rng.standard_normal((48, 12)))
@@ -682,20 +705,16 @@ def test_blocks_not_kept_are_checked_at_every_read(monkeypatch, writeable):
     obs = _obs(3)
     pert = sm.perturb_observations(obs, 4.0, sm.RunSeed(1), 1, 12)
     taper = np.full((48, 3), 0.5)
-    caller = lambda blk: taper[blk.slice()]
-    run_taper = metrics._RunTaper(caller, 48, 3)  # keeps no block
-    for provider in (caller, run_taper):
-        taper[9, 1] = 0.5
-        taper.flags.writeable = writeable
-        sm.localized_update_step(ens, pred, obs, 4.0, provider, pert, block_width=8)
-        taper.flags.writeable = True
-        taper[9, 1] = 1.5
-        taper.flags.writeable = writeable
-        for _ in range(2):
-            with pytest.raises(BlockError, match=r"^rows 8:16: taper values outside \[0, 1\]$"):
-                sm.localized_update_step(ens, pred, obs, 4.0, provider, pert, block_width=8)
-        taper.flags.writeable = True
-    assert not any(run_taper.kept(blk) for blk in iter_blocks(48, 8))
+    field = _GivenField(lambda blk: taper[blk.slice()], ens, pred)  # keeps no block
+    taper.flags.writeable = writeable
+    sm.localized_update_step(ens, pred, obs, 4.0, field, pert, block_width=8)
+    taper.flags.writeable = True
+    taper[9, 1] = 1.5
+    taper.flags.writeable = writeable
+    for _ in range(2):
+        with pytest.raises(BlockError, match=r"^rows 8:16: taper values outside \[0, 1\]$"):
+            sm.localized_update_step(ens, pred, obs, 4.0, field, pert, block_width=8)
+    assert not any(field.kept(blk) for blk in iter_blocks(48, 8))
 
 
 @pytest.mark.parametrize("width", [1, 5, 37])
@@ -710,7 +729,7 @@ def test_update_returns_the_forecast_variance(monkeypatch, width):
     for helpers in (0, 1, 3):
         monkeypatch.setattr(sm, "_helper_count", lambda helpers=helpers: helpers)
         ens = Ensemble(before.values.copy())
-        taper = lambda blk: np.full((blk.width, 4), 0.25)
+        taper = _GivenField(lambda blk: np.full((blk.width, 4), 0.25), ens, pred)
         var = sm.localized_update_step(ens, pred, obs, 4.0, taper, pert, block_width=width)
         assert np.array_equal(var, ensemble_variance_per_row(before))
         assert not np.array_equal(ens.values, before.values)
@@ -802,7 +821,8 @@ def _percentile_oracle(ens, pred, sources, spec):
 def test_percentile_t0_equals_whole_block_oracle(monkeypatch):
     """Slab-wise t pools the same values as standardizing the whole matrix,
     at any helper count; in a run that keeps some blocks and recomputes the
-    others, the thresholds and every block equal the oracle's, bit for bit."""
+    others, the thresholds and every block equal the oracle's, bit for bit,
+    and the footprint the run tallies equals metrics.footprint's."""
     rng = np.random.default_rng(12)
     values = rng.standard_normal((50, 40))
     data = rng.standard_normal((6, 40))
@@ -823,22 +843,24 @@ def test_percentile_t0_equals_whole_block_oracle(monkeypatch):
     forecast = PredictedEnsemble(model.evaluate_ensemble(prior.values), meta=model.datum_meta)
     t0, taper = _percentile_oracle(prior, forecast, ([0, 1, 2], [3, 4, 5]), spec)
     monkeypatch.setattr(sm, "TAPER_CACHE_BYTES", _budget_keeping(16, model, prior))
-    fields, run_tapers = [], []
-    make, update = sm.make_taper_field, sm.localized_update_step
+    fields = []
+    make = sm.make_taper_field
     monkeypatch.setattr(sm, "make_taper_field", lambda *a: fields.append(make(*a)) or fields[-1])
-    monkeypatch.setattr(sm, "localized_update_step",
-                        lambda *a, **k: run_tapers.append(a[4]) or update(*a, **k))
     policy = sm.LocalizationPolicy(spec, PercentileT0(0.9))
     for helpers in (0, 1, 3):
         monkeypatch.setattr(sm, "_helper_count", lambda helpers=helpers: helpers)
         field = sm.TaperField(spec, ens, pred, PercentileT0(0.9), block_width=16)
         assert np.array_equal(field._t0, expected)
-        sm.run_esmda(prior, model, _obs(6, 0.3, 0.5), sm.MdaSchedule.uniform(2), policy,
-                     sm.RunSeed(3), 8)
-        assert np.array_equal(fields[-1]._t0, t0)
+        res = sm.run_esmda(prior, model, _obs(6, 0.3, 0.5), sm.MdaSchedule.uniform(2), policy,
+                           sm.RunSeed(3), 8)
+        run_field = fields[-1]
+        assert np.array_equal(run_field._t0, t0)
         for blk in iter_blocks(40, 8):  # the first two blocks kept, the other three not
-            assert run_tapers[-1].kept(blk) is (blk.stop <= 16)
-            assert np.array_equal(run_tapers[-1](blk), taper[blk.slice()])
+            assert run_field.kept(blk) is (blk.stop <= 16)
+            assert np.array_equal(run_field.rows(blk), taper[blk.slice()])
+        n_eff, hist = metrics.footprint(run_field.block, 40, 6, block_width=8)
+        assert (res.diagnostics[0].n_eff, res.diagnostics[-1].n_eff) == (n_eff, n_eff)
+        assert np.array_equal(res.diagnostics[0].taper_histogram, hist)
 
 
 def test_percentile_run_computes_each_correlation_block_once(monkeypatch):
