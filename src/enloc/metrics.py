@@ -113,10 +113,11 @@ class _Tally:
     field, then close() for (n_eff, histogram counts).
 
     Blocks may be added from several threads at once, in any order: each
-    block's partial sum and counts are combined under a lock, and the
-    compensated sum does not depend on their order. The first close()
-    checks that every pair was binned; after it, add() does nothing and
-    close() returns the same result.
+    block's partial sum, taken in float64 whatever r's dtype, and its counts
+    are combined under a lock, and the compensated sum does not depend on
+    their order. The tally closes itself once every pair is binned; after
+    that, add() does nothing and close() returns (n_eff, counts). Before
+    that, close() raises: some pair was outside [0, 1] or not added.
     """
 
     def __init__(self, n_params: int, n_data: int):
@@ -128,19 +129,20 @@ class _Tally:
 
     def add(self, r: np.ndarray) -> None:
         if self._partials is not None:
-            partial = float(np.sum(r))
+            partial = float(np.sum(r, dtype=np.float64))
             counts = np.histogram(r, bins=_HISTOGRAM_EDGES)[0]
             with self._lock:
-                self._partials.append(partial)
-                self._counts += counts
+                if self._partials is not None:
+                    self._partials.append(partial)
+                    self._counts += counts
+                    if self._counts.sum() == self._pairs:  # every pair binned: close
+                        self._n_eff = math.fsum(self._partials) / self._n_data
+                        self._partials = None
 
     def close(self) -> tuple[float, np.ndarray]:
-        if self._partials is not None:
+        if self._partials is not None:  # some pair was never binned
             binned = int(self._counts.sum())
-            if binned != self._pairs:
-                raise ValueError(f"taper values outside [0, 1]: binned {binned} of {self._pairs}")
-            self._n_eff = math.fsum(self._partials) / self._n_data
-            self._partials = None
+            raise ValueError(f"taper values outside [0, 1]: binned {binned} of {self._pairs}")
         return self._n_eff, self._counts
 
 

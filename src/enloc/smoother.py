@@ -17,17 +17,21 @@ parameter-row blocks, so K is never materialized in full. Without
 localization there is no taper and the same loop skips the product with R.
 A run copies its prior once and every update writes that copy in place.
 Taper coefficients are computed once per run, from the prior ensemble and
-its forecast, and kept frozen across steps. Each taper block is evaluated
-once and kept while a run's kept blocks fit in TAPER_CACHE_BYTES (32 MiB)
-plus the bytes of one ensemble, the copy each update would otherwise
-make. Blocks past that cap are recomputed on every read, and a block is
-evaluated in slabs of rows, so memory stays bounded however large R is.
+its forecast, and kept frozen across steps. A taper block is evaluated and
+checked in float64 and rounded once to float32, in which a run keeps and
+applies it (its sampling noise, about 1/sqrt(Ne), dwarfs float32's 6e-8).
+Each block is evaluated once and kept while a run's kept blocks fit in
+TAPER_CACHE_BYTES (32 MiB) plus the bytes of one ensemble, the copy each
+update would otherwise make. Blocks past that cap are recomputed, and
+rounded alike, on every read, and a block is evaluated in slabs of rows, so
+memory stays bounded however large R is.
 A field's kernel comes from the tapers module, picked and validated once
 per field: MSE, power-law and logistic run their public taper's own body in
 place on a slab of correlations, and the other families evaluate their
 public taper on the slab. A percentile threshold correlates each block
-once, over the CPUs, leaving a kept block's t where the run keeps it; a
-distance field evaluates one column per distinct well position. A run's
+once, over the CPUs, and rounds its t to float32, leaving a kept block's t
+where the run keeps it; every block of such a field maps its t so rounded.
+A distance field evaluates one column per distinct well position. A run's
 field owns its kept blocks: it evaluates, checks and keeps them, and
 tallies its footprint metrics (through metrics._Tally) from the blocks the
 first update reads, so no separate pass reads them. The field refers to
@@ -100,12 +104,12 @@ __all__ = [
 ]
 
 # Bytes of taper blocks one run in progress keeps on top of the bytes of one
-# ensemble, which updating the run's copy in place frees: the blocks whose
-# rows end within the first (TAPER_CACHE_BYTES + Nm Ne 8) // (8 Nd) rows. A
-# one-layer 60x60 grid field (7200 x 312 float64, 18 MB) fits whole; the
-# 8-layer field (144 MB, Ne = 100) keeps 31 of its 57 blocks of 1024 rows and
-# recomputes the other 26, since keeping all of it would add the whole field
-# to a run's resident memory.
+# ensemble, which updating the run's copy in place frees: the float32 blocks
+# whose rows end within the first (TAPER_CACHE_BYTES + Nm Ne 8) // (4 Nd)
+# rows. A one-layer 60x60 grid field (7200 x 312, 9 MB) fits whole, and so
+# does the 8-layer field at Ne = 100 (57 blocks of 1024 rows, 72 MB, within
+# 32 MiB plus its 46 MB ensemble); at Ne = 50 that field keeps 44 of its 57
+# blocks and recomputes the other 13.
 TAPER_CACHE_BYTES = 32 * 2**20
 
 # Entries per slab of rows in which TaperField.block evaluates a taper. Each
@@ -219,16 +223,18 @@ class TaperField:
     distance family uses parameter coordinates and one taper column per
     distinct well position instead.
 
-    A run reads the field through rows(blk). The blocks whose rows end
-    within the first keep_rows rows are kept: each is evaluated once, into
-    an array made with the field, checked against [0, 1] and made read-only
-    (a percentile pass leaves its t there, for that read to map). Any other
-    block is evaluated and checked at every read; kept(blk) tells the two
-    apart. rows() tallies every block it returns until footprint() closes
-    the tally, so the caller reads each block once before that. Blocks may
-    be read from several threads at once, each by one thread. The field
-    holds no bound method of itself, so reference counting alone frees it,
-    its ensembles and its kept blocks.
+    block(blk) gives a block's coefficients in float64. A run reads the
+    field through rows(blk), which gives them rounded to float32 once
+    block(blk) is checked against [0, 1]. The blocks whose rows end within
+    the first keep_rows rows are kept: each is evaluated once and rounded
+    into a float32 array made with the field, then made read-only (a
+    percentile pass leaves its t there, for that read to map). Any other
+    block is evaluated, checked and rounded at every read; kept(blk) tells
+    the two apart. rows() tallies the blocks it returns until every pair is
+    binned, so the caller reads each block once before then; footprint()
+    gives the tally. Blocks may be read from several threads at once, each
+    by one thread. The field holds no bound method of itself, so reference
+    counting alone frees it, its ensembles and its kept blocks.
     """
 
     def __init__(
@@ -246,16 +252,16 @@ class TaperField:
         self._ens = ens
         self._pred = pred
         self._n_e = ens.n_members
-        # the arrays the kept blocks are evaluated into are allocated here, on
+        # the arrays the kept blocks are rounded into are allocated here, on
         # the caller's thread: kept blocks that helper threads allocated pinned
         # memory in the helpers' malloc arenas, which raised the 8-layer grid's
         # peak RSS from 368 to 412 MB (glibc, 2 CPUs)
         self._slots = {
-            blk: np.empty((blk.width, self.n_data))
+            blk: np.empty((blk.width, self.n_data), dtype=np.float32)
             for blk in iter_blocks(ens.n_params, block_width)
             if blk.stop <= keep_rows
         }
-        self._t_in_slots = False  # whether a percentile pass left t in them
+        self._rounds_t = False  # a percentile field maps t rounded to float32 (_rounded_t)
         self._kept: dict[RowBlock, np.ndarray] = {}  # evaluated, checked, read-only
         self._tally = metrics._Tally(ens.n_params, self.n_data)
 
@@ -295,11 +301,11 @@ class TaperField:
         """Per-datum thresholds: the p-quantile of t values per data source.
 
         One pass over the CPUs, as an update's, standardizes each block's
-        correlations to t in place: a kept block in the array it is kept
-        in, for its first read to map, any other in its own array, whose
-        finite t are pooled per source. Each source's quantile then reads
-        its finite t in row order, one source per thread; undefined and
-        t = inf pairs stay out.
+        correlations to t and rounds them to float32: a kept block's into
+        the array it is kept in, for its first read to map, any other's
+        finite t into its pools, one per source. Each source's quantile then
+        reads its finite t in row order, as float64, one source per thread;
+        undefined and t = inf pairs stay out.
         A source whose pool is empty gets the placeholder t0 = 1: none of
         its coefficients reads t0, since an undefined pair maps to 0 and
         t = inf maps to 1 under both families.
@@ -314,27 +320,27 @@ class TaperField:
         blocks = list(iter_blocks(self._ens.n_params, block_width))
         keep = self._slots
         pooled: dict[RowBlock, list[np.ndarray]] = {}
-        root = math.sqrt(self._n_e - 1)
 
         def finite(t: np.ndarray, cols: list[int]) -> np.ndarray:
             vals = t[:, cols]
             return vals[np.isfinite(vals)]
 
         def standardize(blk: RowBlock) -> None:
-            t = correlation_block(self._ens, self._pred, blk, self._pred_anoms, keep.get(blk))
-            for rows in _slabs(t.shape):
-                _standardize(t[rows], root)
-            if blk not in keep:
-                pooled[blk] = [finite(t, cols) for cols in columns]
+            t = self._rounded_t(blk)
+            if blk in keep:
+                keep[blk][...] = t
+            else:
+                pooled[blk] = [finite(t, cols).astype(np.float32) for cols in columns]
 
         _each_block(self._ens.n_params, block_width, standardize)
-        self._t_in_slots = True
+        self._rounds_t = True
         t0_vec = np.ones(self.n_data)
 
         def threshold(source: RowBlock) -> None:  # "row" i is the i-th source
             cols = columns[source.start]
             pool = np.concatenate(
-                [finite(keep[b], cols) if b in keep else pooled[b][source.start] for b in blocks]
+                [finite(keep[b], cols) if b in keep else pooled[b][source.start] for b in blocks],
+                dtype=np.float64,
             )
             if pool.size:
                 t0_vec[cols] = significance.adaptive_t0(pool, p)
@@ -342,44 +348,57 @@ class TaperField:
         _each_block(len(columns), 1, threshold)
         return t0_vec
 
-    def block(self, blk: RowBlock, out: np.ndarray | None = None) -> np.ndarray:
-        """Taper coefficients of one block of rows (width x Nd), in out when
-        given (a C-contiguous float array of that shape).
+    def _rounded_t(self, blk: RowBlock) -> np.ndarray:
+        """The block's t = |rho| / sigma, each rounded to float32, in a
+        float64 array: the t a percentile field pools and maps."""
+        t = correlation_block(self._ens, self._pred, blk, self._pred_anoms)
+        for rows in _slabs(t.shape):
+            _standardize(t[rows], math.sqrt(self._n_e - 1))
+            t[rows] = t[rows].astype(np.float32)
+        return t
+
+    def block(self, blk: RowBlock) -> np.ndarray:
+        """Taper coefficients of one block of rows (width x Nd), in float64.
 
         Every taper is elementwise, so the block is filled one slab of rows
         at a time: the temporaries of the taper arithmetic scale with
-        TAPER_SLAB_ENTRIES, not with the block width.
+        TAPER_SLAB_ENTRIES, not with the block width. A percentile field
+        maps each t rounded to float32, as its thresholds read them: the t
+        its pass left in a kept block's array, or the block's own t.
         """
         if isinstance(self.spec, DistanceGC):  # one column per well, taken to its data
             coords, spec = self._ens.coords[blk.slice()], self.spec
-            out = np.empty((blk.width, self.n_data)) if out is None else out
+            out = np.empty((blk.width, self.n_data))
             for rows in _slabs((blk.width, len(self._wells))):
                 dx = coords[rows, 0][:, None] - self._wells[:, 0]
                 dy = coords[rows, 1][:, None] - self._wells[:, 1]
                 r = taper_distance(dx, dy, spec.len_major, spec.len_minor, spec.angle_deg)
                 np.take(r, self._well_of, axis=1, out=out[rows], mode="clip")  # unbuffered
             return out
-        standardized = self._t_in_slots and out is not None and self._slots.get(blk) is out
-        if not standardized:
-            out = correlation_block(self._ens, self._pred, blk, self._pred_anoms, out)
+        if not self._rounds_t:
+            out = correlation_block(self._ens, self._pred, blk, self._pred_anoms)
+        elif blk in self._slots:
+            out = self._slots[blk].astype(np.float64)
+        else:
+            out = self._rounded_t(blk)
         for rows in _slabs(out.shape):
-            self._kernel(out[rows], standardized)
+            self._kernel(out[rows], self._rounds_t)
         return out
 
     def rows(self, blk: RowBlock) -> np.ndarray:
-        """The checked taper block blk, kept or evaluated afresh (see the
-        class docstring); tallied until footprint() is called."""
+        """The checked taper block blk as float32, kept or evaluated afresh
+        (see the class docstring); tallied until every pair is binned."""
         r = self._kept.get(blk)
         if r is None:
-            slot = self._slots.get(blk)
-            if slot is None:
-                r = _unit_range(self.block(blk))
+            evaluated = _unit_range(self.block(blk))
+            r = self._slots.pop(blk, None)  # after block(), which may map its t
+            if r is None:
+                r = evaluated.astype(np.float32)
             else:
-                try:
-                    r = self._kept[blk] = _unit_range(self.block(blk, out=slot))
-                finally:
-                    del self._slots[blk]  # mapped, whether or not it passed: no t left
+                r[...] = evaluated
                 r.flags.writeable = False
+                self._kept[blk] = r
+            del evaluated  # before the tally adds its temporaries
         self._tally.add(r)
         return r
 
@@ -389,8 +408,8 @@ class TaperField:
 
     def footprint(self) -> tuple[float, np.ndarray]:
         """(n_eff, histogram counts), as metrics.footprint gives them, of the
-        blocks rows() has returned; the first call closes the tally and
-        later calls return the same result."""
+        blocks rows() returned until every pair was binned; ValueError
+        before then."""
         return self._tally.close()
 
 
@@ -540,7 +559,8 @@ def localized_update_step(
 
     def update(blk: RowBlock) -> None:
         rows = ens.values[blk.slice()]
-        var[blk.slice()] = np.var(rows, axis=1, ddof=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves inf, unwarned
+            var[blk.slice()] = np.var(rows, axis=1, ddof=1)
         gain = _tapered_gain_block(ens, blk, operator, taper, pair_lock)
         with np.errstate(over="ignore", invalid="ignore"):  # checked just below
             rows += gain @ resid
@@ -692,8 +712,8 @@ def run_esmda(
     evaluation after the last update provides the posterior diagnostics
     entry.
 
-    The field keeps the taper blocks whose rows end within the first
-    (TAPER_CACHE_BYTES + Nm Ne 8) // (8 Nd) rows (TaperField's keep_rows),
+    The field keeps the float32 taper blocks whose rows end within the first
+    (TAPER_CACHE_BYTES + Nm Ne 8) // (4 Nd) rows (TaperField's keep_rows),
     so the bytes of the copy each update would otherwise make go to kept
     blocks; later blocks are recomputed on every read. The field's footprint
     (n_eff and histogram) is tallied from the blocks the first update
@@ -723,7 +743,7 @@ def run_esmda(
             )
             if step == 1:  # the prior's row variance and the run's one taper field
                 prior_var = metrics._prior_variance(prior)
-                keep_rows = (TAPER_CACHE_BYTES + prior.values.nbytes) // (8 * obs.n_data)
+                keep_rows = (TAPER_CACHE_BYTES + prior.values.nbytes) // (4 * obs.n_data)
                 taper = make_taper_field(policy, prior, pred, block_width, keep_rows)
             perturbed = perturb_observations(obs, alpha, seed, step, ens.n_members)
             var = localized_update_step(ens, pred, obs, alpha, taper, perturbed, block_width)

@@ -110,29 +110,81 @@ def taper_logistic(t, gamma, t0, epsilon=0.01):
     return r[()] if r.ndim == 0 else r
 
 
-def correlation_taper(spec, rho, n_e, t0=None):
+def correlation_taper(spec, rho, n_e, t0=None, round_t=False):
     """Taper coefficients of a correlation array.
 
     CorrelationStats.from_rho, then the formulas above for MSE, power-law
     and logistic and evaluate_taper for the other families, with undefined
     (NaN) correlations evaluated at 0 and their coefficients set to 0.
+    round_t rounds t to float32 before the power-law and logistic formulas,
+    as a percentile field rounds it.
     """
     from enloc import tapers as tp
 
     undefined = np.isnan(rho)
     stats = tp.CorrelationStats.from_rho(np.where(undefined, 0.0, rho), n_e)
+    t = stats.t.astype(np.float32).astype(float) if round_t else stats.t
     t0 = getattr(spec, "t0", None) if t0 is None else t0
     if isinstance(spec, tp.Mse):
-        r = taper_mse(stats.t)
+        r = taper_mse(t)
     elif isinstance(spec, tp.PowerLaw):
-        r = taper_power(stats.t, spec.beta, t0)
+        r = taper_power(t, spec.beta, t0)
     elif isinstance(spec, tp.Logistic):
-        r = taper_logistic(stats.t, spec.gamma, t0, spec.epsilon)
+        r = taper_logistic(t, spec.gamma, t0, spec.epsilon)
     else:
         r = tp.evaluate_taper(spec, stats, t0)
     r = np.array(r, dtype=float)
     r[undefined] = 0.0
     return r
+
+
+def percentile_thresholds(rho, n_e, sources, p):
+    """Per-source p-quantiles (np.quantile, linear) of the finite t of a
+    correlation array, each t rounded to float32 as a percentile field rounds
+    it; 1 for a source with no finite t. sources lists each source's columns."""
+    from enloc import tapers as tp
+
+    undefined = np.isnan(rho)
+    t = tp.CorrelationStats.from_rho(np.where(undefined, 0.0, rho), n_e).t
+    t = np.where(undefined, np.nan, t.astype(np.float32).astype(float))
+    t0 = np.ones(rho.shape[1])
+    for cols in sources:
+        pool = t[:, cols].ravel()
+        pool = pool[np.isfinite(pool)]
+        if pool.size:
+            t0[cols] = np.quantile(pool, p)
+    return t0
+
+
+def correlation_matrix(m, d):
+    """Sample correlations of every row of m with every row of d, the whole
+    array at once, clamped to [-1, 1]; NaN where either row has zero spread."""
+    am = m - m.mean(axis=1, keepdims=True)
+    ad = d - d.mean(axis=1, keepdims=True)
+    norms = np.outer(np.sqrt(np.sum(am * am, axis=1)), np.sqrt(np.sum(ad * ad, axis=1)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.clip((am @ ad.T) / norms, -1.0, 1.0)
+    rho[norms == 0.0] = np.nan
+    return rho
+
+
+def dense_esmda(prior, model, obs, alphas, seed, taper):
+    """ES-MDA with the whole gain at every step: K = C_md (C_dd + alpha C_e)^-1
+    through np.linalg.inv, times taper (Nm x Nd) entrywise, applied to the
+    product's perturb_observations draws. Returns the posterior values."""
+    from enloc.smoother import perturb_observations
+
+    m = np.array(prior.values, dtype=float)
+    n_e = m.shape[1]
+    for step, alpha in enumerate(alphas, start=1):
+        d = model.evaluate_ensemble(m)
+        dm = m - m.mean(axis=1, keepdims=True)
+        dd = d - d.mean(axis=1, keepdims=True)
+        c_md = dm @ dd.T / (n_e - 1)
+        c_dd = dd @ dd.T / (n_e - 1)
+        gain = c_md @ np.linalg.inv(c_dd + alpha * np.diag(obs.sigma_e**2)) * taper
+        m = m + gain @ (perturb_observations(obs, alpha, seed, step, n_e) - d)
+    return m
 
 
 def per_layer_grid_prior(model, poro_prior, logk_prior, count, seed):

@@ -13,7 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import correlation_taper, normalized_variance
+from oracles import (
+    correlation_matrix,
+    correlation_taper,
+    dense_esmda,
+    normalized_variance,
+    percentile_thresholds,
+)
 
 from enloc import cli, metrics
 from enloc import smoother as sm
@@ -36,7 +42,7 @@ from enloc.models import (
     ScalarToyModel,
     sample_grid_prior,
 )
-from enloc.significance import PercentileT0, adaptive_t0
+from enloc.significance import PercentileT0
 
 
 def _obs(nd=1, value=1.0, std=1.0):
@@ -149,11 +155,8 @@ class _GivenField(sm.TaperField):
         super().__init__(tp.Mse(), ens, pred, block_width=block_width, keep_rows=keep_rows)
         self._given = given
 
-    def block(self, blk, out=None):
-        if out is None:
-            return self._given(blk)
-        out[...] = self._given(blk)
-        return out
+    def block(self, blk):
+        return self._given(blk)
 
 
 def _updated(ens, *args, **kwargs):
@@ -381,28 +384,29 @@ def test_run_frees_field_prior_and_kept_blocks_without_gc(monkeypatch, gc_disabl
     the prior when run_esmda returns: nothing of the run forms a cycle."""
     toy, prior, obs = _toy_problem()
     fields, blocks = [], []
-    make, block = sm.make_taper_field, sm.TaperField.block
+    make, rows = sm.make_taper_field, sm.TaperField.rows
 
     def capturing(*args, **kwargs):
         taper_field = make(*args, **kwargs)
         fields.append(weakref.ref(taper_field))
         return taper_field
 
-    def recording(taper_field, blk, **kwargs):  # kwargs: a kept block's out=
-        r = block(taper_field, blk, **kwargs)
+    def recording(taper_field, blk):
+        r = rows(taper_field, blk)
         if blk.start == 0:
-            blocks.append(weakref.ref(r))
+            blocks.append((weakref.ref(r), taper_field.kept(blk)))
         return r
 
     monkeypatch.setattr(sm, "make_taper_field", capturing)
-    monkeypatch.setattr(sm.TaperField, "block", recording)
+    monkeypatch.setattr(sm.TaperField, "rows", recording)
     prior_ref = weakref.ref(prior)
     policy = sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0))
     res = sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(3), policy, sm.RunSeed(4), 8)
     del prior
-    assert res.diagnostics and len(fields) == 1 and len(blocks) == 1  # block 0 is kept
+    assert res.diagnostics and len(fields) == 1 and len(blocks) == 3  # read at each step
+    assert all(kept for _, kept in blocks)
     assert fields[0]() is None
-    assert blocks[0]() is None
+    assert all(block() is None for block, _ in blocks)
     assert prior_ref() is None
 
 
@@ -442,9 +446,10 @@ def _grid_problem():
 
 
 def _budget_keeping(rows, model, prior):
-    """The TAPER_CACHE_BYTES under which a run of prior keeps the taper blocks
-    that end within its first rows rows: the run adds the prior's bytes."""
-    return rows * 8 * model.n_data - prior.values.nbytes
+    """The TAPER_CACHE_BYTES under which a run of prior keeps the float32
+    taper blocks that end within its first rows rows: the run adds the
+    prior's bytes."""
+    return rows * 4 * model.n_data - prior.values.nbytes
 
 
 def _count_block_reads(monkeypatch):
@@ -452,9 +457,9 @@ def _count_block_reads(monkeypatch):
     calls = {}
     original = sm.TaperField.block
 
-    def counting(field, blk, **kwargs):  # kwargs: a kept block's out=
+    def counting(field, blk):
         calls[blk.start, blk.width] = calls.get((blk.start, blk.width), 0) + 1
-        return original(field, blk, **kwargs)
+        return original(field, blk)
 
     monkeypatch.setattr(sm.TaperField, "block", counting)
     return calls
@@ -547,6 +552,101 @@ def test_run_equal_for_any_helper_count(monkeypatch, problem, policy, kept_block
             assert np.array_equal(a.taper_histogram, b.taper_histogram)
 
 
+def _dense_taper(policy, model, prior):
+    """The oracle's whole Nm x Nd taper of policy for prior and its forecast,
+    and that taper rounded to float32 as a run rounds its blocks."""
+    spec = policy.spec
+    if isinstance(spec, tp.DistanceGC):
+        wells = np.array([m.well_xy for m in model.datum_meta], dtype=float)
+        dx = prior.coords[:, 0][:, None] - wells[:, 0]
+        dy = prior.coords[:, 1][:, None] - wells[:, 1]
+        r = tp.taper_distance(dx, dy, spec.len_major, spec.len_minor, spec.angle_deg)
+    else:
+        rho = correlation_matrix(prior.values, model.evaluate_ensemble(prior.values))
+        if policy.t0_strategy is None:
+            r = correlation_taper(spec, rho, prior.n_members)
+        else:
+            sources = {}
+            for j, meta in enumerate(model.datum_meta):
+                sources.setdefault(meta.source, []).append(j)
+            t0 = percentile_thresholds(rho, prior.n_members, list(sources.values()),
+                                       policy.t0_strategy.p)
+            r = correlation_taper(spec, rho, prior.n_members, t0, round_t=True)
+    return r, r.astype(np.float32)
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        sm.LocalizationPolicy(tp.Mse()),
+        sm.LocalizationPolicy(tp.Logistic(1.5, 2.0)),
+        sm.LocalizationPolicy(tp.Logistic(1.5), PercentileT0(0.9)),
+        sm.LocalizationPolicy(tp.DistanceGC(4.0, 2.0, 30.0)),
+    ],
+    ids=["mse", "logistic", "logistic_p90", "distance"],
+)
+def test_run_matches_dense_oracle(monkeypatch, policy):
+    """A localized run is the dense ES-MDA of oracles.dense_esmda, whose
+    whole gain is tapered by the oracle's R rounded to float32, within
+    float64 round-off; it is the same run, bit for bit, at 0, 1 and 3
+    helper threads and with no block, 5 of 16 blocks or every block kept.
+
+    Tolerance: each step solves C_dd + alpha C_e, of condition number kappa,
+    with a forward error of about kappa u (u = 2^-53), and moves the
+    ensemble by at most max |posterior - prior|, so n_steps kappa u
+    max |posterior - prior| bounds what the dense inverse and the blockwise
+    Cholesky solve may disagree by. kappa is the prior forecast's, the
+    widest spread of the run. The float64-R oracle lies about
+    2^-24 max |posterior - prior| away (R's float32 rounding), more than
+    a hundred tolerances: the test tells R from its rounding.
+    """
+    model, prior, obs = _grid_problem()  # 128 parameters in blocks of 8, 20 data
+    schedule, seed = sm.MdaSchedule.uniform(3), sm.RunSeed(12)
+    r64, r32 = _dense_taper(policy, model, prior)
+    want = dense_esmda(prior, model, obs, schedule.alphas, seed, r32)
+    runs = []
+    for budget in (_budget_keeping(0, model, prior), _budget_keeping(40, model, prior),
+                   sm.TAPER_CACHE_BYTES):
+        monkeypatch.setattr(sm, "TAPER_CACHE_BYTES", budget)
+        for helpers in (0, 1, 3):
+            monkeypatch.setattr(sm, "_helper_count", lambda helpers=helpers: helpers)
+            runs.append(sm.run_esmda(prior, model, obs, schedule, policy, seed, 8).posterior)
+    for res in runs[1:]:
+        assert np.array_equal(res.values, runs[0].values)
+    forecast = model.evaluate_ensemble(prior.values)
+    anomalies = forecast - forecast.mean(axis=1, keepdims=True)
+    c_dd = anomalies @ anomalies.T / (prior.n_members - 1)
+    kappa = np.linalg.cond(c_dd + schedule.alphas[0] * np.diag(obs.sigma_e**2))
+    moved = np.max(np.abs(want - prior.values))
+    tol = schedule.n_steps * kappa * np.finfo(float).eps / 2 * moved
+    assert np.max(np.abs(runs[0].values - want)) <= tol
+    unrounded = np.max(np.abs(dense_esmda(prior, model, obs, schedule.alphas, seed, r64) - want))
+    assert 100 * tol < unrounded <= schedule.n_steps * 2.0**-24 * moved, (tol, unrounded)
+
+
+def test_tally_closes_once_every_pair_is_binned(monkeypatch):
+    """Updates driven directly, with no call to footprint(), tally a field's
+    blocks until every pair is binned, then stop: a later update bins
+    nothing, and the footprint is that of the blocks the first one read."""
+    rng = np.random.default_rng(17)
+    prior = Ensemble(values=rng.standard_normal((40, 12)))
+    pred = PredictedEnsemble(values=rng.standard_normal((3, 12)))
+    obs = _obs(3)
+    pert = sm.perturb_observations(obs, 4.0, sm.RunSeed(1), 1, 12)
+    field = sm.TaperField(tp.Mse(), prior, pred, block_width=8, keep_rows=16)
+    histogram, binned = np.histogram, []
+    monkeypatch.setattr(np, "histogram",
+                        lambda r, **kw: binned.append(r.shape[0]) or histogram(r, **kw))
+    ens = Ensemble(prior.values.copy())
+    for _ in range(2):
+        sm.localized_update_step(ens, pred, obs, 4.0, field, pert, block_width=8)
+    assert binned == [8] * 5
+    whole = field.block(RowBlock(0, 40)).astype(np.float32)
+    n_eff, hist = metrics.footprint(lambda blk: whole[blk.slice()], 40, 3, block_width=8)
+    assert field.footprint()[0] == n_eff
+    assert np.array_equal(field.footprint()[1], hist)
+
+
 def test_blocks_spread_over_helper_threads(monkeypatch):
     monkeypatch.setattr(sm, "_helper_count", lambda: 3)
     threads, done = {}, []
@@ -579,7 +679,7 @@ def test_footprint_tally_under_thread_contention(monkeypatch):
     rng = np.random.default_rng(21)
     taper = rng.uniform(0.0, 1.0, (400, 5))
     rows = lambda blk: taper[blk.slice()]
-    serial = metrics.footprint(rows, 400, 5, block_width=2)
+    serial = metrics.footprint(lambda blk: rows(blk).astype(np.float32), 400, 5, block_width=2)
     ens = Ensemble(values=rng.standard_normal((400, 6)))
     field = _GivenField(rows, ens, PredictedEnsemble(rng.standard_normal((5, 6))), 200, 2)
     interval = sys.getswitchinterval()
@@ -669,8 +769,8 @@ def test_kept_block_out_of_range_fails_step_1(monkeypatch, helpers, bad):
     toy, prior, obs = _toy_problem()
     block = sm.TaperField.block
 
-    def spoiled(field, blk, **kwargs):  # kwargs: a kept block's out=
-        r = block(field, blk, **kwargs)
+    def spoiled(field, blk):
+        r = block(field, blk)
         if blk.start == 8:
             r[1, 0] = bad
         return r
@@ -806,23 +906,19 @@ def test_taper_block_same_in_any_slab(monkeypatch, problem, spec, t0_strategy):
 
 def _percentile_oracle(ens, pred, sources, spec):
     """Per-source 0.9-quantile thresholds of the whole matrix's finite t, by
-    the public standardization, and the oracle's taper of it at them."""
+    the public standardization rounded to float32, and the oracle's taper of
+    those t at them."""
     corr = correlation_block(ens, pred, RowBlock(0, ens.n_params))
-    undefined = np.isnan(corr)  # the public tapers reject NaN: evaluate at 0, then mark
-    rho = np.where(undefined, 0.0, corr)
-    t = np.where(undefined, np.nan, tp.standardize(rho, tp.sampling_std(rho, ens.n_members)))
-    t0 = np.empty(pred.n_data)
-    for cols in sources:
-        pool = t[:, cols].ravel()
-        t0[cols] = adaptive_t0(pool[np.isfinite(pool)], 0.9)
-    return t0, correlation_taper(spec, corr, ens.n_members, t0)
+    t0 = percentile_thresholds(corr, ens.n_members, sources, 0.9)
+    return t0, correlation_taper(spec, corr, ens.n_members, t0, round_t=True)
 
 
 def test_percentile_t0_equals_whole_block_oracle(monkeypatch):
-    """Slab-wise t pools the same values as standardizing the whole matrix,
-    at any helper count; in a run that keeps some blocks and recomputes the
-    others, the thresholds and every block equal the oracle's, bit for bit,
-    and the footprint the run tallies equals metrics.footprint's."""
+    """Slab-wise t pools the same values as standardizing the whole matrix
+    and rounding it to float32, at any helper count; in a run that keeps
+    some blocks and recomputes the others, the thresholds and every block,
+    rounded to float32, equal the oracle's, bit for bit, and the footprint
+    the run tallies equals metrics.footprint's of those blocks."""
     rng = np.random.default_rng(12)
     values = rng.standard_normal((50, 40))
     data = rng.standard_normal((6, 40))
@@ -857,8 +953,9 @@ def test_percentile_t0_equals_whole_block_oracle(monkeypatch):
         assert np.array_equal(run_field._t0, t0)
         for blk in iter_blocks(40, 8):  # the first two blocks kept, the other three not
             assert run_field.kept(blk) is (blk.stop <= 16)
-            assert np.array_equal(run_field.rows(blk), taper[blk.slice()])
-        n_eff, hist = metrics.footprint(run_field.block, 40, 6, block_width=8)
+            assert np.array_equal(run_field.rows(blk), taper[blk.slice()].astype(np.float32))
+        n_eff, hist = metrics.footprint(lambda blk: run_field.block(blk).astype(np.float32),
+                                        40, 6, block_width=8)
         assert (res.diagnostics[0].n_eff, res.diagnostics[-1].n_eff) == (n_eff, n_eff)
         assert np.array_equal(res.diagnostics[0].taper_histogram, hist)
 
