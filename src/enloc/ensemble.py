@@ -150,14 +150,12 @@ def correlation_block(
     pred: PredictedEnsemble,
     block: RowBlock,
     pred_anomalies: tuple[np.ndarray, np.ndarray] | None = None,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Correlations between one block of parameter rows and all data rows.
 
     Returns a (width x Nd) array of sample correlations, clamped to [-1, 1]
-    against round-off, written to out when given. Undefined entries
-    (zero-variance parameter or data rows) are marked NaN; callers treat
-    them as taper-zero pairs.
+    against round-off. Undefined entries (zero-variance parameter or data
+    rows) are marked NaN; callers treat them as taper-zero pairs.
 
     pred_anomalies may carry the precomputed (anomalies, norms) of the
     predicted ensemble so repeated block calls share that work.
@@ -170,7 +168,7 @@ def correlation_block(
         pred_anomalies = row_anomalies(pred.values)
     ad, nd = pred_anomalies
     am, nm = row_anomalies(ens.values[block.slice()])
-    corr = np.matmul(am, ad.T, out=out)
+    corr = am @ ad.T
     # norms are never negative, so every product is positive when the
     # smallest of each side is, and no pair needs the undefined mask
     masked = not (nm.min() * nd.min() > 0.0)

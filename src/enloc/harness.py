@@ -211,12 +211,11 @@ class ExperimentReport:
                 vals = [v for v in vals if v is not None]
                 if not vals:
                     continue
-                mean = float(np.mean(vals))
-                half = (
-                    1.96 * float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
-                    if len(vals) > 1
-                    else 0.0
-                )
+                if len(set(vals)) == 1:  # np.mean of equal values can miss them by an ulp
+                    mean, half = float(vals[0]), 0.0
+                else:
+                    mean = float(np.mean(vals))
+                    half = 1.96 * float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
                 out.append((taper, metric, mean, half, len(vals)))
         return out
 
@@ -546,7 +545,7 @@ def _write_artifacts(
     header = ["taper", "run", "step", "objective", "nv", "n_eff", "chi"]
     write_csv(out / "metrics.csv", header, rows)
 
-    edges = [repr(float(e)) for e in np.linspace(0.0, 1.0, metrics_mod.HISTOGRAM_BINS + 1)]
+    edges = [repr(float(e)) for e in metrics_mod.HISTOGRAM_EDGES]
     rows = [
         [r.taper, r.run, edges[b], edges[b + 1], int(count)]
         for r in ok_runs

@@ -35,10 +35,11 @@ __all__ = [
     "footprint",
     "chi",
     "HISTOGRAM_BINS",
+    "HISTOGRAM_EDGES",
 ]
 
 HISTOGRAM_BINS = 20
-_HISTOGRAM_EDGES = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
+HISTOGRAM_EDGES = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
 OBJ_BAND = (0.5, 1.0)  # practical data-match range for a posterior ensemble
 
 
@@ -130,7 +131,7 @@ class _Tally:
     def add(self, r: np.ndarray) -> None:
         if self._partials is not None:
             partial = float(np.sum(r, dtype=np.float64))
-            counts = np.histogram(r, bins=_HISTOGRAM_EDGES)[0]
+            counts = np.histogram(r, bins=HISTOGRAM_EDGES)[0]
             with self._lock:
                 if self._partials is not None:
                     self._partials.append(partial)

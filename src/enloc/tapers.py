@@ -15,12 +15,17 @@ t     : standardized correlation |rho| / sigma (signal-to-noise measure);
 The power law (MSE is its beta = 2, t0 = 1 case) and the logistic taper
 each have one in-place body, run by the public taper on a copy of t and by
 a TaperField's kernel on each slab of correlations, standardized in place.
+
+Config files name a taper by its text encoding, such as
+"logistic:gamma=1.5,t0=2,eps=0.01". One table, _FAMILIES, gives each
+family's spec class and text keys: parse_taper and format_taper both read
+it, and a key that is unknown, repeated or missing is a ValueError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Union
 
 import numpy as np
@@ -502,20 +507,17 @@ def _taper_kernel(
 
 # --- canonical textual encoding, e.g. "logistic:gamma=1.5,t0=2,eps=0.01" ---
 
-
-def _parse_kv(body: str, allowed: dict[str, str]) -> dict[str, str]:
-    out: dict[str, str] = {}
-    if not body:
-        return out
-    for item in body.split(","):
-        if "=" not in item:
-            raise ValueError(f"malformed taper parameter {item!r}")
-        key, val = item.split("=", 1)
-        key = key.strip()
-        if key not in allowed:
-            raise ValueError(f"unknown taper parameter {key!r}")
-        out[allowed[key]] = val.strip()
-    return out
+# family name -> (spec class, {text key: spec field}), keys in encoding order
+_FAMILIES: dict[str, tuple[type, dict[str, str]]] = {
+    "mse": (Mse, {}),
+    "power": (PowerLaw, {"beta": "beta", "t0": "t0"}),
+    "logistic": (Logistic, {"gamma": "gamma", "t0": "t0", "eps": "epsilon"}),
+    "discrepancy": (Discrepancy, {"eta": "eta"}),
+    "cgc": (Cgc, {"theta": "theta"}),
+    "po": (Po, {}),
+    "mpo": (Mpo, {}),
+    "distance": (DistanceGC, {"major": "len_major", "minor": "len_minor", "angle": "angle_deg"}),
+}
 
 
 def parse_taper(text: str) -> TaperSpec:
@@ -523,74 +525,44 @@ def parse_taper(text: str) -> TaperSpec:
 
     Examples: "mse", "po", "mpo", "power:beta=3,t0=2",
     "logistic:gamma=1.5,t0=2,eps=0.01", "discrepancy:eta=0.5",
-    "cgc:theta=sigma", "distance:major=90,minor=45,angle=45".
+    "cgc:theta=sigma", "distance:major=90,minor=45,angle=45". A key that is
+    not its family's, or that repeats, raises ValueError; so does a missing
+    key whose spec field has no default.
     """
     name, _, body = text.strip().partition(":")
     name = name.strip().lower()
-    if name == "mse":
-        return Mse()
-    if name == "po":
-        return Po()
-    if name == "mpo":
-        return Mpo()
-    if name == "power":
-        kv = _parse_kv(body, {"beta": "beta", "t0": "t0"})
-        if "beta" not in kv:
-            raise ValueError("power taper requires beta")
-        t0 = float(kv["t0"]) if "t0" in kv else None
-        return PowerLaw(beta=float(kv["beta"]), t0=t0)
-    if name == "logistic":
-        kv = _parse_kv(body, {"gamma": "gamma", "t0": "t0", "eps": "epsilon"})
-        if "gamma" not in kv:
-            raise ValueError("logistic taper requires gamma")
-        t0 = float(kv["t0"]) if "t0" in kv else None
-        eps = float(kv["epsilon"]) if "epsilon" in kv else 0.01
-        return Logistic(gamma=float(kv["gamma"]), t0=t0, epsilon=eps)
-    if name == "discrepancy":
-        kv = _parse_kv(body, {"eta": "eta"})
-        if "eta" not in kv:
-            raise ValueError("discrepancy taper requires eta")
-        return Discrepancy(eta=float(kv["eta"]))
-    if name == "cgc":
-        kv = _parse_kv(body, {"theta": "theta"})
-        theta = kv.get("theta", "sigma")
-        return Cgc(theta=None if theta == "sigma" else float(theta))
-    if name == "distance":
-        kv = _parse_kv(body, {"major": "major", "minor": "minor", "angle": "angle"})
-        if "major" not in kv or "minor" not in kv:
-            raise ValueError("distance taper requires major and minor lengths")
-        return DistanceGC(
-            len_major=float(kv["major"]),
-            len_minor=float(kv["minor"]),
-            angle_deg=float(kv.get("angle", 0.0)),
-        )
-    raise ValueError(f"unknown taper family {name!r}")
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown taper family {name!r}")
+    cls, keys = _FAMILIES[name]
+    kwargs: dict[str, float | None] = {}
+    for item in body.split(",") if body else ():
+        key, eq, val = (part.strip() for part in item.partition("="))
+        if not eq:
+            raise ValueError(f"malformed taper parameter {item!r}")
+        if key not in keys:
+            raise ValueError(f"unknown {name} taper parameter {key!r}")
+        if keys[key] in kwargs:
+            raise ValueError(f"repeated {name} taper parameter {key!r}")
+        kwargs[keys[key]] = None if (key, val) == ("theta", "sigma") else float(val)
+    required = {f.name for f in fields(cls) if f.default is MISSING} - kwargs.keys()
+    missing = [key for key, field in keys.items() if field in required]
+    if missing:
+        raise ValueError(f"{name} taper requires {' and '.join(missing)}")
+    return cls(**kwargs)
 
 
 def format_taper(spec: TaperSpec) -> str:
-    """Canonical textual encoding of a taper spec (inverse of parse_taper)."""
-    if isinstance(spec, Mse):
-        return "mse"
-    if isinstance(spec, Po):
-        return "po"
-    if isinstance(spec, Mpo):
-        return "mpo"
-    if isinstance(spec, PowerLaw):
-        t0 = "" if spec.t0 is None else f",t0={spec.t0:g}"
-        return f"power:beta={spec.beta:g}{t0}"
-    if isinstance(spec, Logistic):
-        t0 = "" if spec.t0 is None else f",t0={spec.t0:g}"
-        return f"logistic:gamma={spec.gamma:g}{t0},eps={spec.epsilon:g}"
-    if isinstance(spec, Discrepancy):
-        return f"discrepancy:eta={spec.eta:g}"
-    if isinstance(spec, Cgc):
-        theta = "sigma" if spec.theta is None else f"{spec.theta:g}"
-        return f"cgc:theta={theta}"
-    if isinstance(spec, DistanceGC):
-        return (
-            f"distance:major={spec.len_major:g},minor={spec.len_minor:g},"
-            f"angle={spec.angle_deg:g}"
-        )
+    """Canonical textual encoding of a taper spec (inverse of parse_taper):
+    a None value is left out, except theta, which is written as sigma."""
+    for name, (cls, keys) in _FAMILIES.items():
+        if isinstance(spec, cls):
+            values = {key: getattr(spec, field) for key, field in keys.items()}
+            body = ",".join(
+                f"{key}={'sigma' if v is None else format(v, 'g')}"
+                for key, v in values.items()
+                if v is not None or key == "theta"
+            )
+            return f"{name}:{body}" if body else name
     raise TypeError(f"unknown taper spec {spec!r}")
 
 

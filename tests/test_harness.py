@@ -20,6 +20,7 @@ from oracles import read_ensemble_csv
 import enloc.harness as hn
 from enloc import cli
 from enloc.errors import ConfigError
+from enloc.metrics import MetricReport
 from enloc.models import ForwardModel, LinearModel
 from enloc.significance import PercentileT0, StudentT0
 
@@ -454,6 +455,24 @@ def test_run_experiment_artifacts(tmp_path):
     for taper in ("none", "logistic"):
         total = sum(int(r["count"]) for r in hist if r["taper"] == taper and r["run"] == "0")
         assert total == 7 * 30
+
+
+def test_aggregates_of_equal_values_are_that_value_with_no_spread():
+    """Ten equal values aggregate to that value with a half-width of 0.0,
+    which np.mean and np.std of them miss by round-off."""
+    rep = MetricReport(obj_mean=0.6, nv=0.3, mean_offset=0.1, n_eff=1361.8105566111165,
+                       chi=0.5, taper_histogram=np.zeros(20, dtype=np.int64))
+    runs = [hn.RunResult("mse", k, "ok", rep) for k in range(10)]
+    runs.append(hn.RunResult("po", 0, "ok", rep))
+    runs += [hn.RunResult("po", 1, "ok", replace(rep, n_eff=1361.0))]
+    agg = {(t, m): (mean, half, n) for t, m, mean, half, n in hn.ExperimentReport(runs).aggregates()}
+    assert agg[("mse", "n_eff")] == (1361.8105566111165, 0.0, 10)
+    assert agg[("mse", "obj_mean")] == (0.6, 0.0, 10)
+    assert agg[("po", "obj_mean")] == (0.6, 0.0, 2)
+    mean, half, n = agg[("po", "n_eff")]  # unequal values keep the sample mean and spread
+    assert (mean, n) == (np.mean([1361.8105566111165, 1361.0]), 2)
+    assert half == 1.96 * np.std([1361.8105566111165, 1361.0], ddof=1) / np.sqrt(2)
+    assert ("mse", "nv_dummy") not in agg  # no values, no row
 
 
 def test_posterior_write_failing_part_way_leaves_no_file(tmp_path, monkeypatch):
@@ -1013,6 +1032,8 @@ _MATRIX = [[1.0, 0.5], [0.0, 2.0], [1.0, 1.0]]
         ({"model": {"kind": "linear", "matrix": _MATRIX, "n_data": 3}}, [], "'model.n_data'"),
         ({"model": {"kind": "linear", "matrix": _MATRIX, "structure_seed": 0}}, [],
          "'model.structure_seed'"),
+        # a taper family checks its keys too
+        ({"localization": [{"taper": "mse:beta=3"}]}, [], "unknown mse taper parameter 'beta'"),
     ],
 )
 def test_bad_config_value_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, edit,

@@ -289,6 +289,7 @@ def test_parse_and_format_roundtrip():
     for text in encodings:
         spec = tp.parse_taper(text)
         assert tp.parse_taper(tp.format_taper(spec)) == spec
+        assert tp.format_taper(spec) == text
 
 
 def test_parse_taper_defaults_and_errors():
@@ -303,3 +304,12 @@ def test_parse_taper_defaults_and_errors():
         tp.parse_taper("frobnicate:x=1")
     with pytest.raises(ValueError):
         tp.parse_taper("power:beta=3,bogus=1")
+    # every family checks its keys: none is ignored and none may repeat
+    for text, why in (("mse:beta=3", "unknown mse taper parameter 'beta'"),
+                      ("po:junk", "malformed taper parameter 'junk'"),
+                      ("mpo:t0=2", "unknown mpo taper parameter 't0'"),
+                      ("power:beta=3,beta=4", "repeated power taper parameter 'beta'"),
+                      ("distance:major=9,minor=4,angle=1,angle=2", "repeated distance"),
+                      ("distance:minor=4", "distance taper requires major$")):
+        with pytest.raises(ValueError, match=why):
+            tp.parse_taper(text)
