@@ -256,8 +256,8 @@ def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
         raise ConfigError(f"schedule.n_steps is {sched['n_steps']}, but alphas has {n_steps} steps")
     if n_steps > MAX_SCHEDULE_STEPS:
         raise ConfigError(f"a schedule has at most {MAX_SCHEDULE_STEPS} steps, got {n_steps}")
-    try:  # no alphas: alpha = n_steps at every step, as MdaSchedule.uniform
-        schedule = MdaSchedule(tuple(alphas or [float(n_steps)] * n_steps))
+    try:
+        schedule = MdaSchedule(tuple(alphas)) if alphas else MdaSchedule.uniform(n_steps)
     except ValueError as exc:
         raise ConfigError(f"bad schedule: {exc}") from exc
     # ExperimentConfig reads the model, prior, observation and reference blocks

@@ -1,10 +1,9 @@
 """Evaluation metrics: data mismatch, variance retention, update footprint.
 
-NV is the mean per-row ratio var(forecast) / var(prior): run_esmda takes the
-prior's row variance once per run (_prior_variance, which rejects a
-zero-variance row), each forecast's variance from the update pass that
-reads it or, for the final one, _variance_ratios, and returns the final
-ratios.
+NV is the mean per-row ratio var(forecast) / var(prior). run_esmda takes
+each forecast's row variance from the update pass that reads it, and the
+prior's from step 1's, whose forecast is the prior; only the final
+forecast's takes a pass of its own (ensemble_variance_per_row).
 
 The taper-dependent aggregates (effective updated-parameter count and
 taper histogram) are tallied block by block, so the full taper matrix is
@@ -71,22 +70,6 @@ def objective_function(pred: PredictedEnsemble, obs) -> float:
     return float(np.mean(np.sum(resid * resid, axis=0) / (2.0 * pred.n_data)))
 
 
-def _prior_variance(prior: Ensemble) -> np.ndarray:
-    """Per-row prior variance, the denominator of every NV ratio."""
-    var = ensemble_variance_per_row(prior)
-    zero = np.flatnonzero(var <= 0.0)
-    if zero.size:
-        raise ValueError(
-            f"zero prior variance in {zero.size} of {var.size} rows (first: row {zero[0]})"
-        )
-    return var
-
-
-def _variance_ratios(prior_var: np.ndarray, ens: Ensemble) -> np.ndarray:
-    """Per-row var(ens) / var(prior), given _prior_variance(prior)."""
-    return ensemble_variance_per_row(ens) / prior_var
-
-
 def mean_offset(prior: Ensemble, posterior: Ensemble) -> float:
     """Average |posterior mean - prior mean| in units of the prior std.
 
@@ -95,7 +78,7 @@ def mean_offset(prior: Ensemble, posterior: Ensemble) -> float:
     """
     if prior.values.shape[0] != posterior.values.shape[0]:
         raise ValueError("prior and posterior must have the same parameter count")
-    std_prior = np.std(prior.values, axis=1, ddof=1)
+    std_prior = np.sqrt(ensemble_variance_per_row(prior))  # np.std's, a block at a time
     prior_values, posterior_values = prior.values, posterior.values
     ok = std_prior > 0.0
     if not np.all(ok):
@@ -110,34 +93,35 @@ def mean_offset(prior: Ensemble, posterior: Ensemble) -> float:
 
 
 class _Tally:
-    """A footprint tallied block by block: add(r) for each taper block of a
-    field, then close() for (n_eff, histogram counts).
+    """A footprint tallied block by block: add(r, start) for each taper block
+    of a field, start its first row, then close() for (n_eff, counts).
 
-    Blocks may be added from several threads at once, in any order: each
-    block's partial sum, taken in float64 whatever r's dtype, and its counts
-    are combined under a lock, and the compensated sum does not depend on
-    their order. The tally closes itself once every pair is binned; after
-    that, add() does nothing and close() returns (n_eff, counts). Before
-    that, close() raises: some pair was outside [0, 1] or not added.
+    Blocks may be added from several threads at once, in any order, and a
+    start added again is skipped: each block's partial sum, taken in float64
+    whatever r's dtype, and its counts are combined under a lock, and the
+    compensated sum does not depend on their order. The tally closes itself
+    once every pair is binned; after that, add() does nothing and close()
+    returns (n_eff, counts). Before that, close() raises: some pair was
+    outside [0, 1] or not added.
     """
 
     def __init__(self, n_params: int, n_data: int):
         self._pairs, self._n_data = n_params * n_data, n_data
         self._counts = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
-        self._partials: list[float] | None = []  # None once the tally is closed
+        self._partials: dict[int, float] | None = {}  # by start; None once closed
         self._n_eff = math.nan
         self._lock = threading.Lock()
 
-    def add(self, r: np.ndarray) -> None:
-        if self._partials is not None:
+    def add(self, r: np.ndarray, start: int) -> None:
+        if self._partials is not None and start not in self._partials:
             partial = float(np.sum(r, dtype=np.float64))
             counts = np.histogram(r, bins=HISTOGRAM_EDGES)[0]
             with self._lock:
-                if self._partials is not None:
-                    self._partials.append(partial)
+                if self._partials is not None and start not in self._partials:
+                    self._partials[start] = partial
                     self._counts += counts
                     if self._counts.sum() == self._pairs:  # every pair binned: close
-                        self._n_eff = math.fsum(self._partials) / self._n_data
+                        self._n_eff = math.fsum(self._partials.values()) / self._n_data
                         self._partials = None
 
     def close(self) -> tuple[float, np.ndarray]:
@@ -170,7 +154,7 @@ def footprint(
         return float(n_params), counts
     tally = _Tally(n_params, n_data)
     for blk in iter_blocks(n_params, block_width):
-        tally.add(taper_provider(blk))
+        tally.add(taper_provider(blk), blk.start)
     return tally.close()
 
 

@@ -36,6 +36,7 @@ import scipy.linalg
 
 from .ensemble import DatumMeta, Ensemble
 from .errors import FieldGenerationError, ForwardModelError, check_finite
+from .tapers import _scaled_distance
 
 __all__ = [
     "ForwardModel",
@@ -447,10 +448,7 @@ def _lag_windows(prior: GrfPrior) -> np.ndarray:
     nx, ny = prior.nx, prior.ny
     dx = np.arange(1 - nx, nx, dtype=float)[None, :]
     dy = np.arange(1 - ny, ny, dtype=float)[:, None]
-    a = math.radians(prior.angle_deg)
-    xr = dx * math.cos(a) + dy * math.sin(a)
-    yr = -dx * math.sin(a) + dy * math.cos(a)
-    h = np.sqrt((xr / prior.range_major) ** 2 + (yr / prior.range_minor) ** 2)
+    h = _scaled_distance(dx, dy, prior.range_major, prior.range_minor, prior.angle_deg)
     lag = np.exp(-3.0 * h) if prior.kind == "exponential" else np.exp(-3.0 * h * h)
     return np.lib.stride_tricks.sliding_window_view(lag, (ny, nx))[:, :, ::-1, ::-1]
 

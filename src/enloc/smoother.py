@@ -49,7 +49,7 @@ freshly evaluated taper block is held with its gain, by one thread at a time,
 so each helper adds about one block to an update's memory; kept blocks,
 checked once when evaluated, and updates without a taper run on all threads at
 once. Each block takes its rows' forecast variance before it writes them, so
-NV needs no pass of its own.
+NV, and the prior's variance (step 1's forecast), need no pass of their own.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ from .ensemble import (
     PredictedEnsemble,
     RowBlock,
     correlation_block,
+    ensemble_variance_per_row,
     iter_blocks,
     row_anomalies,
 )
@@ -226,14 +227,14 @@ class TaperField:
     block(blk) gives a block's coefficients in float64. A run reads the
     field through rows(blk), which gives them rounded to float32 once
     block(blk) is checked against [0, 1]. The blocks whose rows end within
-    the first keep_rows rows are kept: each is evaluated once and rounded
-    into a float32 array made with the field, then made read-only (a
-    percentile pass leaves its t there, for that read to map). Any other
-    block is evaluated, checked and rounded at every read; kept(blk) tells
-    the two apart. rows() tallies the blocks it returns until every pair is
-    binned, so the caller reads each block once before then; footprint()
-    gives the tally. Blocks may be read from several threads at once, each
-    by one thread. The field holds no bound method of itself, so reference
+    the first keep_rows rows are kept, each in a float32 array made with
+    the field, writeable until rows() evaluates, checks and rounds the
+    block into it and read-only after (a percentile pass leaves its t
+    there, for that read to map). Any other block is evaluated, checked and
+    rounded at every read; kept(blk) tells the two apart. rows() tallies
+    each block once, until every pair is binned; footprint() gives the
+    tally. Blocks may be read from several threads at once, each by one
+    thread. The field holds no bound method of itself, so reference
     counting alone frees it, its ensembles and its kept blocks.
     """
 
@@ -256,13 +257,12 @@ class TaperField:
         # the caller's thread: kept blocks that helper threads allocated pinned
         # memory in the helpers' malloc arenas, which raised the 8-layer grid's
         # peak RSS from 368 to 412 MB (glibc, 2 CPUs)
-        self._slots = {
+        self._kept = {
             blk: np.empty((blk.width, self.n_data), dtype=np.float32)
             for blk in iter_blocks(ens.n_params, block_width)
             if blk.stop <= keep_rows
         }
         self._rounds_t = False  # a percentile field maps t rounded to float32 (_rounded_t)
-        self._kept: dict[RowBlock, np.ndarray] = {}  # evaluated, checked, read-only
         self._tally = metrics._Tally(ens.n_params, self.n_data)
 
         if isinstance(spec, DistanceGC):
@@ -318,7 +318,7 @@ class TaperField:
             groups.setdefault(s, []).append(j)
         columns = list(groups.values())
         blocks = list(iter_blocks(self._ens.n_params, block_width))
-        keep = self._slots
+        keep = self._kept
         pooled: dict[RowBlock, list[np.ndarray]] = {}
 
         def finite(t: np.ndarray, cols: list[int]) -> np.ndarray:
@@ -377,8 +377,8 @@ class TaperField:
             return out
         if not self._rounds_t:
             out = correlation_block(self._ens, self._pred, blk, self._pred_anoms)
-        elif blk in self._slots:
-            out = self._slots[blk].astype(np.float64)
+        elif (slot := self._kept.get(blk)) is not None and slot.flags.writeable:
+            out = slot.astype(np.float64)  # the t the percentile pass left there
         else:
             out = self._rounded_t(blk)
         for rows in _slabs(out.shape):
@@ -387,24 +387,22 @@ class TaperField:
 
     def rows(self, blk: RowBlock) -> np.ndarray:
         """The checked taper block blk as float32, kept or evaluated afresh
-        (see the class docstring); tallied until every pair is binned."""
+        (see the class docstring); tallied once, until every pair is binned."""
         r = self._kept.get(blk)
-        if r is None:
+        if r is None or r.flags.writeable:
             evaluated = _unit_range(self.block(blk))
-            r = self._slots.pop(blk, None)  # after block(), which may map its t
             if r is None:
                 r = evaluated.astype(np.float32)
             else:
                 r[...] = evaluated
                 r.flags.writeable = False
-                self._kept[blk] = r
             del evaluated  # before the tally adds its temporaries
-        self._tally.add(r)
+        self._tally.add(r, blk.start)
         return r
 
     def kept(self, blk: RowBlock) -> bool:
         """Whether rows(blk) returns a kept block, checked when evaluated."""
-        return blk in self._kept
+        return blk in self._kept and not self._kept[blk].flags.writeable
 
     def footprint(self) -> tuple[float, np.ndarray]:
         """(n_eff, histogram counts), as metrics.footprint gives them, of the
@@ -706,11 +704,11 @@ def run_esmda(
     that copy in place, so the prior is never written (it may be read-only).
     The posterior shares the prior's names list and coords array, which
     nothing writes. Per step: forward-evaluate all members, perturb the
-    observations, update blockwise, record diagnostics. Step 1 also takes
-    the prior's row variance and builds the one taper field of the run from
-    the prior itself and its forecast; later steps reuse it. A final forward
-    evaluation after the last update provides the posterior diagnostics
-    entry.
+    observations, update blockwise, record diagnostics. Step 1 also builds
+    the one taper field of the run from the prior itself and its forecast
+    (later steps reuse it), and its update, whose forecast is the prior,
+    gives the prior's row variance. A final forward evaluation after the
+    last update provides the posterior diagnostics entry.
 
     The field keeps the float32 taper blocks whose rows end within the first
     (TAPER_CACHE_BYTES + Nm Ne 8) // (4 Nd) rows (TaperField's keep_rows),
@@ -733,7 +731,6 @@ def run_esmda(
     if obs.n_data != model.n_data:
         raise ValueError("observation set size does not match the model")
     ens = Ensemble(prior.values.copy(), prior.names, prior.coords)
-    prior_var = taper = footprint = None
     diagnostics: list[StepDiagnostics] = []
 
     for step, alpha in enumerate(schedule.alphas, start=1):
@@ -741,23 +738,26 @@ def run_esmda(
             pred = PredictedEnsemble(
                 values=evaluate_members(model, ens.values), meta=model.datum_meta
             )
-            if step == 1:  # the prior's row variance and the run's one taper field
-                prior_var = metrics._prior_variance(prior)
+            if step == 1:  # the run's one taper field
                 keep_rows = (TAPER_CACHE_BYTES + prior.values.nbytes) // (4 * obs.n_data)
                 taper = make_taper_field(policy, prior, pred, block_width, keep_rows)
             perturbed = perturb_observations(obs, alpha, seed, step, ens.n_members)
             var = localized_update_step(ens, pred, obs, alpha, taper, perturbed, block_width)
-            var /= prior_var  # in place: no step keeps a second Nm array through the next
-            if footprint is None:  # the field's tally of the blocks step 1 read
+            if step == 1:  # step 1's forecast is the prior; its field tallied every block
+                if (zero := np.flatnonzero(var <= 0.0)).size:
+                    raise ValueError(f"zero prior variance in {zero.size} of {var.size} rows "
+                                     f"(first: row {zero[0]})")
+                prior_var = var.copy()  # before var /= prior_var divides it into ones
                 footprint = (metrics.footprint(None, ens.n_params, obs.n_data)
                              if taper is None else taper.footprint())
+            var /= prior_var  # in place: no step keeps a second Nm array through the next
             diagnostics.append(_diagnostics(step, alpha, pred, obs, var, footprint))
 
     with _failures_name_step(schedule.n_steps + 1):
         pred = PredictedEnsemble(
             values=evaluate_members(model, ens.values), meta=model.datum_meta
         )
-    nv_rows = metrics._variance_ratios(prior_var, ens)
+    nv_rows = ensemble_variance_per_row(ens) / prior_var
     diagnostics.append(
         _diagnostics(schedule.n_steps + 1, None, pred, obs, nv_rows, footprint)
     )

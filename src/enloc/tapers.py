@@ -314,14 +314,19 @@ def taper_distance(dx, dy, len_major: float, len_minor: float, angle_deg: float)
     zero at twice the critical length along each principal direction.
     """
     DistanceGC(len_major, len_minor, angle_deg)  # checks the lengths as the spec does
-    a = math.radians(angle_deg)
-    dxa = np.asarray(dx, dtype=float)
-    dya = np.asarray(dy, dtype=float)
-    xr = dxa * math.cos(a) + dya * math.sin(a)
-    yr = -dxa * math.sin(a) + dya * math.cos(a)
-    z = np.sqrt((xr / len_major) ** 2 + (yr / len_minor) ** 2)
-    r = gaspari_cohn(z)
+    dx, dy = np.asarray(dx, dtype=float), np.asarray(dy, dtype=float)
+    r = gaspari_cohn(_scaled_distance(dx, dy, len_major, len_minor, angle_deg))
     return r[()] if np.ndim(r) == 0 else r
+
+
+def _scaled_distance(dx, dy, len_major: float, len_minor: float, angle_deg: float):
+    """Length of the offset (dx, dy) rotated into the principal frame (major
+    axis at angle_deg from the x axis) and scaled by the two lengths; the
+    random-field kernel in models reads it too."""
+    a = math.radians(angle_deg)
+    xr = dx * math.cos(a) + dy * math.sin(a)
+    yr = -dx * math.sin(a) + dy * math.cos(a)
+    return np.sqrt((xr / len_major) ** 2 + (yr / len_minor) ** 2)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from enloc.models import (
     ScalarToyModel,
     sample_grid_prior,
 )
-from enloc.significance import PercentileT0
+from enloc.significance import PercentileT0, StudentT0
 
 
 def _obs(nd=1, value=1.0, std=1.0):
@@ -624,6 +624,106 @@ def test_run_matches_dense_oracle(monkeypatch, policy):
     assert 100 * tol < unrounded <= schedule.n_steps * 2.0**-24 * moved, (tol, unrounded)
 
 
+def _sparse_linear_problem(seed=31, n_params=57, n_data=23, n_members=30):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n_data, n_params)) * (rng.uniform(size=(n_data, n_params)) < 0.2)
+    model = LinearModel(g)
+    prior = Ensemble(values=rng.standard_normal((n_params, n_members)))
+    d = model.evaluate(rng.standard_normal(n_params))
+    return model, prior, sm.ObservationSet(d_obs=d, sigma_e=np.full(n_data, 0.5))
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        sm.LocalizationPolicy(None),
+        sm.LocalizationPolicy(tp.Mse()),
+        sm.LocalizationPolicy(tp.PowerLaw(3.0), StudentT0(0.95)),
+        sm.LocalizationPolicy(tp.Logistic(1.5), PercentileT0(0.9)),
+        sm.LocalizationPolicy(tp.Cgc()),
+        sm.LocalizationPolicy(tp.Mpo()),
+    ],
+    ids=["none", "mse", "power_student", "logistic_p90", "cgc", "mpo"],
+)
+def test_scaled_parameter_row_scales_its_posterior_row(policy):
+    """Metamorphic relation: prior row i times 4 and model column i times
+    1/4 leave every forecast, correlation and taper unchanged, so the
+    posterior's row i is 4 times the unscaled run's, and every other row,
+    nv_rows, the objectives and the footprint are the same. A power of two
+    scales exactly, so every one of these holds bit for bit."""
+    model, prior, obs = _sparse_linear_problem()
+    row = 12  # inside the second block of 7
+    values, g = prior.values.copy(), model.G.copy()
+    values[row] *= 4.0
+    g[:, row] *= 0.25
+    schedule, seed = sm.MdaSchedule.uniform(4), sm.RunSeed(8)
+    base = sm.run_esmda(prior, model, obs, schedule, policy, seed, 7)
+    scaled = sm.run_esmda(Ensemble(values), LinearModel(g), obs, schedule, policy, seed, 7)
+    want = base.posterior.values.copy()
+    want[row] *= 4.0
+    assert np.array_equal(scaled.posterior.values, want)
+    assert not np.array_equal(base.posterior.values[row], prior.values[row])
+    assert np.array_equal(scaled.nv_rows, base.nv_rows)
+    for a, b in zip(scaled.diagnostics, base.diagnostics, strict=True):
+        assert (a.objective, a.nv, a.n_eff, a.chi) == (b.objective, b.nv, b.n_eff, b.chi)
+        assert np.array_equal(a.taper_histogram, b.taper_histogram)
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        sm.LocalizationPolicy(None),
+        sm.LocalizationPolicy(tp.Mse()),
+        sm.LocalizationPolicy(tp.Logistic(1.5), PercentileT0(0.9)),
+    ],
+    ids=["none", "mse", "logistic_p90"],
+)
+def test_data_permuted_within_a_source_leave_the_update(policy):
+    """Metamorphic relation: permuting the data within each source, in the
+    forecast, the observations, the perturbed data and the field built from
+    that forecast, permutes the columns of W, R and the innovations alike,
+    so (K o R) resid is unchanged in exact arithmetic and the footprint,
+    a sum over pairs of the same float32 values, is bit for bit the same.
+
+    Tolerance: the two updates differ by rounding only, in the Cholesky
+    solve of C_dd + alpha C_e taken in another row order (a forward error of
+    about Nd kappa u relative to W) and in the order of the Nd-term sums of
+    (K o R) resid. Both are bounded by Nd kappa u times the size
+    |K o R| |resid| of those sums, with kappa >= 1 the system's condition
+    number and u = 2^-53.
+    """
+    rng = np.random.default_rng(23)
+    n_params, n_data, n_members, alpha = 40, 24, 30, 4.0
+    sources = [f"w{j // 6}" for j in range(n_data)]  # 4 sources of 6 data
+    prior = Ensemble(values=rng.standard_normal((n_params, n_members)))
+    forecast = rng.standard_normal((n_data, n_params)) @ prior.values
+    forecast += rng.standard_normal(forecast.shape)
+    obs = sm.ObservationSet(d_obs=rng.standard_normal(n_data), sigma_e=np.full(n_data, 2.0))
+    perturbed = sm.perturb_observations(obs, alpha, sm.RunSeed(6), 1, n_members)
+    perm = np.concatenate([6 * s + rng.permutation(6) for s in range(4)])
+    assert not np.array_equal(perm, np.arange(n_data))
+    runs = []
+    for order in (np.arange(n_data), perm):
+        pred = PredictedEnsemble(forecast[order], [DatumMeta(sources[j]) for j in order])
+        field = sm.make_taper_field(policy, prior, pred, block_width=8, keep_rows=16)
+        ens = Ensemble(prior.values.copy())
+        obs_o = sm.ObservationSet(obs.d_obs[order], obs.sigma_e[order])
+        sm.localized_update_step(ens, pred, obs_o, alpha, field, perturbed[order], 8)
+        runs.append((ens.values, field))
+    (base, field), (permuted, field_p) = runs
+    pred = PredictedEnsemble(forecast, [DatumMeta(s) for s in sources])
+    gain = sm.kalman_gain_block(prior, RowBlock(0, n_params), sm.gain_operator(pred, obs, alpha))
+    if field is not None:
+        gain *= field.block(RowBlock(0, n_params))
+        assert field.footprint()[0] == field_p.footprint()[0]
+        assert np.array_equal(field.footprint()[1], field_p.footprint()[1])
+    size = np.max(np.abs(gain) @ np.abs(perturbed - forecast))
+    c = forecast - forecast.mean(axis=1, keepdims=True)
+    kappa = np.linalg.cond(c @ c.T / (n_members - 1) + alpha * np.diag(obs.sigma_e**2))
+    tol = n_data * kappa * np.finfo(float).eps / 2 * size
+    assert np.max(np.abs(permuted - base)) <= tol, tol
+
+
 def test_tally_closes_once_every_pair_is_binned(monkeypatch):
     """Updates driven directly, with no call to footprint(), tally a field's
     blocks until every pair is binned, then stop: a later update bins
@@ -643,6 +743,23 @@ def test_tally_closes_once_every_pair_is_binned(monkeypatch):
     assert binned == [8] * 5
     whole = field.block(RowBlock(0, 40)).astype(np.float32)
     n_eff, hist = metrics.footprint(lambda blk: whole[blk.slice()], 40, 3, block_width=8)
+    assert field.footprint()[0] == n_eff
+    assert np.array_equal(field.footprint()[1], hist)
+
+
+def test_footprint_tallies_each_block_once():
+    """A block rows() returns again, kept or fresh, is not binned again: the
+    footprint is that of the field's blocks, each once."""
+    rng = np.random.default_rng(18)
+    prior = Ensemble(values=rng.standard_normal((24, 12)))
+    pred = PredictedEnsemble(values=rng.standard_normal((3, 12)))
+    field = sm.TaperField(tp.Mse(), prior, pred, block_width=8, keep_rows=8)
+    blocks = list(iter_blocks(24, 8))
+    for blk in (blocks[0], blocks[0], blocks[1], blocks[1], *blocks):  # kept, then fresh
+        field.rows(blk)
+    assert field.kept(blocks[0]) and not field.kept(blocks[1])
+    n_eff, hist = metrics.footprint(lambda blk: field.block(blk).astype(np.float32), 24, 3,
+                                    block_width=8)
     assert field.footprint()[0] == n_eff
     assert np.array_equal(field.footprint()[1], hist)
 
