@@ -111,8 +111,8 @@ class LinearModel(ForwardModel):
 
     def __init__(self, G: np.ndarray):
         self.G = np.asarray(G, dtype=float)
-        if self.G.ndim != 2 or not np.all(np.isfinite(self.G)):
-            raise ValueError("G must be a finite 2-D matrix")
+        if self.G.ndim != 2 or not self.G.shape[1] or not np.all(np.isfinite(self.G)):
+            raise ValueError("G must be a finite 2-D matrix with a column per parameter")
         self.datum_meta = [DatumMeta(source=f"d{j}") for j in range(self.G.shape[0])]
 
     @property

@@ -44,12 +44,14 @@ the helpers from a pool that lives for that update alone, so no thread
 outlives it. A percentile pass runs the same way; the package has no other
 parallelism. Each block writes only its own rows, whether a taper block is
 kept depends only on where its rows end, and the footprint's partial sums are
-combined exactly, so a run's results do not depend on the CPU count. Only a
-freshly evaluated taper block is held with its gain, by one thread at a time,
-so each helper adds about one block to an update's memory; kept blocks,
-checked once when evaluated, and updates without a taper run on all threads at
-once. Each block takes its rows' forecast variance before it writes them, so
-NV, and the prior's variance (step 1's forecast), need no pass of their own.
+combined exactly, so a run's results do not depend on the CPU count. Every
+block, kept or fresh, is updated on all threads at once. A thread reads a
+block's taper, checked once when a kept block is evaluated and at every read of
+a fresh one, before it forms the gain, so a thread updating a fresh block holds
+that float32 block and its gain, and each helper adds about that much to an
+update's memory. Each block takes its rows' forecast variance before it
+writes them, so NV, and the prior's variance (step 1's forecast), need no
+pass of their own.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -496,34 +498,6 @@ def kalman_gain_block(
     return (rows - rows.mean(axis=1, keepdims=True)) @ operator
 
 
-def _tapered_gain_block(
-    ens: Ensemble,
-    blk: RowBlock,
-    operator: np.ndarray,
-    taper: TaperField | None,
-    pair_lock: threading.Lock,
-) -> np.ndarray:
-    """K_blk o R_blk, or K_blk without a taper.
-
-    The taper block is read, and checked, before the gain block is formed,
-    so its temporaries never coexist with the gain. For a fresh taper block
-    pair_lock is held from the gain block's creation until both are let go,
-    so of the threads sharing it one at most holds both; every other holds
-    one width x Nd array. A block the field keeps belongs to no thread, so
-    it needs no lock.
-    """
-    r = None if taper is None else taper.rows(blk)
-    fresh = r is not None and not taper.kept(blk)
-    with pair_lock if fresh else nullcontext():
-        gain = kalman_gain_block(ens, blk, operator)
-        if r is not None:
-            if r.shape != gain.shape:
-                raise ValueError("taper block shape does not match gain block")
-            gain *= r
-        del r
-    return gain
-
-
 def localized_update_step(
     ens: Ensemble,
     pred: PredictedEnsemble,
@@ -542,24 +516,31 @@ def localized_update_step(
     perturb_observations(). Each block takes its rows' variance, as
     ensemble_variance_per_row does, and writes its rows after its gain block
     has read them, so no Nm x Ne array is allocated. Blocks run as
-    _each_block spreads them, so the field's blocks are read from several
-    threads at once, each block by one thread; a kept block is not checked
-    again, a fresh one at every read. A block whose update raises an
-    EnlocError or ValueError, or whose updated rows are not finite, fails
-    the step with a BlockError naming its rows.
+    _each_block spreads them, kept and fresh taper blocks alike, so the
+    field's blocks are read from several threads at once, each block by one
+    thread; a kept block is not checked again, a fresh one at every read.
+    A block's taper is read, and checked, before its gain block is formed,
+    so the taper's temporaries never coexist with the gain. A block whose
+    update raises an EnlocError or ValueError, or whose updated rows are not
+    finite, fails the step with a BlockError naming its rows.
     """
     if perturbed.shape != (obs.n_data, ens.n_members):
         raise ValueError("perturbed-data matrix has wrong shape")
     resid = perturbed - pred.values
     operator = gain_operator(pred, obs, alpha)
-    pair_lock = threading.Lock()
     var = np.empty(ens.n_params)
 
     def update(blk: RowBlock) -> None:
         rows = ens.values[blk.slice()]
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves inf, unwarned
             var[blk.slice()] = np.var(rows, axis=1, ddof=1)
-        gain = _tapered_gain_block(ens, blk, operator, taper, pair_lock)
+        r = None if taper is None else taper.rows(blk)  # checked before the gain exists
+        gain = kalman_gain_block(ens, blk, operator)
+        if r is not None:
+            if r.shape != gain.shape:
+                raise ValueError("taper block shape does not match gain block")
+            gain *= r
+        del r  # a fresh taper block goes before the product's temporaries
         with np.errstate(over="ignore", invalid="ignore"):  # checked just below
             rows += gain @ resid
         if not np.all(np.isfinite(rows)):

@@ -252,6 +252,9 @@ def gaspari_cohn(z):
         + (1.0 / 12.0) * zo**5
         - 2.0 / (3.0 * zo)
     )
+    # near z = 2 the outer branch is about 0.3 (2 - z)^4, and its terms
+    # cancel to as little as -2.3e-15 there: round-off below zero is zero
+    np.maximum(out, 0.0, out=out)
     return out[()] if out.ndim == 0 else out
 
 

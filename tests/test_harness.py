@@ -958,7 +958,8 @@ def test_run_time_config_values_exit_2(tmp_path):
     cases.append((dict(grid, prior=dict(grid["prior"], log_perm={"std": "wide"})), "parse"))
     toy = tiny_config(tmp_path / "t")["model"]
     for model in ({"kind": "linear", "n_params": 4, "n_data": 0}, dict(toy, n_times=0),
-                  dict(toy, n_series=0)):  # no data
+                  dict(toy, n_series=0),  # no data
+                  {"kind": "linear", "n_params": 0, "n_data": 6}):  # no parameters
         cases.append((tiny_config(tmp_path / "t", model=model), "run"))
     cases.append((dict(grid, model=dict(grid["model"], n_times=0)), "run"))
     cases.append((dict(grid, model=dict(grid["model"], nx=4)), "run"))

@@ -32,6 +32,8 @@ def test_linear_model():
     assert np.array_equal(eye.evaluate(m), m)
     # hand multiply: G @ [2, 5]
     assert np.allclose(model.evaluate(np.array([2.0, 5.0])), [12.0, -5.0, 8.5])
+    with pytest.raises(ValueError, match="^G must be a finite 2-D matrix with a column"):
+        md.LinearModel(np.zeros((3, 0)))
 
 
 def test_member_failure_reported_with_id():

@@ -13,6 +13,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     correlation_matrix,
     correlation_taper,
@@ -565,6 +568,9 @@ def _dense_taper(policy, model, prior):
         rho = correlation_matrix(prior.values, model.evaluate_ensemble(prior.values))
         if policy.t0_strategy is None:
             r = correlation_taper(spec, rho, prior.n_members)
+        elif isinstance(policy.t0_strategy, StudentT0):
+            t0 = scipy.stats.t.ppf(1.0 - policy.t0_strategy.phi / 2.0, prior.n_members - 2)
+            r = correlation_taper(spec, rho, prior.n_members, t0)
         else:
             sources = {}
             for j, meta in enumerate(model.datum_meta):
@@ -622,6 +628,115 @@ def test_run_matches_dense_oracle(monkeypatch, policy):
     assert np.max(np.abs(runs[0].values - want)) <= tol
     unrounded = np.max(np.abs(dense_esmda(prior, model, obs, schedule.alphas, seed, r64) - want))
     assert 100 * tol < unrounded <= schedule.n_steps * 2.0**-24 * moved, (tol, unrounded)
+
+
+_ORACLE_POLICIES = {
+    "mse": sm.LocalizationPolicy(tp.Mse()),
+    "discrepancy": sm.LocalizationPolicy(tp.Discrepancy(0.5)),
+    "cgc": sm.LocalizationPolicy(tp.Cgc()),
+    "cgc_fixed": sm.LocalizationPolicy(tp.Cgc(0.3)),
+    "po": sm.LocalizationPolicy(tp.Po()),
+    "mpo": sm.LocalizationPolicy(tp.Mpo()),
+    "power": sm.LocalizationPolicy(tp.PowerLaw(3.0, 2.0)),
+    "logistic": sm.LocalizationPolicy(tp.Logistic(1.5, 1.0)),
+    "power_student": sm.LocalizationPolicy(tp.PowerLaw(4.0), StudentT0(0.05)),
+    "logistic_student": sm.LocalizationPolicy(tp.Logistic(2.0), StudentT0(0.5)),
+    "power_p50": sm.LocalizationPolicy(tp.PowerLaw(3.0), PercentileT0(0.5)),
+    "logistic_p90": sm.LocalizationPolicy(tp.Logistic(1.5), PercentileT0(0.9)),
+    "distance": sm.LocalizationPolicy(tp.DistanceGC(2.0, 1.0, 30.0)),
+    "distance_narrow": sm.LocalizationPolicy(tp.DistanceGC(1.0, 0.5, 0.5)),
+}
+
+
+@st.composite
+def _drawn_problems(draw):
+    """A sparse linear model on an nx x ny grid of parameters, with its data
+    spread over one to three sources and one well position each, a
+    standard-normal prior with grid coordinates, observations and a block
+    width."""
+    nx, ny, n_data = draw(st.integers(2, 6)), draw(st.integers(2, 6)), draw(st.integers(2, 9))
+    n_members, n_sources = draw(st.integers(5, 30)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_params = nx * ny
+    g = rng.standard_normal((n_data, n_params)) * (rng.uniform(size=(n_data, n_params)) < 0.3)
+    model = LinearModel(g)
+    wells = rng.integers(0, (nx, ny), size=(n_data, 2)).astype(float)
+    model.datum_meta = [DatumMeta(source=f"s{j % n_sources}", well_xy=tuple(wells[j]))
+                        for j in range(n_data)]
+    coords = np.array([(i, j, 0) for j in range(ny) for i in range(nx)])
+    prior = Ensemble(values=rng.standard_normal((n_params, n_members)), coords=coords)
+    d = model.evaluate(rng.standard_normal(n_params))
+    obs = sm.ObservationSet(d_obs=d, sigma_e=np.full(n_data, 0.5))
+    return model, prior, obs, draw(st.integers(1, n_params))
+
+
+@pytest.mark.parametrize("policy", list(_ORACLE_POLICIES.values()), ids=list(_ORACLE_POLICIES))
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    problem=_drawn_problems(),
+    n_steps=st.integers(1, 3),
+    helpers=st.sampled_from([0, 1, 3]),
+    keep=st.sampled_from(["none", "part", "all"]),
+)
+def test_drawn_runs_match_dense_oracle(problem, policy, n_steps, helpers, keep):
+    """Over drawn shapes, block widths, helper counts, keep budgets and
+    every taper family and threshold strategy, a run is bit for bit the
+    serial run that keeps its whole field, and it is the dense ES-MDA of
+    oracles.dense_esmda tapered by the field's own float32 R (a whole-array
+    correlation may round a coefficient to the neighbouring float32).
+
+    That R is checked against _dense_taper's, from
+    oracles.correlation_taper, to one float32 ulp, plus 1e-12 for
+    coefficients so small that rho's own rounding, about Ne u absolute,
+    moves them by more than an ulp (a power-law coefficient of 2e-44 at
+    t ~ 1e-15).
+
+    Posterior tolerance, per step, with u = 2^-53: the blockwise Cholesky
+    solve of C_dd + alpha C_e and the dense inverse each err by about
+    3 Nd kappa u relative to the update (kappa is the prior forecast's
+    condition number, the widest spread of the run); the Ne-term anomaly
+    products and the Nd-term sums of the gain and of its application add
+    (Ne + 2 Nd) u relative to it, the update taken as max |posterior -
+    prior|; and each side rounds m + update once, 2 u max |m|. Over 420
+    drawn examples the error reached at most 0.21 of this.
+    """
+    model, prior, obs, width = problem
+    n_params = model.n_params
+    keep_rows = {"none": 0, "part": n_params // 2, "all": n_params}[keep]
+    schedule, seed = sm.MdaSchedule.uniform(n_steps), sm.RunSeed(5)
+    with pytest.MonkeyPatch.context() as mp:
+        runs = []
+        for h, rows in ((0, n_params), (helpers, keep_rows)):
+            mp.setattr(sm, "_helper_count", lambda h=h: h)
+            mp.setattr(sm, "TAPER_CACHE_BYTES", _budget_keeping(rows, model, prior))
+            runs.append(sm.run_esmda(prior, model, obs, schedule, policy, seed, width))
+    serial, drawn = runs
+    assert np.array_equal(drawn.posterior.values, serial.posterior.values)
+    assert np.array_equal(drawn.nv_rows, serial.nv_rows)
+    for a, b in zip(drawn.diagnostics, serial.diagnostics, strict=True):
+        assert (a.objective, a.nv, a.n_eff, a.chi) == (b.objective, b.nv, b.n_eff, b.chi)
+        assert np.array_equal(a.taper_histogram, b.taper_histogram)
+
+    forecast = model.evaluate_ensemble(prior.values)
+    field = sm.make_taper_field(policy, prior, PredictedEnsemble(forecast, model.datum_meta), width)
+    r = np.vstack([field.rows(blk) for blk in iter_blocks(n_params, width)])
+    # a datum that is a multiple of one parameter has |rho| = 1, or one ulp
+    # less as the sums round; a percentile pool takes that ulp's t (about
+    # 1e8) and leaves t = inf out, so there the thresholds hang on rho's last
+    # bit and the oracle's may differ by more than rounding
+    collinear = np.any(np.abs(correlation_matrix(prior.values, forecast)) > 1.0 - 1e-12)
+    if not (collinear and isinstance(policy.t0_strategy, PercentileT0)):
+        r32 = _dense_taper(policy, model, prior)[1]
+        assert np.all(np.abs(r - r32) <= np.spacing(np.maximum(r, r32)) + 1e-12)
+    want = dense_esmda(prior, model, obs, schedule.alphas, seed, r)
+    anomalies = forecast - forecast.mean(axis=1, keepdims=True)
+    c_dd = anomalies @ anomalies.T / (prior.n_members - 1)
+    kappa = np.linalg.cond(c_dd + schedule.alphas[0] * np.diag(obs.sigma_e**2))
+    u, moved = np.finfo(float).eps / 2, np.max(np.abs(want - prior.values))
+    n_data, n_members = model.n_data, prior.n_members
+    tol = n_steps * u * ((3 * n_data * kappa + n_members + 2 * n_data) * moved
+                         + 2 * np.max(np.abs(want)))
+    assert np.max(np.abs(serial.posterior.values - want)) <= tol
 
 
 def _sparse_linear_problem(seed=31, n_params=57, n_data=23, n_members=30):
@@ -835,45 +950,33 @@ def test_failure_names_the_lowest_failing_block(monkeypatch, helpers):
 
 
 def test_kept_blocks_form_their_gains_at_once(monkeypatch):
-    """The caller and a helper form the gains of kept taper blocks at the
-    same time: neither waits for the other to apply its block."""
+    """The caller and a helper form the gains of taper blocks at the same
+    time, blocks the field keeps and, past the budget, blocks it evaluates
+    afresh alike: neither waits for the other to apply its block."""
     monkeypatch.setattr(sm, "_helper_count", lambda: 1)
     toy, prior, obs = _toy_problem()
-    barrier, calls = threading.Barrier(2, timeout=5), []
-    gain_block = sm.kalman_gain_block
+    blocks = list(iter_blocks(toy.n_params, 4))
+    gain_block, make = sm.kalman_gain_block, sm.make_taper_field
+    for budget, kept in ((sm.TAPER_CACHE_BYTES, True), (_budget_keeping(0, toy, prior), False)):
+        barrier, calls, fields = threading.Barrier(2, timeout=5), [], []
 
-    def meeting(ens, blk, operator):
-        calls.append(blk)
-        if len(calls) <= 2:  # the first two blocks meet inside the gain
-            barrier.wait()
-        return gain_block(ens, blk, operator)
+        def meeting(ens, blk, operator, barrier=barrier, calls=calls):
+            calls.append(blk)
+            if len(calls) <= 2:  # the first two blocks meet inside the gain
+                barrier.wait()
+            return gain_block(ens, blk, operator)
 
-    monkeypatch.setattr(sm, "kalman_gain_block", meeting)
-    policy = sm.LocalizationPolicy(spec=tp.Mse())
-    sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(2), policy, sm.RunSeed(4), 4)
-    assert len(calls) == 2 * len(list(iter_blocks(toy.n_params, 4)))
+        def capturing(*args, fields=fields, **kwargs):
+            fields.append(make(*args, **kwargs))
+            return fields[-1]
 
-
-def test_fresh_taper_blocks_form_their_gains_one_at_a_time(monkeypatch):
-    """Past the budget, a thread holds a taper block with its gain only
-    while no other thread does."""
-    monkeypatch.setattr(sm, "_helper_count", lambda: 3)
-    toy, prior, obs = _toy_problem()
-    monkeypatch.setattr(sm, "TAPER_CACHE_BYTES", _budget_keeping(0, toy, prior))
-    active, most = [], []
-    gain_block = sm.kalman_gain_block
-
-    def tracked(ens, blk, operator):
-        active.append(blk)
-        most.append(len(active))
-        time.sleep(0.002)
-        active.remove(blk)
-        return gain_block(ens, blk, operator)
-
-    monkeypatch.setattr(sm, "kalman_gain_block", tracked)
-    policy = sm.LocalizationPolicy(spec=tp.Mse())
-    sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(2), policy, sm.RunSeed(4), 4)
-    assert max(most) == 1 and len(most) == 2 * len(list(iter_blocks(toy.n_params, 4)))
+        monkeypatch.setattr(sm, "TAPER_CACHE_BYTES", budget)
+        monkeypatch.setattr(sm, "kalman_gain_block", meeting)
+        monkeypatch.setattr(sm, "make_taper_field", capturing)
+        policy = sm.LocalizationPolicy(spec=tp.Mse())
+        sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(2), policy, sm.RunSeed(4), 4)
+        assert len(calls) == 2 * len(blocks)
+        assert [fields[0].kept(blk) for blk in blocks] == [kept] * len(blocks)
 
 
 @pytest.mark.parametrize("bad", [1.5, -0.5, np.nan])
@@ -1304,28 +1407,65 @@ class _EveryKthParameter(ForwardModel):
         return values[:: self._stride].copy()
 
 
-def test_run_memory_bounded_by_taper_budget(monkeypatch):
-    """A 64 MB taper field: kept blocks stop at the budget, no Nm x Nd array."""
-    # the caller and one helper thread, whatever the host: each further
-    # helper holds about one more block
-    monkeypatch.setattr(sm, "_helper_count", lambda: 1)
-    nm, nd, ne = 20_000, 400, 20
+_MEMORY_SHAPE = 20_000, 400, 20  # Nm, Nd, Ne: a 64 MB float64 taper field
+
+
+def _memory_run_peak(monkeypatch, helpers, keep_rows=None):
+    """tracemalloc's peak over a 2-step MSE run of the _MEMORY_SHAPE problem,
+    drawn before tracing starts, at helpers helper threads; keep_rows sets
+    the budget to keep the blocks that end within that many rows (None: the
+    default budget)."""
+    monkeypatch.setattr(sm, "_helper_count", lambda: helpers)
+    nm, nd, ne = _MEMORY_SHAPE
     model = _EveryKthParameter(nm, nm // nd)
     prior = Ensemble(values=np.random.default_rng(13).standard_normal((nm, ne)))
-    obs = _obs(nd)
+    if keep_rows is not None:
+        monkeypatch.setattr(sm, "TAPER_CACHE_BYTES", _budget_keeping(keep_rows, model, prior))
     policy = sm.LocalizationPolicy(spec=tp.Mse())
     tracemalloc.start()
     try:
-        sm.run_esmda(prior, model, obs, sm.MdaSchedule.uniform(2), policy, sm.RunSeed(2))
-        peak = tracemalloc.get_traced_memory()[1]
+        sm.run_esmda(prior, model, _obs(nd), sm.MdaSchedule.uniform(2), policy, sm.RunSeed(2))
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_run_memory_bounded_by_taper_budget(monkeypatch):
+    """A 64 MB taper field under the default budget, which keeps it whole
+    ((32 MiB + the 3.2 MB ensemble) // (4 Nd) = 22,971 rows >= Nm): no
+    Nm x Nd float64 array."""
+    nm, nd, ne = _MEMORY_SHAPE
+    # the caller and one helper thread, whatever the host
+    peak = _memory_run_peak(monkeypatch, 1)
     # at the default block width a block is about one Nm x Ne array here; the
     # kept blocks (the constant plus one Nm x Ne array), the prior, the run's
     # ensemble, updated in place, and about two blocks of taper
     # work stay under six Nm x Ne arrays on top of the constant
     assert peak < sm.TAPER_CACHE_BYTES + 6 * nm * ne * 8, peak
     assert peak < nm * nd * 8, peak
+
+
+@pytest.mark.parametrize("helpers", [1, 3])
+@pytest.mark.parametrize("keep_rows", [0, 10_000], ids=["none_kept", "half_kept"])
+def test_run_memory_bounded_past_the_keep_budget(monkeypatch, keep_rows, helpers):
+    """Blocks past the keep budget are updated on every thread at once, and
+    the peak stays under the kept blocks' bytes, the prior, the run's
+    ensemble and two float64 blocks (width x Nd x 8 bytes) per thread.
+
+    A thread updating a fresh block holds at most the float64 block its
+    taper is evaluated in next to that block's float32 rounding, or the
+    float64 gain next to the float32 taper: 12 bytes an entry; the slabs'
+    temporaries, the gain's centered rows and the product stay well inside
+    the other 4. Measured at 1 and 3 helpers: 14.3 and 22.8 MB with no
+    block kept, 29.0 and 39.2 MB with half the field kept, against bounds
+    of 19.5, 32.6, 34.3 and 47.4 MB.
+    """
+    nm, nd, ne = _MEMORY_SHAPE
+    width = sm.DEFAULT_BLOCK_WIDTH
+    peak = _memory_run_peak(monkeypatch, helpers, keep_rows)
+    kept = keep_rows // width * width * nd * 4
+    bound = kept + 2 * nm * ne * 8 + (helpers + 1) * 2 * width * nd * 8
+    assert peak < bound, (peak, bound)
 
 
 def test_taper_field_families_and_thresholds():

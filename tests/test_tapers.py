@@ -187,6 +187,10 @@ def test_gaspari_cohn_anchors():
     assert tp.gaspari_cohn(5.0) == 0.0
     # direct evaluation of the z = 1 branch: 1 - 5/3 + 5/8 + 1/2 - 1/4 = 5/24
     assert tp.gaspari_cohn(1.0) == pytest.approx(5.0 / 24.0, rel=1e-14)
+    # the outer branch's terms cancel just below z = 2, where it is about
+    # 0.3 (2 - z)^4; a distance taper there fails a run if it reads below 0
+    assert np.all(tp.gaspari_cohn(np.linspace(1.999, 2.0, 10_001)) >= 0.0)
+    assert tp.taper_distance(0.0, 1.0, 1.0, 0.5, 0.5) == 0.0  # z = 1.99994
 
 
 def test_gaspari_cohn_continuity():
