@@ -470,7 +470,7 @@ def _final_report(
     return metrics_mod.MetricReport(
         obj_mean=final.objective,
         nv=final.nv,
-        mean_offset=metrics_mod.mean_offset(prior, result.posterior),
+        mean_offset=metrics_mod.mean_offset(prior, result.posterior, result.prior_var),
         n_eff=final.n_eff,
         chi=final.chi,
         taper_histogram=final.taper_histogram,

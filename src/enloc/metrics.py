@@ -70,15 +70,21 @@ def objective_function(pred: PredictedEnsemble, obs) -> float:
     return float(np.mean(np.sum(resid * resid, axis=0) / (2.0 * pred.n_data)))
 
 
-def mean_offset(prior: Ensemble, posterior: Ensemble) -> float:
+def mean_offset(
+    prior: Ensemble, posterior: Ensemble, prior_var: np.ndarray | None = None
+) -> float:
     """Average |posterior mean - prior mean| in units of the prior std.
 
-    Zero-spread prior rows carry no scale and are excluded with a warning;
-    only then are the kept rows copied out.
+    prior_var, the prior's row variance when the caller has it (a run's
+    EsmdaResult.prior_var), saves a pass over the prior; without it, that
+    variance is taken here. Zero-spread prior rows carry no scale and are
+    excluded with a warning; only then are the kept rows copied out.
     """
     if prior.values.shape[0] != posterior.values.shape[0]:
         raise ValueError("prior and posterior must have the same parameter count")
-    std_prior = np.sqrt(ensemble_variance_per_row(prior))  # np.std's, a block at a time
+    if prior_var is None:
+        prior_var = ensemble_variance_per_row(prior)  # a block at a time
+    std_prior = np.sqrt(prior_var)  # np.std's
     prior_values, posterior_values = prior.values, posterior.values
     ok = std_prior > 0.0
     if not np.all(ok):

@@ -13,13 +13,18 @@ Three model families cover the experiment designs:
   of every datum is known exactly by construction.
 
 Priors are standard Gaussian for scalar parameters and anisotropic
-Gaussian random fields for grid properties. A field's correlation matrix is
-built from its lag table, since a stationary field's correlation depends
-only on the offset between cells. Its dense Cholesky factor is computed in
-place over the lower triangle alone, the only one built, and is cached per
-geometry, at most two geometries at a time. All layers of a field are
-drawn with one triangular product of that factor, and a grid model builds
-its parameter names and coordinates once.
+Gaussian random fields for grid properties. A stationary field's
+correlation depends only on the offset between cells, so it is read from
+a lag table, and on a regular grid the correlation matrix is block
+Toeplitz. Its lower Cholesky factor is computed first by the block Schur
+algorithm from the lag table's first block column, then checked: a factor
+whose residual on its row norms and last block row is past _SCHUR_RESIDUAL,
+or past _SCHUR_ERROR once magnified by an estimate of ||C^-1|| (a nearly
+singular C), or whose steps fail, is replaced by the dense factorization at
+the same jitter, computed in place over the lower triangle alone. The
+factor is cached per geometry, at most two geometries at a time. All layers
+of a field are drawn with one triangular product of that factor, and a grid
+model builds its parameter names and coordinates once.
 """
 
 from __future__ import annotations
@@ -476,6 +481,92 @@ def _fill_lower(low: np.ndarray, windows: np.ndarray, jitter: float) -> None:
     np.fill_diagonal(low, 1.0 + jitter)
 
 
+# A block Schur factor stands when |L L^T - C| on the entries its check reads
+# is within _SCHUR_RESIDUAL, about 900 units of rounding, and when that
+# residual times an estimate of ||C^-1|| is within _SCHUR_ERROR. The factor
+# of a nearly singular C is fixed only to about residual ||C^-1||: there two
+# backward-stable factors differ far beyond rounding, and the dense one keeps
+# the draws the dense path alone gives.
+_SCHUR_RESIDUAL = 1e-13
+_SCHUR_ERROR = 1e-11
+
+
+def _schur_factor(low: np.ndarray, windows: np.ndarray, jitter: float) -> tuple[float, float]:
+    """Write the block Schur factor of the correlation matrix C, diagonal
+    1 + jitter, into `low`'s lower triangle; return its checked residual and
+    an estimate of ||C^-1||.
+
+    On a grid of ny rows of nx cells, C is block Toeplitz: block (j, j') is
+    T_{j - j'}, with T_{-d} = T_d^T, so its first block column generates it
+    (Kailath & Sayed 1995, SIAM Review 37(3)). With T_0 = U^T U, that column
+    times U^-1 is L's block column 0. The generator G then has two halves
+    side by side, over block rows k to ny - 1 at step k: the first is L's
+    block column k - 1 shifted down one block, its diagonal block on top,
+    and the second starts as block column 0's part below the diagonal.
+    From G's leading blocks a^T (lower triangular) and b^T, step k takes
+    the Cholesky factor R of a^T a - b^T b, whose transpose is L's diagonal
+    block, and the J-unitary transform
+        M = [[R^-T a^T, -R^-T b^T], [-Q^-1 P, Q^-1]],  P = b a^-1,  Q Q^T = I - P P^T;
+    one product, G's later block rows times M^T, gives the next G, whose
+    first half is L's block column k below the diagonal. Only blocks on and
+    below the diagonal are written, the diagonal blocks' lower triangles
+    alone.
+
+    The hyperbolic steps lose accuracy on ill-conditioned kernels (Stewart
+    & Van Dooren 1997, SIAM J. Matrix Anal. Appl. 18(1)), so the residual
+    |L L^T - C| is checked on each row's squared norm, against C's diagonal,
+    and on the last block column, L L[-nx:]^T (the last block row,
+    transposed), the one triangular product of the check. The estimate of
+    ||C^-1||_2 is |L^-1 x|^2 / |x|^2 for a fixed normal x, never above it,
+    solved a block column at a time as they are written. Either number may
+    be NaN; a step whose matrix is not positive definite raises
+    LinAlgError. Either way `low` may hold a partial factor.
+    """
+    ny, nx = windows.shape[:2]
+    n = nx * ny
+    diag = np.arange(nx)
+    col = np.array(windows[:, :, 0].reshape(n, nx))  # [T_0; T_1; ...; T_{ny-1}]
+    col[diag, diag] = 1.0 + jitter
+    r = scipy.linalg.cholesky(col[:nx], check_finite=False)  # U, then each R
+    below = scipy.linalg.solve_triangular(r, col[nx:].T, trans="T", check_finite=False).T
+    gen = np.hstack([below, below])  # shifted at step 0 as at every step
+    norms = np.zeros(n)  # each row's squared norm, a block column at a time
+    probe = np.random.default_rng(0).standard_normal(n)
+    solved = probe.copy()  # L^-1 probe, a block at a time
+    eye, lower = np.eye(nx), np.tril_indices(nx)
+    for k in range(ny):
+        c = k * nx
+        low[c : c + nx, c : c + nx][lower] = r.T[lower]
+        norms[c : c + nx] += np.einsum("ij,ij->j", r, r)
+        solved[c : c + nx] = scipy.linalg.solve_triangular(r, solved[c : c + nx], trans="T",
+                                                           check_finite=False)
+        if k == ny - 1:
+            break
+        below = gen[:, :nx]  # block column k under the diagonal
+        low[c + nx :, c : c + nx] = below
+        norms[c + nx :] += np.einsum("ij,ij->i", below, below)
+        solved[c + nx :] -= below @ solved[c : c + nx]
+        gen[nx:, :nx] = gen[:-nx, :nx]  # the first half shifted down one block
+        gen[:nx, :nx] = r.T
+        at, bt = gen[:nx, :nx], gen[:nx, nx:]
+        r = scipy.linalg.cholesky(at @ at.T - bt @ bt.T, check_finite=False)
+        p = scipy.linalg.solve_triangular(at, bt, lower=True, check_finite=False).T
+        q = scipy.linalg.cholesky(eye - p @ p.T, lower=True, check_finite=False)
+        transform = np.vstack([
+            scipy.linalg.solve_triangular(r, np.hstack([at, -bt]), trans="T",
+                                          check_finite=False),
+            scipy.linalg.solve_triangular(q, np.hstack([-p, eye]), lower=True,
+                                          check_finite=False),
+        ])
+        gen = gen[nx:] @ transform.T
+    # the last block column of L L^T, L L[-nx:]^T, against C's
+    last = scipy.linalg.blas.dtrmm(1.0, low.T, low[-nx:].T, trans_a=1)
+    last -= windows[:, :, -1].reshape(n, nx)
+    last[n - nx + diag, diag] -= jitter
+    residual = max(np.max(np.abs(norms - (1.0 + jitter))), np.max(np.abs(last)))
+    return float(residual), float(solved @ solved / (probe @ probe))
+
+
 # Keyed on geometry only, so the porosity and log-permeability fields of one
 # grid share a factor; two entries keep both fields' factors when their
 # geometries differ.
@@ -483,19 +574,34 @@ def _fill_lower(low: np.ndarray, windows: np.ndarray, jitter: float) -> None:
 def _correlation_factor(geometry: GrfPrior) -> np.ndarray:
     """Read-only lower Cholesky factor of the cell-correlation matrix.
 
-    Only the lower triangle, the one LAPACK reads and writes, is built, on
-    a zero-filled anonymous mapping: pages wholly above the diagonal are
-    never written and so never become resident (numpy's own allocation
-    would be advised as transparent huge pages, which makes every touched
-    2 MB region resident). The transpose of the C-ordered buffer is
-    Fortran-ordered, and LAPACK's upper factor of it, computed in place
-    without clearing the other triangle, is the lower factor in C order.
-    A jitter that fails refills the triangle for the next one.
+    The factor is built on a zero-filled anonymous mapping, lower triangle
+    only: pages wholly above the diagonal are never written and so never
+    become resident (numpy's own allocation would be advised as transparent
+    huge pages, which makes every touched 2 MB region resident).
+
+    Each jitter of the ladder first takes the block Schur factor
+    (_schur_factor), from the lag table's first block column alone. If a step
+    fails, or its check fails (ill-conditioned kernels, such as Gaussian
+    ones of long range: see _SCHUR_RESIDUAL), the triangle is refilled
+    from the lag table and factored densely at the same jitter: the
+    transpose of the C-ordered buffer is Fortran-ordered, and LAPACK's
+    upper factor of it, computed in place without clearing the other
+    triangle, is the lower factor in C order. Only a dense failure moves on
+    to the next jitter, so a kernel takes the jitter the dense path alone
+    would, and a dense-path factor has the bits of the dense path alone.
     """
     n = geometry.nx * geometry.ny
     low = np.frombuffer(mmap.mmap(-1, n * n * 8), dtype=float).reshape(n, n)
     windows = _lag_windows(geometry)
     for jitter in (1e-10, 1e-8, 1e-6):
+        try:  # a failing factor may overflow: its residual is then not finite
+            with np.errstate(over="ignore", invalid="ignore"):
+                residual, inverse_norm = _schur_factor(low, windows, jitter)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            if residual <= _SCHUR_RESIDUAL and residual * inverse_norm <= _SCHUR_ERROR:
+                break
         _fill_lower(low, windows, jitter)
         upper, info = scipy.linalg.lapack.dpotrf(low.T, lower=0, clean=0, overwrite_a=1)
         # a copy would bring the whole n x n matrix back into memory
@@ -547,7 +653,11 @@ def sample_grf(
     seeds = list(seed) if layered else [seed]
     factor = _correlation_factor(replace(prior, mean=0.0, std=1.0))
     n = factor.shape[0]
-    z = np.empty((n, len(seeds) * count))
+    # on an anonymous mapping, as the factor is, so its pages go back to the
+    # system when it is freed, not to a heap that keeps them resident
+    width = len(seeds) * count
+    z = np.frombuffer(mmap.mmap(-1, max(n * width, 1) * 8), dtype=float, count=n * width)
+    z = z.reshape(n, width)
     for k, s in enumerate(seeds):  # a generator fills only contiguous arrays
         z[:, k * count : (k + 1) * count] = np.random.default_rng(s).standard_normal((n, count))
     # x = factor @ z as x^T = z^T factor^T, the BLAS triangular product (half

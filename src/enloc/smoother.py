@@ -641,13 +641,15 @@ class StepDiagnostics:
 
 @dataclass
 class EsmdaResult:
-    """The posterior, one diagnostics entry per forecast, and the final
-    forecast's per-row variance ratios var(posterior) / var(prior). It keeps
-    no taper field, so it refers to neither the prior nor any forecast."""
+    """The posterior, one diagnostics entry per forecast, the final
+    forecast's per-row variance ratios var(posterior) / var(prior), and the
+    prior's row variance, taken by step 1's update. It keeps no taper field,
+    so it refers to neither the prior nor any forecast."""
 
     posterior: Ensemble
     diagnostics: list[StepDiagnostics] = field(default_factory=list)
     nv_rows: np.ndarray | None = None
+    prior_var: np.ndarray | None = None
 
 
 def _diagnostics(
@@ -742,7 +744,7 @@ def run_esmda(
     diagnostics.append(
         _diagnostics(schedule.n_steps + 1, None, pred, obs, nv_rows, footprint)
     )
-    return EsmdaResult(ens, diagnostics, nv_rows)
+    return EsmdaResult(ens, diagnostics, nv_rows, prior_var)
 
 
 @contextmanager

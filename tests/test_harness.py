@@ -18,11 +18,14 @@ from hypothesis import strategies as st
 from oracles import read_ensemble_csv
 
 import enloc.harness as hn
-from enloc import cli
+from enloc import cli, metrics
+from enloc import smoother as sm
+from enloc.ensemble import ensemble_variance_per_row
 from enloc.errors import ConfigError
 from enloc.metrics import MetricReport
-from enloc.models import ForwardModel, LinearModel
+from enloc.models import ForwardModel, LinearModel, ScalarToyModel
 from enloc.significance import PercentileT0, StudentT0
+from enloc.tapers import Logistic
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -1096,7 +1099,9 @@ def test_non_finite_values_exit_2(tmp_path, capsys):
 
 
 def test_row_variance_once_per_run(tmp_path, monkeypatch):
-    """One prior and one forecast row variance per step: n_steps + 2 per run."""
+    """One forecast row variance per step and one for the final forecast:
+    n_steps + 1 per run. The prior's is step 1's forecast's, which the mean
+    offset reads too."""
     calls = []
     var = np.var
 
@@ -1113,7 +1118,7 @@ def test_row_variance_once_per_run(tmp_path, monkeypatch):
     for raw in (toy, grid):  # nv_dummy, then nv_field.csv
         calls.clear()
         hn.run_experiment(hn.config_from_dict(raw))
-        assert len(calls) == 4 + 2, calls
+        assert len(calls) == 4 + 1, calls
 
 
 def _shared_prior_grid(out_dir, localization=None):
@@ -1202,3 +1207,22 @@ def test_shared_prior_released_after_its_last_job(tmp_path, monkeypatch):
     gc.collect()  # the report is still held, and keeps summaries only
     assert all(ref() is None for ref in priors + posteriors)
     assert all(r.diagnostics and r.nv_rows is not None for r in report.all_runs)
+
+
+def test_final_report_takes_no_variance_pass_over_the_prior(monkeypatch):
+    """The mean offset reads the prior's row variance that step 1's update
+    took (EsmdaResult.prior_var), bit-identical to a pass of its own."""
+    toy = ScalarToyModel(n_active=6, n_dummy=2, n_series=2, n_times=8, structure_seed=3)
+    prior = toy.sample_prior(30, 4)
+    obs = sm.ObservationSet(d_obs=toy.evaluate(np.zeros(toy.n_params)) + 0.1,
+                            sigma_e=np.full(toy.n_data, 0.1))
+    result = sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(2),
+                          sm.LocalizationPolicy(spec=Logistic(1.5, 2.0)), sm.RunSeed(5))
+    assert np.array_equal(result.prior_var, ensemble_variance_per_row(prior))
+    expected = metrics.mean_offset(prior, result.posterior)
+
+    def no_pass(ens):
+        raise AssertionError("a variance pass over an ensemble")
+
+    monkeypatch.setattr(metrics, "ensemble_variance_per_row", no_pass)
+    assert hn._final_report(toy, prior, result).mean_offset == expected

@@ -1,5 +1,6 @@
 """Forward models: linearity, dummy inertness, proxy locality, field sampling."""
 
+import json
 import math
 import os
 import subprocess
@@ -343,13 +344,178 @@ _FACTOR_PRIORS = (
     md.GrfPrior(nx=30, ny=1, kind="gaussian", range_major=4, range_minor=4),
     md.GrfPrior(nx=60, ny=60, range_major=30, range_minor=15, angle_deg=45),
 )
+# nearly singular Gaussian kernels (smallest eigenvalues 1.0e-10 and 1.3e-7)
+# whose Schur residuals, 1.7e-14 and 1.4e-14, are within bound, but whose
+# ||C^-1|| magnifies them past _SCHUR_ERROR
+_NEARLY_SINGULAR = (
+    md.GrfPrior(nx=30, ny=30, kind="gaussian", range_major=20, range_minor=10),
+    md.GrfPrior(nx=20, ny=15, kind="gaussian", range_major=6, range_minor=3, angle_deg=45),
+)
+# the geometries whose block Schur factor fails its check; the first has a
+# Schur residual of 9.3e-13
+_DENSE_PATH = {_FACTOR_PRIORS[3], *_NEARLY_SINGULAR}
+
+
+def _shipped_grid_geometries() -> list:
+    """The two field geometries of configs/grid_proxy.json."""
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "grid_proxy.json")
+                     .read_text())
+    keys = ("kind", "range_major", "range_minor", "angle_deg")
+    return [md.GrfPrior(nx=cfg["model"]["nx"], ny=cfg["model"]["ny"],
+                        **{k: field[k] for k in keys if k in field})
+            for field in cfg["prior"].values()]
+
+
+# each geometry once: the shipped grid's equals the last of _FACTOR_PRIORS
+_PATH_PRIORS = tuple(dict.fromkeys(
+    _FACTOR_PRIORS + _NEARLY_SINGULAR + tuple(_shipped_grid_geometries())))
+
+
+@pytest.fixture
+def dense_path(monkeypatch):
+    """Every block Schur factor fails its check, after writing its triangle,
+    so each rung of the jitter ladder refills the triangle and factors it
+    densely."""
+    schur = md._schur_factor
+
+    def failing(low, windows, jitter):
+        schur(low, windows, jitter)
+        return math.inf, 1.0
+
+    monkeypatch.setattr(md, "_schur_factor", failing)
+
+
+def _count_dpotrf(monkeypatch) -> list:
+    calls = []
+    dpotrf = scipy.linalg.lapack.dpotrf
+
+    def counted(a, **kwargs):
+        calls.append(a.shape)
+        return dpotrf(a, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", counted)
+    return calls
+
+
+def _smallest_eigenvalue(factor: np.ndarray) -> float:
+    """lambda_min(L L^T) by 20 steps of inverse iteration on the factor; the
+    estimate x^T x / x^T (L L^T)^-1 x is never below lambda_min."""
+    x = np.random.default_rng(0).standard_normal(factor.shape[0])
+    for _ in range(20):
+        y = scipy.linalg.solve_triangular(factor, x, lower=True, check_finite=False)
+        estimate = (x @ x) / (y @ y)
+        x = scipy.linalg.solve_triangular(factor, y, lower=True, trans="T", check_finite=False)
+        x /= np.linalg.norm(x)
+    return estimate
+
+
+def _factor_residuals(schur, dense, prior, slab=360):
+    """max |L_s L_s^T - C| and ||L_s L_s^T - L_d L_d^T||_F, C the pairwise
+    correlation matrix with diagonal 1 + 1e-10, a slab of rows at a time."""
+    n = prior.nx * prior.ny
+    corr = pairwise_grf_correlation(prior)
+    np.fill_diagonal(corr, 1.0 + 1e-10)
+    residual, squares = 0.0, 0.0
+    for lo in range(0, n, slab):
+        rows = slice(lo, lo + slab)
+        gram = schur[rows] @ schur.T
+        gram_dense = dense[rows] @ dense.T
+        residual = max(residual, float(np.max(np.abs(gram - corr[rows]))))
+        gram -= gram_dense
+        squares += float(np.sum(gram * gram))
+    return residual, math.sqrt(squares)
+
+
+@pytest.mark.parametrize("prior", _PATH_PRIORS, ids=lambda p: f"{p.kind}-{p.nx}x{p.ny}")
+def test_grf_factor_within_derived_tolerance_of_dense_oracle(prior, monkeypatch):
+    """Every geometry but the ill-conditioned Gaussian ones of _DENSE_PATH
+    takes the block Schur factor: no dpotrf call, a residual within
+    _SCHUR_RESIDUAL over the whole matrix and at most twice the checked
+    one, and within a derived tolerance of the dense oracle. _DENSE_PATH's
+    factors fail the check and are the oracle's, bit for bit.
+
+    The tolerance. The oracle L_d is the exact factor of A = L_d L_d^T, and
+    the Schur factor L_s that of A + dA, dA = L_s L_s^T - A. To first order
+    L_s - L_d = L_d Phi(L_d^-1 dA L_d^-T), Phi keeping the lower triangle
+    and half the diagonal (Sun 1991; Higham 2002, Sec. 10.1.1), so entry
+    (i, j) is at most ||L_d[i]|| ||L_d^-1||^2 ||dA||_F
+    = sqrt(A_ii) ||dA||_F / lambda_min(A). While ||dA||_F / lambda_min(A)
+    is at most 1/2 (asserted) the higher-order terms add at most as much
+    again, so the tolerance is twice that, with lambda_min halved from its
+    inverse-iteration estimate, which lies above it.
+    """
+    md._correlation_factor.cache_clear()
+    oracle = dense_correlation_factor(prior)
+    calls, checked, schur = _count_dpotrf(monkeypatch), [], md._schur_factor
+
+    def recorded(low, windows, jitter):
+        checked.append(schur(low, windows, jitter))
+        return checked[-1]
+
+    monkeypatch.setattr(md, "_schur_factor", recorded)
+    factor = md._correlation_factor(prior)
+    md._correlation_factor.cache_clear()
+    (checked_residual, inverse_norm), = checked
+    if prior in _DENSE_PATH:
+        assert len(calls) == 1
+        assert not (checked_residual <= md._SCHUR_RESIDUAL
+                    and checked_residual * inverse_norm <= md._SCHUR_ERROR)
+        assert np.array_equal(factor, oracle)
+        return
+    assert not calls
+    assert factor.flags.c_contiguous and not factor.flags.writeable
+    assert np.array_equal(factor, np.tril(factor)) and np.all(np.diag(factor) > 0.0)
+    residual, gap = _factor_residuals(factor, oracle, prior)
+    assert residual <= md._SCHUR_RESIDUAL, residual
+    # the check's entries stand for the whole matrix (up to rounding in the
+    # last unit at the smallest residuals)
+    assert residual <= 2.0 * checked_residual + 1e-15, (residual, checked_residual)
+    lam = _smallest_eigenvalue(oracle) / 2.0
+    assert gap / lam <= 0.5 and inverse_norm <= 1.0 / lam
+    tol = 2.0 * math.sqrt(1.0 + 1e-10) * gap / lam
+    assert np.max(np.abs(factor - oracle)) <= tol, (np.max(np.abs(factor - oracle)), tol)
+
+
+@pytest.mark.parametrize("failure", ["check", "nan", "step"])
+def test_grf_factor_failed_schur_gives_dense_factor(failure, monkeypatch):
+    """A Schur factor past its residual bound, one whose residual is NaN, or
+    one whose step raises LinAlgError part way gives way to the dense factor
+    at the same jitter, bit for bit: the triangle is refilled over what
+    Schur wrote."""
+    prior = _FACTOR_PRIORS[2]
+    oracle = dense_correlation_factor(prior)
+    schur, cholesky, steps = md._schur_factor, scipy.linalg.cholesky, []
+
+    def nan_residual(low, windows, jitter):
+        schur(low, windows, jitter)
+        return math.nan, 1.0
+
+    def fail_fifth(a, **kwargs):
+        steps.append(a.shape)
+        if len(steps) == 5:  # U, then R and Q of steps 1 and 2: step 2's Q
+            raise np.linalg.LinAlgError("not positive definite")
+        return cholesky(a, **kwargs)
+
+    if failure == "check":
+        monkeypatch.setattr(md, "_SCHUR_RESIDUAL", -1.0)
+    elif failure == "nan":
+        monkeypatch.setattr(md, "_schur_factor", nan_residual)
+    else:
+        monkeypatch.setattr(scipy.linalg, "cholesky", fail_fifth)
+    calls = _count_dpotrf(monkeypatch)
+    md._correlation_factor.cache_clear()
+    factor = md._correlation_factor(prior)
+    md._correlation_factor.cache_clear()
+    assert len(calls) == 1
+    assert np.array_equal(factor, oracle)
+    assert len(steps) == (5 if failure == "step" else 0)
 
 
 @pytest.mark.parametrize("prior", _FACTOR_PRIORS, ids=lambda p: f"{p.kind}-{p.nx}x{p.ny}")
-def test_grf_factor_equals_dense_oracle(prior):
-    """The triangle built from the lag table factors to the bits of the
-    full matrix's Cholesky factor, and the draws are that factor times
-    their normals."""
+def test_grf_factor_equals_dense_oracle(prior, dense_path):
+    """On the dense path, the triangle built from the lag table factors to
+    the bits of the full matrix's Cholesky factor, and the draws are that
+    factor times their normals."""
     md._correlation_factor.cache_clear()
     oracle = dense_correlation_factor(prior)
     assert np.array_equal(md._correlation_factor(prior), oracle)
@@ -358,9 +524,10 @@ def test_grf_factor_equals_dense_oracle(prior):
     md._correlation_factor.cache_clear()
 
 
-def test_grf_factor_jitter_ladder(monkeypatch):
-    """A failed factorization is retried with the next jitter on a refilled
-    triangle; three failures raise; a copying dpotrf is refused."""
+def test_grf_factor_jitter_ladder(monkeypatch, dense_path):
+    """On the dense path, a failed factorization is retried with the next
+    jitter on a refilled triangle; three failures raise; a copying dpotrf is
+    refused."""
     prior = _FACTOR_PRIORS[1]
     dpotrf = scipy.linalg.lapack.dpotrf
     calls = []
@@ -425,6 +592,40 @@ def test_grf_factor_resident_memory():
                          capture_output=True, text=True)
     growth = int(out.stdout)
     assert growth < 0.85 * n * n * 8, growth
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmRSS from /proc")
+@pytest.mark.skipif(_thp_always(), reason="huge pages make every touched 2 MB resident")
+def test_grf_draw_returns_its_normals_to_the_system():
+    """An 8-layer draw's normals, 8 x 3,600 x 100 values (23 MB), sit on an
+    anonymous mapping, so none of their pages stay resident once the draw
+    is deleted. On the heap they would: freeing the first draw's normals
+    raises glibc's mmap threshold past their size, so the next draw's come
+    from the heap, which keeps their pages. The first draw also caches the
+    factor, and each draw writes into the caller's rows, resident before."""
+    layer = 3600 * 100 * 8
+    code = (
+        "import numpy as np\n"
+        "from enloc import models as md\n"
+        "def rss():\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        return next(int(x.split()[1]) for x in f if x.startswith('VmRSS:')) * 1024\n"
+        "prior, seeds, count = md.GrfPrior(nx=60, ny=60), list(range(8)), 100\n"
+        "out = np.zeros((8 * 3600, count))\n"
+        "draw = md.sample_grf(prior, count, seeds, labels=False, out=out)\n"
+        "del draw\n"
+        "before = rss()\n"
+        "draw = md.sample_grf(prior, count, seeds, labels=False, out=out)\n"
+        "del draw\n"
+        "print(rss() - before)\n"
+    )
+    src = str(Path(md.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=300,
+                         capture_output=True, text=True)
+    growth = int(out.stdout)
+    assert growth < 2 * layer, growth  # a quarter of the normals
 
 
 def test_grid_prior_composition():
