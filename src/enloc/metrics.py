@@ -6,21 +6,22 @@ prior's from step 1's, whose forecast is the prior; only the final
 forecast's takes a pass of its own (ensemble_variance_per_row).
 
 The taper-dependent aggregates (effective updated-parameter count and
-taper histogram) are tallied block by block, so the full taper matrix is
-never held. This module keeps only how: one _Tally, which a run's
-smoother.TaperField fills from the blocks its first update reads, and
-which footprint() fills from every block of a block provider (a callable
-RowBlock -> (width x Nd) taper array), keeping none. Without localization
-(no provider) the taper is one everywhere and no block is read.
+taper histogram) are a sum of per-block parts, so the full taper matrix is
+never held. This module keeps only how: _footprint_part takes one block's
+sum and counts, and _combine_parts adds up the parts of every block. A
+run's smoother.TaperField takes the parts of the blocks its first update
+reads, and footprint() those of every block of a block provider (a
+callable RowBlock -> (width x Nd) taper array), keeping no block. Without
+localization (no provider) the taper is one everywhere and no block is
+read.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Collection
 
 import numpy as np
 
@@ -98,43 +99,27 @@ def mean_offset(
     return float(np.mean(shift / std_prior))
 
 
-class _Tally:
-    """A footprint tallied block by block: add(r, start) for each taper block
-    of a field, start its first row, then close() for (n_eff, counts).
+def _footprint_part(r: np.ndarray) -> tuple[float, np.ndarray]:
+    """One taper block's part of a footprint: its sum, taken in float64
+    whatever r's dtype, and its histogram counts."""
+    return float(np.sum(r, dtype=np.float64)), np.histogram(r, bins=HISTOGRAM_EDGES)[0]
 
-    Blocks may be added from several threads at once, in any order, and a
-    start added again is skipped: each block's partial sum, taken in float64
-    whatever r's dtype, and its counts are combined under a lock, and the
-    compensated sum does not depend on their order. The tally closes itself
-    once every pair is binned; after that, add() does nothing and close()
-    returns (n_eff, counts). Before that, close() raises: some pair was
-    outside [0, 1] or not added.
+
+def _combine_parts(
+    parts: Collection[tuple[float, np.ndarray]], n_params: int, n_data: int
+) -> tuple[float, np.ndarray]:
+    """(n_eff, counts) from the parts of a field's blocks, each block once.
+
+    math.fsum rounds the sum of the block sums exactly, so n_eff does not
+    depend on the order of the parts. ValueError unless every one of the
+    n_params * n_data pairs was binned: some pair was outside [0, 1], or
+    some block has no part.
     """
-
-    def __init__(self, n_params: int, n_data: int):
-        self._pairs, self._n_data = n_params * n_data, n_data
-        self._counts = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
-        self._partials: dict[int, float] | None = {}  # by start; None once closed
-        self._n_eff = math.nan
-        self._lock = threading.Lock()
-
-    def add(self, r: np.ndarray, start: int) -> None:
-        if self._partials is not None and start not in self._partials:
-            partial = float(np.sum(r, dtype=np.float64))
-            counts = np.histogram(r, bins=HISTOGRAM_EDGES)[0]
-            with self._lock:
-                if self._partials is not None and start not in self._partials:
-                    self._partials[start] = partial
-                    self._counts += counts
-                    if self._counts.sum() == self._pairs:  # every pair binned: close
-                        self._n_eff = math.fsum(self._partials.values()) / self._n_data
-                        self._partials = None
-
-    def close(self) -> tuple[float, np.ndarray]:
-        if self._partials is not None:  # some pair was never binned
-            binned = int(self._counts.sum())
-            raise ValueError(f"taper values outside [0, 1]: binned {binned} of {self._pairs}")
-        return self._n_eff, self._counts
+    counts = sum((block_counts for _, block_counts in parts), np.zeros(HISTOGRAM_BINS, np.int64))
+    if counts.sum() != n_params * n_data:
+        raise ValueError(f"taper values outside [0, 1] or unread: binned {int(counts.sum())} "
+                         f"of {n_params * n_data} pairs")
+    return math.fsum(total for total, _ in parts) / n_data, counts
 
 
 def footprint(
@@ -146,8 +131,8 @@ def footprint(
     """Effective updated-parameter count and taper histogram, in one pass.
 
     n_eff = (1/Nd) sum_j sum_i r_ij is the effective number of parameters
-    updated per observation; block partial sums are combined with
-    compensated summation so it does not depend on the block schedule.
+    updated per observation; the block sums are added up exactly rounded
+    (_combine_parts), so it does not depend on the block schedule.
     The histogram counts taper values over HISTOGRAM_BINS equal-width bins
     on [0, 1], right-open except the last, which includes 1.0; counts sum
     to n_params * n_data. taper_provider=None means no localization: the
@@ -158,10 +143,8 @@ def footprint(
         counts = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
         counts[-1] = n_params * n_data
         return float(n_params), counts
-    tally = _Tally(n_params, n_data)
-    for blk in iter_blocks(n_params, block_width):
-        tally.add(taper_provider(blk), blk.start)
-    return tally.close()
+    parts = [_footprint_part(taper_provider(blk)) for blk in iter_blocks(n_params, block_width)]
+    return _combine_parts(parts, n_params, n_data)
 
 
 def chi(n_eff_value: float, n_params: int) -> float:

@@ -658,8 +658,14 @@ def sample_grf(
     width = len(seeds) * count
     z = np.frombuffer(mmap.mmap(-1, max(n * width, 1) * 8), dtype=float, count=n * width)
     z = z.reshape(n, width)
-    for k, s in enumerate(seeds):  # a generator fills only contiguous arrays
-        z[:, k * count : (k + 1) * count] = np.random.default_rng(s).standard_normal((n, count))
+    # a generator fills only contiguous arrays: each layer's normals are drawn
+    # 256 KiB of rows at a time into one buffer, with the bits of one draw
+    chunk = np.empty((max(1, 2**15 // count), count))
+    for k, s in enumerate(seeds):
+        rng = np.random.default_rng(s)
+        for lo in range(0, n, len(chunk)):
+            rows = rng.standard_normal(out=chunk[: n - lo])
+            z[lo : lo + len(rows), k * count : (k + 1) * count] = rows
     # x = factor @ z as x^T = z^T factor^T, the BLAS triangular product (half
     # the work of a full one) written over z; the transposes are free views
     x = scipy.linalg.blas.dtrmm(1.0, factor.T, z.T, side=1, overwrite_b=1).T

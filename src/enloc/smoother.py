@@ -32,9 +32,9 @@ public taper on the slab. A percentile threshold correlates each block
 once, over the CPUs, and rounds its t to float32, leaving a kept block's t
 where the run keeps it; every block of such a field maps its t so rounded.
 A distance field evaluates one column per distinct well position. A run's
-field owns its kept blocks: it evaluates, checks and keeps them, and
-tallies its footprint metrics (through metrics._Tally) from the blocks the
-first update reads, so no separate pass reads them. The field refers to
+field owns its kept blocks: it evaluates, checks and keeps them, and sums
+its footprint metrics from each block's part at the first update's read,
+so no separate pass reads them. The field refers to
 nothing that refers back to it, so reference counting frees it, its prior
 and its kept blocks as soon as the run returns.
 
@@ -43,9 +43,9 @@ calling thread and one helper thread per further CPU take blocks in row order,
 the helpers from a pool that lives for that update alone, so no thread
 outlives it. A percentile pass runs the same way; the package has no other
 parallelism. Each block writes only its own rows, whether a taper block is
-kept depends only on where its rows end, and the footprint's partial sums are
-combined exactly, so a run's results do not depend on the CPU count. Every
-block, kept or fresh, is updated on all threads at once. A thread reads a
+kept depends only on where its rows end, and the footprint's block sums are
+added up exactly rounded, so a run's results do not depend on the CPU count.
+Every block, kept or fresh, is updated on all threads at once. A thread reads a
 block's taper, checked once when a kept block is evaluated and at every read of
 a fresh one, before it forms the gain, so a thread updating a fresh block holds
 that float32 block and its gain, and each helper adds about that much to an
@@ -233,9 +233,9 @@ class TaperField:
     the field, writeable until rows() evaluates, checks and rounds the
     block into it and read-only after (a percentile pass leaves its t
     there, for that read to map). Any other block is evaluated, checked and
-    rounded at every read; kept(blk) tells the two apart. rows() tallies
-    each block once, until every pair is binned; footprint() gives the
-    tally. Blocks may be read from several threads at once, each by one
+    rounded at every read; kept(blk) tells the two apart. rows() takes
+    each block's footprint part at its first read; footprint() sums the
+    parts. Blocks may be read from several threads at once, each by one
     thread. The field holds no bound method of itself, so reference
     counting alone frees it, its ensembles and its kept blocks.
     """
@@ -265,7 +265,8 @@ class TaperField:
             if blk.stop <= keep_rows
         }
         self._rounds_t = False  # a percentile field maps t rounded to float32 (_rounded_t)
-        self._tally = metrics._Tally(ens.n_params, self.n_data)
+        # footprint parts by block start, each written by the one thread reading that block
+        self._parts: dict[int, tuple[float, np.ndarray]] = {}
 
         if isinstance(spec, DistanceGC):
             if ens.coords is None:
@@ -389,7 +390,7 @@ class TaperField:
 
     def rows(self, blk: RowBlock) -> np.ndarray:
         """The checked taper block blk as float32, kept or evaluated afresh
-        (see the class docstring); tallied once, until every pair is binned."""
+        (see the class docstring); its footprint part taken at the first read."""
         r = self._kept.get(blk)
         if r is None or r.flags.writeable:
             evaluated = _unit_range(self.block(blk))
@@ -398,8 +399,9 @@ class TaperField:
             else:
                 r[...] = evaluated
                 r.flags.writeable = False
-            del evaluated  # before the tally adds its temporaries
-        self._tally.add(r, blk.start)
+            del evaluated  # before the footprint part's temporaries
+        if blk.start not in self._parts:
+            self._parts[blk.start] = metrics._footprint_part(r)
         return r
 
     def kept(self, blk: RowBlock) -> bool:
@@ -408,9 +410,9 @@ class TaperField:
 
     def footprint(self) -> tuple[float, np.ndarray]:
         """(n_eff, histogram counts), as metrics.footprint gives them, of the
-        blocks rows() returned until every pair was binned; ValueError
-        before then."""
-        return self._tally.close()
+        blocks rows() returned; ValueError while some block is unread. Call
+        it once the update that reads every block has joined its threads."""
+        return metrics._combine_parts(self._parts.values(), self._ens.n_params, self.n_data)
 
 
 def _unit_range(r: np.ndarray) -> np.ndarray:
@@ -697,7 +699,7 @@ def run_esmda(
     (TAPER_CACHE_BYTES + Nm Ne 8) // (4 Nd) rows (TaperField's keep_rows),
     so the bytes of the copy each update would otherwise make go to kept
     blocks; later blocks are recomputed on every read. The field's footprint
-    (n_eff and histogram) is tallied from the blocks the first update
+    (n_eff and histogram) is added up from the blocks the first update
     reads, so no separate pass reads them; a run without a taper takes
     metrics.footprint(None, Nm, Nd). Runs in flight together each keep
     their own blocks. The field and its kept blocks form no reference
@@ -726,7 +728,7 @@ def run_esmda(
                 taper = make_taper_field(policy, prior, pred, block_width, keep_rows)
             perturbed = perturb_observations(obs, alpha, seed, step, ens.n_members)
             var = localized_update_step(ens, pred, obs, alpha, taper, perturbed, block_width)
-            if step == 1:  # step 1's forecast is the prior; its field tallied every block
+            if step == 1:  # step 1's forecast is the prior; its update read every block
                 if (zero := np.flatnonzero(var <= 0.0)).size:
                     raise ValueError(f"zero prior variance in {zero.size} of {var.size} rows "
                                      f"(first: row {zero[0]})")

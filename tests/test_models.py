@@ -628,6 +628,36 @@ def test_grf_draw_returns_its_normals_to_the_system():
     assert growth < 2 * layer, growth  # a quarter of the normals
 
 
+def test_grf_draw_holds_no_layer_of_normals_on_the_heap(monkeypatch):
+    """With the factor cached, a draw into the caller's rows allocates less
+    than one layer's normals (3,600 x 100 values, 2.9 MB): each layer is
+    drawn a chunk of rows at a time through one reused buffer, straight
+    into the normals' mapping, which tracemalloc does not see. The chunks
+    have the bits of one standard_normal((cells, count)) draw per layer."""
+    prior, seeds, count = md.GrfPrior(nx=60, ny=60), [3, 4], 100
+    n = prior.nx * prior.ny
+    out = np.empty((len(seeds) * n, count))
+    dtrmm, normals = scipy.linalg.blas.dtrmm, []
+
+    def recording(alpha, a, b, **kwargs):
+        normals.append(b.T.copy())
+        return dtrmm(alpha, a, b, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.blas, "dtrmm", recording)
+    md.sample_grf(prior, count, seeds, labels=False, out=out)  # caches the factor
+    monkeypatch.undo()
+    want = np.hstack([np.random.default_rng(s).standard_normal((n, count)) for s in seeds])
+    # the draw's product is the last: the factor's check takes one too
+    assert np.array_equal(normals[-1], want)
+    tracemalloc.start()
+    try:
+        md.sample_grf(prior, count, seeds, labels=False, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * count * 8, peak
+
+
 def test_grid_prior_composition():
     proxy = md.GridFlowProxy(nx=20, ny=20, n_layers=3, prod_grid=2, n_times=4)
     poro = md.GrfPrior(nx=20, ny=20, mean=0.2, std=0.05)

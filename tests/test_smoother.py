@@ -840,9 +840,9 @@ def test_data_permuted_within_a_source_leave_the_update(policy):
 
 
 def test_tally_closes_once_every_pair_is_binned(monkeypatch):
-    """Updates driven directly, with no call to footprint(), tally a field's
-    blocks until every pair is binned, then stop: a later update bins
-    nothing, and the footprint is that of the blocks the first one read."""
+    """Updates driven directly, with no call to footprint(), bin each block
+    of a field once, at its first read: a later update bins nothing, and
+    the footprint is that of the blocks the first one read."""
     rng = np.random.default_rng(17)
     prior = Ensemble(values=rng.standard_normal((40, 12)))
     pred = PredictedEnsemble(values=rng.standard_normal((3, 12)))
@@ -873,6 +873,27 @@ def test_footprint_tallies_each_block_once():
     for blk in (blocks[0], blocks[0], blocks[1], blocks[1], *blocks):  # kept, then fresh
         field.rows(blk)
     assert field.kept(blocks[0]) and not field.kept(blocks[1])
+    n_eff, hist = metrics.footprint(lambda blk: field.block(blk).astype(np.float32), 24, 3,
+                                    block_width=8)
+    assert field.footprint()[0] == n_eff
+    assert np.array_equal(field.footprint()[1], hist)
+
+
+@pytest.mark.parametrize("missing", [0, 1, 2], ids=["kept", "fresh", "last"])
+def test_footprint_needs_every_block_read(missing):
+    """footprint() raises ValueError while one block of the field, kept or
+    not, is still unread; once rows() has read it, the footprint equals
+    metrics.footprint's of the field's blocks, bit for bit."""
+    rng = np.random.default_rng(19)
+    prior = Ensemble(values=rng.standard_normal((24, 12)))
+    pred = PredictedEnsemble(values=rng.standard_normal((3, 12)))
+    field = sm.TaperField(tp.Mse(), prior, pred, block_width=8, keep_rows=8)
+    blocks = list(iter_blocks(24, 8))
+    for blk in blocks[:missing] + blocks[missing + 1 :]:
+        field.rows(blk)
+    with pytest.raises(ValueError):
+        field.footprint()
+    field.rows(blocks[missing])
     n_eff, hist = metrics.footprint(lambda blk: field.block(blk).astype(np.float32), 24, 3,
                                     block_width=8)
     assert field.footprint()[0] == n_eff
