@@ -52,7 +52,10 @@ class Ensemble:
             raise ValueError("ensemble values must be a 2-D (Nm x Ne) array")
         if self.values.shape[1] < 2:
             raise ValueError("ensemble needs at least 2 members")
-        if not np.all(np.isfinite(self.values)):
+        # NaN and +-inf reach the min or the max; unlike np.isfinite over the
+        # values, this allocates no Nm x Ne temporary
+        v = self.values
+        if v.size and not (np.isfinite(v.min()) and np.isfinite(v.max())):
             raise ValueError("ensemble values must be finite")
         if self.names is not None and len(self.names) != self.values.shape[0]:
             raise ValueError("names length must match parameter count")

@@ -49,8 +49,12 @@ from .smoother import (
     ObservationSet,
     RunSeed,
     StepDiagnostics,
-    run_esmda,
 )
+
+# Every run goes through this one name, which the benchmark (perfbench) wraps:
+# smoother.run_esmda with a last argument, in_place, that hands a run the
+# prior to update in place.
+from .smoother import _run_esmda as run_esmda
 from .tapers import format_taper, parse_taper
 
 __all__ = [
@@ -411,16 +415,25 @@ def _run_seed(
     n_members: int,
     seed: int,
 ) -> list[RunResult]:
-    """Run every setting on the one prior of this seed, drawn once, read-only.
+    """Run every setting on the one prior of this seed, drawn once.
 
-    A draw that raises fails every setting with its cause.
+    The settings before the last share the prior read-only, and each of
+    their runs copies it. The last setting's run is handed the prior to
+    update in place (smoother._run_esmda's in_place), since nothing reads it
+    afterwards: a seed with one setting, such as the reference job, then
+    holds one Nm x Ne ensemble instead of two, unless its taper field is
+    past the keep budget and the run copies the prior after all. A draw
+    that raises fails every setting with its cause.
     """
     try:
         prior = sampler(n_members, seed)
     except (EnlocError, ValueError) as exc:
         return [RunResult(name, run_index, f"failed: {exc}", None) for name in settings]
+    *shared, last = settings.items()
     prior.values.flags.writeable = False  # shared by the settings: a write raises
-    return [_run_one(cfg, model, prior, obs, out, *s, run_index, seed) for s in settings.items()]
+    runs = [_run_one(cfg, model, prior, obs, out, *s, run_index, seed, False) for s in shared]
+    prior.values.flags.writeable = True
+    return runs + [_run_one(cfg, model, prior, obs, out, *last, run_index, seed, True)]
 
 
 def _run_one(
@@ -433,9 +446,11 @@ def _run_one(
     policy: LocalizationPolicy,
     run_index: int,
     seed: int,
+    in_place: bool,
 ) -> RunResult:
     """One run, reduced to its summary: its run directory is written here and
-    the posterior is dropped on return."""
+    the posterior is dropped on return. With in_place the run may update the
+    prior in place; the summary reads nothing of the prior."""
     try:
         result = run_esmda(
             prior,
@@ -445,8 +460,9 @@ def _run_one(
             policy,
             RunSeed(seed),
             cfg.block_width,
+            in_place,
         )
-        report = _final_report(model, prior, result)
+        report = _final_report(model, result)
     except (EnlocError, ValueError) as exc:  # ValueError covers LinAlgError
         return RunResult(name, run_index, f"failed: {exc}", None)
     run_dir = out / "runs" / name / f"run{run_index}"
@@ -458,11 +474,9 @@ def _run_one(
     return RunResult(name, run_index, "ok", report, result.diagnostics, result.nv_rows)
 
 
-def _final_report(
-    model: ForwardModel,
-    prior: Ensemble,
-    result: EsmdaResult,
-) -> metrics_mod.MetricReport:
+def _final_report(model: ForwardModel, result: EsmdaResult) -> metrics_mod.MetricReport:
+    """The run's summary, from its result alone: the mean offset reads the
+    prior's row mean and variance that step 1's update took."""
     final = result.diagnostics[-1]
     nv_dummy = None
     if isinstance(model, ScalarToyModel) and model.n_dummy > 0:
@@ -470,7 +484,8 @@ def _final_report(
     return metrics_mod.MetricReport(
         obj_mean=final.objective,
         nv=final.nv,
-        mean_offset=metrics_mod.mean_offset(prior, result.posterior, result.prior_var),
+        mean_offset=metrics_mod._mean_offset(result.prior_mean, result.prior_var,
+                                             result.posterior),
         n_eff=final.n_eff,
         chi=final.chi,
         taper_histogram=final.taper_histogram,
@@ -497,12 +512,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     """Run the full (taper x run) matrix and write all CSV artifacts.
 
     One job per run seed: run r of every setting starts from the same prior
-    (seed base_seed + r), which the job draws once and shares read-only, and
-    the reference run is a job of its own. Each run is reduced to its summary
-    as it finishes (its run directory is written then), so no prior or
-    posterior outlives its job. Jobs run one after another in the calling
-    thread; each update spreads its own blocks over the process's CPUs. The
-    report and every CSV keep the setting-major order.
+    (seed base_seed + r), which the job draws once and shares read-only with
+    every setting but the last, whose run may update it in place (see
+    _run_seed); the reference run is a job of its own. Each run is
+    reduced to its summary as it finishes (its run directory is written
+    then), so no prior or posterior outlives its job. Jobs run one after
+    another in the calling thread; each update spreads its own blocks over
+    the process's CPUs. The report and every CSV keep the setting-major
+    order.
     """
     model, sampler, obs = _build(cfg)
     out = Path(out_dir if out_dir is not None else cfg.output_dir)  # made once the config holds

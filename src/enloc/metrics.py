@@ -3,7 +3,9 @@
 NV is the mean per-row ratio var(forecast) / var(prior). run_esmda takes
 each forecast's row variance from the update pass that reads it, and the
 prior's from step 1's, whose forecast is the prior; only the final
-forecast's takes a pass of its own (ensemble_variance_per_row).
+forecast's takes a pass of its own (ensemble_variance_per_row). Step 1's
+update gives the prior's row means as well, so a run's mean offset reads
+nothing of the prior, which the run may have updated in place.
 
 The taper-dependent aggregates (effective updated-parameter count and
 taper histogram) are a sum of per-block parts, so the full taper matrix is
@@ -71,31 +73,30 @@ def objective_function(pred: PredictedEnsemble, obs) -> float:
     return float(np.mean(np.sum(resid * resid, axis=0) / (2.0 * pred.n_data)))
 
 
-def mean_offset(
-    prior: Ensemble, posterior: Ensemble, prior_var: np.ndarray | None = None
-) -> float:
+def mean_offset(prior: Ensemble, posterior: Ensemble) -> float:
     """Average |posterior mean - prior mean| in units of the prior std.
 
-    prior_var, the prior's row variance when the caller has it (a run's
-    EsmdaResult.prior_var), saves a pass over the prior; without it, that
-    variance is taken here. Zero-spread prior rows carry no scale and are
-    excluded with a warning; only then are the kept rows copied out.
+    Zero-spread prior rows carry no scale and are excluded with a warning.
     """
     if prior.values.shape[0] != posterior.values.shape[0]:
         raise ValueError("prior and posterior must have the same parameter count")
-    if prior_var is None:
-        prior_var = ensemble_variance_per_row(prior)  # a block at a time
+    # ensemble_variance_per_row takes a block at a time
+    return _mean_offset(prior.values.mean(axis=1), ensemble_variance_per_row(prior), posterior)
+
+
+def _mean_offset(prior_mean: np.ndarray, prior_var: np.ndarray, posterior: Ensemble) -> float:
+    """mean_offset from the prior's row means and variances, such as a run
+    takes in step 1's update (EsmdaResult.prior_mean and prior_var), so it
+    reads nothing of the prior itself."""
     std_prior = np.sqrt(prior_var)  # np.std's
-    prior_values, posterior_values = prior.values, posterior.values
+    shift = np.abs(posterior.values.mean(axis=1) - prior_mean)
     ok = std_prior > 0.0
     if not np.all(ok):
         warnings.warn(
             f"excluding {int(np.sum(~ok))} zero-spread prior rows from mean offset",
-            stacklevel=2,
+            stacklevel=3,
         )
-        prior_values, posterior_values = prior_values[ok], posterior_values[ok]
-        std_prior = std_prior[ok]
-    shift = np.abs(posterior_values.mean(axis=1) - prior_values.mean(axis=1))
+        shift, std_prior = shift[ok], std_prior[ok]
     return float(np.mean(shift / std_prior))
 
 

@@ -15,7 +15,9 @@ factored and solved once per step. A gain block is then the product of
 its centered parameter rows with W; gain entries are produced in
 parameter-row blocks, so K is never materialized in full. Without
 localization there is no taper and the same loop skips the product with R.
-A run copies its prior once and every update writes that copy in place.
+A run copies its prior once and every update writes that copy in place,
+or updates the prior itself when the harness hands it over (_run_esmda)
+and its taper field reads no prior row after that row's first update.
 Taper coefficients are computed once per run, from the prior ensemble and
 its forecast, and kept frozen across steps. A taper block is evaluated and
 checked in float64 and rounded once to float32, in which a run keeps and
@@ -236,8 +238,12 @@ class TaperField:
     rounded at every read; kept(blk) tells the two apart. rows() takes
     each block's footprint part at its first read; footprint() sums the
     parts. Blocks may be read from several threads at once, each by one
-    thread. The field holds no bound method of itself, so reference
-    counting alone frees it, its ensembles and its kept blocks.
+    thread. A block's ensemble rows are read only when the block is
+    evaluated (a percentile pass reads them all when the field is made, a
+    distance field none), so unless rereads_rows, each block's rows may be
+    updated once its first read is over. The field holds no bound method of
+    itself, so reference counting alone frees it, its ensembles and its
+    kept blocks.
     """
 
     def __init__(
@@ -264,6 +270,8 @@ class TaperField:
             for blk in iter_blocks(ens.n_params, block_width)
             if blk.stop <= keep_rows
         }
+        # a correlation field past its keep budget evaluates blocks from rows at every read
+        self.rereads_rows = keep_rows < ens.n_params and not isinstance(spec, DistanceGC)
         self._rounds_t = False  # a percentile field maps t rounded to float32 (_rounded_t)
         # footprint parts by block start, each written by the one thread reading that block
         self._parts: dict[int, tuple[float, np.ndarray]] = {}
@@ -508,16 +516,18 @@ def localized_update_step(
     taper: TaperField | None,
     perturbed: np.ndarray,
     block_width: int = DEFAULT_BLOCK_WIDTH,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """One update pass over all parameter rows of ens, in place; taper=None
-    is unlocalized. Returns the per-row variance of ens before the update.
+    is unlocalized. Returns the per-row mean and variance of ens before the
+    update.
 
     The gain (tapered entrywise by taper.rows when a field is given) is
     formed per block and applied to the innovation columns as
     (K_blk o R_blk) resid; the caller supplies the perturbed-data matrix from
-    perturb_observations(). Each block takes its rows' variance, as
-    ensemble_variance_per_row does, and writes its rows after its gain block
-    has read them, so no Nm x Ne array is allocated. Blocks run as
+    perturb_observations(). Each block takes its rows' mean, as
+    values.mean(axis=1) does, and variance, as ensemble_variance_per_row
+    does, and writes its rows after its gain block has read them, so no
+    Nm x Ne array is allocated. Blocks run as
     _each_block spreads them, kept and fresh taper blocks alike, so the
     field's blocks are read from several threads at once, each block by one
     thread; a kept block is not checked again, a fresh one at every read.
@@ -530,11 +540,12 @@ def localized_update_step(
         raise ValueError("perturbed-data matrix has wrong shape")
     resid = perturbed - pred.values
     operator = gain_operator(pred, obs, alpha)
-    var = np.empty(ens.n_params)
+    mean, var = np.empty(ens.n_params), np.empty(ens.n_params)
 
     def update(blk: RowBlock) -> None:
         rows = ens.values[blk.slice()]
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves inf, unwarned
+            mean[blk.slice()] = rows.mean(axis=1)
             var[blk.slice()] = np.var(rows, axis=1, ddof=1)
         r = None if taper is None else taper.rows(blk)  # checked before the gain exists
         gain = kalman_gain_block(ens, blk, operator)
@@ -549,7 +560,7 @@ def localized_update_step(
             raise ValueError("updated ensemble rows must be finite")
 
     _each_block(ens.n_params, block_width, update)
-    return var
+    return mean, var
 
 
 def _each_block(n_rows: int, block_width: int, work: Callable[[RowBlock], None]) -> None:
@@ -645,13 +656,16 @@ class StepDiagnostics:
 class EsmdaResult:
     """The posterior, one diagnostics entry per forecast, the final
     forecast's per-row variance ratios var(posterior) / var(prior), and the
-    prior's row variance, taken by step 1's update. It keeps no taper field,
-    so it refers to neither the prior nor any forecast."""
+    prior's row mean and variance, taken by step 1's update, so that nothing
+    after the run needs to read the prior. It keeps no taper field, so it
+    refers to no forecast, and to the prior only when the run updated the
+    prior in place into the posterior."""
 
     posterior: Ensemble
     diagnostics: list[StepDiagnostics] = field(default_factory=list)
     nv_rows: np.ndarray | None = None
     prior_var: np.ndarray | None = None
+    prior_mean: np.ndarray | None = None
 
 
 def _diagnostics(
@@ -685,15 +699,16 @@ def run_esmda(
 ) -> EsmdaResult:
     """Run the full multi-step assimilation.
 
-    The run copies the prior once, before step 1, and every step updates
-    that copy in place, so the prior is never written (it may be read-only).
+    The run copies the prior once, after step 1's forecast and taper field
+    are made, and every step updates that copy in place, so the prior is
+    never written (it may be read-only).
     The posterior shares the prior's names list and coords array, which
     nothing writes. Per step: forward-evaluate all members, perturb the
     observations, update blockwise, record diagnostics. Step 1 also builds
     the one taper field of the run from the prior itself and its forecast
     (later steps reuse it), and its update, whose forecast is the prior,
-    gives the prior's row variance. A final forward evaluation after the
-    last update provides the posterior diagnostics entry.
+    gives the prior's row mean and variance. A final forward evaluation
+    after the last update provides the posterior diagnostics entry.
 
     The field keeps the float32 taper blocks whose rows end within the first
     (TAPER_CACHE_BYTES + Nm Ne 8) // (4 Nd) rows (TaperField's keep_rows),
@@ -713,9 +728,36 @@ def run_esmda(
     b) when the update's row block a:b failed; the final forecast counts as
     step n_steps + 1.
     """
+    return _run_esmda(prior, model, obs, schedule, policy, seed, block_width, False)
+
+
+def _run_esmda(
+    prior: Ensemble,
+    model: ForwardModel,
+    obs: ObservationSet,
+    schedule: MdaSchedule,
+    policy: LocalizationPolicy,
+    seed: RunSeed,
+    block_width: int = DEFAULT_BLOCK_WIDTH,
+    in_place: bool = False,
+) -> EsmdaResult:
+    """run_esmda when in_place is False. When it is True, the caller hands
+    the run its prior and reads nothing of it afterwards: the steps update
+    the prior itself, which must be writeable, and the posterior is the
+    prior object, so the run holds one Nm x Ne array fewer. Nothing the run
+    reads after step 1 comes from the prior's rows: each block's update
+    writes its rows only after the taper field has read them, a kept taper
+    block is evaluated at that first read, and step 1's update gives the
+    prior's row mean and variance. A correlation field past its keep budget
+    (rereads_rows) evaluates blocks from the prior's rows at every read, so
+    such a run copies the prior as run_esmda does: the field could hold just
+    those rows, but only at the cost of a second place it reads rows from,
+    and only runs past the budget, such as the 8-layer 60x60 grid's at
+    Ne = 50 (44 of 57 blocks kept), pay for the copy.
+    """
     if obs.n_data != model.n_data:
         raise ValueError("observation set size does not match the model")
-    ens = Ensemble(prior.values.copy(), prior.names, prior.coords)
+    ens = prior  # step 1's forecast is the prior's
     diagnostics: list[StepDiagnostics] = []
 
     for step, alpha in enumerate(schedule.alphas, start=1):
@@ -723,16 +765,18 @@ def run_esmda(
             pred = PredictedEnsemble(
                 values=evaluate_members(model, ens.values), meta=model.datum_meta
             )
-            if step == 1:  # the run's one taper field
+            if step == 1:  # the run's one taper field, and the ensemble the steps update
                 keep_rows = (TAPER_CACHE_BYTES + prior.values.nbytes) // (4 * obs.n_data)
                 taper = make_taper_field(policy, prior, pred, block_width, keep_rows)
+                if not in_place or (taper is not None and taper.rereads_rows):
+                    ens = Ensemble(prior.values.copy(), prior.names, prior.coords)
             perturbed = perturb_observations(obs, alpha, seed, step, ens.n_members)
-            var = localized_update_step(ens, pred, obs, alpha, taper, perturbed, block_width)
+            mean, var = localized_update_step(ens, pred, obs, alpha, taper, perturbed, block_width)
             if step == 1:  # step 1's forecast is the prior; its update read every block
                 if (zero := np.flatnonzero(var <= 0.0)).size:
                     raise ValueError(f"zero prior variance in {zero.size} of {var.size} rows "
                                      f"(first: row {zero[0]})")
-                prior_var = var.copy()  # before var /= prior_var divides it into ones
+                prior_mean, prior_var = mean, var.copy()  # before var /= prior_var divides it
                 footprint = (metrics.footprint(None, ens.n_params, obs.n_data)
                              if taper is None else taper.footprint())
             var /= prior_var  # in place: no step keeps a second Nm array through the next
@@ -746,7 +790,7 @@ def run_esmda(
     diagnostics.append(
         _diagnostics(schedule.n_steps + 1, None, pred, obs, nv_rows, footprint)
     )
-    return EsmdaResult(ens, diagnostics, nv_rows, prior_var)
+    return EsmdaResult(ens, diagnostics, nv_rows, prior_var, prior_mean)
 
 
 @contextmanager

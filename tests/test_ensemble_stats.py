@@ -170,6 +170,27 @@ def test_ensemble_validation():
         es.Ensemble(values=np.ones((2, 4)), names=["a"])
 
 
+def test_ensemble_finiteness_check_allocates_no_temporary():
+    """An Ensemble over existing float64 values is checked without an
+    Nm x Ne temporary (a bool array of np.isfinite would be 800 KB here);
+    a NaN, an inf or a -inf anywhere still fails it, and an ensemble with
+    no rows still passes it."""
+    values = np.random.default_rng(4).standard_normal((20_000, 40))
+    tracemalloc.start()
+    try:
+        es.Ensemble(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.size // 8, peak
+    for bad in (np.nan, np.inf, -np.inf):
+        spoilt = values.copy()
+        spoilt[12_345, 7] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            es.Ensemble(spoilt)
+    assert es.Ensemble(np.empty((0, 3))).n_params == 0
+
+
 def test_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(9)
     ens = es.Ensemble(

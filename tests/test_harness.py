@@ -7,6 +7,7 @@ import importlib.util
 import io
 import json
 import re
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -20,7 +21,7 @@ from oracles import read_ensemble_csv
 import enloc.harness as hn
 from enloc import cli, metrics
 from enloc import smoother as sm
-from enloc.ensemble import ensemble_variance_per_row
+from enloc.ensemble import Ensemble, ensemble_variance_per_row
 from enloc.errors import ConfigError
 from enloc.metrics import MetricReport
 from enloc.models import ForwardModel, LinearModel, ScalarToyModel
@@ -1152,36 +1153,114 @@ def _count_draws(monkeypatch):
     return draws
 
 
+def _report_rows(out_dir, name):
+    return [r for r in read_csv(out_dir / "report.csv") if r["taper"] == name]
+
+
+# the shared prior's grid with every correlation field past its keep budget:
+# the blocks that end within the first 128 of its 288 rows are kept, the
+# other three of its five 64-row blocks recomputed from the prior at every read
+_PAST_BUDGET = [
+    {"taper": "mse"},
+    {"taper": "logistic:gamma=1.5,eps=0.01", "t0": "p90", "name": "logistic_p90"},
+    {"taper": "power:beta=3,t0=2"},
+]
+
+
 def test_run_seed_prior_drawn_once_and_shared(tmp_path, monkeypatch):
+    """One draw per run seed. The settings before a seed's last share its
+    prior read-only and copy it; the last is handed the prior, writeable,
+    to update in place. Neither route changes a byte of any setting's
+    diagnostics or report rows, the last setting's included, whether the
+    taper fields keep every block or recompute some from the prior."""
     draws = _count_draws(monkeypatch)
-    priors = {}
+    calls = {}
     run_esmda = hn.run_esmda
 
-    def recording(prior, *args, **kwargs):
-        priors.setdefault(prior.n_members, []).append(prior)
-        return run_esmda(prior, *args, **kwargs)
+    def recording(prior, *args):
+        calls.setdefault(prior.n_members, []).append(
+            (prior, prior.values.flags.writeable, args[-1]))
+        return run_esmda(prior, *args)
 
     monkeypatch.setattr(hn, "run_esmda", recording)
-    cfg = _shared_prior_grid(tmp_path / "shared")
+    for past_budget in (False, True):
+        draws.clear()
+        calls.clear()
+        out = tmp_path / ("past_budget" if past_budget else "kept")
+        cfg = _shared_prior_grid(out / "shared", _PAST_BUDGET if past_budget else None)
+        with monkeypatch.context() as mp:
+            if past_budget:
+                cfg = replace(cfg, block_width=64)
+                nm, ne, nd = 2 * 12 * 12, 50, 13 * 4
+                model = hn.build_model(cfg)
+                assert (model.n_params, model.n_data, cfg.ensemble_size) == (nm, nd, ne)
+                mp.setattr(sm, "TAPER_CACHE_BYTES", 128 * 4 * nd - nm * ne * 8)
+            _assert_shared_prior(cfg, out, draws, calls)
+
+
+def _assert_shared_prior(cfg, out, draws, calls):
     report = hn.run_experiment(cfg)
+    names = list(cfg.localization)
     # 3 settings x 2 runs and the reference: one draw per (size, seed)
     assert sorted(draws) == [(50, 400), (50, 401), (80, 9)]
     assert [(r.taper, r.run) for r in report.all_runs] == [
-        (taper, run) for taper in ("none", "logistic", "distance") for run in (0, 1)
+        (taper, run) for taper in names for run in (0, 1)
     ] + [("reference", 0)]
     assert all(r.status == "ok" for r in report.all_runs)
-    assert len(priors[50]) == 6 and len({id(p) for p in priors[50]}) == 2
-    for prior in priors[50] + priors[80]:
-        with pytest.raises(ValueError, match="read-only"):
-            prior.values[0, 0] = 0.0
-    # sharing changes no byte: each setting alone, on a prior of its own
+    assert len(calls[50]) == 6 and len({id(p) for p, _, _ in calls[50]}) == 2
+    # per seed: read-only and copied, read-only and copied, then handed over
+    for seed_calls in (calls[50][:3], calls[50][3:], calls[80]):
+        assert len({id(p) for p, _, _ in seed_calls}) == 1
+        *shared, (_, last_writeable, last_in_place) = seed_calls
+        assert all(not writeable and not in_place for _, writeable, in_place in shared)
+        assert last_writeable and last_in_place
+    # sharing changes no byte: each setting alone, on a prior of its own, and
+    # so run in place, as the last setting runs in the shared job
     for name, policy in cfg.localization.items():
         alone = replace(cfg, localization={name: policy}, reference=None)
-        hn.run_experiment(alone, tmp_path / name)
+        hn.run_experiment(alone, out / name)
         for run in (0, 1):
             file = f"runs/{name}/run{run}/diagnostics.csv"
-            shared = (tmp_path / "shared" / file).read_bytes()
-            assert (tmp_path / name / file).read_bytes() == shared
+            shared = (out / "shared" / file).read_bytes()
+            assert (out / name / file).read_bytes() == shared, (name, run)
+        assert _report_rows(out / name, name) == _report_rows(out / "shared", name)
+
+
+def _one_setting_job(tmp_path, policy):
+    """A one-setting job's arguments to _run_seed, its sampler handing out
+    a prior drawn beforehand: a linear model of 20,000 parameters and 8
+    data, at Ne = 40 (a 6.4 MB ensemble)."""
+    nm, nd, ne = 20_000, 8, 40
+    rng = np.random.default_rng(21)
+    model = LinearModel(rng.standard_normal((nd, nm)) / np.sqrt(nm))
+    prior = Ensemble(values=rng.standard_normal((nm, ne)))
+    obs = sm.ObservationSet(d_obs=model.evaluate(np.ones(nm)), sigma_e=np.full(nd, 0.1))
+    raw = {"model": {"kind": "linear", "n_params": 1, "n_data": 1},
+           "observation": {"truth_seed": 1, "noise_seed": 2}, "ensemble_size": ne,
+           "schedule": {"n_steps": 2}, "localization": ["mse"]}
+    cfg = hn.config_from_dict(raw)
+    args = (cfg, model, lambda count, seed: prior, obs, tmp_path, {"one": policy}, 0, ne, 3)
+    return prior, args
+
+
+@pytest.mark.parametrize("policy", [
+    sm.LocalizationPolicy(spec=None),
+    sm.LocalizationPolicy(spec=Logistic(1.5, 2.0)),
+], ids=["none", "logistic"])
+def test_one_setting_seed_holds_no_second_ensemble(tmp_path, monkeypatch, policy):
+    """A seed with one setting updates its prior in place: its job, run
+    and run directory included, allocates less than one Nm x Ne ensemble
+    on top of the prior (a copy of it alone would be one)."""
+    monkeypatch.setattr(sm, "_helper_count", lambda: 1)
+    prior, args = _one_setting_job(tmp_path, policy)
+    tracemalloc.start()
+    try:
+        (run,) = hn._run_seed(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.status == "ok"
+    assert peak < prior.values.nbytes, peak
 
 
 def test_shared_prior_released_after_its_last_job(tmp_path, monkeypatch):
@@ -1209,20 +1288,25 @@ def test_shared_prior_released_after_its_last_job(tmp_path, monkeypatch):
     assert all(r.diagnostics and r.nv_rows is not None for r in report.all_runs)
 
 
-def test_final_report_takes_no_variance_pass_over_the_prior(monkeypatch):
-    """The mean offset reads the prior's row variance that step 1's update
-    took (EsmdaResult.prior_var), bit-identical to a pass of its own."""
+def test_final_report_takes_no_pass_over_the_prior(monkeypatch):
+    """A run handed its prior updates it into the posterior, and the report
+    reads nothing of the prior: the mean offset comes from the row mean and
+    variance that step 1's update took, each bit-identical to a pass over
+    the prior of its own."""
     toy = ScalarToyModel(n_active=6, n_dummy=2, n_series=2, n_times=8, structure_seed=3)
     prior = toy.sample_prior(30, 4)
+    before = Ensemble(prior.values.copy())
     obs = sm.ObservationSet(d_obs=toy.evaluate(np.zeros(toy.n_params)) + 0.1,
                             sigma_e=np.full(toy.n_data, 0.1))
-    result = sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(2),
-                          sm.LocalizationPolicy(spec=Logistic(1.5, 2.0)), sm.RunSeed(5))
-    assert np.array_equal(result.prior_var, ensemble_variance_per_row(prior))
-    expected = metrics.mean_offset(prior, result.posterior)
+    result = hn.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(2),
+                          sm.LocalizationPolicy(spec=Logistic(1.5, 2.0)), sm.RunSeed(5), 4, True)
+    assert result.posterior is prior and not np.array_equal(prior.values, before.values)
+    assert np.array_equal(result.prior_mean, before.values.mean(axis=1))
+    assert np.array_equal(result.prior_var, ensemble_variance_per_row(before))
+    expected = metrics.mean_offset(before, result.posterior)
 
     def no_pass(ens):
         raise AssertionError("a variance pass over an ensemble")
 
     monkeypatch.setattr(metrics, "ensemble_variance_per_row", no_pass)
-    assert hn._final_report(toy, prior, result).mean_offset == expected
+    assert hn._final_report(toy, result).mean_offset == expected

@@ -476,6 +476,41 @@ def test_grf_factor_within_derived_tolerance_of_dense_oracle(prior, monkeypatch)
     assert np.max(np.abs(factor - oracle)) <= tol, (np.max(np.abs(factor - oracle)), tol)
 
 
+def _passing_schur_factor():
+    """A 6 x 5 grid's block Schur factor, in a plain zeroed array, which
+    passes its check, with its lag table; row 14 is a middle row."""
+    windows = md._lag_windows(md.GrfPrior(nx=6, ny=5, range_major=4, range_minor=2,
+                                          angle_deg=30))
+    low = np.zeros((30, 30))
+    residual, _ = md._schur_factor(low, windows, 1e-10)
+    assert residual == md._schur_residual(low, windows, 1e-10) <= md._SCHUR_RESIDUAL
+    return low, windows
+
+
+def test_schur_check_last_block_column_sees_a_sign_flip_that_keeps_the_row_norms():
+    """A middle row's off-diagonal part with its sign flipped keeps every
+    row norm bit for bit, so only the last block column fails the check."""
+    low, windows = _passing_schur_factor()
+    bad = low.copy()
+    bad[14, :14] *= -1.0
+    assert np.array_equal(np.einsum("ij,ij->i", bad, bad), np.einsum("ij,ij->i", low, low))
+    assert md._schur_residual(bad, windows, 1e-10) > 1e3 * md._SCHUR_RESIDUAL
+
+
+def test_schur_check_row_norms_see_a_change_that_keeps_the_last_block_column():
+    """A change to a middle row orthogonal to the last block row's rows
+    keeps the last block column L L[-nx:]^T to rounding, so only the row
+    norms fail the check."""
+    low, windows = _passing_schur_factor()
+    last = low[-6:, :15].T  # the last block row's rows, over row 14's columns
+    x = np.random.default_rng(3).standard_normal(15)
+    v = x - last @ np.linalg.lstsq(last, x, rcond=None)[0]
+    bad = low.copy()
+    bad[14, :15] += 1e-6 * v / np.linalg.norm(v)
+    assert np.max(np.abs(bad @ bad[-6:].T - low @ low[-6:].T)) <= 1e-16
+    assert md._schur_residual(bad, windows, 1e-10) > 1e3 * md._SCHUR_RESIDUAL
+
+
 @pytest.mark.parametrize("failure", ["check", "nan", "step"])
 def test_grf_factor_failed_schur_gives_dense_factor(failure, monkeypatch):
     """A Schur factor past its residual bound, one whose residual is NaN, or

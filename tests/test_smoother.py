@@ -255,7 +255,7 @@ def test_update_in_place_allocates_no_ensemble(monkeypatch, tapered):
         copied[blk.slice()] = before.values[blk.slice()] + gain @ (pert - pred.values)
     tracemalloc.start()
     try:
-        var = sm.localized_update_step(ens, pred, obs, 4.0, taper, pert)
+        _, var = sm.localized_update_step(ens, pred, obs, 4.0, taper, pert)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -553,6 +553,46 @@ def test_run_equal_for_any_helper_count(monkeypatch, problem, policy, kept_block
         for a, b in zip(res.diagnostics, serial.diagnostics):
             assert (a.objective, a.nv, a.n_eff, a.chi) == (b.objective, b.nv, b.n_eff, b.chi)
             assert np.array_equal(a.taper_histogram, b.taper_histogram)
+
+
+@pytest.mark.parametrize(
+    "problem, policy, kept_blocks, updates_prior",
+    [
+        (_grid_problem, sm.LocalizationPolicy(spec=None), 0, True),
+        (_grid_problem, sm.LocalizationPolicy(spec=tp.Logistic(1.5, 2.0)), None, True),
+        (_toy_problem, sm.LocalizationPolicy(spec=tp.PowerLaw(3.0, None),
+                                             t0_strategy=PercentileT0(0.9)), None, True),
+        # distance blocks are evaluated from coordinates alone
+        (_grid_problem, sm.LocalizationPolicy(spec=tp.DistanceGC(4.0, 2.0, 30.0)), 0, True),
+        # correlation blocks past the keep budget are evaluated from the rows
+        (_grid_problem, sm.LocalizationPolicy(spec=tp.Mse()), 3, False),
+        (_toy_problem, sm.LocalizationPolicy(spec=tp.PowerLaw(3.0, None),
+                                             t0_strategy=PercentileT0(0.9)), 1, False),
+    ],
+)
+def test_run_handed_its_prior_equals_the_copying_run(monkeypatch, problem, policy,
+                                                     kept_blocks, updates_prior):
+    """A run handed its prior (in_place) updates it into the posterior,
+    unless its taper field evaluates blocks from the prior's rows after
+    their first read; then it copies the prior. Either way it gives the
+    copying run's posterior and diagnostics bit for bit."""
+    model, prior, obs = problem()
+    if kept_blocks is not None:
+        monkeypatch.setattr(sm, "TAPER_CACHE_BYTES", _budget_keeping(kept_blocks * 8, model, prior))
+    before = prior.values.copy()
+    args = (model, obs, sm.MdaSchedule.uniform(3), policy, sm.RunSeed(12), 8)
+    copied = sm.run_esmda(prior, *args)
+    assert np.array_equal(prior.values, before)
+    handed = sm._run_esmda(prior, *args, True)
+    assert (handed.posterior is prior) == updates_prior
+    assert np.array_equal(prior.values, handed.posterior.values if updates_prior else before)
+    assert np.array_equal(handed.posterior.values, copied.posterior.values)
+    assert np.array_equal(handed.nv_rows, copied.nv_rows)
+    assert np.array_equal(handed.prior_mean, before.mean(axis=1))
+    assert np.array_equal(handed.prior_var, copied.prior_var)
+    for a, b in zip(handed.diagnostics, copied.diagnostics, strict=True):
+        assert (a.objective, a.nv, a.n_eff, a.chi) == (b.objective, b.nv, b.n_eff, b.chi)
+        assert np.array_equal(a.taper_histogram, b.taper_histogram)
 
 
 def _dense_taper(policy, model, prior):
@@ -1060,8 +1100,9 @@ def test_blocks_not_kept_are_checked_at_every_read(monkeypatch, writeable):
 
 @pytest.mark.parametrize("width", [1, 5, 37])
 def test_update_returns_the_forecast_variance(monkeypatch, width):
-    """The update pass returns its input's row variance, bit for bit the
-    variance a separate pass takes, at any block width and helper count."""
+    """The update pass returns its input's row mean and variance, bit for
+    bit the mean and variance a separate pass takes, at any block width and
+    helper count."""
     rng = np.random.default_rng(16)
     before = Ensemble(values=rng.standard_normal((101, 25)) * rng.uniform(0.1, 9.0, (101, 1)))
     pred = PredictedEnsemble(values=rng.standard_normal((4, 25)))
@@ -1071,7 +1112,8 @@ def test_update_returns_the_forecast_variance(monkeypatch, width):
         monkeypatch.setattr(sm, "_helper_count", lambda helpers=helpers: helpers)
         ens = Ensemble(before.values.copy())
         taper = _GivenField(lambda blk: np.full((blk.width, 4), 0.25), ens, pred)
-        var = sm.localized_update_step(ens, pred, obs, 4.0, taper, pert, block_width=width)
+        mean, var = sm.localized_update_step(ens, pred, obs, 4.0, taper, pert, block_width=width)
+        assert np.array_equal(mean, before.values.mean(axis=1))
         assert np.array_equal(var, ensemble_variance_per_row(before))
         assert not np.array_equal(ens.values, before.values)
 
