@@ -22,24 +22,31 @@ whose residual on its row norms and last block row is past _SCHUR_RESIDUAL,
 or past _SCHUR_ERROR once magnified by an estimate of ||C^-1|| (a nearly
 singular C), or whose steps fail, is replaced by the dense factorization at
 the same jitter, computed in place over the lower triangle alone. The
-factor is cached per geometry, at most two geometries at a time. All layers
-of a field are drawn with one triangular product of that factor, and a grid
-model builds its parameter names and coordinates once.
+factor is stored as its block-row panels, packed in one buffer with nothing
+above the diagonal blocks, and cached per geometry, at most two geometries
+at a time. A field is drawn a block row of cells at a time, one product of
+a panel with each layer's normals, spread over enloc's threads with numpy's
+BLAS on one thread; a grid model builds its parameter names and
+coordinates once.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
+import logging
 import math
 import mmap
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .ensemble import DatumMeta, Ensemble
+from .ensemble import DatumMeta, Ensemble, RowBlock, _each_block
 from .errors import FieldGenerationError, ForwardModelError, check_finite
 from .tapers import _scaled_distance
 
@@ -54,6 +61,8 @@ __all__ = [
     "sample_grid_prior",
     "evaluate_members",
 ]
+
+logger = logging.getLogger(__name__)
 
 MAX_DENSE_CELLS = 20_000  # dense-Cholesky ceiling for random-field sampling
 
@@ -481,6 +490,20 @@ def _fill_lower(low: np.ndarray, windows: np.ndarray, jitter: float) -> None:
     np.fill_diagonal(low, 1.0 + jitter)
 
 
+def _panels(buf: np.ndarray, nx: int, ny: int) -> tuple[np.ndarray, ...]:
+    """The ny block-row panels of a packed lower factor, as views of `buf`.
+
+    Panel k holds cell row k's nx rows of the factor over columns 0 ...
+    (k + 1) nx, so its last nx columns are the diagonal block, whose upper
+    triangle stays zero. Together they hold n (n + nx) / 2 values, n = nx ny.
+    """
+    panels, start = [], 0
+    for width in range(nx, nx * ny + 1, nx):
+        panels.append(buf[start : start + nx * width].reshape(nx, width))
+        start += nx * width
+    return tuple(panels)
+
+
 # A block Schur factor stands when |L L^T - C| on the entries its check reads
 # is within _SCHUR_RESIDUAL, about 900 units of rounding, and when that
 # residual times an estimate of ||C^-1|| is within _SCHUR_ERROR. The factor
@@ -491,10 +514,12 @@ _SCHUR_RESIDUAL = 1e-13
 _SCHUR_ERROR = 1e-11
 
 
-def _schur_factor(low: np.ndarray, windows: np.ndarray, jitter: float) -> tuple[float, float]:
+def _schur_factor(
+    panels: Sequence[np.ndarray], windows: np.ndarray, jitter: float
+) -> tuple[float, float]:
     """Write the block Schur factor of the correlation matrix C, diagonal
-    1 + jitter, into `low`'s lower triangle; return its checked residual
-    (_schur_residual) and an estimate of ||C^-1||.
+    1 + jitter, into its block-row panels (_panels); return its checked
+    residual (_schur_residual) and an estimate of ||C^-1||.
 
     On a grid of ny rows of nx cells, C is block Toeplitz: block (j, j') is
     T_{j - j'}, with T_{-d} = T_d^T, so its first block column generates it
@@ -508,17 +533,17 @@ def _schur_factor(low: np.ndarray, windows: np.ndarray, jitter: float) -> tuple[
     block, and the J-unitary transform
         M = [[R^-T a^T, -R^-T b^T], [-Q^-1 P, Q^-1]],  P = b a^-1,  Q Q^T = I - P P^T;
     one product, G's later block rows times M^T, gives the next G, whose
-    first half is L's block column k below the diagonal. Only blocks on and
-    below the diagonal are written, the diagonal blocks' lower triangles
-    alone.
+    first half is L's block column k below the diagonal. Each block is
+    written straight into its panel: the diagonal blocks' lower triangles
+    and the blocks below them.
 
     The hyperbolic steps lose accuracy on ill-conditioned kernels (Stewart
     & Van Dooren 1997, SIAM J. Matrix Anal. Appl. 18(1)), so the factor's
     residual is checked. The estimate of ||C^-1||_2 is |L^-1 x|^2 / |x|^2
     for a fixed normal x, never above it, solved a block column at a time
     as they are written. Either number may be NaN; a step whose matrix is
-    not positive definite raises LinAlgError. Either way `low` may hold a
-    partial factor.
+    not positive definite raises LinAlgError. Either way the panels may
+    hold a partial factor.
     """
     ny, nx = windows.shape[:2]
     n = nx * ny
@@ -533,13 +558,14 @@ def _schur_factor(low: np.ndarray, windows: np.ndarray, jitter: float) -> tuple[
     eye, lower = np.eye(nx), np.tril_indices(nx)
     for k in range(ny):
         c = k * nx
-        low[c : c + nx, c : c + nx][lower] = r.T[lower]
+        panels[k][:, c:][lower] = r.T[lower]
         solved[c : c + nx] = scipy.linalg.solve_triangular(r, solved[c : c + nx], trans="T",
                                                            check_finite=False)
         if k == ny - 1:
             break
         below = gen[:, :nx]  # block column k under the diagonal
-        low[c + nx :, c : c + nx] = below
+        for panel, block in zip(panels[k + 1 :], below.reshape(-1, nx, nx)):
+            panel[:, c : c + nx] = block
         solved[c + nx :] -= below @ solved[c : c + nx]
         gen[nx:, :nx] = gen[:-nx, :nx]  # the first half shifted down one block
         gen[:nx, :nx] = r.T
@@ -554,16 +580,17 @@ def _schur_factor(low: np.ndarray, windows: np.ndarray, jitter: float) -> tuple[
                                           check_finite=False),
         ])
         gen = gen[nx:] @ transform.T
-    return _schur_residual(low, windows, jitter), float(solved @ solved / (probe @ probe))
+    return _schur_residual(panels, windows, jitter), float(solved @ solved / (probe @ probe))
 
 
-def _schur_residual(low: np.ndarray, windows: np.ndarray, jitter: float) -> float:
+def _schur_residual(panels: Sequence[np.ndarray], windows: np.ndarray, jitter: float) -> float:
     """max |L L^T - C| over the entries the Schur check reads, L the lower
-    triangle of `low`, whose entries above the diagonal must be zero (as the
-    factor's zero-filled mapping leaves them), and C the correlation matrix
-    with diagonal 1 + jitter: each row's squared norm, against C's
-    diagonal, and the last block column, L L[-nx:]^T (the last block row,
-    transposed), the one triangular product of the check.
+    factor held in its block-row panels (_panels), whose diagonal blocks'
+    upper triangles must be zero (as the zero-filled buffer leaves them),
+    and C the correlation matrix with diagonal 1 + jitter: each row's
+    squared norm up to the diagonal, against C's diagonal, and the last
+    block column, L L[-nx:]^T (the last block row, transposed), one product
+    per panel with the last panel's columns.
 
     Each half sees a corruption the other misses. A middle row's
     off-diagonal part with its sign flipped keeps every row norm, and a
@@ -573,63 +600,137 @@ def _schur_residual(low: np.ndarray, windows: np.ndarray, jitter: float) -> floa
     ny, nx = windows.shape[:2]
     n = nx * ny
     diag = np.arange(nx)
-    # row by row, up to the diagonal: a read past it maps pages of the shared
-    # mapping that no step wrote, about 0.9 MB more RSS on 60 x 60 cells
-    norms = np.array([row[: i + 1] @ row[: i + 1] for i, row in enumerate(low)])
-    last = scipy.linalg.blas.dtrmm(1.0, low.T, low[-nx:].T, trans_a=1)
+    norms = np.array([row[: c + i + 1] @ row[: c + i + 1]
+                      for c, panel in zip(range(0, n, nx), panels) for i, row in enumerate(panel)])
+    last = np.empty((n, nx))
+    for c, panel in zip(range(0, n, nx), panels):
+        np.matmul(panel, panels[-1][:, : c + nx].T, out=last[c : c + nx])
     last -= windows[:, :, -1].reshape(n, nx)
     last[n - nx + diag, diag] -= jitter
     return float(max(np.max(np.abs(norms - (1.0 + jitter))), np.max(np.abs(last))))
+
+
+def _dense_factor(panels: Sequence[np.ndarray], windows: np.ndarray, jitter: float) -> bool:
+    """Factor the correlation matrix, diagonal 1 + jitter, densely into its
+    block-row panels (_panels); False when dpotrf finds it not positive
+    definite.
+
+    The lower triangle is filled from the lag table on a zero-filled private
+    anonymous mapping of n x n values, and factored in place: the transpose
+    of the C-ordered buffer is Fortran-ordered, and LAPACK's upper factor of
+    it, computed in place without clearing the other triangle, is the lower
+    factor in C order. Pages wholly above the diagonal are never written
+    and never become resident. The panels are then copied out whole, zeros
+    above the diagonal too, from the first down, and the pages of each
+    copied range of rows go back to the system at once. A panel takes less
+    memory than its rows of the triangle, whose last pages each row fills
+    only in part, so the peak is the triangle and the first panel.
+    """
+    ny, nx = windows.shape[:2]
+    n = nx * ny
+    mapping = mmap.mmap(-1, n * n * 8, flags=mmap.MAP_PRIVATE)
+    low = np.frombuffer(mapping, dtype=float).reshape(n, n)
+    _fill_lower(low, windows, jitter)
+    upper, info = scipy.linalg.lapack.dpotrf(low.T, lower=0, clean=0, overwrite_a=1)
+    # a copy would bring the whole n x n matrix back into memory
+    if not np.shares_memory(upper, low):
+        raise RuntimeError("dpotrf did not factor the matrix in place")
+    if info != 0:
+        return False
+    released = 0
+    for k, panel in enumerate(panels):
+        panel[:] = low[k * nx : (k + 1) * nx, : (k + 1) * nx]
+        # up to the first page that holds a row below block row k
+        stop = (k + 1) * nx * n * 8 // mmap.PAGESIZE * mmap.PAGESIZE
+        mapping.madvise(mmap.MADV_DONTNEED, released, stop - released)
+        released = stop
+    return True
 
 
 # Keyed on geometry only, so the porosity and log-permeability fields of one
 # grid share a factor; two entries keep both fields' factors when their
 # geometries differ.
 @functools.lru_cache(maxsize=2)
-def _correlation_factor(geometry: GrfPrior) -> np.ndarray:
-    """Read-only lower Cholesky factor of the cell-correlation matrix.
+def _correlation_factor(geometry: GrfPrior) -> tuple[np.ndarray, ...]:
+    """Read-only lower Cholesky factor of the cell-correlation matrix, as
+    its ny block-row panels (_panels) in one C-contiguous buffer:
+    n (n + nx) / 2 values, 50.3 MiB on 60 x 60 cells, with nothing stored
+    above the diagonal blocks.
 
-    The factor is built on a zero-filled anonymous mapping, lower triangle
-    only: pages wholly above the diagonal are never written and so never
-    become resident (numpy's own allocation would be advised as transparent
-    huge pages, which makes every touched 2 MB region resident).
-
-    Each jitter of the ladder first takes the block Schur factor
-    (_schur_factor), from the lag table's first block column alone. If a step
-    fails, or its check fails (ill-conditioned kernels, such as Gaussian
-    ones of long range: see _SCHUR_RESIDUAL), the triangle is refilled
-    from the lag table and factored densely at the same jitter: the
-    transpose of the C-ordered buffer is Fortran-ordered, and LAPACK's
-    upper factor of it, computed in place without clearing the other
-    triangle, is the lower factor in C order. Only a dense failure moves on
-    to the next jitter, so a kernel takes the jitter the dense path alone
-    would, and a dense-path factor has the bits of the dense path alone.
+    The buffer is a private anonymous mapping, zero-filled by the system,
+    whose pages go back to it at once when released (numpy's own allocation
+    would be advised as transparent huge pages, which makes every touched
+    2 MB region resident). Each jitter of the ladder first takes the block
+    Schur factor (_schur_factor), from the lag table's first block column
+    alone, written straight into the panels, so no n x n array exists on
+    that path. If a step fails, or its check fails (ill-conditioned kernels,
+    such as Gaussian ones of long range: see _SCHUR_RESIDUAL), the failed
+    factor's pages are released and the dense factorization runs at the
+    same jitter (_dense_factor). Only a dense failure moves on to the next
+    jitter, so a kernel takes the jitter the dense path alone would, and a
+    dense-path factor has the bits of the dense path alone.
     """
-    n = geometry.nx * geometry.ny
-    low = np.frombuffer(mmap.mmap(-1, n * n * 8), dtype=float).reshape(n, n)
+    nx, ny = geometry.nx, geometry.ny
+    n = nx * ny
+    mapping = mmap.mmap(-1, n * (n + nx) // 2 * 8, flags=mmap.MAP_PRIVATE)
+    buf = np.frombuffer(mapping, dtype=float)
+    panels = _panels(buf, nx, ny)
     windows = _lag_windows(geometry)
     for jitter in (1e-10, 1e-8, 1e-6):
         try:  # a failing factor may overflow: its residual is then not finite
             with np.errstate(over="ignore", invalid="ignore"):
-                residual, inverse_norm = _schur_factor(low, windows, jitter)
+                residual, inverse_norm = _schur_factor(panels, windows, jitter)
         except np.linalg.LinAlgError:
             pass
         else:
             if residual <= _SCHUR_RESIDUAL and residual * inverse_norm <= _SCHUR_ERROR:
                 break
-        _fill_lower(low, windows, jitter)
-        upper, info = scipy.linalg.lapack.dpotrf(low.T, lower=0, clean=0, overwrite_a=1)
-        # a copy would bring the whole n x n matrix back into memory
-        if not np.shares_memory(upper, low):
-            raise RuntimeError("dpotrf did not factor the matrix in place")
-        if info == 0:
+        mapping.madvise(mmap.MADV_DONTNEED)  # before the triangle is filled
+        if _dense_factor(panels, windows, jitter):
             break
     else:
         raise FieldGenerationError(
             "correlation matrix not positive definite after jitter"
         )
-    low.setflags(write=False)
-    return low
+    buf.setflags(write=False)
+    return _panels(buf, nx, ny)
+
+
+@functools.cache
+def _numpy_blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The getter and setter of numpy's OpenBLAS thread count, or None when
+    numpy's BLAS exports neither."""
+    module = (sys.modules.get("numpy._core._multiarray_umath")
+              or sys.modules.get("numpy.core._multiarray_umath"))
+    try:  # dlsym on numpy's extension finds the symbols of the BLAS it links
+        lib = ctypes.CDLL(module.__file__)
+        get, set_threads = (lib.scipy_openblas_get_num_threads64_,
+                            lib.scipy_openblas_set_num_threads64_)
+    except (AttributeError, OSError) as exc:
+        logger.debug("numpy's BLAS thread count cannot be set: %s", exc)
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get, set_threads
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """numpy's OpenBLAS runs on one thread within the block, and on as many
+    as before after it, so products spread over enloc's own threads neither
+    compete with the BLAS's threads nor round by their count. A BLAS whose
+    thread count cannot be set is left as it is."""
+    calls = _numpy_blas_threads()
+    if calls is None:
+        yield
+        return
+    get, set_threads = calls
+    before = get()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 def sample_grf(
@@ -650,44 +751,45 @@ def sample_grf(
     A sequence of seeds draws one layer per seed, stacked layer-major, with
     rows named c_i_j_k and coords (i, j, k) for layer k. Layer k's standard
     normals are default_rng(seed_k).standard_normal((cells, count)), as an
-    int seed draws them; all layers sit side by side in one matrix, so the
-    factor is read once for the whole field, in one triangular product
-    written over the normals. A layer equals its one-layer
-    draw where the BLAS rounds each column of a product independently of
-    the product's width; where it does not (OpenBLAS, for some widths), the
-    two differ in the last bits.
+    int seed draws them, each layer drawn whole into one anonymous mapping.
+    Block row j of layer k is one product, the factor's panel j times the
+    layer's normals up to that block row, written straight into the
+    values, then scaled and shifted in place. So a layer of a stacked draw
+    equals its one-layer draw bit for bit, whatever the layer count. The
+    panels are spread over enloc's threads (ensemble._each_block) with
+    numpy's BLAS on one thread, so a draw's bits depend on neither thread
+    count.
 
     labels=False leaves out the names and coords, for a caller that
     labels the rows itself. out, a C-contiguous (layers x cells) x count
     array, receives the values when given (a caller's slice of a larger
-    ensemble); the one copy out of the product's layout writes it.
+    ensemble).
     """
     if count < 2:
         raise ValueError("need at least 2 realizations")
     layered = np.ndim(seed) > 0
     seeds = list(seed) if layered else [seed]
-    factor = _correlation_factor(replace(prior, mean=0.0, std=1.0))
-    n = factor.shape[0]
-    # on an anonymous mapping, as the factor is, so its pages go back to the
-    # system when it is freed, not to a heap that keeps them resident
-    width = len(seeds) * count
-    z = np.frombuffer(mmap.mmap(-1, max(n * width, 1) * 8), dtype=float, count=n * width)
-    z = z.reshape(n, width)
-    # a generator fills only contiguous arrays: each layer's normals are drawn
-    # 256 KiB of rows at a time into one buffer, with the bits of one draw
-    chunk = np.empty((max(1, 2**15 // count), count))
-    for k, s in enumerate(seeds):
-        rng = np.random.default_rng(s)
-        for lo in range(0, n, len(chunk)):
-            rows = rng.standard_normal(out=chunk[: n - lo])
-            z[lo : lo + len(rows), k * count : (k + 1) * count] = rows
-    # x = factor @ z as x^T = z^T factor^T, the BLAS triangular product (half
-    # the work of a full one) written over z; the transposes are free views
-    x = scipy.linalg.blas.dtrmm(1.0, factor.T, z.T, side=1, overwrite_b=1).T
+    panels = _correlation_factor(replace(prior, mean=0.0, std=1.0))
+    nx, n = prior.nx, prior.nx * prior.ny
+    # on an anonymous mapping, so their pages go back to the system when
+    # they are freed, not to a heap that keeps them resident
+    size = len(seeds) * n * count
+    z = np.frombuffer(mmap.mmap(-1, max(size, 1) * 8), dtype=float, count=size)
+    z = z.reshape(len(seeds), n, count)
+    for normals, s in zip(z, seeds):
+        np.random.default_rng(s).standard_normal(out=normals)
     values = np.empty((len(seeds) * n, count)) if out is None else out
     layers = values.reshape(len(seeds), n, count)  # a view: values is contiguous
-    np.multiply(x.reshape(n, len(seeds), count).transpose(1, 0, 2), prior.std, out=layers)
-    layers += prior.mean
+
+    def draw(blk: RowBlock) -> None:
+        panel, rows = panels[blk.start], slice(blk.start * nx, blk.stop * nx)
+        for normals, layer in zip(z, layers):
+            np.matmul(panel, normals[: rows.stop], out=layer[rows])
+            layer[rows] *= prior.std
+            layer[rows] += prior.mean
+
+    with _one_blas_thread():
+        _each_block(len(panels), 1, draw)
     if not labels:
         return Ensemble(values=values)
     k, j, i = np.indices((len(seeds), prior.ny, prior.nx)).reshape(3, -1)

@@ -40,13 +40,15 @@ so no separate pass reads them. The field refers to
 nothing that refers back to it, so reference counting frees it, its prior
 and its kept blocks as soon as the run returns.
 
-An update spreads its row blocks over the CPUs the process may run on: the
-calling thread and one helper thread per further CPU take blocks in row order,
-the helpers from a pool that lives for that update alone, so no thread
-outlives it. A percentile pass runs the same way; the package has no other
-parallelism. Each block writes only its own rows, whether a taper block is
-kept depends only on where its rows end, and the footprint's block sums are
-added up exactly rounded, so a run's results do not depend on the CPU count.
+An update spreads its row blocks over the CPUs the process may run on
+(ensemble._each_block): the calling thread and one helper thread per further
+CPU take blocks in row order, the helpers from a pool that lives for that
+update alone, so no thread outlives it. A percentile pass runs the same way,
+and so does the prior draw over its factor's panels (models.sample_grf);
+the package has no other parallelism. Each block writes only its own rows,
+whether a taper block is kept depends only on where its rows end, and the
+footprint's block sums are added up exactly rounded, so a run's results do
+not depend on the CPU count.
 Every block, kept or fresh, is updated on all threads at once. A thread reads a
 block's taper, checked once when a kept block is evaluated and at every read of
 a fresh one, before it forms the gain, so a thread updating a fresh block holds
@@ -59,12 +61,9 @@ pass of their own.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -75,6 +74,7 @@ from .ensemble import (
     Ensemble,
     PredictedEnsemble,
     RowBlock,
+    _each_block,
     correlation_block,
     ensemble_variance_per_row,
     iter_blocks,
@@ -561,66 +561,6 @@ def localized_update_step(
 
     _each_block(ens.n_params, block_width, update)
     return mean, var
-
-
-def _each_block(n_rows: int, block_width: int, work: Callable[[RowBlock], None]) -> None:
-    """Call work once for every row block, on this thread and helper threads.
-
-    The calling thread and up to _helper_count() helper threads, from a pool
-    opened for this call and shut down before it returns, take blocks
-    in row order until none is left; the caller takes its share, so helpers
-    keep no arrays beyond a block. The caller works rather than waiting on
-    the helpers because handing every block to two helper threads left the
-    run time unchanged but raised the 8-layer grid's peak RSS from 372 to
-    458-493 MB, likely as freed block arrays stay in the helpers' malloc
-    arenas (not confirmed). work must write only its own block's
-    rows. After a failure no further block is taken; once every taken block
-    has finished, the failure of the lowest block is raised, as a BlockError
-    naming its rows when it is an EnlocError or ValueError. Every block
-    below it was taken before it, so the same error surfaces however the
-    threads interleave.
-    """
-    blocks = list(iter_blocks(n_rows, block_width))
-    pending = iter(blocks)
-    lock = threading.Lock()
-    failures: dict[int, tuple[RowBlock, Exception]] = {}
-    stopped = False
-
-    def drain() -> None:
-        while True:
-            with lock:
-                blk = None if stopped or failures else next(pending, None)
-            if blk is None:
-                return
-            try:
-                work(blk)
-            except Exception as exc:  # raised below, once all taken blocks are done
-                with lock:
-                    failures[blk.start] = blk, exc
-
-    helpers = min(_helper_count(), len(blocks) - 1)
-    # a pool starts a thread per submit, so with no helpers it starts none
-    with ThreadPoolExecutor(max(1, helpers), thread_name_prefix="enloc-update") as pool:
-        futures = [pool.submit(drain) for _ in range(helpers)]
-        try:
-            drain()
-        finally:
-            stopped = True  # an interrupted caller stops the helpers too
-    for future in futures:
-        future.result()
-    if failures:
-        blk, exc = failures[min(failures)]
-        if isinstance(exc, (EnlocError, ValueError)):
-            raise BlockError(blk.slice(), str(exc)) from exc
-        raise exc
-
-
-def _helper_count() -> int:
-    """Helper threads per update: one for each further CPU of the process."""
-    try:
-        return len(os.sched_getaffinity(0)) - 1
-    except AttributeError:  # no CPU affinity on this platform
-        return (os.cpu_count() or 1) - 1
 
 
 @dataclass

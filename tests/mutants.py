@@ -106,7 +106,7 @@ MUTANTS = [
            ("tests/test_smoother.py::test_tally_closes_once_every_pair_is_binned",)),
     # the random-field factor
     Mutant("no refill before the dense factorization", "models.py",
-           "        _fill_lower(low, windows, jitter)\n", "",
+           "    _fill_lower(low, windows, jitter)\n", "",
            ("tests/test_models.py::test_grf_factor_failed_schur_gives_dense_factor",)),
     Mutant("every Schur factor accepted", "models.py",
            "            if residual <= _SCHUR_RESIDUAL and residual * inverse_norm <= _SCHUR_ERROR:\n",
@@ -122,14 +122,34 @@ MUTANTS = [
     Mutant("the ||C^-1|| bound ignored", "models.py",
            " and residual * inverse_norm <= _SCHUR_ERROR:", ":",
            ("tests/test_models.py::test_grf_factor_within_derived_tolerance_of_dense_oracle",)),
+    Mutant("the factor's panels from np.empty", "models.py",
+           "    buf = np.frombuffer(mapping, dtype=float)\n",
+           "    buf = np.empty(len(mapping) // 8)\n",
+           ("tests/test_models.py::test_grf_factor_is_zero_above_the_diagonal_on_a_dirty_heap",
+            "tests/test_models.py::test_grf_factor_built_in_place")),
+    Mutant("the dense path keeps the mapping's copied rows", "models.py",
+           "        mapping.madvise(mmap.MADV_DONTNEED, released, stop - released)\n", "",
+           ("tests/test_models.py::test_grf_dense_factor_peak_memory",)),
+    Mutant("the failed Schur factor kept resident", "models.py",
+           "        mapping.madvise(mmap.MADV_DONTNEED)  # before the triangle is filled\n", "",
+           ("tests/test_models.py::test_grf_dense_factor_peak_memory",)),
+    # the draw; "a layer's normals drawn whole" went with the 256 KiB chunk
+    # buffer it mutated: each layer is now drawn whole into the mapping, and
+    # test_grf_draw_holds_no_layer_of_normals_on_the_heap still bounds the heap
     Mutant("a draw's normals on the heap", "models.py",
-           "z = np.frombuffer(mmap.mmap(-1, max(n * width, 1) * 8), dtype=float, count=n * width)",
-           "z = np.empty(n * width)",
+           "    z = np.frombuffer(mmap.mmap(-1, max(size, 1) * 8), dtype=float, count=size)\n",
+           "    z = np.empty(size)\n",
            ("tests/test_models.py::test_grf_draw_returns_its_normals_to_the_system",)),
-    Mutant("a layer's normals drawn whole", "models.py",
-           "    chunk = np.empty((max(1, 2**15 // count), count))\n",
-           "    chunk = np.empty((n, count))\n",
-           ("tests/test_models.py::test_grf_draw_holds_no_layer_of_normals_on_the_heap",)),
+    Mutant("one product over all layers", "models.py",
+           "        for normals, layer in zip(z, layers):\n"
+           "            np.matmul(panel, normals[: rows.stop], out=layer[rows])\n",
+           "        wide = panel @ np.hstack(z[:, : rows.stop])\n"
+           "        for normals, layer in zip(np.hsplit(wide, len(z)), layers):\n"
+           "            layer[rows] = normals\n",
+           ("tests/test_models.py::test_grf_stacked_draw_equals_its_layer_draws_at_every_width",)),
+    Mutant("no BLAS pin during the draw", "models.py",
+           "    set_threads(1)\n", "",
+           ("tests/test_models.py::test_grf_draw_equal_for_any_blas_thread_count",)),
     # the Schur check's halves (ROADMAP 13(b)) and the inverse-norm estimate
     Mutant("Schur check of the row norms alone", "models.py",
            "    return float(max(np.max(np.abs(norms - (1.0 + jitter))), np.max(np.abs(last))))\n",

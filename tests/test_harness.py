@@ -20,6 +20,7 @@ from oracles import read_ensemble_csv
 
 import enloc.harness as hn
 from enloc import cli, metrics
+from enloc import ensemble as ens_mod
 from enloc import smoother as sm
 from enloc.ensemble import Ensemble, ensemble_variance_per_row
 from enloc.errors import ConfigError
@@ -1251,7 +1252,7 @@ def test_one_setting_seed_holds_no_second_ensemble(tmp_path, monkeypatch, policy
     """A seed with one setting updates its prior in place: its job, run
     and run directory included, allocates less than one Nm x Ne ensemble
     on top of the prior (a copy of it alone would be one)."""
-    monkeypatch.setattr(sm, "_helper_count", lambda: 1)
+    monkeypatch.setattr(ens_mod, "_helper_count", lambda: 1)
     prior, args = _one_setting_job(tmp_path, policy)
     tracemalloc.start()
     try:

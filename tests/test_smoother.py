@@ -25,6 +25,7 @@ from oracles import (
 )
 
 from enloc import cli, metrics
+from enloc import ensemble as ens_mod
 from enloc import smoother as sm
 from enloc import tapers as tp
 from enloc.ensemble import (
@@ -236,7 +237,7 @@ def test_update_memory_stays_blockwise():
 def test_update_in_place_allocates_no_ensemble(monkeypatch, tapered):
     """The update writes over its input, block by block, the values a
     copying update gives, and allocates no Nm x Ne array."""
-    monkeypatch.setattr(sm, "_helper_count", lambda: 1)
+    monkeypatch.setattr(ens_mod, "_helper_count", lambda: 1)
     rng = np.random.default_rng(14)
     nm, nd, ne = 20_000, 40, 30
     ens = Ensemble(values=rng.standard_normal((nm, ne)))
@@ -268,7 +269,7 @@ def test_update_in_place_allocates_no_ensemble(monkeypatch, tapered):
 def test_update_overflow_names_its_rows(monkeypatch, helpers):
     """Finite rows near 1e307 whose update overflows fail the block that
     holds them, on whichever thread takes it."""
-    monkeypatch.setattr(sm, "_helper_count", lambda: helpers)
+    monkeypatch.setattr(ens_mod, "_helper_count", lambda: helpers)
     rng = np.random.default_rng(15)
     values = rng.standard_normal((16, 10))
     values[8:] = 1e307 * (1.0 + 0.1 * values[8:])
@@ -543,7 +544,7 @@ def test_run_equal_for_any_helper_count(monkeypatch, problem, policy, kept_block
         monkeypatch.setattr(sm, "TAPER_CACHE_BYTES", _budget_keeping(kept_blocks * 8, model, prior))
     runs = []
     for helpers in (0, 1, 3):
-        monkeypatch.setattr(sm, "_helper_count", lambda helpers=helpers: helpers)
+        monkeypatch.setattr(ens_mod, "_helper_count", lambda helpers=helpers: helpers)
         runs.append(sm.run_esmda(prior, model, obs, sm.MdaSchedule.uniform(3), policy,
                                  sm.RunSeed(12), 8))
     serial = runs[0]
@@ -655,7 +656,7 @@ def test_run_matches_dense_oracle(monkeypatch, policy):
                    sm.TAPER_CACHE_BYTES):
         monkeypatch.setattr(sm, "TAPER_CACHE_BYTES", budget)
         for helpers in (0, 1, 3):
-            monkeypatch.setattr(sm, "_helper_count", lambda helpers=helpers: helpers)
+            monkeypatch.setattr(ens_mod, "_helper_count", lambda helpers=helpers: helpers)
             runs.append(sm.run_esmda(prior, model, obs, schedule, policy, seed, 8).posterior)
     for res in runs[1:]:
         assert np.array_equal(res.values, runs[0].values)
@@ -747,7 +748,7 @@ def test_drawn_runs_match_dense_oracle(problem, policy, n_steps, helpers, keep):
     with pytest.MonkeyPatch.context() as mp:
         runs = []
         for h, rows in ((0, n_params), (helpers, keep_rows)):
-            mp.setattr(sm, "_helper_count", lambda h=h: h)
+            mp.setattr(ens_mod, "_helper_count", lambda h=h: h)
             mp.setattr(sm, "TAPER_CACHE_BYTES", _budget_keeping(rows, model, prior))
             runs.append(sm.run_esmda(prior, model, obs, schedule, policy, seed, width))
     serial, drawn = runs
@@ -941,7 +942,7 @@ def test_footprint_needs_every_block_read(missing):
 
 
 def test_blocks_spread_over_helper_threads(monkeypatch):
-    monkeypatch.setattr(sm, "_helper_count", lambda: 3)
+    monkeypatch.setattr(ens_mod, "_helper_count", lambda: 3)
     threads, done = {}, []
 
     def work(blk):
@@ -949,7 +950,7 @@ def test_blocks_spread_over_helper_threads(monkeypatch):
         time.sleep(0.002)  # lets every thread take blocks
         done.append(blk.start)
 
-    sm._each_block(100, 4, work)
+    ens_mod._each_block(100, 4, work)
     assert sorted(done) == list(range(0, 100, 4))
     assert len(set(threads.values())) > 1
 
@@ -959,7 +960,7 @@ def test_no_helper_thread_outlives_an_update(monkeypatch):
     toy, prior, obs = _toy_problem()
     policy = sm.LocalizationPolicy(spec=tp.Mse())
     for helpers in (1, 3):
-        monkeypatch.setattr(sm, "_helper_count", lambda: helpers)
+        monkeypatch.setattr(ens_mod, "_helper_count", lambda: helpers)
         sm.run_esmda(prior, toy, obs, sm.MdaSchedule.uniform(2), policy, sm.RunSeed(4), 4)
         alive = [t.name for t in threading.enumerate() if t.name.startswith("enloc-update")]
         assert not alive, (helpers, alive)
@@ -968,7 +969,7 @@ def test_no_helper_thread_outlives_an_update(monkeypatch):
 def test_footprint_tally_under_thread_contention(monkeypatch):
     """More threads than cores and a short switch interval lose no count,
     whether a field's blocks are kept (the first half) or not."""
-    monkeypatch.setattr(sm, "_helper_count", lambda: 3)
+    monkeypatch.setattr(ens_mod, "_helper_count", lambda: 3)
     rng = np.random.default_rng(21)
     taper = rng.uniform(0.0, 1.0, (400, 5))
     rows = lambda blk: taper[blk.slice()]
@@ -978,7 +979,7 @@ def test_footprint_tally_under_thread_contention(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        sm._each_block(400, 2, field.rows)
+        ens_mod._each_block(400, 2, field.rows)
         n_eff, hist = field.footprint()
     finally:
         sys.setswitchinterval(interval)
@@ -990,7 +991,7 @@ def test_footprint_tally_under_thread_contention(monkeypatch):
 def test_failure_names_the_lowest_failing_block(monkeypatch, helpers):
     """Rows 8:16 fail after rows 24:32 do, and block 0 ends last: the error
     names the lower rows, once every taken block has finished."""
-    monkeypatch.setattr(sm, "_helper_count", lambda: helpers)
+    monkeypatch.setattr(ens_mod, "_helper_count", lambda: helpers)
     rng = np.random.default_rng(7)
     ens = Ensemble(values=rng.standard_normal((48, 12)))
     pred = PredictedEnsemble(values=rng.standard_normal((3, 12)))
@@ -1014,7 +1015,7 @@ def test_kept_blocks_form_their_gains_at_once(monkeypatch):
     """The caller and a helper form the gains of taper blocks at the same
     time, blocks the field keeps and, past the budget, blocks it evaluates
     afresh alike: neither waits for the other to apply its block."""
-    monkeypatch.setattr(sm, "_helper_count", lambda: 1)
+    monkeypatch.setattr(ens_mod, "_helper_count", lambda: 1)
     toy, prior, obs = _toy_problem()
     blocks = list(iter_blocks(toy.n_params, 4))
     gain_block, make = sm.kalman_gain_block, sm.make_taper_field
@@ -1046,7 +1047,7 @@ def test_kept_block_out_of_range_fails_step_1(monkeypatch, helpers, bad):
     """A kept block is checked once, when it is evaluated: one value outside
     [0, 1] fails step 1 naming the block's rows, and no gain is formed for
     them."""
-    monkeypatch.setattr(sm, "_helper_count", lambda: helpers)
+    monkeypatch.setattr(ens_mod, "_helper_count", lambda: helpers)
     toy, prior, obs = _toy_problem()
     block = sm.TaperField.block
 
@@ -1079,7 +1080,7 @@ def test_kept_block_out_of_range_fails_step_1(monkeypatch, helpers, bad):
 def test_blocks_not_kept_are_checked_at_every_read(monkeypatch, writeable):
     """A field's block past its budget is checked at every update that reads
     it, whether the array is writeable or not."""
-    monkeypatch.setattr(sm, "_helper_count", lambda: 1)
+    monkeypatch.setattr(ens_mod, "_helper_count", lambda: 1)
     rng = np.random.default_rng(7)
     ens = Ensemble(values=rng.standard_normal((48, 12)))
     pred = PredictedEnsemble(values=rng.standard_normal((3, 12)))
@@ -1109,7 +1110,7 @@ def test_update_returns_the_forecast_variance(monkeypatch, width):
     obs = _obs(4)
     pert = sm.perturb_observations(obs, 4.0, sm.RunSeed(5), 1, 25)
     for helpers in (0, 1, 3):
-        monkeypatch.setattr(sm, "_helper_count", lambda helpers=helpers: helpers)
+        monkeypatch.setattr(ens_mod, "_helper_count", lambda helpers=helpers: helpers)
         ens = Ensemble(before.values.copy())
         taper = _GivenField(lambda blk: np.full((blk.width, 4), 0.25), ens, pred)
         mean, var = sm.localized_update_step(ens, pred, obs, 4.0, taper, pert, block_width=width)
@@ -1149,7 +1150,7 @@ def test_artifacts_equal_on_one_cpu(monkeypatch, tmp_path):
     }
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(cfg))
-    monkeypatch.setattr(sm, "_helper_count", lambda: 3)
+    monkeypatch.setattr(ens_mod, "_helper_count", lambda: 3)
     assert cli.main(["run", str(path), "--out", str(tmp_path / "threads")]) == 0
     cpu = min(os.sched_getaffinity(0))
     code = (
@@ -1227,7 +1228,7 @@ def test_percentile_t0_equals_whole_block_oracle(monkeypatch):
     monkeypatch.setattr(sm, "make_taper_field", lambda *a: fields.append(make(*a)) or fields[-1])
     policy = sm.LocalizationPolicy(spec, PercentileT0(0.9))
     for helpers in (0, 1, 3):
-        monkeypatch.setattr(sm, "_helper_count", lambda helpers=helpers: helpers)
+        monkeypatch.setattr(ens_mod, "_helper_count", lambda helpers=helpers: helpers)
         field = sm.TaperField(spec, ens, pred, PercentileT0(0.9), block_width=16)
         assert np.array_equal(field._t0, expected)
         res = sm.run_esmda(prior, model, _obs(6, 0.3, 0.5), sm.MdaSchedule.uniform(2), policy,
@@ -1262,7 +1263,7 @@ def test_percentile_run_computes_each_correlation_block_once(monkeypatch):
 
 @pytest.mark.parametrize("helpers", [0, 1, 3])
 def test_percentile_pass_failure_names_its_rows(monkeypatch, helpers):
-    monkeypatch.setattr(sm, "_helper_count", lambda: helpers)
+    monkeypatch.setattr(ens_mod, "_helper_count", lambda: helpers)
     toy, prior, obs = _toy_problem()
     corr = sm.correlation_block
 
@@ -1282,7 +1283,7 @@ def test_percentile_run_memory_holds_no_second_field(monkeypatch):
     """A percentile run that keeps its whole field stays within the same run
     at a fixed t0, plus one block and two of its widest source's pools: the
     pass writes t into the kept blocks and holds no copy of it."""
-    monkeypatch.setattr(sm, "_helper_count", lambda: 1)
+    monkeypatch.setattr(ens_mod, "_helper_count", lambda: 1)
     nm, nd, ne, width = 8_000, 400, 20, 1024
     model = _EveryKthParameter(nm, nm // nd)
     model.datum_meta = [DatumMeta(source=f"w{j // 50}") for j in range(nd)]  # 8 sources of 50
@@ -1478,7 +1479,7 @@ def _memory_run_peak(monkeypatch, helpers, keep_rows=None):
     drawn before tracing starts, at helpers helper threads; keep_rows sets
     the budget to keep the blocks that end within that many rows (None: the
     default budget)."""
-    monkeypatch.setattr(sm, "_helper_count", lambda: helpers)
+    monkeypatch.setattr(ens_mod, "_helper_count", lambda: helpers)
     nm, nd, ne = _MEMORY_SHAPE
     model = _EveryKthParameter(nm, nm // nd)
     prior = Ensemble(values=np.random.default_rng(13).standard_normal((nm, ne)))
